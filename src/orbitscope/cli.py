@@ -19,7 +19,9 @@ An optional "max_order" bounds the closure (default 10000).
 Every report embeds the tool version, the sha256 of the spec file, the
 seed, tolerances and caps, so a rerun with the same configuration is
 byte-identical.  Set ORBITSCOPE_CACHE_DIR to cache the integrity basis
-keyed by spec hash and caps; a cache hit changes timing, never output.
+keyed by spec hash, caps and version; a cache hit changes timing, never
+output.  An entry that cannot be read, or whose polynomials are not
+invariant or do not match its degree list, is recomputed and rewritten.
 
 Exit status: 0 on success, 1 with a one-line JSON error record on
 stderr otherwise (code "module.ExceptionName").
@@ -31,6 +33,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -45,12 +48,12 @@ from .invariants import (
     IntegrityBasis,
     compute_mib,
     find_relations,
-    is_coregular,
+    is_invariant,
     molien_series,
     p_matrix,
 )
 from .landau import MinimizeOptions, SweepOptions, build_generic, minimize, sweep
-from .polynomials import J_KIND, Polynomial
+from .polynomials import J_KIND, X_KIND, Polynomial
 from .reduction import GradedPotential, reduce as reduce_potential, verify_reduction
 from .strata import (
     isotropy_lattice,
@@ -169,29 +172,49 @@ def _poly_from_doc(doc: dict) -> Polynomial:
     return Polynomial(doc["nvars"], terms, doc["kind"])
 
 
+def _cached_basis(path: Path, rep: FiniteGroupRep) -> IntegrityBasis | None:
+    """The basis stored at ``path``; None when the entry is missing,
+    unreadable, or fails validation: its degree list must match its
+    polynomials, and each polynomial must be invariant under the group."""
+    try:
+        doc = json.loads(path.read_text())
+        polys = tuple(_poly_from_doc(d) for d in doc["polys"])
+        degrees = tuple(doc["degrees"])
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        return None
+    valid = len(degrees) == len(polys) and all(
+        type(d) is int
+        and p.kind == X_KIND
+        and p.nvars == rep.dim
+        and set(p.homogeneous_parts()) == {d}
+        and is_invariant(rep, p)
+        for d, p in zip(degrees, polys)
+    )
+    return IntegrityBasis(rep=rep, polys=polys, degrees=degrees) if valid else None
+
+
 def _basis_for(cfg: RunConfig, rep: FiniteGroupRep) -> IntegrityBasis:
     cache_dir = os.environ.get("ORBITSCOPE_CACHE_DIR")
     if not cache_dir:
         return compute_mib(rep, cfg.degree_cap)
     key = (
         f"{cfg.spec_sha256}-mib-"
-        f"{cfg.degree_cap if cfg.degree_cap is not None else 'default'}.json"
+        f"{cfg.degree_cap if cfg.degree_cap is not None else 'default'}-{__version__}.json"
     )
     path = Path(cache_dir) / key
-    if path.exists():
-        doc = json.loads(path.read_text())
-        polys = tuple(_poly_from_doc(d) for d in doc["polys"])
-        return IntegrityBasis(
-            rep=rep, polys=polys, degrees=tuple(doc["degrees"]), relations=None
-        )
+    basis = _cached_basis(path, rep)
+    if basis is not None:
+        return basis
     basis = compute_mib(rep, cfg.degree_cap)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(
         json.dumps(
             {"degrees": list(basis.degrees), "polys": [_poly_to_doc(p) for p in basis.polys]},
             sort_keys=True,
         )
     )
+    os.replace(tmp, path)
     return basis
 
 
@@ -262,17 +285,14 @@ def _generic_model(cfg: RunConfig, basis: IntegrityBasis):
 
 # ---------------------------------------------------------------- commands
 
+# what a command returns: the JSON report, the text lines, the CSV rows
+Report = tuple[dict, list[str], list[list[str]]]
 
-def cmd_group(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
-    rep, _ = load_group_spec(cfg.spec)
-    index = {e.matrix: i for i, e in enumerate(rep.elements)}
-    from .rationals import mat_mul
 
-    closed = all(
-        mat_mul(a.matrix, b.matrix) in index
-        for a in rep.elements
-        for b in rep.elements
-    )
+def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
+    # close_generators builds the Cayley table by looking every product up
+    # in its element index, so a closed rep has a closed table
+    closed = True
     subs = all_subgroups(rep)
     types = symmetry_types(rep, seed=cfg.seed)
     report = {
@@ -285,7 +305,7 @@ def cmd_group(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
     }
     text = [
         f"group {rep.name}: order {rep.order}, acting on R^{rep.dim}",
-        f"cayley table closed: {'yes' if closed else 'NO'}",
+        "cayley table closed: yes",
         f"subgroups: {len(subs)} in {len(types)} conjugacy classes",
     ]
     rows = [["name", "order", "dim", "cayley_closed", "subgroups", "classes"],
@@ -294,8 +314,7 @@ def cmd_group(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
     return report, text, rows
 
 
-def cmd_invariants(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
-    rep, _ = load_group_spec(cfg.spec)
+def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     basis = _basis_for(cfg, rep)
     mol_cap = cfg.degree_cap if cfg.degree_cap is not None else 8
     mol = molien_series(rep, mol_cap)
@@ -330,8 +349,7 @@ def cmd_invariants(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
     return report, text, rows
 
 
-def cmd_strata(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
-    rep, _ = load_group_spec(cfg.spec)
+def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     types = symmetry_types(rep, seed=cfg.seed)
     lattice = isotropy_lattice(rep, types)
     principal = principal_stratum(rep, lattice)
@@ -379,8 +397,7 @@ def cmd_strata(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
     return report, text, rows
 
 
-def cmd_landau(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
-    rep, _ = load_group_spec(cfg.spec)
+def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     basis = _basis_for(cfg, rep)
     model = _generic_model(cfg, basis)
     n = rep.dim
@@ -493,8 +510,7 @@ def cmd_landau(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
     return report, text, rows
 
 
-def cmd_reduce(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
-    rep, _ = load_group_spec(cfg.spec)
+def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     basis = _basis_for(cfg, rep)
     model = _generic_model(cfg, basis)
     pm = p_matrix(rep, basis)
@@ -546,8 +562,7 @@ def cmd_reduce(cfg: RunConfig) -> tuple[dict, list[str], list[list[str]]]:
     return report, text, rows
 
 
-def cmd_flow(cfg: RunConfig, x0, t_end: float, dt: float):
-    rep, _ = load_group_spec(cfg.spec)
+def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -> Report:
     basis = _basis_for(cfg, rep)
     model = _generic_model(cfg, basis)
     if len(x0) != rep.dim:
@@ -632,6 +647,22 @@ def _parse_sweep(text: str) -> tuple[str, Fraction, Fraction, int]:
     return name.strip(), lo_f, hi_f, n
 
 
+def _parse_flow(x0: str, t_end: str, dt: str) -> tuple[list[float], float, float]:
+    try:
+        point = [float(c) for c in x0.split(",")]
+    except ValueError:
+        raise SpecParseError(f"--x0 {x0!r} is not a comma-separated list of numbers") from None
+    try:
+        t_end_f, dt_f = float(t_end), float(dt)
+    except ValueError:
+        raise SpecParseError(f"--t-end {t_end!r} and --dt {dt!r} must be numbers") from None
+    if not (math.isfinite(dt_f) and dt_f > 0):
+        raise SpecParseError(f"--dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(t_end_f) and t_end_f >= 0):
+        raise SpecParseError(f"--t-end must be non-negative and finite, got {t_end!r}")
+    return point, t_end_f, dt_f
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitscope",
@@ -664,10 +695,19 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "flow":
             p.add_argument("--x0", required=True,
                            help="comma-separated start point, e.g. 0.1,0.2")
-            p.add_argument("--t-end", type=float, default=10.0)
-            p.add_argument("--dt", type=float, default=1e-2)
+            p.add_argument("--t-end", default="10.0")
+            p.add_argument("--dt", default="0.01")
     return parser
 
+
+_COMMANDS = {
+    "group": cmd_group,
+    "invariants": cmd_invariants,
+    "strata": cmd_strata,
+    "landau": cmd_landau,
+    "reduce": cmd_reduce,
+    "flow": cmd_flow,
+}
 
 _ERROR_LAYER = {
     "OrderCapExceeded": "groups", "NotASubgroup": "groups",
@@ -701,8 +741,10 @@ def main(argv=None) -> int:
     try:
         params = dict(_parse_param(p) for p in args.param)
         sweep_spec = _parse_sweep(args.sweep) if args.sweep else None
-        spec_hash = hashlib.sha256(Path(args.spec).read_bytes()).hexdigest() \
-            if Path(args.spec).exists() else ""
+        flow_args = (
+            _parse_flow(args.x0, args.t_end, args.dt) if args.command == "flow" else ()
+        )
+        rep, spec_hash = load_group_spec(args.spec)
         cfg = RunConfig(
             command=args.command,
             spec=args.spec,
@@ -717,19 +759,7 @@ def main(argv=None) -> int:
             out=args.out,
             fmt=args.fmt,
         )
-        if args.command == "group":
-            out = cmd_group(cfg)
-        elif args.command == "invariants":
-            out = cmd_invariants(cfg)
-        elif args.command == "strata":
-            out = cmd_strata(cfg)
-        elif args.command == "landau":
-            out = cmd_landau(cfg)
-        elif args.command == "reduce":
-            out = cmd_reduce(cfg)
-        else:
-            x0 = [float(c) for c in args.x0.split(",")]
-            out = cmd_flow(cfg, x0, args.t_end, args.dt)
+        out = _COMMANDS[args.command](cfg, rep, *flow_args)
         _deliver(cfg, _render(cfg, *out))
         return 0
     except OrbitscopeError as exc:

@@ -34,11 +34,9 @@ from .polynomials import (
 # ---------------------------------------------------------------- utilities
 
 
-def coefficient_vector(p: Polynomial, index: dict[Monomial, int]) -> list[Fraction]:
-    v = [Fraction(0)] * len(index)
-    for m, c in p.terms.items():
-        v[index[m]] = c
-    return v
+def coefficient_row(p: Polynomial, index: dict[Monomial, int]) -> dict[int, Fraction]:
+    """The sparse coefficient row of ``p`` over the monomial positions ``index``."""
+    return {index[m]: c for m, c in p.terms.items()}
 
 
 def monomial_index(nvars: int, degree: int) -> tuple[list[Monomial], dict[Monomial, int]]:
@@ -142,13 +140,13 @@ def invariant_space_basis(rep: FiniteGroupRep, degree: int) -> list[Polynomial]:
     greedily by exact rank, then normalized monic.
     """
     monos, index = monomial_index(rep.dim, degree)
-    reducer = ra.RowReducer(len(monos))
+    reducer = ra.RowReducer()
     basis = []
     for m in monos:
         image = reynolds(rep, Polynomial.monomial(m, 1))
         if image.is_zero():
             continue
-        if reducer.add(coefficient_vector(image, index)):
+        if reducer.add(coefficient_row(image, index)):
             basis.append(image.monic())
     return basis
 
@@ -168,6 +166,7 @@ class IntegrityBasis:
     polys: tuple[Polynomial, ...]
     degrees: tuple[int, ...]
     relations: tuple[Polynomial, ...] | None = field(default=None)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -179,6 +178,22 @@ class IntegrityBasis:
 
     def with_relations(self, relations) -> "IntegrityBasis":
         return IntegrityBasis(self.rep, self.polys, self.degrees, tuple(relations))
+
+    def jmonomial_images(self, xdegree: int):
+        """The J-monomials of x-degree ``xdegree`` in canonical order, and
+        their x-space images as sparse rows {x-monomial: {J-monomial index:
+        coefficient}}, x-monomials in canonical order.  Built once per degree.
+        """
+        if xdegree not in self._images:
+            jmonos = jmonomials_of_xdegree(self.degrees, xdegree)
+            rows: dict[Monomial, dict[int, Fraction]] = {}
+            for col, expo in enumerate(jmonos):
+                image = substitute(Polynomial.monomial(expo, 1, J_KIND), self.polys)
+                for m, c in image.terms.items():
+                    rows.setdefault(m, {})[col] = c
+            ordered = {m: rows[m] for m in sorted(rows, key=mono_key, reverse=True)}
+            self._images[xdegree] = (jmonos, ordered)
+        return self._images[xdegree]
 
 
 def _support_size(p: Polynomial) -> int:
@@ -212,27 +227,27 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
         if c_d == 0:
             continue
         monos, index = monomial_index(rep.dim, d)
-        products = ra.RowReducer(len(monos))
+        products = ra.RowReducer()
         for expo in jmonomials_of_xdegree(degrees, d):
             prod = Polynomial.constant(rep.dim, 1)
             for i, e in enumerate(expo):
                 if e:
                     prod = prod * polys[i] ** e
-            products.add(coefficient_vector(prod, index))
+            products.add(coefficient_row(prod, index))
         if products.rank > c_d:
             raise ArithmeticError("product span exceeds Molien count")
         if products.rank == c_d:
             continue
-        quotient = ra.RowReducer(len(monos))
+        quotient = ra.RowReducer()
         raw_rows = []
         for m in monos:
             image = reynolds(rep, Polynomial.monomial(m, 1))
             if image.is_zero():
                 continue
-            residual = products.residual(coefficient_vector(image, index))
-            if any(c != 0 for c in residual) and quotient.add(list(residual)):
-                raw_rows.append(list(residual))
-        reduced_rows, _ = ra.rref(raw_rows)
+            residual = products.residual(coefficient_row(image, index))
+            if residual and quotient.add(residual):
+                raw_rows.append(residual)
+        reduced_rows, _ = ra.rref(raw_rows, len(monos))
         if products.rank + len(reduced_rows) != c_d:
             raise CapTooLow(
                 f"invariant space at degree {d} not exhausted (cap {degree_cap})"
@@ -271,30 +286,18 @@ def find_relations(
     relations: list[Polynomial] = []
     rel_xdegrees: list[int] = []
     for xdeg in range(1, relation_degree_cap + 1):
-        jmonos = jmonomials_of_xdegree(degrees, xdeg)
+        jmonos, rows = basis.jmonomial_images(xdeg)
         if len(jmonos) < 2:
             continue
-        jindex = {m: i for i, m in enumerate(jmonos)}
-        xmonos, xindex = monomial_index(basis.rep.dim, xdeg)
-        rows = [[Fraction(0)] * len(jmonos) for _ in xmonos]
-        for col, expo in enumerate(jmonos):
-            prod = Polynomial.constant(basis.rep.dim, 1)
-            for i, e in enumerate(expo):
-                if e:
-                    prod = prod * basis.polys[i] ** e
-            for m, c in prod.terms.items():
-                rows[xindex[m]][col] = c
-        kernel = ra.nullspace(rows, len(jmonos))
+        kernel = ra.nullspace(rows.values(), len(jmonos))
         if not kernel:
             continue
+        jindex = {m: i for i, m in enumerate(jmonos)}
         ideal_span = ra.RowReducer(len(jmonos))
         for rel, rel_deg in zip(relations, rel_xdegrees):
             for q_expo in jmonomials_of_xdegree(degrees, xdeg - rel_deg):
                 shifted = Polynomial.monomial(q_expo, 1, J_KIND) * rel
-                vec = [Fraction(0)] * len(jmonos)
-                for m, c in shifted.terms.items():
-                    vec[jindex[m]] = c
-                ideal_span.add(vec)
+                ideal_span.add(coefficient_row(shifted, jindex))
         for v in kernel:
             if ideal_span.add(v):
                 rel_poly = Polynomial(
@@ -316,21 +319,39 @@ def is_coregular(basis: IntegrityBasis) -> bool:
 # ------------------------------------------------------- basis re-expression
 
 
+def is_invariant(rep: FiniteGroupRep, p: Polynomial) -> bool:
+    return all(act(e.matrix, p) == p for e in rep.elements)
+
+
 def _check_invariant(rep: FiniteGroupRep, p: Polynomial):
-    for e in rep.elements:
-        if act(e.matrix, p) != p:
-            raise NotInvariant("polynomial is moved by the group action")
+    if not is_invariant(rep, p):
+        raise NotInvariant("polynomial is moved by the group action")
+
+
+def express_homogeneous(basis: IntegrityBasis, part, xdegree: int) -> dict:
+    """Coefficients {J-monomial: c} with sum c * J-monomial == ``part``.
+
+    ``part`` is a homogeneous invariant of x-degree ``xdegree``, with
+    Fraction coefficients (Polynomial) or parameter-valued ones (ParamPoly).
+    One exact solve over the J-monomials of that degree in canonical order;
+    unknowns without a pivot are zero, so the representative is canonical
+    even when the basis has relations.  Raises NotExpressible when ``part``
+    is outside the span.
+    """
+    jmonos, rows = basis.jmonomial_images(xdegree)
+    reducer = ra.RowReducer(len(jmonos))
+    for xm, row in rows.items():
+        rhs = part.terms.get(xm)
+        reducer.add(row if rhs is None else {**row, ra.RHS: rhs})
+    if not reducer.consistent or not part.terms.keys() <= rows.keys():
+        raise NotExpressible(f"degree-{xdegree} component outside the algebra")
+    return {jmonos[j]: c for j, c in reducer.solve().items()}
 
 
 def express_in_basis(
     rep: FiniteGroupRep, basis: IntegrityBasis, p: Polynomial
 ) -> Polynomial:
-    """Exact Psi with Psi(J_1..J_k) == p, canonical representative.
-
-    The linear solve walks J-monomial columns in canonical order with free
-    unknowns pinned to zero, so the representative is unique even when the
-    basis has relations.
-    """
+    """Exact Psi with Psi(J_1..J_k) == p, canonical representative."""
     _check_invariant(rep, p)
     result = Polynomial.zero(basis.k, J_KIND)
     for xdeg, part in p.homogeneous_parts().items():
@@ -339,25 +360,8 @@ def express_in_basis(
                 basis.k, part.terms[(0,) * rep.dim], J_KIND
             )
             continue
-        jmonos = jmonomials_of_xdegree(basis.degrees, xdeg)
-        if not jmonos:
-            raise NotExpressible(f"no J-monomials at x-degree {xdeg}")
-        xmonos, xindex = monomial_index(rep.dim, xdeg)
-        columns = []
-        for expo in jmonos:
-            prod = Polynomial.constant(rep.dim, 1)
-            for i, e in enumerate(expo):
-                if e:
-                    prod = prod * basis.polys[i] ** e
-            columns.append(tuple(coefficient_vector(prod, xindex)))
-        target = tuple(coefficient_vector(part, xindex))
-        solution = ra.solve_canonical(columns, target)
-        if solution is None:
-            raise NotExpressible(f"degree-{xdeg} component outside the algebra")
         result = result + Polynomial(
-            basis.k,
-            {jmonos[i]: c for i, c in enumerate(solution) if c != 0},
-            J_KIND,
+            basis.k, express_homogeneous(basis, part, xdeg), J_KIND
         )
     return result
 

@@ -194,6 +194,9 @@ class Coefficient:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def as_number(self) -> Fraction | None:
         """The constant value, or None if parameters are involved."""
         if self.den != {_ONE_MONO: Fraction(1)}:

@@ -1,9 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Matrices are immutable tuples of tuples of Fraction, vectors are tuples of
-Fraction.  Everything here is deterministic: pivots are always chosen as the
-first usable column / row in storage order, never by magnitude, so repeated
-runs produce identical output bit for bit.
+Fraction.  Every exact elimination in the package goes through one
+eliminator, :class:`RowReducer`: ranks, residuals modulo a span, ``rref``,
+``nullspace``, ``mat_inverse``, the J-space re-expression of invariants and
+the homological solves of the reduction layer.  It reduces each new sparse
+row against unnormalized pivot rows in insertion order; normalizing would
+not change a Fraction result, but ``Coefficient`` entries cancel only
+monomial factors, so their printed form follows the dataflow.  Only
+``mat_det`` keeps its own loop, because it tracks the sign of row swaps.
+
+Everything here is deterministic: the pivot is always the first admissible
+column, never chosen by magnitude, so repeated runs produce identical
+output bit for bit.
 """
 
 from __future__ import annotations
@@ -112,51 +121,41 @@ def mat_det(a: Mat) -> Fraction:
 
 
 def mat_inverse(a: Mat) -> Mat:
-    """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
+    """Exact inverse from the RREF of [A | I]; raises ValueError when singular."""
     n = len(a)
-    rows = [list(r) + list(ident_row) for r, ident_row in zip(a, mat_identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = ONE / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
+    red, pivots = rref(tuple(r) + e for r, e in zip(a, mat_identity(n)))
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in red)
 
 
-def rref(rows_in) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows_in, ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot_columns).
 
-    Zero rows are dropped.  Pivot columns come out strictly increasing, the
-    first nonzero column of each surviving row.
+    Rows may be dense or sparse; ``ncols`` is the width of the dense output
+    and defaults to the length of the first row.  Zero rows are dropped.
+    Pivot columns come out strictly increasing, the first nonzero column of
+    each surviving row.
     """
-    rows = [list(r) for r in rows_in if any(x != 0 for x in r)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
+    rows = list(rows_in)
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    reducer = RowReducer()
+    for row in rows:
+        reducer.add(row)
+    pivots = sorted(reducer.pivot_rows)
+    red: dict[int, dict] = {}
+    for col in reversed(pivots):
+        row = reducer.pivot_rows[col]
+        inv = ONE / row[col]
+        row = {v: x * inv for v, x in row.items()}
+        for later, lrow in red.items():
+            c = row.get(later)
+            if c:
+                for v, x in lrow.items():
+                    row[v] = row.get(v, ZERO) - c * x
+        red[col] = row
+    return [[red[p].get(j, ZERO) for j in range(ncols)] for p in pivots], pivots
 
 
 def nullspace(rows_in, ncols: int) -> list[Vec]:
@@ -165,7 +164,7 @@ def nullspace(rows_in, ncols: int) -> list[Vec]:
     Each basis vector has a 1 in one free column and zeros in the others,
     which makes the output canonical given the column order.
     """
-    red, pivots = rref(rows_in)
+    red, pivots = rref(rows_in, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -178,83 +177,96 @@ def nullspace(rows_in, ncols: int) -> list[Vec]:
     return basis
 
 
-def solve_canonical(columns: list[Vec], target: Vec) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = target; canonical solution or None.
+RHS = -1
+"""Column key of a row's right-hand side: reduced along with the row, never a pivot."""
 
-    Elimination walks columns left to right, so when the system is
-    underdetermined the solution is supported on the earliest independent
-    columns and all later free unknowns are zero.  Returns None when the
-    system is inconsistent.
-    """
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [[columns[j][r] for j in range(ncols)] + [target[r]] for r in range(nrows)]
-    rank = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = ONE / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(nrows):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    for r in range(rank, nrows):
-        if aug[r][ncols] != 0:
-            return None
-    solution = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        solution[pc] = aug[r][ncols]
-    # rows below rank are all-zero in the coefficient part but may still
-    # carry a nonzero rhs when rank == nrows was hit early; re-check fully
-    if rank == nrows:
-        for r in range(nrows):
-            lhs = sum(solution[j] * columns[j][r] for j in range(ncols))
-            if lhs != target[r]:
-                return None
-    return solution
+
+def sparse(row) -> dict:
+    """A row as ``{column: entry}`` with the zeros left out; takes a dense
+    sequence or a dict."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x for c, x in items if x}
 
 
 class RowReducer:
-    """Incremental exact rank tracker.
+    """The exact eliminator: an incremental echelon basis of sparse rows.
 
-    Feed vectors one at a time; ``add`` reports whether the vector enlarged
-    the span.  Pivots are first-nonzero positions, so the greedy selection
-    over a canonically ordered candidate stream is deterministic.
+    Entries are Fraction or ``Coefficient``.  ``residual`` reduces a row
+    against the pivot rows in insertion order, ``factor = entry / pivot``;
+    ``push`` keeps a residual as a new pivot row, pivoting on its first
+    column whose entry passes ``admissible`` (default: nonzero).  Pivot rows
+    stay unnormalized: ``Coefficient`` cancels only monomial factors, so its
+    printed form follows the dataflow.  An entry under the ``RHS`` key is
+    carried along and never pivoted on; ``solve`` back-substitutes.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int | None = None, admissible=bool):
         self.ncols = ncols
-        self.pivot_rows: dict[int, list[Fraction]] = {}
+        self.admissible = admissible
+        self.pivot_rows: dict[int, dict] = {}
+        self.consistent = True
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def residual(self, v) -> list[Fraction]:
-        row = list(v)
-        for col in sorted(self.pivot_rows):
-            if row[col] != 0:
-                factor = row[col]
-                prow = self.pivot_rows[col]
-                row = [x - factor * y for x, y in zip(row, prow)]
-        return row
+    def residual(self, row) -> dict:
+        if not isinstance(row, dict) and self.ncols is not None and len(row) != self.ncols:
+            raise ValueError("row width does not match the reducer")
+        row = sparse(row)
+        for col, prow in self.pivot_rows.items():
+            c = row.get(col)
+            if not c:
+                continue
+            factor = c / prow[col]
+            for v, x in prow.items():
+                if v == col:
+                    del row[col]
+                elif v in row:
+                    row[v] = row[v] - factor * x
+                else:
+                    row[v] = -(factor * x)
+        return sparse(row)
 
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self.residual(v))
+    def push(self, residual: dict) -> int | None:
+        """Keep an already reduced row; returns its pivot column, or None
+        when no column is admissible.  A residual left with only a
+        right-hand side marks the system inconsistent."""
+        pivot = next(
+            (c for c in sorted(residual) if c != RHS and self.admissible(residual[c])),
+            None,
+        )
+        if pivot is None:
+            if RHS in residual and len(residual) == 1:
+                self.consistent = False
+            return None
+        self.pivot_rows[pivot] = residual
+        return pivot
 
-    def add(self, v) -> bool:
-        row = self.residual(v)
-        piv = next((c for c in range(self.ncols) if row[c] != 0), None)
-        if piv is None:
-            return False
-        inv = ONE / row[piv]
-        self.pivot_rows[piv] = [x * inv for x in row]
-        return True
+    def add(self, row) -> bool:
+        """Reduce and keep a row; True when it enlarged the span."""
+        return self.push(self.residual(row)) is not None
+
+    def contains(self, row) -> bool:
+        return not self.residual(row)
+
+    def solve(self, known=None) -> dict:
+        """Back-substitution over the pivot rows, latest first.
+
+        Unknowns in ``known`` start at the given values, unless a pivot
+        row solves for them; every other unknown without a pivot row is
+        zero.  Zero values are left out.
+        """
+        values = {v: x for v, x in (known or {}).items() if x}
+        for col in reversed(self.pivot_rows):
+            row = self.pivot_rows[col]
+            acc = row.get(RHS)
+            for v, c in row.items():
+                if v in values and v != col:
+                    term = c * values[v]
+                    acc = -term if acc is None else acc - term
+            if acc:
+                values[col] = acc / row[col]
+            else:
+                values.pop(col, None)
+        return values

@@ -30,7 +30,8 @@ from .errors import (
     VerificationFailed,
 )
 from .groups import invariant_metric
-from .invariants import IntegrityBasis, PMatrix, jmonomials_of_xdegree
+from . import rationals as ra
+from .invariants import IntegrityBasis, PMatrix, express_homogeneous, jmonomials_of_xdegree
 from .params import Coefficient, ParamPoly, _pp_kill, compose_param, substitute_param
 from .polynomials import (
     J_KIND,
@@ -42,6 +43,11 @@ from .polynomials import (
 )
 
 _ZERO = Coefficient.number(0)
+
+
+def _uniform(critical):
+    """Admissible-pivot predicate: invertible for every value in the sweep."""
+    return lambda c: c.uniform_nonzero(critical)
 
 
 def _den_survives(c: Coefficient, critical) -> bool:
@@ -298,50 +304,28 @@ def removable_terms(
             if not image.is_zero():
                 columns.append((g, m, image))
 
-    rows = []
-    for mono in target_monos:
-        coeffs = {}
-        for j, (_, _, image) in enumerate(columns):
-            c = image.terms.get(mono)
-            if c is not None and not c.is_zero():
-                coeffs[j] = c
-        rows.append((mono, coeffs))
-
-    pivot_rows = []   # (mono, col, coeffs)
+    reducer = ra.RowReducer(admissible=_uniform(psi.critical))
+    removable = []    # (mono, pivot column)
     constraints = []
     non_removable = []
-    for mono, coeffs in rows:
-        coeffs = dict(coeffs)
-        for _, pc, pcoeffs in pivot_rows:
-            c = coeffs.get(pc)
-            if c is None or c.is_zero():
-                continue
-            factor = c / pcoeffs[pc]
-            for v, cv in pcoeffs.items():
-                if v == pc:
-                    coeffs.pop(pc, None)
-                else:
-                    coeffs[v] = coeffs.get(v, _ZERO) - factor * cv
-        coeffs = {v: c for v, c in coeffs.items() if not c.is_zero()}
-        pivot = None
-        for j in sorted(coeffs):
-            if coeffs[j].uniform_nonzero(psi.critical):
-                pivot = j
-                break
+    for mono in target_monos:
+        row = {j: im.terms[mono] for j, (_, _, im) in enumerate(columns) if mono in im.terms}
+        residual = reducer.residual(row)
+        pivot = reducer.push(residual)
         if pivot is None:
             non_removable.append(mono)
             continue
         g, m, _ = columns[pivot]
         constraints.append(
-            f"{_jmono_text(mono)}: pivot {coeffs[pivot]} from degree-{g} "
+            f"{_jmono_text(mono)}: pivot {residual[pivot]} from degree-{g} "
             f"generator term {_jmono_text(m)} (uniform in the sweep)"
         )
-        pivot_rows.append((mono, pivot, coeffs))
+        removable.append((mono, pivot))
 
     return RemovableSubspace(
         degree=degree,
-        removable_monomials=tuple(mono for mono, _, _ in pivot_rows),
-        basis=tuple(columns[pc][2] for _, pc, _ in pivot_rows),
+        removable_monomials=tuple(mono for mono, _ in removable),
+        basis=tuple(columns[pc][2] for _, pc in removable),
         constraints=tuple(constraints),
         non_removable=tuple(non_removable),
     )
@@ -388,64 +372,7 @@ class ReductionReport:
         return "\n".join(lines)
 
 
-def _express_in_jspace(xcomp: ParamPoly, d: int, basis: IntegrityBasis, cache) -> ParamPoly:
-    """Write a homogeneous invariant x-space component in the J-monomials of
-    its degree: a Fraction-matrix solve with parameter-valued right sides.
-    Free columns (present only with basis relations) are pinned to zero."""
-    key = d
-    if key not in cache:
-        monos = jmonomials_of_xdegree(basis.degrees, d)
-        comps = [
-            substitute(Polynomial(basis.k, {m: Fraction(1)}, J_KIND), basis.polys)
-            for m in monos
-        ]
-        xmonos = sorted({xm for q in comps for xm in q.terms}, key=mono_key, reverse=True)
-        matrix = [
-            [q.terms.get(xm, Fraction(0)) for q in comps] for xm in xmonos
-        ]
-        cache[key] = (monos, xmonos, matrix)
-    monos, xmonos, matrix = cache[key]
-    if not monos:
-        if not xcomp.is_zero():
-            raise AssertionError("invariant component outside the basis span")
-        return ParamPoly.zero(basis.k, J_KIND)
-    known = set(xmonos)
-    for xm in xcomp.terms:
-        if xm not in known:
-            raise AssertionError("invariant component outside the basis span")
-
-    work = [row[:] for row in matrix]
-    rhs = [xcomp.terms.get(xm, _ZERO) for xm in xmonos]
-    used = [False] * len(xmonos)
-    pivots = []      # (col, row)
-    for j in range(len(monos)):
-        sel = None
-        for r in range(len(xmonos)):
-            if not used[r] and work[r][j] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        used[sel] = True
-        pivots.append((j, sel))
-        for r in range(len(xmonos)):
-            if r == sel or work[r][j] == 0:
-                continue
-            factor = work[r][j] / work[sel][j]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[sel])]
-            rhs[r] = rhs[r] - rhs[sel] * factor
-    for r in range(len(xmonos)):
-        if not used[r] and not rhs[r].is_zero():
-            raise AssertionError("inconsistent invariant re-expression")
-    terms = {}
-    for j, r in pivots:
-        c = rhs[r] / work[r][j]
-        if not c.is_zero():
-            terms[monos[j]] = c
-    return ParamPoly(basis.k, terms, J_KIND)
-
-
-def _apply_generator(components, gen: PoincareGenerator, basis, eta_inv, truncation, cache):
+def _apply_generator(components, gen: PoincareGenerator, basis, eta_inv, truncation):
     """Exact formal composition x = y + eta_inv grad(H o basis), truncated."""
     k = basis.k
     n = basis.rep.dim
@@ -478,7 +405,7 @@ def _apply_generator(components, gen: PoincareGenerator, basis, eta_inv, truncat
             continue
         if comp_x.is_zero():
             continue
-        out[d] = _express_in_jspace(comp_x, d, basis, cache)
+        out[d] = ParamPoly(basis.k, express_homogeneous(basis, comp_x, d), J_KIND)
     return out
 
 
@@ -507,7 +434,6 @@ def reduce(
     weights = basis.degrees
     critical = psi.critical
     eta_inv = pmatrix.metric.eta_inv
-    express_cache: dict = {}
 
     current = {d: c for d, c in psi.components.items() if d <= truncation_degree}
     generators = []
@@ -523,8 +449,9 @@ def reduce(
             h = ParamPoly(basis.k, {m: Coefficient.number(1)}, J_KIND)
             images.append(homological_image(total, h, pmatrix))
 
+        # one row per term to remove: sum_j image_j[mono] * h_j == -term
+        reducer = ra.RowReducer(admissible=_uniform(critical))
         determined: dict = {}
-        pivot_rows = []         # (pivot unknown index, coeffs, const)
         for d in range(g, truncation_degree + 1):
             comp = current.get(d)
             if comp is None:
@@ -533,39 +460,21 @@ def reduce(
                 const = comp.terms.get(mono)
                 if const is None or const.is_zero():
                     continue
-                coeffs = {}
-                for j, image in enumerate(images):
-                    c = image.terms.get(mono)
-                    if c is not None and not c.is_zero():
-                        coeffs[j] = c
-                for j in list(coeffs):
+                row = {j: im.terms[mono] for j, im in enumerate(images) if mono in im.terms}
+                rhs = -const
+                for j in list(row):
                     if j in determined:
-                        const = const + coeffs.pop(j) * determined[j]
-                for pj, pcoeffs, pconst in pivot_rows:
-                    c = coeffs.get(pj)
-                    if c is None or c.is_zero():
-                        continue
-                    factor = c / pcoeffs[pj]
-                    for v, cv in pcoeffs.items():
-                        if v == pj:
-                            coeffs.pop(pj, None)
-                        else:
-                            coeffs[v] = coeffs.get(v, _ZERO) - factor * cv
-                    const = const - factor * pconst
-                coeffs = {v: c for v, c in coeffs.items() if not c.is_zero()}
-                if not coeffs:
+                        rhs = rhs - row.pop(j) * determined[j]
+                row[ra.RHS] = rhs
+                residual = reducer.residual(row)
+                unknowns = [j for j in residual if j != ra.RHS]
+                if not unknowns:
                     continue                      # survivor: nothing acts here
-                pivot = None
-                for j in sorted(coeffs):
-                    if coeffs[j].uniform_nonzero(critical):
-                        pivot = j
-                        break
-                if pivot is not None:
-                    pivot_rows.append((pivot, coeffs, const))
+                if reducer.push(residual) is not None:
                     continue
-                if len(coeffs) == 1:
-                    (j,) = coeffs
-                    q = -const / coeffs[j]
+                if len(unknowns) == 1:
+                    (j,) = unknowns
+                    q = residual.get(ra.RHS, _ZERO) / residual[j]
                     if _den_survives(q, critical):
                         determined[j] = q
                         continue
@@ -577,23 +486,13 @@ def reduce(
                     )
                 # survivor: only critical pivots offered, division refused
 
-        values = dict(determined)
-        for pj, pcoeffs, pconst in reversed(pivot_rows):
-            acc = pconst
-            for v, cv in pcoeffs.items():
-                if v != pj:
-                    acc = acc + cv * values.get(v, _ZERO)
-            values[pj] = -acc / pcoeffs[pj]
-        h_terms = {
-            unknown_monos[j]: v for j, v in values.items() if not v.is_zero()
-        }
+        values = reducer.solve(determined)
+        h_terms = {unknown_monos[j]: v for j, v in values.items()}
         if not h_terms:
             continue
         gen = PoincareGenerator(ParamPoly(basis.k, h_terms, J_KIND), g)
         generators.append(gen)
-        current = _apply_generator(
-            current, gen, basis, eta_inv, truncation_degree, express_cache
-        )
+        current = _apply_generator(current, gen, basis, eta_inv, truncation_degree)
 
     removed = []
     for d in range(3, truncation_degree + 1):

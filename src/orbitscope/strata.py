@@ -88,8 +88,8 @@ class PrincipalCriticalOrbitSet:
 def _span_contains_all(span_rows, vectors, ncols) -> bool:
     reducer = ra.RowReducer(ncols)
     for row in span_rows:
-        reducer.add(list(row))
-    return all(reducer.contains(list(v)) for v in vectors)
+        reducer.add(ra.sparse(row))
+    return all(reducer.contains(ra.sparse(v)) for v in vectors)
 
 
 def _pointwise_stabilizer(rep: FiniteGroupRep, basis_vecs) -> tuple[int, ...]:

@@ -182,6 +182,16 @@ def test_flow_x0_dimension(tmp_path, capsys):
     assert error_code(err) == "cli.SpecParseError"
 
 
+@pytest.mark.parametrize(
+    "flag", [["--x0", "abc"], ["--x0", "0.1", "--dt", "0"]], ids=["x0", "dt"]
+)
+def test_flow_bad_arguments(tmp_path, capsys, flag):
+    spec = write_spec(tmp_path, "z2line", Z2_LINE)
+    rc, _, err = run(capsys, ["flow", "--spec", spec, *flag])
+    assert rc == 1
+    assert error_code(err) == "cli.SpecParseError"
+
+
 def test_sweep_syntax_error(tmp_path, capsys):
     spec = write_spec(tmp_path, "z2line", Z2_LINE)
     rc, _, err = run(capsys, ["landau", "--spec", spec, "--sweep", "a1:0:1"])
@@ -212,6 +222,30 @@ def test_cache_roundtrip(tmp_path, capsys, monkeypatch):
     assert list(cache.glob("*-mib-*.json"))     # cache file written
     rc2, second, _ = run(capsys, argv)
     assert first == second == plain             # cache never changes output
+
+
+@pytest.mark.parametrize("entry", [
+    "{garbage",
+    # J1 = x1 is moved by x -> -x
+    json.dumps({"degrees": [1], "polys": [{"nvars": 1, "kind": "x", "terms": [[[1], "1"]]}]}),
+    # degree list does not match the polynomial x1^2
+    json.dumps({"degrees": [4], "polys": [{"nvars": 1, "kind": "x", "terms": [[[2], "1"]]}]}),
+], ids=["garbage", "not-invariant", "wrong-degree"])
+def test_bad_cache_entry_is_recomputed(tmp_path, capsys, monkeypatch, entry):
+    spec = write_spec(tmp_path, "z2line", Z2_LINE)
+    argv = ["invariants", "--spec", spec, "--format", "json"]
+    _, plain, _ = run(capsys, argv)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("ORBITSCOPE_CACHE_DIR", str(cache))
+    run(capsys, argv)
+    (path,) = cache.glob("*-mib-*.json")
+    good = path.read_text()
+    path.write_text(entry)
+    rc, out, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert out == plain
+    assert path.read_text() == good            # rewritten from the recomputed basis
+    assert list(cache.iterdir()) == [path]     # no temporary file left behind
 
 
 def test_out_directory(tmp_path, capsys):

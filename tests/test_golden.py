@@ -1,0 +1,36 @@
+"""Golden reports: the JSON ``report`` objects of a few CLI runs, byte for byte.
+
+The files under ``golden/`` were recorded before every exact solve moved onto
+the one eliminator, ``rationals.RowReducer``.  Parameter-valued coefficients
+print in a form that follows the elimination dataflow, so these files pin it
+down.  Regenerate one only for a change that is meant to alter a report.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from orbitscope.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("invariants-d4", ["invariants", "--spec", "d4"]),
+    ("invariants-o-rot", ["invariants", "--spec", "o-rot"]),
+    ("invariants-s4-std", ["invariants", "--spec", "s4-std"]),
+    ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
+    ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(name, argv, capsys):
+    argv = list(argv)
+    argv[2] = str(GOLDEN / "specs" / f"{argv[2]}.json")
+    rc = main([*argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    report = json.loads(out)["report"]
+    got = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert got == (GOLDEN / f"{name}.json").read_text()
