@@ -20,7 +20,6 @@ from .polynomials import Polynomial, parse_polynomial, act, reynolds
 from .groups import (
     FiniteGroupRep,
     close_generators,
-    load_group_file,
     all_subgroups,
     fixed_subspace,
     invariant_metric,
@@ -77,7 +76,6 @@ __all__ = [
     "reynolds",
     "FiniteGroupRep",
     "close_generators",
-    "load_group_file",
     "all_subgroups",
     "fixed_subspace",
     "invariant_metric",

@@ -14,14 +14,16 @@ Group input is a small JSON file::
                     [["1", "0"], ["0", "-1"]]]}
 
 Matrix entries are integers or strings accepted by Fraction ("1/2").
-An optional "max_order" bounds the closure (default 10000).
+An optional "max_order" (an integer >= 1) bounds the closure (default
+10000); an optional "name" (a string) labels the reports.
 
 Every report embeds the tool version, the sha256 of the spec file, the
 seed, tolerances and caps, so a rerun with the same configuration is
 byte-identical.  Set ORBITSCOPE_CACHE_DIR to cache the integrity basis
 keyed by spec hash, caps and version; a cache hit changes timing, never
-output.  An entry that cannot be read, or whose polynomials are not
-invariant or do not match its degree list, is recomputed and rewritten.
+output.  An entry that cannot be read, whose polynomials are not invariant
+or do not match its degree list, or that is not the canonical basis
+(``invariants.is_canonical``), is recomputed and rewritten.
 
 Exit status: 0 on success, 1 with a one-line JSON error record on
 stderr otherwise (code "module.ExceptionName").
@@ -48,12 +50,13 @@ from .invariants import (
     IntegrityBasis,
     compute_mib,
     find_relations,
+    is_canonical,
     is_invariant,
     molien_series,
     p_matrix,
 )
 from .landau import MinimizeOptions, SweepOptions, build_generic, minimize, sweep
-from .polynomials import J_KIND, X_KIND, Polynomial
+from .polynomials import J_KIND, X_KIND, Polynomial, mono_text
 from .reduction import GradedPotential, reduce as reduce_potential, verify_reduction
 from .strata import (
     isotropy_lattice,
@@ -151,7 +154,13 @@ def load_group_spec(path: str) -> tuple[FiniteGroupRep, str]:
     if len({len(g) for g in gens}) != 1:
         raise SpecParseError(f"generators in {path} act on different dimensions")
     name = doc.get("name") or Path(path).stem
+    if not isinstance(name, str):
+        raise SpecParseError(f"'name' in {path} must be a string, got {name!r}")
     max_order = doc.get("max_order", 10000)
+    if type(max_order) is not int or max_order < 1:
+        raise SpecParseError(
+            f"'max_order' in {path} must be an integer >= 1, got {max_order!r}"
+        )
     rep = close_generators(gens, max_order=max_order, name=name)
     return rep, digest
 
@@ -175,7 +184,8 @@ def _poly_from_doc(doc: dict) -> Polynomial:
 def _cached_basis(path: Path, rep: FiniteGroupRep) -> IntegrityBasis | None:
     """The basis stored at ``path``; None when the entry is missing,
     unreadable, or fails validation: its degree list must match its
-    polynomials, and each polynomial must be invariant under the group."""
+    polynomials, each polynomial must be invariant under the group, and
+    together they must be the canonical basis that compute_mib returns."""
     try:
         doc = json.loads(path.read_text())
         polys = tuple(_poly_from_doc(d) for d in doc["polys"])
@@ -189,7 +199,7 @@ def _cached_basis(path: Path, rep: FiniteGroupRep) -> IntegrityBasis | None:
         and set(p.homogeneous_parts()) == {d}
         and is_invariant(rep, p)
         for d, p in zip(degrees, polys)
-    )
+    ) and is_canonical(rep, polys, degrees)
     return IntegrityBasis(rep=rep, polys=polys, degrees=degrees) if valid else None
 
 
@@ -219,38 +229,6 @@ def _basis_for(cfg: RunConfig, rep: FiniteGroupRep) -> IntegrityBasis:
 
 
 # ------------------------------------------------------------- text helpers
-
-
-def _var_name(kind: str, i: int) -> str:
-    return f"{'x' if kind == 'x' else 'J'}{i + 1}"
-
-
-def poly_text(p: Polynomial) -> str:
-    items = p.sorted_terms()
-    if not items:
-        return "0"
-    chunks = []
-    for mono, c in items:
-        factors = [
-            _var_name(p.kind, i) + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(mono)
-            if e
-        ]
-        body = "*".join(factors)
-        mag = abs(c)
-        if not body:
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        sign = "-" if c < 0 else "+"
-        chunks.append((sign, piece))
-    first_sign, first_piece = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_piece
-    for sign, piece in chunks[1:]:
-        out += f" {sign} {piece}"
-    return out
 
 
 def _fnum(v) -> str:
@@ -322,28 +300,28 @@ def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     pm = p_matrix(rep, basis)
     report = {
         "degrees": list(basis.degrees),
-        "generators": [poly_text(p) for p in basis.polys],
+        "generators": [p.pretty() for p in basis.polys],
         "molien": list(mol.coefficients),
-        "relations": [poly_text(r) for r in relations],
+        "relations": [r.pretty() for r in relations],
         "coregular": not relations,
-        "p_matrix": [[poly_text(e) for e in row] for row in pm.entries],
+        "p_matrix": [[e.pretty() for e in row] for row in pm.entries],
     }
     k = len(basis.polys)
     text = [f"integrity basis ({k} generators, degrees {list(basis.degrees)}):"]
-    text += [f"  J{i + 1} = {poly_text(p)}" for i, p in enumerate(basis.polys)]
+    text += [f"  J{i + 1} = {p.pretty()}" for i, p in enumerate(basis.polys)]
     text.append(f"molien coefficients c_0..c_{mol_cap}: {list(mol.coefficients)}")
     if relations:
         text.append(f"relations ({len(relations)}):")
-        text += [f"  {poly_text(r)} = 0" for r in relations]
+        text += [f"  {r.pretty()} = 0" for r in relations]
     else:
         text.append("relations: none (coregular)")
     text.append("gradient-product matrix P:")
     text += [
-        "  [" + ", ".join(poly_text(e) for e in row) + "]" for row in pm.entries
+        "  [" + ", ".join(e.pretty() for e in row) + "]" for row in pm.entries
     ]
     rows = [["generator", "degree", "polynomial"]]
     rows += [
-        [f"J{i + 1}", str(d), poly_text(p)]
+        [f"J{i + 1}", str(d), p.pretty()]
         for i, (d, p) in enumerate(zip(basis.degrees, basis.polys))
     ]
     return report, text, rows
@@ -530,7 +508,8 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
         "truncation": truncation,
         "critical": sorted(psi.critical),
         "generators": [
-            {"degree": g.degree, "h": str(g.h_poly)} for g in result.generators
+            {"degree": g.degree, "h": g.h_poly.to_text(bracketed=True)}
+            for g in result.generators
         ],
         "removed": [
             {"degree": d, "monomial": list(m)} for d, m in result.removed_terms
@@ -552,13 +531,9 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     )
     rows = [["degree", "monomial", "status"]]
     for d, m in result.removed_terms:
-        rows.append([str(d), "*".join(
-            f"J{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e
-        ), "removed"])
+        rows.append([str(d), mono_text(m, J_KIND, pretty=True), "removed"])
     for d, m, _c in result.survivors():
-        rows.append([str(d), "*".join(
-            f"J{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e
-        ), "kept"])
+        rows.append([str(d), mono_text(m, J_KIND, pretty=True), "kept"])
     return report, text, rows
 
 

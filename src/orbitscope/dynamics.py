@@ -123,6 +123,9 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step integration with an energy guard for gradient fields.
 
+    Takes round(t_end / dt) steps of dt; none when t_end rounds to 0, so
+    the trajectory is the start point alone.
+
     A step that raises the potential by more than energy_tol is retried
     with 2, 4, ..., 2**max_halvings substeps before MonotonicityViolation.
     """
@@ -133,7 +136,7 @@ def integrate(
         raise NonFiniteState("initial state is not finite")
     potential = getattr(field, "potential", None)
 
-    steps = max(1, int(round(t_end / dt)))
+    steps = int(round(t_end / dt))
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, len(x)))
     times[0] = 0.0

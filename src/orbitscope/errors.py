@@ -31,10 +31,6 @@ class SubgroupCapExceeded(OrbitscopeError):
     """Subgroup enumeration exceeded the candidate cap."""
 
 
-class GroupFileError(OrbitscopeError):
-    """A group description file is malformed."""
-
-
 # ----------------------------------------------------------- polynomial layer
 
 class KindMismatch(OrbitscopeError):

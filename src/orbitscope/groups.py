@@ -9,14 +9,12 @@ exactness is never at risk.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rationals as ra
 from .errors import (
     DimensionMismatch,
-    GroupFileError,
     NonInvertibleGenerator,
     NotASubgroup,
     OrderCapExceeded,
@@ -45,6 +43,8 @@ class FiniteGroupRep:
     cayley : cayley[i][j] = index of T_i @ T_j
     inverse : inverse[i] = index of T_i^{-1}
     name : optional label carried through reports
+    memo : results that later layers derive from the group once and keep
+        for its lifetime, by name
     """
 
     def __init__(self, dim, elements, cayley, inverse, name=None):
@@ -54,6 +54,7 @@ class FiniteGroupRep:
         self.inverse = tuple(inverse)
         self.name = name
         self._index = {e.matrix: i for i, e in enumerate(self.elements)}
+        self.memo: dict = {}
 
     @property
     def order(self) -> int:
@@ -303,49 +304,3 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-# ----------------------------------------------------------- group spec files
-
-
-def load_group_file(path, max_order: int = 10000) -> FiniteGroupRep:
-    """Load a JSON group description and close its generators.
-
-    Format: {"dim": n, "generators": [[["p/q", ...], ...], ...], "name": str}
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GroupFileError(f"cannot read group file {path}: {exc}") from exc
-    return group_from_dict(data, max_order=max_order)
-
-
-def group_from_dict(data: dict, max_order: int = 10000) -> FiniteGroupRep:
-    if not isinstance(data, dict) or "dim" not in data or "generators" not in data:
-        raise GroupFileError("group file needs 'dim' and 'generators'")
-    dim = data["dim"]
-    gens = []
-    try:
-        for g in data["generators"]:
-            gens.append(
-                tuple(tuple(ra.parse_rational(e) for e in row) for row in g)
-            )
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise GroupFileError(f"bad generator entry: {exc}") from exc
-    for g in gens:
-        if len(g) != dim or any(len(row) != dim for row in g):
-            raise GroupFileError("generator shape disagrees with 'dim'")
-    return close_generators(gens, max_order=max_order, name=data.get("name"))
-
-
-def group_to_dict(rep: FiniteGroupRep, generators=None) -> dict:
-    """Serializable description; uses all elements when generators unknown."""
-    gens = generators if generators is not None else [e.matrix for e in rep.elements[1:]]
-    return {
-        "dim": rep.dim,
-        "generators": [
-            [[str(x) for x in row] for row in g] for g in gens
-        ],
-        "name": rep.name,
-    }

@@ -14,6 +14,7 @@ output is deterministic down to the coefficient level.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -205,6 +206,25 @@ def _support_size(p: Polynomial) -> int:
     return len(used)
 
 
+def _product_span(rep: FiniteGroupRep, polys, degrees, d: int, index) -> ra.RowReducer:
+    """The power products of x-degree d of the given generators, as rows."""
+    products = ra.RowReducer()
+    for expo in jmonomials_of_xdegree(degrees, d):
+        prod = Polynomial.constant(rep.dim, 1)
+        for i, e in enumerate(expo):
+            if e:
+                prod = prod * polys[i] ** e
+        products.add(coefficient_row(prod, index))
+    return products
+
+
+def _listing_order(block: list[Polynomial]) -> list[Polynomial]:
+    """Generators of one degree as the basis lists them: fewer coordinates
+    first, ties broken by leading monomial."""
+    block = sorted(block, key=lambda p: mono_key(p.leading_term()[0]), reverse=True)
+    return sorted(block, key=_support_size)
+
+
 def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> IntegrityBasis:
     """Minimal integrity basis up to ``degree_cap`` (default: group order).
 
@@ -227,13 +247,7 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
         if c_d == 0:
             continue
         monos, index = monomial_index(rep.dim, d)
-        products = ra.RowReducer()
-        for expo in jmonomials_of_xdegree(degrees, d):
-            prod = Polynomial.constant(rep.dim, 1)
-            for i, e in enumerate(expo):
-                if e:
-                    prod = prod * polys[i] ** e
-            products.add(coefficient_row(prod, index))
+        products = _product_span(rep, polys, degrees, d, index)
         if products.rank > c_d:
             raise ArithmeticError("product span exceeds Molien count")
         if products.rank == c_d:
@@ -252,18 +266,53 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
             raise CapTooLow(
                 f"invariant space at degree {d} not exhausted (cap {degree_cap})"
             )
-        new_polys = [
+        new_polys = _listing_order([
             Polynomial(
                 rep.dim, {monos[i]: c for i, c in enumerate(row) if c != 0}
             ).monic()
             for row in reduced_rows
-        ]
-        new_polys.sort(key=lambda p: mono_key(p.leading_term()[0]), reverse=True)
-        new_polys.sort(key=_support_size)
+        ])
         for p in new_polys:
             polys.append(p)
             degrees.append(d)
     return IntegrityBasis(rep, tuple(polys), tuple(degrees))
+
+
+def is_canonical(rep: FiniteGroupRep, polys, degrees) -> bool:
+    """True when ``polys`` is the basis compute_mib returns through degree
+    max(degrees), for invariants homogeneous of their listed degrees.
+
+    Degrees ascend from 1, and at every degree d up to the top: the products
+    of the lower generators and the d-block span c_d (Molien) dimensions;
+    the block is listed in compute_mib's order; and it is in reduced echelon
+    form modulo those products (each generator monic, free of the products'
+    pivot columns and of the other generators' leading monomials).  The
+    reduced echelon basis of a space is unique, so only compute_mib's own
+    block passes.  Nothing above the top degree is checked.
+    """
+    if list(degrees) != sorted(degrees) or min(degrees, default=1) < 1:
+        return False
+    top = max(degrees, default=0)
+    series = molien_series(rep, top)
+    for d in range(1, top + 1):
+        start, stop = bisect_left(degrees, d), bisect_right(degrees, d)
+        block = list(polys[start:stop])
+        if series.coefficient(d) == 0 and not block:
+            continue
+        _, index = monomial_index(rep.dim, d)
+        products = _product_span(rep, polys[:start], degrees[:start], d, index)
+        if products.rank + len(block) != series.coefficient(d):
+            return False
+        if block != _listing_order(block):
+            return False
+        for i, p in enumerate(block):
+            lead, c = p.leading_term()
+            row = coefficient_row(p, index)
+            if c != 1 or products.residual(row) != row:
+                return False
+            if any(lead in q.terms for j, q in enumerate(block) if j != i):
+                return False
+    return True
 
 
 # ------------------------------------------------------------------ relations
@@ -332,7 +381,7 @@ def express_homogeneous(basis: IntegrityBasis, part, xdegree: int) -> dict:
     """Coefficients {J-monomial: c} with sum c * J-monomial == ``part``.
 
     ``part`` is a homogeneous invariant of x-degree ``xdegree``, with
-    Fraction coefficients (Polynomial) or parameter-valued ones (ParamPoly).
+    Fraction or parameter-valued (``Coefficient``) coefficients.
     One exact solve over the J-monomials of that degree in canonical order;
     unknowns without a pivot are zero, so the representative is canonical
     even when the basis has relations.  Raises NotExpressible when ``part``

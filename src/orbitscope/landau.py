@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +31,13 @@ from .errors import (
 )
 from .groups import FiniteGroupRep, Subgroup, check_subgroup, invariant_metric
 from .invariants import IntegrityBasis, jmonomials_of_xdegree
-from .params import Coefficient, ParamPoly
+from .params import Coefficient
 from .polynomials import (
     J_KIND,
     Polynomial,
     compile_gradient,
     compile_polynomial,
+    mono_degree,
     substitute,
 )
 from .strata import PrincipalCriticalOrbitSet, SymmetryType, symmetry_types
@@ -55,7 +55,7 @@ class LandauModel:
     """
 
     basis: IntegrityBasis
-    psi: ParamPoly
+    psi: Polynomial
     degree_x: int
     critical: frozenset[str]
 
@@ -96,7 +96,7 @@ def build_generic(
     terms = {
         m: Coefficient.parameter(f"a{i + 1}") for i, m in enumerate(monos)
     }
-    psi = ParamPoly(basis.k, terms, J_KIND)
+    psi = Polynomial(basis.k, terms, J_KIND)
     if critical is None:
         critical = {"a1"} if monos else set()
     return LandauModel(basis, psi, degree_x, frozenset(critical))
@@ -106,26 +106,23 @@ def make_model(
     basis: IntegrityBasis, psi, critical=(), degree_x: int | None = None
 ) -> LandauModel:
     """Wrap an explicit J-space polynomial (plain or parametric) as a model."""
-    if isinstance(psi, Polynomial):
-        psi = ParamPoly.from_polynomial(psi)
     weights = basis.degrees
-    for m in psi.terms:
-        xdeg = sum(e * w for e, w in zip(m, weights))
-        if xdeg < 2:
-            raise ValueError("model must have no constant or linear part")
+    if any(mono_degree(m, weights) < 2 for m in psi.terms):
+        raise ValueError("model must have no constant or linear part")
     if degree_x is None:
-        degree_x = max(
-            (sum(e * w for e, w in zip(m, weights)) for m in psi.terms), default=2
-        )
+        degree_x = max(psi.degree(weights), 2)
     return LandauModel(basis, psi, degree_x, frozenset(critical))
 
 
 # --------------------------------------------------------- shared numerics
 
 
-@lru_cache(maxsize=128)
 def _cached_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
-    return tuple(symmetry_types(rep))
+    """The symmetry types of rep, computed once and kept on the rep."""
+    types = rep.memo.get("symmetry_types")
+    if types is None:
+        types = rep.memo["symmetry_types"] = tuple(symmetry_types(rep))
+    return types
 
 
 def _float_matrices(rep: FiniteGroupRep) -> list[np.ndarray]:

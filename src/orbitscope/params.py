@@ -10,16 +10,16 @@ rational functions in the parameters, with just enough normalization
 expressions small; equality is decided by cross multiplication, so the
 partial canonical form is never load bearing.
 
-ParamPoly is the companion polynomial type: a sparse polynomial in x or J
-whose coefficients are such rational functions.
+A polynomial with such coefficients is a plain ``polynomials.Polynomial``:
+Coefficient mixes with Fraction in every operation, a Fraction operand
+being read as a constant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import KindMismatch
-from .polynomials import Monomial, Polynomial, mono_degree, mono_key, mono_mul
+from .polynomials import Polynomial, compose, substitute
 
 # A parameter monomial is a name-sorted tuple of (name, exponent) pairs;
 # a parameter polynomial maps them to Fraction coefficients.
@@ -257,6 +257,9 @@ class Coefficient:
             _pp_mul(self.num, other.den), _pp_mul(self.den, other.num)
         )
 
+    def __rtruediv__(self, other) -> "Coefficient":
+        return Coefficient.coerce(other) / self
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coefficient):
             if isinstance(other, (int, Fraction)):
@@ -285,207 +288,13 @@ class Coefficient:
         return f"Coefficient({self})"
 
 
-class ParamPoly:
-    """Sparse polynomial (x-space or J-space) with Coefficient coefficients."""
-
-    __slots__ = ("nvars", "terms", "kind")
-
-    def __init__(self, nvars: int, terms, kind: str):
-        clean = {}
-        for m, c in terms.items():
-            c = Coefficient.coerce(c)
-            if not c.is_zero():
-                clean[m] = c
-        self.nvars = nvars
-        self.terms = clean
-        self.kind = kind
-
-    @staticmethod
-    def zero(nvars: int, kind: str) -> "ParamPoly":
-        return ParamPoly(nvars, {}, kind)
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "ParamPoly":
-        return ParamPoly(
-            p.nvars, {m: Coefficient.number(c) for m, c in p.terms.items()}, p.kind
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def parameters(self) -> set[str]:
-        names = set()
-        for c in self.terms.values():
-            names |= c.parameters()
-        return names
-
-    def _require_same_space(self, other: "ParamPoly"):
-        if self.nvars != other.nvars or self.kind != other.kind:
-            raise KindMismatch("operands live in different polynomial spaces")
-
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        self._require_same_space(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return ParamPoly(self.nvars, out, self.kind)
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly(
-            self.nvars, {m: -c for m, c in self.terms.items()}, self.kind
-        )
-
-    def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        self._require_same_space(other)
-        out: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                prod = c1 * c2
-                s = out.get(m)
-                out[m] = prod if s is None else s + prod
-        return ParamPoly(self.nvars, out, self.kind)
-
-    def scale(self, c) -> "ParamPoly":
-        c = Coefficient.coerce(c)
-        return ParamPoly(
-            self.nvars, {m: cc * c for m, cc in self.terms.items()}, self.kind
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        if self.nvars != other.nvars or self.kind != other.kind:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[m] == other.terms[m] for m in self.terms)
-
-    __hash__ = None
-
-    def partial(self, i: int) -> "ParamPoly":
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                lowered = m[:i] + (e - 1,) + m[i + 1 :]
-                contrib = c * e
-                s = out.get(lowered)
-                out[lowered] = contrib if s is None else s + contrib
-        return ParamPoly(self.nvars, out, self.kind)
-
-    def xdegree_of(self, m: Monomial, weights=None) -> int:
-        if weights is None:
-            return mono_degree(m)
-        return sum(e * w for e, w in zip(m, weights))
-
-    def component(self, xdeg: int, weights=None) -> "ParamPoly":
-        """Terms whose (weighted) degree equals xdeg."""
-        return ParamPoly(
-            self.nvars,
-            {
-                m: c
-                for m, c in self.terms.items()
-                if self.xdegree_of(m, weights) == xdeg
-            },
-            self.kind,
-        )
-
-    def truncate(self, max_xdeg: int, weights=None) -> "ParamPoly":
-        return ParamPoly(
-            self.nvars,
-            {
-                m: c
-                for m, c in self.terms.items()
-                if self.xdegree_of(m, weights) <= max_xdeg
-            },
-            self.kind,
-        )
-
-    def max_xdegree(self, weights=None) -> int:
-        if not self.terms:
-            return -1
-        return max(self.xdegree_of(m, weights) for m in self.terms)
-
-    def evaluate_params(self, assignment) -> Polynomial:
-        """Pin every parameter to an exact rational value."""
-        return Polynomial(
-            self.nvars,
-            {m: c.evaluate(assignment) for m, c in self.terms.items()},
-            self.kind,
-        )
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = [f"{self.kind}{i + 1}" for i in range(self.nvars)]
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = [
-                f"{names[i]}^{e}" for i, e in enumerate(m) if e
-            ]
-            body = " ".join(factors) if factors else "1"
-            parts.append(f"({c}) * {body}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+def compose_param(p: Polynomial, maps, truncate_at: int | None = None) -> Polynomial:
+    """:func:`polynomials.compose` under the name the layer tracer of
+    ``perfbench`` times; kept as its own entry point for that reason."""
+    return compose(p, maps, truncate_at)
 
 
-def compose_param(
-    p: ParamPoly, maps: list[ParamPoly], truncate_at: int | None = None
-) -> ParamPoly:
-    """Substitute maps[i] for variable i; optionally drop degrees above a cap.
-
-    Truncation is by plain total degree in the target space and is applied
-    inside every product, which keeps graded compositions from blowing up.
-    """
-    if len(maps) != p.nvars:
-        raise KindMismatch("need one substitution map per variable")
-    if not maps:
-        c = p.terms.get((), None)
-        return ParamPoly(0, {} if c is None else {(): c}, p.kind)
-    nvars, kind = maps[0].nvars, maps[0].kind
-    for q in maps:
-        if q.nvars != nvars or q.kind != kind:
-            raise KindMismatch("substitution maps live in different spaces")
-
-    def trunc(q: ParamPoly) -> ParamPoly:
-        return q if truncate_at is None else q.truncate(truncate_at)
-
-    one = ParamPoly(nvars, {(0,) * nvars: Coefficient.number(1)}, kind)
-    power_cache: dict[tuple[int, int], ParamPoly] = {}
-
-    def power(i: int, e: int) -> ParamPoly:
-        if e == 0:
-            return one
-        key = (i, e)
-        if key not in power_cache:
-            if e == 1:
-                power_cache[key] = trunc(maps[i])
-            else:
-                half = power(i, e // 2)
-                sq = trunc(half * half)
-                power_cache[key] = sq if e % 2 == 0 else trunc(sq * maps[i])
-        return power_cache[key]
-
-    total = ParamPoly.zero(nvars, kind)
-    for m, c in p.terms.items():
-        term = one
-        for i, e in enumerate(m):
-            if e:
-                term = trunc(term * power(i, e))
-        total = total + term.scale(c)
-    return total
-
-
-def substitute_param(psi: ParamPoly, basis_polys, truncate_at=None) -> ParamPoly:
-    """Evaluate a J-space ParamPoly on plain x-space basis polynomials."""
-    maps = [ParamPoly.from_polynomial(q) for q in basis_polys]
-    return compose_param(psi, maps, truncate_at)
+def substitute_param(psi: Polynomial, basis_polys, truncate_at=None) -> Polynomial:
+    """:func:`polynomials.substitute` under the name the layer tracer of
+    ``perfbench`` times; kept as its own entry point for that reason."""
+    return substitute(psi, basis_polys, truncate_at)

@@ -1,8 +1,15 @@
-"""Exact sparse multivariate polynomials over the rationals.
+"""Exact sparse multivariate polynomials.
 
-A polynomial is a dict from exponent tuples to nonzero Fraction
-coefficients, tagged with a variable kind so that ambient-space ("x")
-and orbit-space ("J") objects cannot be mixed by accident.
+A polynomial is a dict from exponent tuples to nonzero coefficients,
+tagged with a variable kind so that ambient-space ("x") and orbit-space
+("J") objects cannot be mixed by accident.  Coefficients are Fractions
+(plain numbers are coerced) or any other exact field element that supports
++ - * /, equality and truth as "nonzero"; the other one in use is
+``params.Coefficient``, a rational function of named model parameters,
+which also answers ``parameters()`` and ``evaluate(assignment)``.  This
+module only duck-types it.  Sums accumulate as ``s + c`` onto what is
+already there, in dict order, never onto a seeded zero: for ``Coefficient``
+the order of operations fixes the printed form, so it is kept stable.
 
 The canonical term order used everywhere (printing, pivoting, greedy basis
 selection) is graded lexicographic, highest first: terms compare by total
@@ -15,6 +22,7 @@ order and round-trips exactly through :func:`parse_polynomial`.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +35,11 @@ J_KIND = "J"
 Monomial = tuple[int, ...]
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
+def mono_degree(m: Monomial, weights=None) -> int:
+    """Total degree, or the weighted degree sum e_i * w_i."""
+    if weights is None:
+        return sum(m)
+    return sum(e * w for e, w in zip(m, weights))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -38,6 +49,16 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 def mono_key(m: Monomial):
     """Sort key for the canonical (graded lexicographic) order."""
     return (sum(m), m)
+
+
+def mono_text(m: Monomial, kind: str = X_KIND, pretty: bool = False) -> str:
+    """The factors of a monomial, empty for the constant one: ``x1^2 x2^1``,
+    or ``x1^2*x2`` when pretty."""
+    if pretty:
+        return "*".join(
+            f"{kind}{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e
+        )
+    return " ".join(f"{kind}{i + 1}^{e}" for i, e in enumerate(m) if e)
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
@@ -57,6 +78,27 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
+def _exact(c):
+    """Plain numbers become Fractions; other coefficients pass through."""
+    if type(c) is not Fraction and isinstance(c, numbers.Number):
+        return Fraction(c)
+    return c
+
+
+def _accumulate(acc: dict, terms) -> None:
+    """acc += terms in place; a coefficient that cancels leaves acc."""
+    for m, c in terms.items():
+        s = acc.get(m)
+        if s is None:
+            acc[m] = c
+        else:
+            s = s + c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+
+
 class Polynomial:
     """Sparse exact polynomial.
 
@@ -66,7 +108,7 @@ class Polynomial:
         Number of variables.
     terms : mapping
         Exponent tuple -> coefficient; zero coefficients are dropped and
-        all coefficients are coerced to Fraction.
+        plain numbers are coerced to Fraction.
     kind : str
         Variable kind marker, ``"x"`` or ``"J"``.
     """
@@ -76,15 +118,23 @@ class Polynomial:
     def __init__(self, nvars: int, terms=None, kind: str = X_KIND):
         self.nvars = int(nvars)
         self.kind = kind
-        clean: dict[Monomial, Fraction] = {}
+        clean = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = _exact(c)
+                if c:
                     if len(m) != self.nvars:
                         raise ValueError("exponent tuple length mismatch")
                     clean[tuple(int(e) for e in m)] = c
         self.terms = clean
+
+    @classmethod
+    def _new(cls, nvars: int, terms: dict, kind: str) -> "Polynomial":
+        """Arithmetic results: well-formed terms, zeros still to drop."""
+        p = cls.__new__(cls)
+        p.nvars, p.kind = nvars, kind
+        p.terms = {m: c for m, c in terms.items() if c}
+        return p
 
     # ------------------------------------------------------------ factories
 
@@ -94,7 +144,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value, kind: str = X_KIND) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)}, kind)
+        return cls(nvars, {(0,) * nvars: value}, kind)
 
     @classmethod
     def variable(cls, index: int, nvars: int, kind: str = X_KIND) -> "Polynomial":
@@ -104,35 +154,63 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, expo: Monomial, coeff, kind: str = X_KIND) -> "Polynomial":
-        return cls(len(expo), {tuple(expo): Fraction(coeff)}, kind)
+        return cls(len(expo), {tuple(expo): coeff}, kind)
 
     # ------------------------------------------------------------ predicates
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; zero polynomial reports -1."""
+    def degree(self, weights=None) -> int:
+        """Total (or weighted) degree; zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(mono_degree(m, weights) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
         degs = {mono_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_parts(self) -> dict[int, "Polynomial"]:
+    def homogeneous_parts(self, weights=None) -> dict[int, "Polynomial"]:
+        """Nonzero parts by total (or weighted) degree, ascending."""
         parts: dict[int, dict] = {}
         for m, c in self.terms.items():
-            parts.setdefault(mono_degree(m), {})[m] = c
+            parts.setdefault(mono_degree(m, weights), {})[m] = c
         return {
-            d: Polynomial(self.nvars, t, self.kind) for d, t in sorted(parts.items())
+            d: Polynomial._new(self.nvars, t, self.kind) for d, t in sorted(parts.items())
         }
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def truncate(self, max_degree: int, weights=None) -> "Polynomial":
+        """The terms of (weighted) degree at most max_degree."""
+        return Polynomial._new(
+            self.nvars,
+            {m: c for m, c in self.terms.items() if mono_degree(m, weights) <= max_degree},
+            self.kind,
+        )
+
+    def parameters(self) -> set[str]:
+        """Names of the model parameters the coefficients depend on."""
+        names: set[str] = set()
+        for c in self.terms.values():
+            if not isinstance(c, Fraction):
+                names |= c.parameters()
+        return names
+
+    def evaluate_params(self, assignment) -> "Polynomial":
+        """Pin every parameter to an exact rational value."""
+        return Polynomial(
+            self.nvars,
+            {
+                m: c if isinstance(c, Fraction) else c.evaluate(assignment)
+                for m, c in self.terms.items()
+            },
+            self.kind,
+        )
+
+    def sorted_terms(self) -> list[tuple[Monomial, object]]:
         return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]), reverse=True)
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, object]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=mono_key)
@@ -155,44 +233,43 @@ class Polynomial:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other, self.kind)
         self._check_kind(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Polynomial(self.nvars, terms, self.kind)
+        _accumulate(terms, other.terms)
+        return Polynomial._new(self.nvars, terms, self.kind)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(
+        return Polynomial._new(
             self.nvars, {m: -c for m, c in self.terms.items()}, self.kind
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other, self.kind)
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.nvars, self.kind)
-        return Polynomial(
-            self.nvars, {m: c * v for m, v in self.terms.items()}, self.kind
+        c = _exact(c)
+        return Polynomial._new(
+            self.nvars, {m: v * c for m, v in self.terms.items()}, self.kind
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_kind(other)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                terms[m] = terms.get(m, Fraction(0)) + ca * cb
-        return Polynomial(self.nvars, terms, self.kind)
+                prod = ca * cb
+                s = terms.get(m)
+                terms[m] = prod if s is None else s + prod
+        return Polynomial._new(self.nvars, terms, self.kind)
 
     __rmul__ = __mul__
 
@@ -221,15 +298,13 @@ class Polynomial:
     # --------------------------------------------------------------- calculus
 
     def partial(self, index: int) -> "Polynomial":
-        terms: dict[Monomial, Fraction] = {}
+        # m -> m - e_index is injective, so no two terms meet
+        terms = {}
         for m, c in self.terms.items():
             e = m[index]
             if e:
-                dm = list(m)
-                dm[index] = e - 1
-                dm = tuple(dm)
-                terms[dm] = terms.get(dm, Fraction(0)) + c * e
-        return Polynomial(self.nvars, terms, self.kind)
+                terms[m[:index] + (e - 1,) + m[index + 1 :]] = c * e
+        return Polynomial._new(self.nvars, terms, self.kind)
 
     def gradient(self) -> list["Polynomial"]:
         return [self.partial(i) for i in range(self.nvars)]
@@ -268,16 +343,22 @@ class Polynomial:
 
     # ---------------------------------------------------------- serialization
 
-    def to_text(self) -> str:
-        """Canonical text form; round-trips through parse_polynomial."""
+    def to_text(self, bracketed: bool = False) -> str:
+        """Canonical text form; round-trips through parse_polynomial.
+
+        ``bracketed`` writes ``(c) * x1^2`` instead, with ``1`` for the
+        constant monomial, so that a parameter-valued coefficient such as
+        ``a1 - 2*a2`` reads as one factor.
+        """
         if not self.terms:
             return "0"
         pieces = []
         for m, c in self.sorted_terms():
-            factors = " ".join(
-                f"{self.kind}{i + 1}^{e}" for i, e in enumerate(m) if e
-            )
-            pieces.append(f"{c} * {factors}" if factors else f"{c}")
+            factors = mono_text(m, self.kind)
+            if bracketed:
+                pieces.append(f"({c}) * {factors or '1'}")
+            else:
+                pieces.append(f"{c} * {factors}" if factors else f"{c}")
         return " + ".join(pieces)
 
     def pretty(self) -> str:
@@ -286,11 +367,7 @@ class Polynomial:
             return "0"
         out = []
         for m, c in self.sorted_terms():
-            factors = "*".join(
-                f"{self.kind}{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(m)
-                if e
-            )
+            factors = mono_text(m, self.kind, pretty=True)
             mag = abs(c)
             if factors:
                 body = factors if mag == 1 else f"{mag}*{factors}"
@@ -339,39 +416,51 @@ def parse_polynomial(text: str, nvars: int, kind: str = X_KIND) -> Polynomial:
 # ------------------------------------------------------------- composition
 
 
-def compose(p: Polynomial, maps: list[Polynomial]) -> Polynomial:
-    """Substitute maps[i] for variable i of p.
+def compose(
+    p: Polynomial, maps: list[Polynomial], truncate_at: int | None = None
+) -> Polynomial:
+    """Substitute maps[i] for variable i of p; optionally drop degrees above a cap.
 
     All maps must share one (nvars, kind); the result lives in that space.
-    Powers of each map are cached, so repeated exponents cost one multiply.
+    Terms are taken in p's dict order, each a product of cached powers
+    (built by squaring) scaled by its coefficient.  Truncation is by plain
+    total degree in the target space and applies inside every product,
+    which keeps graded compositions from blowing up.
     """
     if len(maps) != p.nvars:
         raise ValueError("need one substitution map per variable")
     if not maps:
         raise ValueError("cannot compose a zero-variable polynomial")
-    tgt_nvars, tgt_kind = maps[0].nvars, maps[0].kind
+    nvars, kind = maps[0].nvars, maps[0].kind
     for q in maps:
-        if q.nvars != tgt_nvars or q.kind != tgt_kind:
+        if q.nvars != nvars or q.kind != kind:
             raise KindMismatch("substitution maps disagree on target space")
+
+    def trunc(q: Polynomial) -> Polynomial:
+        return q if truncate_at is None else q.truncate(truncate_at)
+
     powers: dict[tuple[int, int], Polynomial] = {}
 
     def power(i: int, e: int) -> Polynomial:
         key = (i, e)
         if key not in powers:
             if e == 1:
-                powers[key] = maps[i]
+                powers[key] = trunc(maps[i])
             else:
-                powers[key] = power(i, e - 1) * maps[i]
+                half = power(i, e // 2)
+                sq = trunc(half * half)
+                powers[key] = sq if e % 2 == 0 else trunc(sq * maps[i])
         return powers[key]
 
-    result = Polynomial.zero(tgt_nvars, tgt_kind)
-    for m, c in p.sorted_terms():
-        term = Polynomial.constant(tgt_nvars, c, tgt_kind)
+    one = Polynomial.constant(nvars, 1, kind)
+    total: dict = {}
+    for m, c in p.terms.items():
+        term = one
         for i, e in enumerate(m):
             if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+                term = trunc(term * power(i, e))
+        _accumulate(total, term.scale(c).terms)
+    return Polynomial._new(nvars, total, kind)
 
 
 def act(matrix, p: Polynomial) -> Polynomial:
@@ -399,21 +488,22 @@ def act(matrix, p: Polynomial) -> Polynomial:
 
 def reynolds(rep, p: Polynomial) -> Polynomial:
     """Group average (1/|G|) sum_g p(T_g x); a projection onto invariants."""
-    total = Polynomial.zero(p.nvars, p.kind)
+    total: dict = {}
     for g in rep.elements:
-        total = total + act(g.matrix, p)
-    return total.scale(Fraction(1, rep.order))
+        _accumulate(total, act(g.matrix, p).terms)
+    return Polynomial._new(p.nvars, total, p.kind).scale(Fraction(1, rep.order))
 
 
-def substitute(psi: Polynomial, basis_polys) -> Polynomial:
-    """Evaluate a J-space polynomial on x-space basis polynomials."""
+def substitute(psi: Polynomial, basis_polys, truncate_at: int | None = None) -> Polynomial:
+    """Evaluate a J-space polynomial on x-space basis polynomials, optionally
+    truncated at an x-degree as in :func:`compose`."""
     if psi.kind != J_KIND:
         raise KindMismatch("substitute expects a J-space polynomial")
     maps = list(basis_polys)
     for q in maps:
         if q.kind != X_KIND:
             raise KindMismatch("basis polynomials must be x-space")
-    return compose(psi, maps)
+    return compose(psi, maps, truncate_at)
 
 
 # --------------------------------------------------------- numeric compile

@@ -32,45 +32,32 @@ from .errors import (
 from .groups import invariant_metric
 from . import rationals as ra
 from .invariants import IntegrityBasis, PMatrix, express_homogeneous, jmonomials_of_xdegree
-from .params import Coefficient, ParamPoly, _pp_kill, compose_param, substitute_param
+from .params import Coefficient, _pp_kill, compose_param, substitute_param
 from .polynomials import (
     J_KIND,
     X_KIND,
     Polynomial,
     compile_polynomial,
+    mono_degree,
     mono_key,
+    mono_text,
     substitute,
 )
-
-_ZERO = Coefficient.number(0)
 
 
 def _uniform(critical):
     """Admissible-pivot predicate: invertible for every value in the sweep."""
-    return lambda c: c.uniform_nonzero(critical)
+    return lambda c: Coefficient.coerce(c).uniform_nonzero(critical)
 
 
-def _den_survives(c: Coefficient, critical) -> bool:
+def _den_survives(c, critical) -> bool:
     # a quotient is admissible iff its denominator stays nonzero as the
     # critical parameters go to zero; the numerator is allowed to die
-    return bool(_pp_kill(c.den, set(critical)))
-
-
-def _as_parampoly(p, nvars: int, kind: str) -> ParamPoly:
-    if isinstance(p, ParamPoly):
-        return p
-    if isinstance(p, Polynomial):
-        return ParamPoly.from_polynomial(p)
-    raise KindMismatch(f"expected a {kind}-space polynomial, got {type(p).__name__}")
-
-
-def _maybe_plain(out: ParamPoly, plain: bool):
-    return out.evaluate_params({}) if plain else out
+    return bool(_pp_kill(Coefficient.coerce(c).den, set(critical)))
 
 
 def _jmono_text(m) -> str:
-    parts = [f"J{i + 1}^{e}" for i, e in enumerate(m) if e]
-    return " ".join(parts) if parts else "1"
+    return mono_text(m, J_KIND) or "1"
 
 
 # ----------------------------------------------------------- graded potential
@@ -86,23 +73,22 @@ class GradedPotential:
     """
 
     basis: IntegrityBasis
-    components: dict[int, ParamPoly]
+    components: dict[int, Polynomial]
     critical: frozenset[str]
 
     def __post_init__(self):
         weights = self.basis.degrees
         cleaned = {}
         for d, comp in sorted(self.components.items()):
-            comp = _as_parampoly(comp, self.basis.k, J_KIND)
             if comp.kind != J_KIND or comp.nvars != self.basis.k:
                 raise KindMismatch("components must live in the basis J-space")
             if comp.is_zero():
                 continue
             for m in comp.terms:
-                if comp.xdegree_of(m, weights) != d:
+                if mono_degree(m, weights) != d:
                     raise ValueError(
                         f"component keyed {d} contains a term of x-degree "
-                        f"{comp.xdegree_of(m, weights)}"
+                        f"{mono_degree(m, weights)}"
                     )
             if d < 2:
                 raise ValueError("potentials start at x-degree 2")
@@ -112,12 +98,7 @@ class GradedPotential:
 
     @classmethod
     def from_psi(cls, basis: IntegrityBasis, psi, critical=()) -> "GradedPotential":
-        psi = _as_parampoly(psi, basis.k, J_KIND)
-        weights = basis.degrees
-        comps: dict[int, ParamPoly] = {}
-        for d in sorted({psi.xdegree_of(m, weights) for m in psi.terms}):
-            comps[d] = psi.component(d, weights)
-        return cls(basis, comps, frozenset(critical))
+        return cls(basis, psi.homogeneous_parts(basis.degrees), frozenset(critical))
 
     @classmethod
     def from_model(cls, model) -> "GradedPotential":
@@ -126,14 +107,14 @@ class GradedPotential:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.components))
 
-    def component(self, d: int) -> ParamPoly:
+    def component(self, d: int) -> Polynomial:
         comp = self.components.get(d)
         if comp is None:
-            return ParamPoly.zero(self.basis.k, J_KIND)
+            return Polynomial.zero(self.basis.k, J_KIND)
         return comp
 
-    def total(self) -> ParamPoly:
-        out = ParamPoly.zero(self.basis.k, J_KIND)
+    def total(self) -> Polynomial:
+        out = Polynomial.zero(self.basis.k, J_KIND)
         for d in sorted(self.components):
             out = out + self.components[d]
         return out
@@ -158,18 +139,17 @@ class GradedPotential:
 
 @dataclass(frozen=True)
 class PoincareGenerator:
-    h_poly: ParamPoly          # J-space; substitutes to homogeneous x-degree
+    h_poly: Polynomial         # J-space; substitutes to homogeneous x-degree
     degree: int                # that x-degree
 
-    def q_vector(self) -> tuple[ParamPoly, ...]:
+    def q_vector(self) -> tuple[Polynomial, ...]:
         """The curl-free coefficient vector Q_a = dH/dJ_a."""
         return tuple(self.h_poly.partial(a) for a in range(self.h_poly.nvars))
 
 
 def poincare_generator(h, basis: IntegrityBasis) -> PoincareGenerator:
-    h = _as_parampoly(h, basis.k, J_KIND)
     weights = basis.degrees
-    degs = {h.xdegree_of(m, weights) for m in h.terms}
+    degs = {mono_degree(m, weights) for m in h.terms}
     if len(degs) != 1:
         raise ValueError("generator must substitute to a homogeneous polynomial")
     return PoincareGenerator(h, degs.pop())
@@ -182,18 +162,16 @@ def delta_J(h, pmatrix: PMatrix) -> list:
     """Action of the generator on each basic invariant: Sum_b P_ab dH/dJ_b."""
     if isinstance(h, PoincareGenerator):
         h = h.h_poly
-    plain = isinstance(h, Polynomial)
-    h = _as_parampoly(h, pmatrix.k, J_KIND)
     k = pmatrix.k
     dh = [h.partial(b) for b in range(k)]
     out = []
     for a in range(k):
-        acc = ParamPoly.zero(k, J_KIND)
+        acc = Polynomial.zero(k, J_KIND)
         for b in range(k):
             if dh[b].is_zero():
                 continue
-            acc = acc + ParamPoly.from_polynomial(pmatrix.entries[a][b]) * dh[b]
-        out.append(_maybe_plain(acc, plain))
+            acc = acc + pmatrix.entries[a][b] * dh[b]
+        out.append(acc)
     return out
 
 
@@ -205,21 +183,18 @@ def homological_image(psi_term, h, pmatrix: PMatrix):
     """
     if isinstance(h, PoincareGenerator):
         h = h.h_poly
-    plain = isinstance(psi_term, Polynomial) and isinstance(h, Polynomial)
     k = pmatrix.k
-    psi_term = _as_parampoly(psi_term, k, J_KIND)
-    h = _as_parampoly(h, k, J_KIND)
     dpsi = [psi_term.partial(a) for a in range(k)]
     dh = [h.partial(b) for b in range(k)]
-    acc = ParamPoly.zero(k, J_KIND)
+    acc = Polynomial.zero(k, J_KIND)
     for a in range(k):
         if dpsi[a].is_zero():
             continue
         for b in range(k):
             if dh[b].is_zero():
                 continue
-            acc = acc + dpsi[a] * ParamPoly.from_polynomial(pmatrix.entries[a][b]) * dh[b]
-    return _maybe_plain(acc, plain)
+            acc = acc + dpsi[a] * pmatrix.entries[a][b] * dh[b]
+    return acc
 
 
 def u_functions(psi: GradedPotential, pmatrix: PMatrix) -> list:
@@ -229,11 +204,11 @@ def u_functions(psi: GradedPotential, pmatrix: PMatrix) -> list:
     dpsi = [total.partial(s) for s in range(k)]
     out = []
     for i in range(k):
-        acc = ParamPoly.zero(k, J_KIND)
+        acc = Polynomial.zero(k, J_KIND)
         for s in range(k):
             if dpsi[s].is_zero():
                 continue
-            acc = acc + dpsi[s] * ParamPoly.from_polynomial(pmatrix.entries[s][i])
+            acc = acc + dpsi[s] * pmatrix.entries[s][i]
         out.append(acc)
     return out
 
@@ -241,7 +216,7 @@ def u_functions(psi: GradedPotential, pmatrix: PMatrix) -> list:
 def is_compatible(q_vector) -> bool:
     """Curl-free test dQ_b/dJ_a == dQ_a/dJ_b: exactly the condition for the
     vector to be the gradient of a single generator."""
-    qs = [q if isinstance(q, ParamPoly) else ParamPoly.from_polynomial(q) for q in q_vector]
+    qs = list(q_vector)
     k = len(qs)
     for a in range(k):
         for b in range(a + 1, k):
@@ -250,11 +225,10 @@ def is_compatible(q_vector) -> bool:
     return True
 
 
-def removable_form(q_vector, us) -> ParamPoly:
+def removable_form(q_vector, us) -> Polynomial:
     """Sum_a Q_a U_a, the shape every removable contribution takes."""
-    qs = [q if isinstance(q, ParamPoly) else ParamPoly.from_polynomial(q) for q in q_vector]
-    acc = ParamPoly.zero(us[0].nvars, us[0].kind)
-    for q, u in zip(qs, us):
+    acc = Polynomial.zero(us[0].nvars, us[0].kind)
+    for q, u in zip(q_vector, us):
         if not q.is_zero():
             acc = acc + q * u
     return acc
@@ -292,14 +266,14 @@ def removable_terms(
     basis = psi.basis
     weights = basis.degrees
     target_monos = jmonomials_of_xdegree(weights, degree)
-    columns = []      # (gen_degree, gen_mono, image ParamPoly)
+    columns = []      # (gen_degree, gen_mono, image polynomial)
     for g in range(min_generator_degree, degree + 1):
         s = degree - g + 2
         comp = psi.component(s)
         if comp.is_zero():
             continue
         for m in jmonomials_of_xdegree(weights, g):
-            h = ParamPoly(basis.k, {m: Coefficient.number(1)}, J_KIND)
+            h = Polynomial.monomial(m, 1, J_KIND)
             image = homological_image(comp, h, pmatrix)
             if not image.is_zero():
                 columns.append((g, m, image))
@@ -357,7 +331,7 @@ class ReductionReport:
         if not self.generators:
             lines.append("  (none)")
         for gen in self.generators:
-            lines.append(f"  degree {gen.degree}: H = {gen.h_poly}")
+            lines.append(f"  degree {gen.degree}: H = {gen.h_poly.to_text(bracketed=True)}")
         lines.append("removed terms:")
         if not self.removed_terms:
             lines.append("  (none)")
@@ -376,7 +350,7 @@ def _apply_generator(components, gen: PoincareGenerator, basis, eta_inv, truncat
     """Exact formal composition x = y + eta_inv grad(H o basis), truncated."""
     k = basis.k
     n = basis.rep.dim
-    total = ParamPoly.zero(k, J_KIND)
+    total = Polynomial.zero(k, J_KIND)
     for d in sorted(components):
         total = total + components[d]
     total_x = substitute_param(total, basis.polys, truncate_at=truncation)
@@ -384,28 +358,28 @@ def _apply_generator(components, gen: PoincareGenerator, basis, eta_inv, truncat
     grads = [hx.partial(j) for j in range(n)]
     maps = []
     for i in range(n):
-        unit = (0,) * i + (1,) + (0,) * (n - i - 1)
-        mi = ParamPoly(n, {unit: Coefficient.number(1)}, X_KIND)
+        mi = Polynomial.variable(i, n, X_KIND)
         for j in range(n):
             w = eta_inv[i][j]
             if w and not grads[j].is_zero():
                 mi = mi + grads[j].scale(w)
         maps.append(mi)
-    new_x = compose_param(total_x, maps, truncate_at=truncation)
+    new_parts = compose_param(total_x, maps, truncate_at=truncation).homogeneous_parts()
+    old_parts = total_x.homogeneous_parts()
 
     out = {}
     for d in range(2, truncation + 1):
-        comp_x = new_x.component(d)
+        comp_x = new_parts.get(d)
         if d < gen.degree:
             # the filtration law, asserted rather than assumed
-            if comp_x != total_x.component(d):
+            if comp_x != old_parts.get(d):
                 raise AssertionError("low-degree component changed by the generator")
             if d in components:
                 out[d] = components[d]
             continue
-        if comp_x.is_zero():
+        if comp_x is None:
             continue
-        out[d] = ParamPoly(basis.k, express_homogeneous(basis, comp_x, d), J_KIND)
+        out[d] = Polynomial(basis.k, express_homogeneous(basis, comp_x, d), J_KIND)
     return out
 
 
@@ -441,12 +415,12 @@ def reduce(
         unknown_monos = jmonomials_of_xdegree(weights, g)
         if not unknown_monos:
             continue
-        total = ParamPoly.zero(basis.k, J_KIND)
+        total = Polynomial.zero(basis.k, J_KIND)
         for d in sorted(current):
             total = total + current[d]
         images = []
         for m in unknown_monos:
-            h = ParamPoly(basis.k, {m: Coefficient.number(1)}, J_KIND)
+            h = Polynomial.monomial(m, 1, J_KIND)
             images.append(homological_image(total, h, pmatrix))
 
         # one row per term to remove: sum_j image_j[mono] * h_j == -term
@@ -458,7 +432,7 @@ def reduce(
                 continue
             for mono in jmonomials_of_xdegree(weights, d):
                 const = comp.terms.get(mono)
-                if const is None or const.is_zero():
+                if const is None:
                     continue
                 row = {j: im.terms[mono] for j, im in enumerate(images) if mono in im.terms}
                 rhs = -const
@@ -474,7 +448,7 @@ def reduce(
                     continue
                 if len(unknowns) == 1:
                     (j,) = unknowns
-                    q = residual.get(ra.RHS, _ZERO) / residual[j]
+                    q = residual.get(ra.RHS, 0) / residual[j]
                     if _den_survives(q, critical):
                         determined[j] = q
                         continue
@@ -490,7 +464,7 @@ def reduce(
         h_terms = {unknown_monos[j]: v for j, v in values.items()}
         if not h_terms:
             continue
-        gen = PoincareGenerator(ParamPoly(basis.k, h_terms, J_KIND), g)
+        gen = PoincareGenerator(Polynomial(basis.k, h_terms, J_KIND), g)
         generators.append(gen)
         current = _apply_generator(current, gen, basis, eta_inv, truncation_degree)
 
@@ -501,11 +475,7 @@ def reduce(
             continue
         new = current.get(d)
         for mono in jmonomials_of_xdegree(weights, d):
-            c0 = orig.terms.get(mono)
-            if c0 is None or c0.is_zero():
-                continue
-            c1 = None if new is None else new.terms.get(mono)
-            if c1 is None or c1.is_zero():
+            if mono in orig.terms and (new is None or mono not in new.terms):
                 removed.append((d, mono))
 
     reduced = GradedPotential(basis, current, critical)

@@ -38,7 +38,7 @@ from orbitscope.landau import (
     minimize,
     sweep,
 )
-from orbitscope.params import Coefficient, ParamPoly
+from orbitscope.params import Coefficient
 from orbitscope.polynomials import J_KIND, Polynomial, substitute
 from orbitscope.reduction import (
     GradedPotential,
@@ -52,7 +52,7 @@ F = Fraction
 
 
 def jpp(k, terms):
-    return ParamPoly(k, {m: Coefficient.coerce(c) for m, c in terms.items()}, J_KIND)
+    return Polynomial(k, {m: Coefficient.coerce(c) for m, c in terms.items()}, J_KIND)
 
 
 def criterion(n, body):

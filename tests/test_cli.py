@@ -53,6 +53,13 @@ def test_missing_spec_file(tmp_path, capsys):
     assert error_code(err) == "cli.SpecParseError"
 
 
+def test_spec_bad_max_order(tmp_path, capsys):
+    spec = write_spec(tmp_path, "z2line", Z2_LINE, max_order="abc")
+    rc, _, err = run(capsys, ["group", "--spec", spec])
+    assert rc == 1
+    assert error_code(err) == "cli.SpecParseError"
+
+
 def test_malformed_spec(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -173,6 +180,20 @@ def test_flow_csv(tmp_path, capsys):
     assert len(lines) == 1 + 6       # header + initial point + 5 steps
 
 
+def test_flow_zero_duration(tmp_path, capsys):
+    spec = write_spec(tmp_path, "z2line", Z2_LINE)
+    rc, out, _ = run(
+        capsys,
+        ["flow", "--spec", spec, "--x0", "0.1", "--t-end", "0", "--dt", "0.1",
+         "--format", "json"],
+    )
+    assert rc == 0
+    report = json.loads(out)["report"]
+    assert report["steps"] == 0
+    assert [row[0] for row in report["rows"]] == ["0"]
+    assert report["final_state"] == ["0.1"]
+
+
 def test_flow_x0_dimension(tmp_path, capsys):
     spec = write_spec(tmp_path, "d4", D4)
     rc, _, err = run(
@@ -230,7 +251,9 @@ def test_cache_roundtrip(tmp_path, capsys, monkeypatch):
     json.dumps({"degrees": [1], "polys": [{"nvars": 1, "kind": "x", "terms": [[[1], "1"]]}]}),
     # degree list does not match the polynomial x1^2
     json.dumps({"degrees": [4], "polys": [{"nvars": 1, "kind": "x", "terms": [[[2], "1"]]}]}),
-], ids=["garbage", "not-invariant", "wrong-degree"])
+    # invariant and of the right degree, but not monic: P would read [12*J1]
+    json.dumps({"degrees": [2], "polys": [{"nvars": 1, "kind": "x", "terms": [[[2], "3"]]}]}),
+], ids=["garbage", "not-invariant", "wrong-degree", "not-canonical"])
 def test_bad_cache_entry_is_recomputed(tmp_path, capsys, monkeypatch, entry):
     spec = write_spec(tmp_path, "z2line", Z2_LINE)
     argv = ["invariants", "--spec", spec, "--format", "json"]

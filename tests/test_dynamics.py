@@ -25,14 +25,14 @@ from orbitscope.errors import (
 from orbitscope.groups import isotropy_subgroup
 from orbitscope.invariants import compute_mib
 from orbitscope.landau import make_model
-from orbitscope.params import Coefficient, ParamPoly
-from orbitscope.polynomials import J_KIND
+from orbitscope.params import Coefficient
+from orbitscope.polynomials import J_KIND, Polynomial
 
 F = Fraction
 
 
 def jpp(k, terms):
-    return ParamPoly(k, {m: Coefficient.coerce(c) for m, c in terms.items()}, J_KIND)
+    return Polynomial(k, {m: Coefficient.coerce(c) for m, c in terms.items()}, J_KIND)
 
 
 @pytest.fixture(scope="module")

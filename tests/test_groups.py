@@ -1,5 +1,6 @@
 """Group layer: closure, tables, subgroups, fixed spaces, exact metric."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -8,12 +9,13 @@ from fractions import Fraction
 import pytest
 
 from orbitscope import groups, rationals as ra
+from orbitscope.cli import load_group_spec
 from orbitscope.errors import (
     DimensionMismatch,
-    GroupFileError,
     NonInvertibleGenerator,
     NotASubgroup,
     OrderCapExceeded,
+    SpecParseError,
 )
 
 
@@ -202,7 +204,6 @@ def test_invariant_metric_sheared(d4_sheared):
 def test_group_file_round_trip(tmp_path, d4):
     path = tmp_path / "d4.json"
     spec = {
-        "dim": 2,
         "generators": [
             [["0", "-1"], ["1", "0"]],
             [["1", "0"], ["0", "-1"]],
@@ -210,22 +211,36 @@ def test_group_file_round_trip(tmp_path, d4):
         "name": "d4-file",
     }
     path.write_text(json.dumps(spec))
-    rep = groups.load_group_file(path)
+    rep, digest = load_group_spec(str(path))
     assert rep.order == 8
     assert rep.name == "d4-file"
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert {e.matrix for e in rep.elements} == {e.matrix for e in d4.elements}
 
 
 def test_group_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(GroupFileError):
-        groups.load_group_file(bad)
-    missing = tmp_path / "missing_dim.json"
-    missing.write_text(json.dumps({"generators": []}))
-    with pytest.raises(GroupFileError):
-        groups.load_group_file(missing)
+    with pytest.raises(SpecParseError):
+        load_group_spec(str(bad))
+    empty = tmp_path / "no_generators.json"
+    empty.write_text(json.dumps({"generators": []}))
+    with pytest.raises(SpecParseError):
+        load_group_spec(str(empty))
     ragged = tmp_path / "ragged.json"
-    ragged.write_text(json.dumps({"dim": 2, "generators": [[["1"]]]}))
-    with pytest.raises(GroupFileError):
-        groups.load_group_file(ragged)
+    ragged.write_text(json.dumps({"generators": [[["1", "0"], ["0"]]]}))
+    with pytest.raises(SpecParseError):
+        load_group_spec(str(ragged))
+    with pytest.raises(SpecParseError):
+        load_group_spec(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("field", [
+    {"max_order": "abc"}, {"max_order": 0}, {"max_order": True}, {"max_order": 2.5},
+    {"name": 7},
+], ids=["order-text", "order-zero", "order-bool", "order-float", "name-number"])
+def test_group_file_bad_fields(tmp_path, field):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"generators": [[["-1"]]], **field}))
+    with pytest.raises(SpecParseError):
+        load_group_spec(str(path))

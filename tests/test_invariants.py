@@ -23,6 +23,7 @@ from orbitscope.invariants import (
     express_in_basis,
     find_relations,
     invariant_space_basis,
+    is_canonical,
     is_coregular,
     jmonomials_of_xdegree,
     molien_series,
@@ -166,6 +167,23 @@ def test_mib_z2_plane_footnote_basis(z2_plane):
         xpoly(2, {(0, 2): 1}),
         xpoly(2, {(1, 1): 1}),
     )
+
+
+def test_is_canonical_accepts_only_the_computed_basis(z2_plane, d4, s3_perm):
+    for rep in (z2_plane, d4, s3_perm):
+        basis = compute_mib(rep)
+        assert is_canonical(rep, basis.polys, basis.degrees)
+    x2, y2, xy = compute_mib(z2_plane).polys
+    for polys in [
+        (x2, y2, xy.scale(3)),          # not monic
+        (x2, y2 + x2, xy),              # not reduced against x^2
+        (y2, x2, xy),                   # not in the listing order
+        (x2, y2),                       # short of the Molien count at degree 2
+    ]:
+        assert not is_canonical(z2_plane, polys, (2,) * len(polys))
+    # a product of lower generators in place of the degree-4 generator of D4
+    j1, _ = compute_mib(d4).polys
+    assert not is_canonical(d4, (j1, j1 * j1), (2, 4))
 
 
 def test_mib_d4(d4):

@@ -1,6 +1,8 @@
 """Model building, stability screening, minimization, sweeps, ray checks."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from orbitscope.errors import (
     StabilityViolation,
     UnknownParameter,
 )
+from orbitscope.groups import close_generators
 from orbitscope.invariants import compute_mib
 from orbitscope.landau import (
     MinimizeOptions,
@@ -23,8 +26,8 @@ from orbitscope.landau import (
     sweep,
     verify_critical_orbits,
 )
-from orbitscope.params import Coefficient, ParamPoly
-from orbitscope.polynomials import J_KIND, act, compile_polynomial
+from orbitscope.params import Coefficient
+from orbitscope.polynomials import J_KIND, Polynomial, act, compile_polynomial
 from orbitscope.strata import principal_critical_orbits, symmetry_types
 
 F = Fraction
@@ -32,7 +35,7 @@ F = Fraction
 
 def quartic_d4_model(d4_basis):
     """a J1 + J1^2 + c J2 with J1 = x^2+y^2, J2 = x^2 y^2."""
-    psi = ParamPoly(
+    psi = Polynomial(
         2,
         {
             (1, 0): Coefficient.parameter("a"),
@@ -93,7 +96,7 @@ def test_missing_parameter_raises(z2_line):
 
 def test_make_model_rejects_constant_part(z2_line):
     basis = compute_mib(z2_line)
-    psi = ParamPoly(1, {(0,): Coefficient.number(1), (1,): Coefficient.number(1)}, J_KIND)
+    psi = Polynomial(1, {(0,): Coefficient.number(1), (1,): Coefficient.number(1)}, J_KIND)
     with pytest.raises(ValueError):
         make_model(basis, psi)
 
@@ -208,6 +211,18 @@ def test_minimize_escape_raises(z2_line):
     model = build_generic(compute_mib(z2_line))
     with pytest.raises(StabilityViolation):
         minimize(model, {"a1": 0, "a2": -1})
+
+
+def test_symmetry_types_cache_does_not_keep_groups_alive():
+    # the types classify_symmetry looks up are kept on the group itself,
+    # so a group nobody holds is collected along with them
+    rep = close_generators([((F(-1),),)], name="z2-scratch")
+    assert classify_symmetry(rep, (0.5,)).order == 1
+    assert "symmetry_types" in rep.memo
+    ref = weakref.ref(rep)
+    del rep
+    gc.collect()
+    assert ref() is None
 
 
 def test_minimize_deterministic(d4):

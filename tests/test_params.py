@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbitscope.params import Coefficient, ParamPoly, compose_param, substitute_param
+from orbitscope.params import Coefficient, compose_param, substitute_param
 from orbitscope.polynomials import J_KIND, X_KIND, Polynomial, compose
 
 
@@ -32,6 +33,11 @@ def test_number_and_parameter_basics():
     assert a.as_number() is None
     assert (two + Coefficient.number(3)).as_number() == 5
     assert Coefficient.number(0).is_zero()
+    # a Fraction operand reads as a constant, on either side
+    half = Fraction(1, 2)
+    assert half / a == Coefficient.number(half) / a
+    assert half + a == a + half == Coefficient.number(half) + a
+    assert half * a == Coefficient.number(half) * a
 
 
 def test_field_identities_random():
@@ -113,6 +119,12 @@ def test_str_forms():
     assert "/" in str(a / b)
 
 
+def lift(p):
+    """The same polynomial with every coefficient a constant Coefficient."""
+    return Polynomial(p.nvars, {m: Coefficient.number(c) for m, c in p.terms.items()}, p.kind)
+
+
+
 def test_parampoly_arithmetic_matches_plain():
     rng = random.Random(9)
     for _ in range(10):
@@ -126,8 +138,8 @@ def test_parampoly_arithmetic_matches_plain():
         }
         p1 = Polynomial(2, terms1)
         p2 = Polynomial(2, terms2)
-        q1 = ParamPoly.from_polynomial(p1)
-        q2 = ParamPoly.from_polynomial(p2)
+        q1 = lift(p1)
+        q2 = lift(p2)
         assert (q1 * q2).evaluate_params({}) == p1 * p2
         assert (q1 + q2).evaluate_params({}) == p1 + p2
         assert (q1 - q2).evaluate_params({}) == p1 - p2
@@ -135,31 +147,54 @@ def test_parampoly_arithmetic_matches_plain():
             assert q1.partial(i).evaluate_params({}) == p1.partial(i)
 
 
-def test_parampoly_component_and_truncate():
-    a = Coefficient.parameter("a")
-    p = ParamPoly(1, {(1,): a, (2,): 1, (3,): a}, J_KIND)
-    weights = (2,)
-    assert p.component(4, weights).terms == {(2,): Coefficient.number(1)}
-    assert p.truncate(4, weights) == ParamPoly(1, {(1,): a, (2,): 1}, J_KIND)
-    assert p.max_xdegree(weights) == 6
-
-
 def test_compose_param_matches_plain_compose():
     psi = Polynomial(2, {(2, 0): Fraction(1), (1, 1): Fraction(-2)}, J_KIND)
     m1 = Polynomial(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
     m2 = Polynomial(2, {(1, 1): Fraction(3)})
     direct = compose(psi, [m1, m2])
-    lifted = compose_param(
-        ParamPoly.from_polynomial(psi),
-        [ParamPoly.from_polynomial(m1), ParamPoly.from_polynomial(m2)],
-    )
+    lifted = compose_param(lift(psi), [lift(m1), lift(m2)])
     assert lifted.evaluate_params({}) == direct
+
+
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+polys2 = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_fracs, max_size=4
+).map(lambda d: Polynomial(2, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys2, polys2, polys2, polys2, st.integers(0, 6))
+def test_lifted_coefficients_match_fractions(p1, p2, m1, m2, cap):
+    # Fraction and constant-Coefficient polynomials are one type: every
+    # operation agrees once the parameters (there are none) are pinned
+    q1, q2 = lift(p1), lift(p2)
+    assert (q1 * q2).evaluate_params({}) == p1 * p2
+    assert (q1 + q2).evaluate_params({}) == p1 + p2
+    assert (q1 - q2).evaluate_params({}) == p1 - p2
+    assert (q1 * p2).evaluate_params({}) == p1 * p2        # mixed operands
+    for i in range(2):
+        assert q1.partial(i).evaluate_params({}) == p1.partial(i)
+    full = compose(p1, [m1, m2])
+    for maps in ([lift(m1), lift(m2)], [m1, lift(m2)]):
+        cut = compose(q1, maps, truncate_at=cap)
+        assert cut.evaluate_params({}) == full.truncate(cap)
+        assert compose(q1, maps).evaluate_params({}) == full
+
+
+def test_weighted_parts_and_truncate():
+    a = Coefficient.parameter("a")
+    p = Polynomial(1, {(1,): a, (2,): 1, (3,): a}, J_KIND)
+    weights = (2,)
+    assert p.homogeneous_parts(weights)[4].terms == {(2,): Coefficient.number(1)}
+    assert p.truncate(4, weights) == Polynomial(1, {(1,): a, (2,): 1}, J_KIND)
+    assert p.degree(weights) == 6
+    assert p.parameters() == {"a"}
 
 
 def test_compose_param_truncation():
     # x -> x + x^2 truncated at degree 3 agrees with full expansion cut off
-    p = ParamPoly.from_polynomial(Polynomial(1, {(4,): Fraction(1)}))
-    shift = ParamPoly.from_polynomial(Polynomial(1, {(1,): Fraction(1), (2,): Fraction(1)}))
+    p = Polynomial(1, {(4,): Fraction(1)})
+    shift = Polynomial(1, {(1,): Fraction(1), (2,): Fraction(1)})
     full = compose_param(p, [shift])
     cut = compose_param(p, [shift], truncate_at=5)
     assert cut == full.truncate(5)
@@ -167,7 +202,7 @@ def test_compose_param_truncation():
 
 def test_substitute_param_with_parameters():
     a = Coefficient.parameter("a")
-    psi = ParamPoly(1, {(1,): a, (2,): 1}, J_KIND)
+    psi = Polynomial(1, {(1,): a, (2,): 1}, J_KIND)
     basis = [Polynomial(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})]
     phi = substitute_param(psi, basis)
     assert phi.kind == X_KIND
