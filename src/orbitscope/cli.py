@@ -26,7 +26,8 @@ or do not match its degree list, or that is not the canonical basis
 (``invariants.is_canonical``), is recomputed and rewritten.
 
 Exit status: 0 on success, 1 with a one-line JSON error record on
-stderr otherwise (code "module.ExceptionName").
+stderr otherwise (code "layer.ExceptionName": the ``layer`` an orbitscope
+error declares, ``builtins`` for OSError and ValueError).
 """
 
 from __future__ import annotations
@@ -256,11 +257,6 @@ def _model_assignment(model, cfg: RunConfig, skip=()) -> dict:
     return out
 
 
-def _generic_model(cfg: RunConfig, basis: IntegrityBasis):
-    ell = cfg.ell if cfg.ell is not None else 2 * max(basis.degrees)
-    return build_generic(basis, degree_x=ell)
-
-
 # ---------------------------------------------------------------- commands
 
 # what a command returns: the JSON report, the text lines, the CSV rows
@@ -272,7 +268,7 @@ def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     # in its element index, so a closed rep has a closed table
     closed = True
     subs = all_subgroups(rep)
-    types = symmetry_types(rep, seed=cfg.seed)
+    types = symmetry_types(rep)
     report = {
         "name": rep.name,
         "order": rep.order,
@@ -328,7 +324,7 @@ def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
 
 
 def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
-    types = symmetry_types(rep, seed=cfg.seed)
+    types = symmetry_types(rep)
     lattice = isotropy_lattice(rep, types)
     principal = principal_stratum(rep, lattice)
     pco = principal_critical_orbits(rep, types)
@@ -377,7 +373,7 @@ def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
 
 def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     basis = _basis_for(cfg, rep)
-    model = _generic_model(cfg, basis)
+    model = build_generic(basis, degree_x=cfg.ell)
     n = rep.dim
 
     if cfg.sweep is not None:
@@ -490,10 +486,10 @@ def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
 
 def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     basis = _basis_for(cfg, rep)
-    model = _generic_model(cfg, basis)
+    model = build_generic(basis, degree_x=cfg.ell)
     pm = p_matrix(rep, basis)
     psi = GradedPotential.from_model(model)
-    truncation = cfg.ell if cfg.ell is not None else 2 * max(basis.degrees)
+    truncation = model.degree_x
     result = reduce_potential(psi, truncation, pm)
 
     lam = {
@@ -539,7 +535,7 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
 
 def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -> Report:
     basis = _basis_for(cfg, rep)
-    model = _generic_model(cfg, basis)
+    model = build_generic(basis, degree_x=cfg.ell)
     if len(x0) != rep.dim:
         raise SpecParseError(
             f"--x0 has {len(x0)} components, the action needs {rep.dim}"
@@ -684,24 +680,10 @@ _COMMANDS = {
     "flow": cmd_flow,
 }
 
-_ERROR_LAYER = {
-    "OrderCapExceeded": "groups", "NotASubgroup": "groups",
-    "SubgroupCapExceeded": "groups", "DimensionMismatch": "groups",
-    "KindMismatch": "polynomials",
-    "CapTooLow": "invariants", "NotInvariant": "invariants",
-    "NotExpressible": "invariants",
-    "NoUniqueMinimum": "strata",
-    "UnknownParameter": "landau", "AmbiguousClassification": "landau",
-    "NoConvergence": "landau", "StabilityViolation": "landau",
-    "SingularHomologicalSolve": "reduction", "VerificationFailed": "reduction",
-    "NonFiniteState": "dynamics", "MonotonicityViolation": "dynamics",
-    "SpecParseError": "cli",
-}
-
 
 def _structured_error(exc: Exception) -> None:
     name = type(exc).__name__
-    layer = _ERROR_LAYER.get(name, type(exc).__module__.rsplit(".", 1)[-1])
+    layer = getattr(exc, "layer", type(exc).__module__.rsplit(".", 1)[-1])
     record = {
         "error": {
             "code": f"{layer}.{name}",

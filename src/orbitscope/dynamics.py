@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MonotonicityViolation, NonFiniteState
-from .groups import FiniteGroupRep, Subgroup, fixed_subspace, invariant_metric
+from .groups import FiniteGroupRep, Subgroup, fixed_subspace, float_group
 from .invariants import IntegrityBasis
 from .landau import LandauModel
 from .polynomials import compile_gradient, compile_polynomial
@@ -85,19 +85,16 @@ class GradientField:
         self._phi = compile_polynomial(phi)
         self._grad = compile_gradient(phi)
         self.dim = model.basis.rep.dim
-        eta_inv = invariant_metric(model.basis.rep).eta_inv
-        self._eta_inv = np.array([[float(c) for c in row] for row in eta_inv])
+        self._eta_inv = float_group(model.basis.rep)[1]
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = np.array([d(x) for d in self._grad])
-        return -self._eta_inv @ g
+        return -self._eta_inv @ self._grad(x)
 
     def potential(self, x) -> float:
-        return self._phi(np.asarray(x, dtype=float))
+        return self._phi(x)
 
     def gradient(self, x) -> np.ndarray:
-        return np.array([d(np.asarray(x, dtype=float)) for d in self._grad])
+        return self._grad(x)
 
 
 def gradient_field(model: LandauModel, assignment) -> GradientField:
@@ -270,8 +267,8 @@ def check_stratum_invariance(
 
 
 def project_trajectory(basis: IntegrityBasis, traj: Trajectory) -> OrbitSpaceTrajectory:
-    evals = [compile_polynomial(p) for p in basis.polys]
-    j_states = np.array([[e(x) for e in evals] for x in traj.states])
+    orbit_map = compile_polynomial(basis.polys)
+    j_states = np.array([orbit_map(x) for x in traj.states])
     return OrbitSpaceTrajectory(traj.times, j_states)
 
 
@@ -294,14 +291,15 @@ def orbit_space_consistency(field: GradientField, traj: Trajectory) -> Consisten
     """
     basis = field.model.basis
     projected = project_trajectory(basis, traj)
-    grads = [compile_gradient(p) for p in basis.polys]
+    jacobian = compile_polynomial([d for p in basis.polys for d in p.gradient()])
     dt = traj.dt
 
     worst = 0.0
     for i in range(1, len(traj.times) - 1):
         x = traj.states[i]
         fx = field(x)
-        rhs = np.array([sum(d(x) * fv for d, fv in zip(g, fx)) for g in grads])
+        rows = jacobian(x).reshape(basis.k, -1)
+        rhs = np.array([sum(d * fv for d, fv in zip(row, fx)) for row in rows])
         fd = (projected.j_states[i + 1] - projected.j_states[i - 1]) / (2.0 * dt)
         worst = max(worst, float(np.max(np.abs(fd - rhs))))
 

@@ -1,7 +1,8 @@
 """Exception hierarchy for orbitscope.
 
-Every failure mode that callers are expected to handle gets its own class so
-that the CLI can map exceptions to stable, module-qualified error codes.
+Every failure mode that callers are expected to handle gets its own class.
+Each class names in ``layer`` the module whose contract it reports on; the
+CLI's stable error code for it is ``<layer>.<ClassName>``.
 """
 
 
@@ -13,93 +14,113 @@ class OrbitscopeError(Exception):
 
 class DimensionMismatch(OrbitscopeError):
     """Inputs disagree on ambient dimension."""
+    layer = "groups"
 
 
 class NonInvertibleGenerator(OrbitscopeError):
     """A generator matrix is singular."""
+    layer = "groups"
 
 
 class OrderCapExceeded(OrbitscopeError):
     """Group closure exceeded the element cap without terminating."""
+    layer = "groups"
 
 
 class NotASubgroup(OrbitscopeError):
     """An index set is not closed under the group operation."""
+    layer = "groups"
 
 
 class SubgroupCapExceeded(OrbitscopeError):
     """Subgroup enumeration exceeded the candidate cap."""
+    layer = "groups"
 
 
 # ----------------------------------------------------------- polynomial layer
 
 class KindMismatch(OrbitscopeError):
     """Mixed x-space and J-space polynomials in one operation."""
+    layer = "polynomials"
 
 
 class PolynomialParseError(OrbitscopeError):
     """Text form of a polynomial does not follow the canonical format."""
+    layer = "polynomials"
 
 
 # ------------------------------------------------------------ invariant layer
 
 class CapTooLow(OrbitscopeError):
     """Degree cap ended the basis search before the algebra closed."""
+    layer = "invariants"
 
 
 class NotInvariant(OrbitscopeError):
     """Polynomial is not fixed by the group action."""
+    layer = "invariants"
 
 
 class NotExpressible(OrbitscopeError):
     """Invariant polynomial is outside the degree reach of the basis."""
+    layer = "invariants"
 
 
 # --------------------------------------------------------------- strata layer
 
 class NoUniqueMinimum(OrbitscopeError):
     """The realized isotropy classes have no unique minimal element."""
+    layer = "strata"
 
 
 # --------------------------------------------------------------- landau layer
 
 class AmbiguousClassification(OrbitscopeError):
     """Near-fix candidate set is not a subgroup at the given tolerance."""
+    layer = "landau"
 
 
 class NoConvergence(OrbitscopeError):
     """No minimization start reached the gradient tolerance."""
+    layer = "landau"
 
 
 class StabilityViolation(OrbitscopeError):
     """Potential is not confining on the sampled sphere / search ball."""
+    layer = "landau"
 
 
 class UnknownParameter(OrbitscopeError):
     """A coefficient value was supplied for a parameter the model lacks."""
+    layer = "landau"
 
 
 # ------------------------------------------------------------ reduction layer
 
 class SingularHomologicalSolve(OrbitscopeError):
     """Elimination would divide by a coefficient marked critical."""
+    layer = "reduction"
 
 
 class VerificationFailed(OrbitscopeError):
     """Numeric composition check fell short of the expected residual order."""
+    layer = "reduction"
 
 
 # ------------------------------------------------------------- dynamics layer
 
 class NonFiniteState(OrbitscopeError):
     """Trajectory left the floating-point domain."""
+    layer = "dynamics"
 
 
 class MonotonicityViolation(OrbitscopeError):
     """Descent flow increased the potential beyond tolerance."""
+    layer = "dynamics"
 
 
 # ------------------------------------------------------------------ cli layer
 
 class SpecParseError(OrbitscopeError):
     """A group-spec input file is missing, malformed, or inconsistent."""
+    layer = "cli"

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import rationals as ra
 from .errors import (
     DimensionMismatch,
@@ -156,6 +158,19 @@ def invariant_metric(rep: FiniteGroupRep) -> InvariantMetric:
         total = ra.mat_add(total, ra.mat_mul(ra.mat_transpose(t), t))
     eta = ra.mat_scale(total, Fraction(1, rep.order))
     return InvariantMetric(eta=eta, eta_inv=ra.mat_inverse(eta))
+
+
+def float_group(rep: FiniteGroupRep) -> tuple[list[np.ndarray], np.ndarray]:
+    """Float copies of the element matrices and of the metric inverse
+    eta_inv, converted once per rep and kept in its memo."""
+    data = rep.memo.get("float_group")
+    if data is None:
+        def to_float(m):
+            return np.array([[float(c) for c in row] for row in m])
+
+        mats = [to_float(e.matrix) for e in rep.elements]
+        data = rep.memo["float_group"] = (mats, to_float(invariant_metric(rep).eta_inv))
+    return data
 
 
 def orbit(rep: FiniteGroupRep, point) -> tuple[ra.Vec, ...]:

@@ -23,13 +23,14 @@ import numpy as np
 
 from .errors import (
     AmbiguousClassification,
+    CapTooLow,
     NoConvergence,
     NotASubgroup,
     OrbitscopeError,
     StabilityViolation,
     UnknownParameter,
 )
-from .groups import FiniteGroupRep, Subgroup, check_subgroup, invariant_metric
+from .groups import FiniteGroupRep, Subgroup, check_subgroup, float_group
 from .invariants import IntegrityBasis, jmonomials_of_xdegree
 from .params import Coefficient
 from .polynomials import (
@@ -86,8 +87,11 @@ def build_generic(
     Each J-monomial of x-degree 2..degree_x gets a fresh parameter a1, a2,
     ... in (degree, canonical order).  By default only a1, the coefficient
     of the leading lowest-degree invariant, is marked critical: that is
-    the coefficient a phase transition drives through zero.
+    the coefficient a phase transition drives through zero.  A basis
+    without generators (cut off by a low degree cap) raises CapTooLow.
     """
+    if not basis.degrees:
+        raise CapTooLow("the integrity basis has no generators below the degree cap")
     if degree_x is None:
         degree_x = 2 * basis.max_degree
     monos = []
@@ -125,30 +129,6 @@ def _cached_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
     return types
 
 
-def _float_matrices(rep: FiniteGroupRep) -> list[np.ndarray]:
-    return [
-        np.array([[float(c) for c in row] for row in e.matrix]) for e in rep.elements
-    ]
-
-
-def _compile_all(phi: Polynomial):
-    f = compile_polynomial(phi)
-    gfun = compile_gradient(phi)
-    n = phi.nvars
-    hfun = [
-        [compile_polynomial(phi.partial(i).partial(j)) for j in range(n)]
-        for i in range(n)
-    ]
-
-    def grad(x):
-        return np.array([g(x) for g in gfun])
-
-    def hess(x):
-        return np.array([[hfun[i][j](x) for j in range(n)] for i in range(n)])
-
-    return f, grad, hess
-
-
 # ----------------------------------------------------------------- stability
 
 
@@ -173,7 +153,7 @@ def check_stability(
     as a witness of (potential) thermodynamic instability.
     """
     phi = model.potential(assignment)
-    _, grad, _ = _compile_all(phi)
+    grad = compile_gradient(phi)
     n = phi.nvars
     rng = random.Random(seed)
     witnesses = []
@@ -214,7 +194,7 @@ def classify_symmetry(
     xv = np.asarray(x, dtype=float)
     scale = float(np.linalg.norm(xv))
     members = []
-    for i, mat in enumerate(_float_matrices(rep)):
+    for i, mat in enumerate(float_group(rep)[0]):
         if float(np.linalg.norm(mat @ xv - xv)) <= tol * scale:
             members.append(i)
     sub = Subgroup(tuple(members))
@@ -355,8 +335,13 @@ def minimize(
     opts = options or MinimizeOptions()
     rep = model.basis.rep
     phi = model.potential(assignment)
-    f, grad, hess = _compile_all(phi)
     n = rep.dim
+    f, grad = compile_polynomial(phi), compile_gradient(phi)
+    second = compile_polynomial([d.partial(j) for d in phi.gradient() for j in range(n)])
+
+    def hess(x):
+        return second(x).reshape(n, n)
+
     count = opts.starts if opts.starts is not None else 16 * model.basis.k
     escape_radius = opts.escape_factor * opts.radius
 
@@ -374,7 +359,7 @@ def minimize(
         raise NoConvergence(f"none of {count} starts reached gradient tolerance")
 
     found.sort(key=lambda x: (f(x), tuple(x)))
-    mats = _float_matrices(rep)
+    mats = float_group(rep)[0]
     reps: list[np.ndarray] = []
     for x in found:
         duplicate = False
@@ -538,11 +523,8 @@ def verify_critical_orbits(
     The metric inverse makes the check frame independent: for orthogonal
     actions it is the identity and the plain gradient is tested.
     """
-    phi = model.potential(assignment)
-    _, grad, _ = _compile_all(phi)
-    eta_inv = np.array(
-        [[float(c) for c in row] for row in invariant_metric(model.basis.rep).eta_inv]
-    )
+    grad = compile_gradient(model.potential(assignment))
+    eta_inv = float_group(model.basis.rep)[1]
     checks = []
     for family in orbit_set.rays:
         v = np.array(family.unit)

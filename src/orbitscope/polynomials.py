@@ -510,36 +510,57 @@ def substitute(psi: Polynomial, basis_polys, truncate_at: int | None = None) -> 
 
 
 class NumericPoly:
-    """Float evaluator compiled from an exact polynomial."""
+    """Float evaluator compiled once from an exact polynomial or polynomial map.
 
-    __slots__ = ("nvars", "exps", "coeffs")
+    ``NumericPoly(p)`` evaluates to a float; ``NumericPoly([p1, ..., pm])``
+    to an array of m floats.  The terms of every output, each in
+    ``sorted_terms()`` order, are stacked into one exponent table and one
+    coefficient vector.  A call builds one power table prod(x ** exps) and
+    takes output i as the dot product of its slice of that table with its
+    coefficients: the same float operations in the same order as compiling
+    each output on its own, so the results agree to the last bit.
+    """
 
-    def __init__(self, p: Polynomial):
-        self.nvars = p.nvars
-        items = p.sorted_terms()
-        if items:
-            self.exps = np.array([m for m, _ in items], dtype=np.int64)
-            self.coeffs = np.array([float(c) for _, c in items])
-        else:
-            self.exps = np.zeros((0, p.nvars), dtype=np.int64)
-            self.coeffs = np.zeros(0)
+    __slots__ = ("nvars", "exps", "coeffs", "parts", "scalar")
 
-    def __call__(self, x) -> float:
-        if not len(self.coeffs):
-            return 0.0
+    def __init__(self, polys):
+        self.scalar = isinstance(polys, Polynomial)
+        polys = [polys] if self.scalar else list(polys)
+        self.nvars = polys[0].nvars
+        items = [p.sorted_terms() for p in polys]
+        flat = [mc for terms in items for mc in terms]
+        self.exps = np.array([m for m, _ in flat], dtype=np.int64).reshape(-1, self.nvars)
+        self.coeffs = np.array([float(c) for _, c in flat])
+        # (rows of the power table, coefficients) of each output
+        self.parts = []
+        lo = 0
+        for terms in items:
+            s = slice(lo, lo + len(terms))
+            self.parts.append((s, self.coeffs[s]))
+            lo = s.stop
+
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return float(np.prod(x[None, :] ** self.exps, axis=1) @ self.coeffs)
+        table = np.prod(x[None, :] ** self.exps, axis=1)
+        if self.scalar:
+            return float(table @ self.coeffs)
+        return np.array([table[s] @ c for s, c in self.parts])
 
     def eval_many(self, pts) -> np.ndarray:
+        """Values at each row of ``pts``: shape (points,) for one polynomial,
+        (points, m) for a map."""
         pts = np.asarray(pts, dtype=float)
-        if not len(self.coeffs):
-            return np.zeros(len(pts))
-        return np.prod(pts[:, None, :] ** self.exps[None, :, :], axis=2) @ self.coeffs
+        table = np.prod(pts[:, None, :] ** self.exps[None, :, :], axis=2)
+        if self.scalar:
+            return table @ self.coeffs
+        return np.stack([table[:, s] @ c for s, c in self.parts], axis=-1)
 
 
-def compile_polynomial(p: Polynomial) -> NumericPoly:
+def compile_polynomial(p) -> NumericPoly:
+    """The float kernel of a polynomial, or of a sequence of them."""
     return NumericPoly(p)
 
 
-def compile_gradient(p: Polynomial) -> list[NumericPoly]:
-    return [NumericPoly(q) for q in p.gradient()]
+def compile_gradient(p: Polynomial) -> NumericPoly:
+    """The float kernel of the gradient map x -> (d p / d x_i)(x)."""
+    return NumericPoly(p.gradient())

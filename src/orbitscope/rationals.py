@@ -35,10 +35,6 @@ def parse_rational(text) -> Fraction:
     return Fraction(str(text).strip())
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def vec(entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
@@ -52,10 +48,6 @@ def mat(rows) -> Mat:
 
 def mat_identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def mat_is_square(a: Mat) -> bool:
-    return bool(a) and all(len(r) == len(a) for r in a)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

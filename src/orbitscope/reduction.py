@@ -536,7 +536,7 @@ def verify_reduction(
         lam_key = tuple(sorted((k, float(v)) for k, v in lam.items()))
         f_orig = compile_polynomial(psi.x_polynomial(lam))
         f_red = compile_polynomial(report.reduced.x_polynomial(lam))
-        h_funs = []
+        displacements = []
         for gen in report.generators:
             hx = substitute(
                 gen.h_poly.evaluate_params({k: Fraction(v) for k, v in lam.items()}),
@@ -550,8 +550,8 @@ def verify_reduction(
                     w = eta_inv[i][j]
                     if w:
                         hi = hi + gx[j].scale(w)
-                comps.append(compile_polynomial(hi))
-            h_funs.append(comps)
+                comps.append(hi)
+            displacements.append(compile_polynomial(comps))
 
         rng = random.Random(seed)
         for _ in range(points):
@@ -565,8 +565,8 @@ def verify_reduction(
             for s in scales:
                 z = s * y
                 x = z.copy()
-                for comps in reversed(h_funs):
-                    x = x + np.array([c(x) for c in comps])
+                for h in reversed(displacements):
+                    x = x + h(x)
                 residuals.append(abs(f_orig(x) - f_red(z)))
             if max(residuals) <= zero_tol:
                 slope = float("inf")

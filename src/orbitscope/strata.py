@@ -16,9 +16,7 @@ principal critical orbit families.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import rationals as ra
 from .errors import DimensionMismatch, NoUniqueMinimum
@@ -85,49 +83,28 @@ class PrincipalCriticalOrbitSet:
     rays: tuple[RayFamily, ...]
 
 
-def _span_contains_all(span_rows, vectors, ncols) -> bool:
-    reducer = ra.RowReducer(ncols)
-    for row in span_rows:
-        reducer.add(ra.sparse(row))
-    return all(reducer.contains(ra.sparse(v)) for v in vectors)
+def _is_realized(rep: FiniteGroupRep, sub: Subgroup, fix) -> bool:
+    """Does some point have isotropy exactly this subgroup H?
 
-
-def _pointwise_stabilizer(rep: FiniteGroupRep, basis_vecs) -> tuple[int, ...]:
-    return tuple(
-        i
-        for i, e in enumerate(rep.elements)
-        if all(ra.mat_vec(e.matrix, b) == b for b in basis_vecs)
+    Exactly when the pointwise stabilizer K of Fix(H) (spanned by ``fix``)
+    is H.  K contains H and fixes every point of Fix(H), so if K != H no
+    point has isotropy H.  If K = H, each g outside H fixes only a proper
+    subspace of Fix(H); a vector space over an infinite field is not a
+    finite union of proper subspaces, so some point of Fix(H) is fixed by
+    no such g, and its isotropy is H.  For Fix(H) = 0 this reads: H is
+    realized (by the origin) exactly when H = G.
+    """
+    return (
+        tuple(
+            i
+            for i, e in enumerate(rep.elements)
+            if all(ra.mat_vec(e.matrix, b) == b for b in fix)
+        )
+        == sub.members
     )
 
 
-def _is_realized(rep: FiniteGroupRep, sub: Subgroup, seed: int) -> bool:
-    """Does some point have isotropy exactly this subgroup?
-
-    Tested on a seeded generic rational point of Fix(H).  A sample whose
-    isotropy is larger is conclusive only when the larger fixed space
-    swallows Fix(H) entirely; otherwise the sample was non-generic and is
-    redrawn.  After the draw budget the pointwise stabilizer of Fix(H)
-    settles the question exactly.
-    """
-    basis_vecs = fixed_subspace(rep, sub)
-    if not basis_vecs:
-        return sub.order == rep.order
-    rng = random.Random(f"{seed}:{','.join(map(str, sub.members))}")
-    n = rep.dim
-    for _ in range(8):
-        coeffs = [Fraction(rng.randint(1, 9)) for _ in basis_vecs]
-        x = tuple(
-            sum(c * b[i] for c, b in zip(coeffs, basis_vecs)) for i in range(n)
-        )
-        iso = isotropy_subgroup(rep, x)
-        if iso.members == sub.members:
-            return True
-        if _span_contains_all(fixed_subspace(rep, iso), basis_vecs, n):
-            return False
-    return _pointwise_stabilizer(rep, basis_vecs) == sub.members
-
-
-def symmetry_types(rep: FiniteGroupRep, seed: int = 0) -> list[SymmetryType]:
+def symmetry_types(rep: FiniteGroupRep) -> list[SymmetryType]:
     """Conjugacy classes of all subgroups, with fix_dim and realized flags.
 
     Deterministic: subgroups are enumerated in sorted order and classes are
@@ -144,15 +121,14 @@ def symmetry_types(rep: FiniteGroupRep, seed: int = 0) -> list[SymmetryType]:
         )
         assigned.update(conj_members)
         representative = Subgroup(conj_members[0])
-        fix_dim = len(fixed_subspace(rep, representative))
-        realized = _is_realized(rep, representative, seed)
+        fix = fixed_subspace(rep, representative)
         types.append(
             SymmetryType(
                 label=f"T{len(types)}",
                 representative=representative,
                 conjugates=tuple(Subgroup(m) for m in conj_members),
-                fix_dim=fix_dim,
-                realized=realized,
+                fix_dim=len(fix),
+                realized=_is_realized(rep, representative, fix),
             )
         )
     return types

@@ -1,10 +1,13 @@
 """Command-line behavior: reports, formats, determinism, error records."""
 
+import importlib
+import inspect
 import json
 
 import pytest
 
-from orbitscope.cli import main
+from orbitscope import errors
+from orbitscope.cli import _structured_error, main
 from orbitscope.groups import close_generators
 from orbitscope.invariants import molien_series
 
@@ -45,6 +48,41 @@ def test_group_non_closing(tmp_path, capsys):
     rc, out, err = run(capsys, ["group", "--spec", spec])
     assert rc == 1
     assert error_code(err) == "groups.OrderCapExceeded"
+
+
+def test_group_singular_generator(tmp_path, capsys):
+    spec = write_spec(tmp_path, "singular", [[["1", "0"], ["0", "0"]]])
+    rc, _, err = run(capsys, ["group", "--spec", spec])
+    assert rc == 1
+    assert error_code(err) == "groups.NonInvertibleGenerator"
+
+
+def _error_classes():
+    found, todo = [], [errors.OrbitscopeError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return found
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_error_code_names_its_layer(cls, capsys):
+    # the layer is a real orbitscope module that uses the class, never errors
+    assert cls.layer != "errors"
+    module = importlib.import_module(f"orbitscope.{cls.layer}")
+    assert cls.__name__ in inspect.getsource(module)
+    _structured_error(cls("boom"))
+    assert error_code(capsys.readouterr().err) == f"{cls.layer}.{cls.__name__}"
+
+
+@pytest.mark.parametrize("command", [["landau"], ["reduce"], ["flow", "--x0", "0.3"]],
+                         ids=lambda c: c[0])
+def test_basis_without_generators(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, "z2line", Z2_LINE)
+    rc, _, err = run(capsys, [command[0], "--spec", spec, "--degree-cap", "1", *command[1:]])
+    assert rc == 1
+    assert error_code(err) == "invariants.CapTooLow"
 
 
 def test_missing_spec_file(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Golden reports: the JSON ``report`` objects of a few CLI runs, byte for byte.
 
-The files under ``golden/`` were recorded before every exact solve moved onto
-the one eliminator, ``rationals.RowReducer``.  Parameter-valued coefficients
-print in a form that follows the elimination dataflow, so these files pin it
-down.  Regenerate one only for a change that is meant to alter a report.
+The ``invariants`` and ``reduce`` files under ``golden/`` were recorded before
+every exact solve moved onto the one eliminator, ``rationals.RowReducer``.
+Parameter-valued coefficients print in a form that follows the elimination
+dataflow, so these files pin it down.  The ``landau`` and ``flow`` files were
+recorded before the float layer moved onto one compiled kernel,
+``polynomials.NumericPoly`` over a polynomial map; they pin every float of
+minimization, sweep bisection and integration to the last bit.  Regenerate
+one only for a change that is meant to alter a report.
 """
 
 import json
@@ -21,6 +25,9 @@ CASES = [
     ("invariants-s4-std", ["invariants", "--spec", "s4-std"]),
     ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
     ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
+    ("landau-d4", ["landau", "--spec", "d4"]),
+    ("landau-z2-line-sweep", ["landau", "--spec", "z2-line", "--sweep=a1:-1:1:5"]),
+    ("flow-d4", ["flow", "--spec", "d4", "--x0=0.3,-0.2", "--t-end=1", "--dt=0.05"]),
 ]
 
 

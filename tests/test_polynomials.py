@@ -13,6 +13,8 @@ from orbitscope.polynomials import (
     NumericPoly,
     Polynomial,
     act,
+    compile_gradient,
+    compile_polynomial,
     compose,
     monomials_of_degree,
     parse_polynomial,
@@ -220,3 +222,29 @@ def test_numeric_compile_matches_exact():
         assert abs(np_eval(pt) - p.evaluate(pt)) < 1e-9 * (1 + abs(np_eval(pt)))
     many = NumericPoly(X2 + Y2).eval_many([[1.0, 2.0], [3.0, 4.0]])
     assert many.tolist() == [5.0, 25.0]
+
+
+monos3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+polys3 = st.dictionaries(monos3, small_fracs, max_size=8).map(lambda d: Polynomial(3, d))
+points3 = st.lists(
+    st.floats(-3, 3, allow_nan=False, allow_infinity=False), min_size=3, max_size=3
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(polys3, min_size=1, max_size=4), points3)
+def test_kernel_over_a_map_is_bit_identical(polys, x):
+    # one stacked kernel computes each output with exactly the operations
+    # of that output's own kernel, so equality is exact, not approximate
+    p = polys[0]
+    grad = compile_gradient(p)(x)
+    assert grad.shape == (3,)
+    for i in range(3):
+        assert grad[i] == compile_polynomial(p.partial(i))(x)
+    values = compile_polynomial(polys)(x)
+    assert values.tolist() == [compile_polynomial(q)(x) for q in polys]
+    pts = [x, [-c for c in x]]
+    many = compile_polynomial(polys).eval_many(pts)
+    assert many.shape == (2, len(polys))
+    for j, q in enumerate(polys):
+        assert many[:, j].tolist() == compile_polynomial(q).eval_many(pts).tolist()
