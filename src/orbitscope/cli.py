@@ -22,8 +22,9 @@ seed, tolerances and caps, so a rerun with the same configuration is
 byte-identical.  Set ORBITSCOPE_CACHE_DIR to cache the integrity basis
 keyed by spec hash, caps and version; a cache hit changes timing, never
 output.  An entry that cannot be read, whose polynomials are not invariant
-or do not match its degree list, or that is not the canonical basis
-(``invariants.is_canonical``), is recomputed and rewritten.
+or do not match its degree list, that lists no generators, or that is not
+the canonical basis (``invariants.is_canonical``), is recomputed and
+rewritten.
 
 Exit status: 0 on success, 1 with a one-line JSON error record on
 stderr otherwise (code "layer.ExceptionName": the ``layer`` an orbitscope
@@ -105,15 +106,12 @@ class RunConfig:
         }
 
     def header_lines(self) -> list[str]:
-        caps = (
-            f"degree-cap={self.degree_cap if self.degree_cap is not None else 'default'} "
-            f"relation-cap={self.relation_cap if self.relation_cap is not None else 'default'} "
-            f"ell={self.ell if self.ell is not None else 'default'}"
-        )
+        e = {k: "default" if v is None else v for k, v in self.echo().items()}
         return [
-            f"# orbitscope {__version__} command={self.command}",
-            f"# spec={self.spec} sha256={self.spec_sha256}",
-            f"# seed={self.seed} tol={self.tol if self.tol is not None else 'default'} {caps}",
+            f"# orbitscope {e['version']} command={e['command']}",
+            f"# spec={e['spec']} sha256={e['spec_sha256']}",
+            f"# seed={e['seed']} tol={e['tol']} degree-cap={e['degree_cap']} "
+            f"relation-cap={e['relation_cap']} ell={e['ell']}",
         ]
 
 
@@ -184,7 +182,8 @@ def _poly_from_doc(doc: dict) -> Polynomial:
 
 def _cached_basis(path: Path, rep: FiniteGroupRep) -> IntegrityBasis | None:
     """The basis stored at ``path``; None when the entry is missing,
-    unreadable, or fails validation: its degree list must match its
+    unreadable, or fails validation: it must list at least one generator
+    (compute_mib never returns none), its degree list must match its
     polynomials, each polynomial must be invariant under the group, and
     together they must be the canonical basis that compute_mib returns."""
     try:
@@ -193,7 +192,7 @@ def _cached_basis(path: Path, rep: FiniteGroupRep) -> IntegrityBasis | None:
         degrees = tuple(doc["degrees"])
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         return None
-    valid = len(degrees) == len(polys) and all(
+    valid = len(degrees) == len(polys) > 0 and all(
         type(d) is int
         and p.kind == X_KIND
         and p.nvars == rep.dim
@@ -236,6 +235,12 @@ def _fnum(v) -> str:
     return repr(float(v))
 
 
+def _cell(v) -> str:
+    """A report scalar as a CSV cell: strings as they are, numbers and
+    booleans as the JSON report prints them."""
+    return v if isinstance(v, str) else json.dumps(v)
+
+
 def _model_assignment(model, cfg: RunConfig, skip=()) -> dict:
     names = sorted(model.parameters(), key=lambda s: int(s[1:]))
     for given in cfg.params:
@@ -259,67 +264,59 @@ def _model_assignment(model, cfg: RunConfig, skip=()) -> dict:
 
 # ---------------------------------------------------------------- commands
 
-# what a command returns: the JSON report, the text lines, the CSV rows
+# what a command returns: the JSON report, the text lines, the CSV rows.
+# Each command formats its results once, into the report; its text lines
+# and CSV rows read the report's strings and numbers.
 Report = tuple[dict, list[str], list[list[str]]]
 
 
 def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
-    # close_generators builds the Cayley table by looking every product up
-    # in its element index, so a closed rep has a closed table
-    closed = True
-    subs = all_subgroups(rep)
-    types = symmetry_types(rep)
     report = {
         "name": rep.name,
         "order": rep.order,
         "dim": rep.dim,
-        "cayley_closed": closed,
-        "subgroup_count": len(subs),
-        "symmetry_type_count": len(types),
+        # close_generators builds the Cayley table by looking every product
+        # up in its element index, so a closed rep has a closed table
+        "cayley_closed": True,
+        "subgroup_count": len(all_subgroups(rep)),
+        "symmetry_type_count": len(symmetry_types(rep)),
     }
     text = [
-        f"group {rep.name}: order {rep.order}, acting on R^{rep.dim}",
-        "cayley table closed: yes",
-        f"subgroups: {len(subs)} in {len(types)} conjugacy classes",
+        f"group {report['name']}: order {report['order']}, acting on R^{report['dim']}",
+        f"cayley table closed: {'yes' if report['cayley_closed'] else 'no'}",
+        f"subgroups: {report['subgroup_count']} in "
+        f"{report['symmetry_type_count']} conjugacy classes",
     ]
     rows = [["name", "order", "dim", "cayley_closed", "subgroups", "classes"],
-            [rep.name, str(rep.order), str(rep.dim), str(closed).lower(),
-             str(len(subs)), str(len(types))]]
+            [_cell(v) for v in report.values()]]
     return report, text, rows
 
 
 def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     basis = _basis_for(cfg, rep)
     mol_cap = cfg.degree_cap if cfg.degree_cap is not None else 8
-    mol = molien_series(rep, mol_cap)
     relations = find_relations(basis, cfg.relation_cap)
-    pm = p_matrix(rep, basis)
     report = {
         "degrees": list(basis.degrees),
         "generators": [p.pretty() for p in basis.polys],
-        "molien": list(mol.coefficients),
+        "molien": list(molien_series(rep, mol_cap).coefficients),
         "relations": [r.pretty() for r in relations],
         "coregular": not relations,
-        "p_matrix": [[e.pretty() for e in row] for row in pm.entries],
+        "p_matrix": [[e.pretty() for e in row] for row in p_matrix(rep, basis).entries],
     }
-    k = len(basis.polys)
-    text = [f"integrity basis ({k} generators, degrees {list(basis.degrees)}):"]
-    text += [f"  J{i + 1} = {p.pretty()}" for i, p in enumerate(basis.polys)]
-    text.append(f"molien coefficients c_0..c_{mol_cap}: {list(mol.coefficients)}")
-    if relations:
-        text.append(f"relations ({len(relations)}):")
-        text += [f"  {r.pretty()} = 0" for r in relations]
-    else:
+    gens = report["generators"]
+    text = [f"integrity basis ({len(gens)} generators, degrees {report['degrees']}):"]
+    text += [f"  J{i + 1} = {p}" for i, p in enumerate(gens)]
+    text.append(f"molien coefficients c_0..c_{mol_cap}: {report['molien']}")
+    if report["coregular"]:
         text.append("relations: none (coregular)")
+    else:
+        text.append(f"relations ({len(report['relations'])}):")
+        text += [f"  {r} = 0" for r in report["relations"]]
     text.append("gradient-product matrix P:")
-    text += [
-        "  [" + ", ".join(e.pretty() for e in row) + "]" for row in pm.entries
-    ]
+    text += ["  [" + ", ".join(row) + "]" for row in report["p_matrix"]]
     rows = [["generator", "degree", "polynomial"]]
-    rows += [
-        [f"J{i + 1}", str(d), p.pretty()]
-        for i, (d, p) in enumerate(zip(basis.degrees, basis.polys))
-    ]
+    rows += [[f"J{i + 1}", _cell(d), p] for i, (d, p) in enumerate(zip(report["degrees"], gens))]
     return report, text, rows
 
 
@@ -350,99 +347,28 @@ def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
             for r in pco.rays
         ],
     }
-    text = [f"symmetry types for {rep.name} (principal: {principal.label}):"]
-    for t in types:
-        text.append(
-            f"  {t.label}: subgroup order {t.representative.order}, "
-            f"class size {len(t.conjugates)}, fix dim {t.fix_dim}, "
-            f"{'realized' if t.realized else 'not realized'}"
-        )
-    text.append(f"guaranteed critical rays: {len(pco.rays)}")
-    for r in pco.rays:
-        text.append(
-            f"  {r.symmetry.label}: direction ({', '.join(str(c) for c in r.direction)})"
-        )
-    rows = [["label", "order", "class_size", "fix_dim", "realized"]]
-    rows += [
-        [t.label, str(t.representative.order), str(len(t.conjugates)),
-         str(t.fix_dim), str(t.realized).lower()]
-        for t in types
+    text = [f"symmetry types for {rep.name} (principal: {report['principal']}):"]
+    text += [
+        f"  {t['label']}: subgroup order {t['order']}, "
+        f"class size {t['class_size']}, fix dim {t['fix_dim']}, "
+        f"{'realized' if t['realized'] else 'not realized'}"
+        for t in report["types"]
     ]
+    text.append(f"guaranteed critical rays: {len(report['critical_rays'])}")
+    text += [
+        f"  {r['symmetry']}: direction ({', '.join(r['direction'])})"
+        for r in report["critical_rays"]
+    ]
+    columns = ["label", "order", "class_size", "fix_dim", "realized"]
+    rows = [columns] + [[_cell(t[c]) for c in columns] for t in report["types"]]
     return report, text, rows
 
 
 def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     basis = _basis_for(cfg, rep)
     model = build_generic(basis, degree_x=cfg.ell)
-    n = rep.dim
-
     if cfg.sweep is not None:
-        name, lo, hi, steps = cfg.sweep
-        if name not in model.parameters():
-            raise UnknownParameter(
-                f"--sweep parameter {name} not in model "
-                f"({', '.join(sorted(model.parameters(), key=lambda s: int(s[1:])))})"
-            )
-        grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-        assignment = _model_assignment(model, cfg, skip=(name,))
-        options = SweepOptions(
-            assignment=assignment,
-            minimize=MinimizeOptions(seed=cfg.seed),
-            transition_tol=cfg.tol if cfg.tol is not None else 1e-6,
-        )
-        diagram = sweep(model, name, grid, options)
-        report = {
-            "parameter": name,
-            "assignment": {k: str(v) for k, v in sorted(assignment.items())},
-            "points": [
-                {
-                    "value": str(p.parameter_value),
-                    "symmetry": None if p.symmetry is None else p.symmetry.label,
-                    "min_value": None if p.min_value is None else _fnum(p.min_value),
-                    "minimizer": None
-                    if p.minimizer is None
-                    else [_fnum(c) for c in p.minimizer],
-                    "error": p.error,
-                }
-                for p in diagram.points
-            ],
-            "transitions": [
-                {
-                    "at": _fnum(t.parameter_value),
-                    "width": _fnum(t.width),
-                    "before": t.before.label,
-                    "after": t.after.label,
-                }
-                for t in diagram.transitions
-            ],
-        }
-        text = [f"sweep of {name} over [{lo}, {hi}] in {steps} steps:"]
-        for p in diagram.points:
-            if p.error is not None:
-                text.append(f"  {name}={_fnum(p.parameter_value)}: ERROR {p.error}")
-            else:
-                text.append(
-                    f"  {name}={_fnum(p.parameter_value)}: {p.symmetry.label} "
-                    f"min={_fnum(p.min_value)} at "
-                    f"({', '.join(_fnum(c) for c in p.minimizer)})"
-                )
-        for t in diagram.transitions:
-            text.append(
-                f"transition {t.before.label} -> {t.after.label} at {name}={_fnum(t.parameter_value)}"
-                f" (width {_fnum(t.width)})"
-            )
-        rows = [[name, "symmetry", "min_value"] + [f"x{i + 1}" for i in range(n)] + ["error"]]
-        for p in diagram.points:
-            if p.error is not None:
-                rows.append([_fnum(p.parameter_value), "", ""] + [""] * n + [p.error])
-            else:
-                rows.append(
-                    [_fnum(p.parameter_value), p.symmetry.label, _fnum(p.min_value)]
-                    + [_fnum(c) for c in p.minimizer]
-                    + [""]
-                )
-        return report, text, rows
-
+        return _landau_sweep(cfg, model, rep.dim)
     assignment = _model_assignment(model, cfg)
     options = MinimizeOptions(
         seed=cfg.seed, gtol=cfg.tol if cfg.tol is not None else 1e-10
@@ -462,25 +388,90 @@ def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
             for p in points
         ],
     }
+    found = report["critical_points"]
     text = [
         "model parameters: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())),
-        f"critical points found: {len(points)}",
+        + ", ".join(f"{k}={v}" for k, v in report["assignment"].items()),
+        f"critical points found: {len(found)}",
     ]
-    for p in points:
-        text.append(
-            f"  value {_fnum(p.value)} at ({', '.join(_fnum(c) for c in p.location)})"
-            f" symmetry {p.symmetry.label} orbit {p.orbit_size}"
-            f" inertia {p.hessian_inertia}"
-        )
+    text += [
+        f"  value {p['value']} at ({', '.join(p['location'])})"
+        f" symmetry {p['symmetry']} orbit {p['orbit_size']}"
+        f" inertia {tuple(p['hessian_inertia'])}"
+        for p in found
+    ]
     rows = [["value", "symmetry", "orbit_size", "inertia_neg", "inertia_zero",
-             "inertia_pos"] + [f"x{i + 1}" for i in range(n)]]
-    for p in points:
-        rows.append(
-            [_fnum(p.value), p.symmetry.label, str(p.orbit_size)]
-            + [str(c) for c in p.hessian_inertia]
-            + [_fnum(c) for c in p.location]
+             "inertia_pos"] + [f"x{i + 1}" for i in range(rep.dim)]]
+    rows += [
+        [p["value"], p["symmetry"], _cell(p["orbit_size"])]
+        + [_cell(c) for c in p["hessian_inertia"]]
+        + p["location"]
+        for p in found
+    ]
+    return report, text, rows
+
+
+def _landau_sweep(cfg: RunConfig, model, n: int) -> Report:
+    name, lo, hi, steps = cfg.sweep
+    if name not in model.parameters():
+        raise UnknownParameter(
+            f"--sweep parameter {name} not in model "
+            f"({', '.join(sorted(model.parameters(), key=lambda s: int(s[1:])))})"
         )
+    grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    assignment = _model_assignment(model, cfg, skip=(name,))
+    options = SweepOptions(
+        assignment=assignment,
+        minimize=MinimizeOptions(seed=cfg.seed),
+        transition_tol=cfg.tol if cfg.tol is not None else 1e-6,
+    )
+    diagram = sweep(model, name, grid, options)
+    report = {
+        "parameter": name,
+        "assignment": {k: str(v) for k, v in sorted(assignment.items())},
+        "points": [
+            {
+                "value": str(p.parameter_value),
+                "symmetry": None if p.symmetry is None else p.symmetry.label,
+                "min_value": None if p.min_value is None else _fnum(p.min_value),
+                "minimizer": None
+                if p.minimizer is None
+                else [_fnum(c) for c in p.minimizer],
+                "error": p.error,
+            }
+            for p in diagram.points
+        ],
+        "transitions": [
+            {
+                "at": _fnum(t.parameter_value),
+                "width": _fnum(t.width),
+                "before": t.before.label,
+                "after": t.after.label,
+            }
+            for t in diagram.transitions
+        ],
+    }
+    # the report keeps the exact grid values; text and CSV show them as floats
+    points = [(_fnum(Fraction(p["value"])), p) for p in report["points"]]
+    text = [f"sweep of {name} over [{lo}, {hi}] in {steps} steps:"]
+    text += [
+        f"  {name}={at}: ERROR {p['error']}"
+        if p["error"] is not None
+        else f"  {name}={at}: {p['symmetry']} min={p['min_value']} at "
+        f"({', '.join(p['minimizer'])})"
+        for at, p in points
+    ]
+    text += [
+        f"transition {t['before']} -> {t['after']} at {name}={t['at']} (width {t['width']})"
+        for t in report["transitions"]
+    ]
+    rows = [[name, "symmetry", "min_value"] + [f"x{i + 1}" for i in range(n)] + ["error"]]
+    rows += [
+        [at, "", ""] + [""] * n + [p["error"]]
+        if p["error"] is not None
+        else [at, p["symmetry"], p["min_value"]] + p["minimizer"] + [""]
+        for at, p in points
+    ]
     return report, text, rows
 
 
@@ -492,9 +483,7 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     truncation = model.degree_x
     result = reduce_potential(psi, truncation, pm)
 
-    lam = {
-        k: float(v) for k, v in _model_assignment(model, cfg).items()
-    }
+    lam = {k: float(v) for k, v in _model_assignment(model, cfg).items()}
     stats = verify_reduction(psi, result, [lam], seed=cfg.seed)
 
     def _slope(v: float) -> str:
@@ -520,16 +509,30 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
             "required": result.residual_degree + 1,
         },
     }
-    text = result.describe().splitlines()
+
+    def _jmono(t, pretty=False) -> str:
+        return mono_text(t["monomial"], J_KIND, pretty=pretty)
+
+    text = [f"reduction to x-degree {report['truncation']}", "generators:"]
+    text += [
+        f"  degree {g['degree']}: H = {g['h']}" for g in report["generators"]
+    ] or ["  (none)"]
+    text.append("removed terms:")
+    text += [
+        f"  degree {t['degree']}: {_jmono(t) or '1'}" for t in report["removed"]
+    ] or ["  (none)"]
+    text.append("surviving terms (degree >= 3):")
+    text += [
+        f"  degree {t['degree']}: {_jmono(t) or '1'} coefficient {t['coefficient']}"
+        for t in report["survivors"]
+    ] or ["  (none)"]
     text.append(
-        f"verification: min residual slope {_slope(stats.min_slope)} "
-        f"(required > {result.residual_degree})"
+        f"verification: min residual slope {report['verification']['min_slope']} "
+        f"(required > {report['truncation']})"
     )
     rows = [["degree", "monomial", "status"]]
-    for d, m in result.removed_terms:
-        rows.append([str(d), mono_text(m, J_KIND, pretty=True), "removed"])
-    for d, m, _c in result.survivors():
-        rows.append([str(d), mono_text(m, J_KIND, pretty=True), "kept"])
+    rows += [[_cell(t["degree"]), _jmono(t, True), "removed"] for t in report["removed"]]
+    rows += [[_cell(t["degree"]), _jmono(t, True), "kept"] for t in report["survivors"]]
     return report, text, rows
 
 
@@ -548,24 +551,22 @@ def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -
     )
     buf = io.StringIO()
     dump_trajectory_csv(buf, field, traj)
-    csv_text = buf.getvalue()
-    lines = csv_text.strip().splitlines()
+    table = [line.split(",") for line in buf.getvalue().splitlines()]
     report = {
         "assignment": {k: str(v) for k, v in sorted(assignment.items())},
         "t_end": t_end,
         "dt": dt,
         "steps": len(traj.times) - 1,
-        "columns": lines[0].split(","),
-        "rows": [line.split(",") for line in lines[1:]],
+        "columns": table[0],
+        "rows": table[1:],
         "final_state": [_fnum(c) for c in traj.final_state],
     }
     text = [
-        f"integrated {len(traj.times) - 1} steps of dt={dt} "
-        f"(final state: {', '.join(_fnum(c) for c in traj.final_state)})",
-        csv_text.rstrip("\n"),
+        f"integrated {report['steps']} steps of dt={report['dt']} "
+        f"(final state: {', '.join(report['final_state'])})"
     ]
-    rows = [line.split(",") for line in lines]
-    return report, text, rows
+    text += [",".join(r) for r in table]
+    return report, text, table
 
 
 # ------------------------------------------------------------------ plumbing
@@ -575,12 +576,8 @@ def _render(cfg: RunConfig, report: dict, text: list[str], rows: list[list[str]]
     if cfg.fmt == "json":
         doc = {"config": cfg.echo(), "report": report}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if cfg.fmt == "csv":
-        out = [*cfg.header_lines()]
-        out += [",".join(r) for r in rows]
-        return "\n".join(out) + "\n"
-    out = [*cfg.header_lines(), *text]
-    return "\n".join(out) + "\n"
+    lines = text if cfg.fmt == "text" else [",".join(r) for r in rows]
+    return "\n".join([*cfg.header_lines(), *lines]) + "\n"
 
 
 def _deliver(cfg: RunConfig, rendered: str) -> None:
@@ -634,51 +631,61 @@ def _parse_flow(x0: str, t_end: str, dt: str) -> tuple[list[float], float, float
     return point, t_end_f, dt_f
 
 
+# every flag besides --spec, --out and --format; a subcommand registers the
+# ones its command reads, and the others keep their default in the config
+_FLAGS = {
+    "--degree-cap": {"type": int, "default": None},
+    "--relation-cap": {"type": int, "default": None},
+    "--ell": {"type": int, "default": None,
+              "help": "model degree (default: twice the top basis degree)"},
+    "--param": {"action": "append", "default": [], "metavar": "NAME=VALUE",
+                "help": "model coefficient; a1 defaults to -1/2, a_k to 1/(k+1)"},
+    "--sweep": {"default": None, "metavar": "NAME:LO:HI:STEPS"},
+    "--seed": {"type": int, "default": 0},
+    "--tol": {"type": float, "default": None},
+    "--x0": {"required": True, "help": "comma-separated start point, e.g. 0.1,0.2"},
+    "--t-end": {"default": "10.0"},
+    "--dt": {"default": "0.01"},
+}
+
+_MODEL_FLAGS = ("--degree-cap", "--ell", "--param")
+
+# subcommand: (command, help, the flags it reads)
+_COMMANDS = {
+    "group": (cmd_group, "closure check and subgroup census", ()),
+    "invariants": (cmd_invariants,
+                   "integrity basis, graded dimensions, relations, P-matrix",
+                   ("--degree-cap", "--relation-cap")),
+    "strata": (cmd_strata, "isotropy lattice and guaranteed critical rays", ()),
+    "landau": (cmd_landau, "critical points, or a phase sweep with --sweep",
+               (*_MODEL_FLAGS, "--sweep", "--seed", "--tol")),
+    "reduce": (cmd_reduce, "normal-form reduction of the generic model, with verification",
+               (*_MODEL_FLAGS, "--seed")),
+    "flow": (cmd_flow, "gradient-flow trajectory as CSV",
+             (*_MODEL_FLAGS, "--tol", "--x0", "--t-end", "--dt")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitscope",
         description="Invariant-theoretic analysis of finite-group Landau potentials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("group", "closure check and subgroup census"),
-        ("invariants", "integrity basis, graded dimensions, relations, P-matrix"),
-        ("strata", "isotropy lattice and guaranteed critical rays"),
-        ("landau", "critical points, or a phase sweep with --sweep"),
-        ("reduce", "normal-form reduction of the generic model, with verification"),
-        ("flow", "gradient-flow trajectory as CSV"),
-    ]:
+    for name, (_, doc, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--spec", required=True, help="group spec JSON file")
-        p.add_argument("--degree-cap", type=int, default=None)
-        p.add_argument("--relation-cap", type=int, default=None)
-        p.add_argument("--ell", type=int, default=None,
-                       help="model degree (default: twice the top basis degree)")
-        p.add_argument("--param", action="append", default=[],
-                       metavar="NAME=VALUE",
-                       help="model coefficient; a1 defaults to -1/2, a_k to 1/(k+1)")
-        p.add_argument("--sweep", default=None, metavar="NAME:LO:HI:STEPS")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="write report into this directory")
         p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
                        default="text")
-        if name == "flow":
-            p.add_argument("--x0", required=True,
-                           help="comma-separated start point, e.g. 0.1,0.2")
-            p.add_argument("--t-end", default="10.0")
-            p.add_argument("--dt", default="0.01")
+        p.set_defaults(**{
+            flag[2:].replace("-", "_"): settings.get("default")
+            for flag, settings in _FLAGS.items()
+            if flag not in flags
+        })
     return parser
-
-
-_COMMANDS = {
-    "group": cmd_group,
-    "invariants": cmd_invariants,
-    "strata": cmd_strata,
-    "landau": cmd_landau,
-    "reduce": cmd_reduce,
-    "flow": cmd_flow,
-}
 
 
 def _structured_error(exc: Exception) -> None:
@@ -716,7 +723,7 @@ def main(argv=None) -> int:
             out=args.out,
             fmt=args.fmt,
         )
-        out = _COMMANDS[args.command](cfg, rep, *flow_args)
+        out = _COMMANDS[args.command][0](cfg, rep, *flow_args)
         _deliver(cfg, _render(cfg, *out))
         return 0
     except OrbitscopeError as exc:

@@ -55,7 +55,6 @@ class FiniteGroupRep:
         self.cayley = tuple(tuple(row) for row in cayley)
         self.inverse = tuple(inverse)
         self.name = name
-        self._index = {e.matrix: i for i, e in enumerate(self.elements)}
         self.memo: dict = {}
 
     @property
@@ -67,12 +66,6 @@ class FiniteGroupRep:
 
     def product(self, i: int, j: int) -> int:
         return self.cayley[i][j]
-
-    def index_of(self, matrix: ra.Mat) -> int:
-        try:
-            return self._index[matrix]
-        except KeyError:
-            raise ValueError("matrix is not a group element") from None
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""

@@ -63,10 +63,6 @@ def jmonomials_of_xdegree(degrees, xdegree: int) -> list[Monomial]:
     return sorted(out, key=mono_key, reverse=True)
 
 
-def jmonomial_xdegree(mono: Monomial, degrees) -> int:
-    return sum(e * d for e, d in zip(mono, degrees))
-
-
 # ------------------------------------------------------------- Molien series
 
 
@@ -157,16 +153,13 @@ def invariant_space_basis(rep: FiniteGroupRep, degree: int) -> list[Polynomial]:
 
 @dataclass(frozen=True)
 class IntegrityBasis:
-    """Minimal generating set of the invariant ring.
-
-    ``relations`` is None until computed; use :func:`find_relations` and
-    ``with_relations`` to attach them.
+    """Minimal generating set of the invariant ring; :func:`find_relations`
+    computes the relations among its generators.
     """
 
     rep: FiniteGroupRep
     polys: tuple[Polynomial, ...]
     degrees: tuple[int, ...]
-    relations: tuple[Polynomial, ...] | None = field(default=None)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -176,9 +169,6 @@ class IntegrityBasis:
     @property
     def max_degree(self) -> int:
         return max(self.degrees) if self.degrees else 0
-
-    def with_relations(self, relations) -> "IntegrityBasis":
-        return IntegrityBasis(self.rep, self.polys, self.degrees, tuple(relations))
 
     def jmonomial_images(self, xdegree: int):
         """The J-monomials of x-degree ``xdegree`` in canonical order, and
@@ -229,7 +219,8 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
     """Minimal integrity basis up to ``degree_cap`` (default: group order).
 
     The default cap is sufficient for completeness; a user-lowered cap
-    yields the degree-truncated answer.  At each degree the new generators
+    yields the degree-truncated answer, and raises CapTooLow when it
+    leaves no generator.  At each degree the new generators
     are the reduced-echelon basis of the quotient (invariant space modulo
     products of lower generators), which pins the choice completely: the
     Z2 footnote basis comes out as (x^2, y^2, xy), the symmetric groups
@@ -275,6 +266,8 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
         for p in new_polys:
             polys.append(p)
             degrees.append(d)
+    if not polys:
+        raise CapTooLow("the integrity basis has no generators below the degree cap")
     return IntegrityBasis(rep, tuple(polys), tuple(degrees))
 
 
@@ -359,10 +352,7 @@ def find_relations(
 
 def is_coregular(basis: IntegrityBasis) -> bool:
     """True when the basis generates freely (no relations up to default cap)."""
-    relations = basis.relations
-    if relations is None:
-        relations = find_relations(basis)
-    return len(relations) == 0
+    return len(find_relations(basis)) == 0
 
 
 # ------------------------------------------------------- basis re-expression

@@ -325,26 +325,6 @@ class ReductionReport:
                 out.append((d, m, comp.terms[m]))
         return tuple(out)
 
-    def describe(self) -> str:
-        lines = [f"reduction to x-degree {self.residual_degree}"]
-        lines.append("generators:")
-        if not self.generators:
-            lines.append("  (none)")
-        for gen in self.generators:
-            lines.append(f"  degree {gen.degree}: H = {gen.h_poly.to_text(bracketed=True)}")
-        lines.append("removed terms:")
-        if not self.removed_terms:
-            lines.append("  (none)")
-        for d, m in self.removed_terms:
-            lines.append(f"  degree {d}: {_jmono_text(m)}")
-        lines.append("surviving terms (degree >= 3):")
-        survivors = self.survivors()
-        if not survivors:
-            lines.append("  (none)")
-        for d, m, c in survivors:
-            lines.append(f"  degree {d}: {_jmono_text(m)} coefficient {c}")
-        return "\n".join(lines)
-
 
 def _apply_generator(components, gen: PoincareGenerator, basis, eta_inv, truncation):
     """Exact formal composition x = y + eta_inv grad(H o basis), truncated."""

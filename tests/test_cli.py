@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -76,13 +78,61 @@ def test_error_code_names_its_layer(cls, capsys):
     assert error_code(capsys.readouterr().err) == f"{cls.layer}.{cls.__name__}"
 
 
-@pytest.mark.parametrize("command", [["landau"], ["reduce"], ["flow", "--x0", "0.3"]],
-                         ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "command", [["invariants"], ["landau"], ["reduce"], ["flow", "--x0", "0.3"]],
+    ids=lambda c: c[0],
+)
 def test_basis_without_generators(tmp_path, capsys, command):
     spec = write_spec(tmp_path, "z2line", Z2_LINE)
     rc, _, err = run(capsys, [command[0], "--spec", spec, "--degree-cap", "1", *command[1:]])
     assert rc == 1
     assert error_code(err) == "invariants.CapTooLow"
+
+
+SHARED_FLAGS = {"--help", "--spec", "--out", "--format"}
+MODEL_FLAGS = {"--degree-cap", "--ell", "--param"}
+COMMAND_FLAGS = {
+    "group": set(),
+    "invariants": {"--degree-cap", "--relation-cap"},
+    "strata": set(),
+    "landau": MODEL_FLAGS | {"--sweep", "--seed", "--tol"},
+    "reduce": MODEL_FLAGS | {"--seed"},
+    "flow": MODEL_FLAGS | {"--tol", "--x0", "--t-end", "--dt"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_help_lists_only_the_flags_the_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z0-9-]+", capsys.readouterr().out))
+    assert listed == SHARED_FLAGS | COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["strata", "--seed", "3"],
+    ["group", "--ell", "4"],
+    ["flow", "--x0", "0.1,0.2", "--sweep", "a1:0:1:3"],
+    ["reduce", "--tol", "1e-9"],
+], ids=["strata-seed", "group-ell", "flow-sweep", "reduce-tol"])
+def test_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "d4", D4)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--spec", spec, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_invariants_example(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("$ orbitscope invariants --spec z2r2.json\n", 1)[1]
+    example = block.split("```", 1)[0].splitlines()
+    spec = write_spec(tmp_path, "z2r2", Z2_PLANE)
+    rc, out, _ = run(capsys, ["invariants", "--spec", spec])
+    assert rc == 0
+    assert [l[0] for l in example[:3]] == ["#"] * 3
+    assert out.splitlines()[3:] == example[3:]
 
 
 def test_missing_spec_file(tmp_path, capsys):
@@ -189,6 +239,14 @@ def test_landau_unknown_param(tmp_path, capsys):
     assert error_code(err) == "landau.UnknownParameter"
 
 
+def test_reduce_text_mentions_everything(tmp_path, capsys):
+    spec = write_spec(tmp_path, "z2line", Z2_LINE)
+    rc, text, _ = run(capsys, ["reduce", "--spec", spec, "--ell", "6"])
+    assert rc == 0
+    assert "degree 4" in text and "degree 6" in text
+    assert "J1^3" in text and "J1^2" in text
+
+
 def test_reduce_report(tmp_path, capsys):
     spec = write_spec(tmp_path, "z2line", Z2_LINE)
     rc, out, _ = run(
@@ -291,7 +349,9 @@ def test_cache_roundtrip(tmp_path, capsys, monkeypatch):
     json.dumps({"degrees": [4], "polys": [{"nvars": 1, "kind": "x", "terms": [[[2], "1"]]}]}),
     # invariant and of the right degree, but not monic: P would read [12*J1]
     json.dumps({"degrees": [2], "polys": [{"nvars": 1, "kind": "x", "terms": [[[2], "3"]]}]}),
-], ids=["garbage", "not-invariant", "wrong-degree", "not-canonical"])
+    # canonical through its (absent) top degree, but no basis at all
+    json.dumps({"degrees": [], "polys": []}),
+], ids=["garbage", "not-invariant", "wrong-degree", "not-canonical", "empty"])
 def test_bad_cache_entry_is_recomputed(tmp_path, capsys, monkeypatch, entry):
     spec = write_spec(tmp_path, "z2line", Z2_LINE)
     argv = ["invariants", "--spec", spec, "--format", "json"]

@@ -459,11 +459,3 @@ def test_generator_must_be_homogeneous(z2_line):
     basis = compute_mib(z2_line)
     with pytest.raises(ValueError):
         poincare_generator(jpp(1, {(1,): 1, (2,): 1}), basis)
-
-
-def test_report_describe_mentions_everything(z2_setup):
-    _, basis, P = z2_setup
-    report = reduce(sextic(basis), 6, P)
-    text = report.describe()
-    assert "degree 4" in text and "degree 6" in text
-    assert "J1^3" in text and "J1^2" in text
