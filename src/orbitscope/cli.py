@@ -19,12 +19,7 @@ An optional "max_order" (an integer >= 1) bounds the closure (default
 
 Every report embeds the tool version, the sha256 of the spec file, the
 seed, tolerances and caps, so a rerun with the same configuration is
-byte-identical.  Set ORBITSCOPE_CACHE_DIR to cache the integrity basis
-keyed by spec hash, caps and version; a cache hit changes timing, never
-output.  An entry that cannot be read, whose polynomials are not invariant
-or do not match its degree list, that lists no generators, or that is not
-the canonical basis (``invariants.is_canonical``), is recomputed and
-rewritten.
+byte-identical.
 
 Exit status: 0 on success, 1 with a one-line JSON error record on
 stderr otherwise (code "layer.ExceptionName": the ``layer`` an orbitscope
@@ -38,7 +33,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,13 +46,12 @@ from .invariants import (
     IntegrityBasis,
     compute_mib,
     find_relations,
-    is_canonical,
-    is_invariant,
+    is_coregular,
     molien_series,
     p_matrix,
 )
 from .landau import MinimizeOptions, SweepOptions, build_generic, minimize, sweep
-from .polynomials import J_KIND, X_KIND, Polynomial, mono_text
+from .polynomials import J_KIND, mono_text
 from .reduction import GradedPotential, reduce as reduce_potential, verify_reduction
 from .strata import (
     isotropy_lattice,
@@ -164,68 +157,8 @@ def load_group_spec(path: str) -> tuple[FiniteGroupRep, str]:
     return rep, digest
 
 
-# --------------------------------------------------------------- basis cache
-
-
-def _poly_to_doc(p: Polynomial) -> dict:
-    return {
-        "nvars": p.nvars,
-        "kind": p.kind,
-        "terms": [[list(m), str(c)] for m, c in p.sorted_terms()],
-    }
-
-
-def _poly_from_doc(doc: dict) -> Polynomial:
-    terms = {tuple(m): Fraction(c) for m, c in doc["terms"]}
-    return Polynomial(doc["nvars"], terms, doc["kind"])
-
-
-def _cached_basis(path: Path, rep: FiniteGroupRep) -> IntegrityBasis | None:
-    """The basis stored at ``path``; None when the entry is missing,
-    unreadable, or fails validation: it must list at least one generator
-    (compute_mib never returns none), its degree list must match its
-    polynomials, each polynomial must be invariant under the group, and
-    together they must be the canonical basis that compute_mib returns."""
-    try:
-        doc = json.loads(path.read_text())
-        polys = tuple(_poly_from_doc(d) for d in doc["polys"])
-        degrees = tuple(doc["degrees"])
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None
-    valid = len(degrees) == len(polys) > 0 and all(
-        type(d) is int
-        and p.kind == X_KIND
-        and p.nvars == rep.dim
-        and set(p.homogeneous_parts()) == {d}
-        and is_invariant(rep, p)
-        for d, p in zip(degrees, polys)
-    ) and is_canonical(rep, polys, degrees)
-    return IntegrityBasis(rep=rep, polys=polys, degrees=degrees) if valid else None
-
-
 def _basis_for(cfg: RunConfig, rep: FiniteGroupRep) -> IntegrityBasis:
-    cache_dir = os.environ.get("ORBITSCOPE_CACHE_DIR")
-    if not cache_dir:
-        return compute_mib(rep, cfg.degree_cap)
-    key = (
-        f"{cfg.spec_sha256}-mib-"
-        f"{cfg.degree_cap if cfg.degree_cap is not None else 'default'}-{__version__}.json"
-    )
-    path = Path(cache_dir) / key
-    basis = _cached_basis(path, rep)
-    if basis is not None:
-        return basis
-    basis = compute_mib(rep, cfg.degree_cap)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(
-        json.dumps(
-            {"degrees": list(basis.degrees), "polys": [_poly_to_doc(p) for p in basis.polys]},
-            sort_keys=True,
-        )
-    )
-    os.replace(tmp, path)
-    return basis
+    return compute_mib(rep, cfg.degree_cap)
 
 
 # ------------------------------------------------------------- text helpers
@@ -301,7 +234,7 @@ def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
         "generators": [p.pretty() for p in basis.polys],
         "molien": list(molien_series(rep, mol_cap).coefficients),
         "relations": [r.pretty() for r in relations],
-        "coregular": not relations,
+        "coregular": is_coregular(basis),
         "p_matrix": [[e.pretty() for e in row] for row in p_matrix(rep, basis).entries],
     }
     gens = report["generators"]
@@ -680,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write report into this directory")
         p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
                        default="text")
-        p.set_defaults(**{
+        p.set_defaults(usage_error=p.error, **{
             flag[2:].replace("-", "_"): settings.get("default")
             for flag, settings in _FLAGS.items()
             if flag not in flags
@@ -701,7 +634,10 @@ def _structured_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        # the subcommand's usage lists the flags it does read
+        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         params = dict(_parse_param(p) for p in args.param)
         sweep_spec = _parse_sweep(args.sweep) if args.sweep else None

@@ -64,9 +64,6 @@ class FiniteGroupRep:
     def matrix(self, i: int) -> ra.Mat:
         return self.elements[i].matrix
 
-    def product(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<FiniteGroupRep{label} order={self.order} dim={self.dim}>"

@@ -5,7 +5,9 @@ generating function; the basis itself comes from Reynolds averages of
 monomials with exact rank bookkeeping.  A minimal integrity basis (MIB) is
 grown degree by degree: at each degree the power products of the basis so
 far are spanned first, then Reynolds candidates that enlarge the span are
-appended, which guarantees minimality.
+appended, which guarantees minimality.  The growth stops at the first
+degree where the basis is certified complete (:func:`is_coregular`), or
+else at the degree cap.
 
 All greedy choices scan candidates in the canonical monomial order, so the
 output is deterministic down to the coefficient level.
@@ -14,7 +16,6 @@ output is deterministic down to the coefficient level.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -97,7 +98,7 @@ def _char_poly_reversed(t_mat: ra.Mat) -> list[Fraction]:
     return coeffs
 
 
-def _series_reciprocal(poly_coeffs: list[Fraction], cap: int) -> list[Fraction]:
+def _series_reciprocal(poly_coeffs: tuple[Fraction, ...], cap: int) -> list[Fraction]:
     """Power series of 1/p(t) up to t^cap; requires p(0) == 1."""
     assert poly_coeffs[0] == 1
     out = [Fraction(0)] * (cap + 1)
@@ -110,13 +111,29 @@ def _series_reciprocal(poly_coeffs: list[Fraction], cap: int) -> list[Fraction]:
     return out
 
 
+def _char_polys(rep: FiniteGroupRep) -> tuple[tuple[tuple[Fraction, ...], int], ...]:
+    """The distinct det(I - t*T_g), each with the number of elements that
+    have it.  It is a class function, so there are at most as many as
+    conjugacy classes; the table is built once per rep and kept in its memo.
+    """
+    table = rep.memo.get("char_polys")
+    if table is None:
+        counts: dict[tuple[Fraction, ...], int] = {}
+        for e in rep.elements:
+            q = tuple(_char_poly_reversed(e.matrix))
+            counts[q] = counts.get(q, 0) + 1
+        table = rep.memo["char_polys"] = tuple(counts.items())
+    return table
+
+
 def molien_series(rep: FiniteGroupRep, degree_cap: int) -> MolienSeries:
-    """c_d = [t^d] (1/|G|) sum_g 1/det(1 - t T_g), exactly."""
+    """c_d = [t^d] (1/|G|) sum_g 1/det(1 - t T_g), exactly, summed over the
+    distinct det(1 - t T_g) weighted by their counts."""
     total = [Fraction(0)] * (degree_cap + 1)
-    for e in rep.elements:
-        series = _series_reciprocal(_char_poly_reversed(e.matrix), degree_cap)
+    for q, count in _char_polys(rep):
+        series = _series_reciprocal(q, degree_cap)
         for d in range(degree_cap + 1):
-            total[d] += series[d]
+            total[d] += count * series[d]
     inv_order = Fraction(1, rep.order)
     coeffs = []
     for d in range(degree_cap + 1):
@@ -218,9 +235,12 @@ def _listing_order(block: list[Polynomial]) -> list[Polynomial]:
 def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> IntegrityBasis:
     """Minimal integrity basis up to ``degree_cap`` (default: group order).
 
-    The default cap is sufficient for completeness; a user-lowered cap
-    yields the degree-truncated answer, and raises CapTooLow when it
-    leaves no generator.  At each degree the new generators
+    The search stops at the first degree whose block completes a basis
+    that :func:`is_coregular` certifies; nothing above that degree is new.
+    Otherwise it runs to the cap: the default cap is sufficient for
+    completeness (Noether's bound); a user-lowered cap yields the
+    degree-truncated answer, and raises CapTooLow when it leaves no
+    generator.  At each degree the new generators
     are the reduced-echelon basis of the quotient (invariant space modulo
     products of lower generators), which pins the choice completely: the
     Z2 footnote basis comes out as (x^2, y^2, xy), the symmetric groups
@@ -233,6 +253,7 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
     series = molien_series(rep, degree_cap)
     polys: list[Polynomial] = []
     degrees: list[int] = []
+    basis = None
     for d in range(1, degree_cap + 1):
         c_d = series.coefficient(d)
         if c_d == 0:
@@ -266,46 +287,12 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
         for p in new_polys:
             polys.append(p)
             degrees.append(d)
-    if not polys:
+        basis = IntegrityBasis(rep, tuple(polys), tuple(degrees))
+        if is_coregular(basis):
+            break
+    if basis is None:
         raise CapTooLow("the integrity basis has no generators below the degree cap")
-    return IntegrityBasis(rep, tuple(polys), tuple(degrees))
-
-
-def is_canonical(rep: FiniteGroupRep, polys, degrees) -> bool:
-    """True when ``polys`` is the basis compute_mib returns through degree
-    max(degrees), for invariants homogeneous of their listed degrees.
-
-    Degrees ascend from 1, and at every degree d up to the top: the products
-    of the lower generators and the d-block span c_d (Molien) dimensions;
-    the block is listed in compute_mib's order; and it is in reduced echelon
-    form modulo those products (each generator monic, free of the products'
-    pivot columns and of the other generators' leading monomials).  The
-    reduced echelon basis of a space is unique, so only compute_mib's own
-    block passes.  Nothing above the top degree is checked.
-    """
-    if list(degrees) != sorted(degrees) or min(degrees, default=1) < 1:
-        return False
-    top = max(degrees, default=0)
-    series = molien_series(rep, top)
-    for d in range(1, top + 1):
-        start, stop = bisect_left(degrees, d), bisect_right(degrees, d)
-        block = list(polys[start:stop])
-        if series.coefficient(d) == 0 and not block:
-            continue
-        _, index = monomial_index(rep.dim, d)
-        products = _product_span(rep, polys[:start], degrees[:start], d, index)
-        if products.rank + len(block) != series.coefficient(d):
-            return False
-        if block != _listing_order(block):
-            return False
-        for i, p in enumerate(block):
-            lead, c = p.leading_term()
-            row = coefficient_row(p, index)
-            if c != 1 or products.residual(row) != row:
-                return False
-            if any(lead in q.terms for j, q in enumerate(block) if j != i):
-                return False
-    return True
+    return basis
 
 
 # ------------------------------------------------------------------ relations
@@ -350,9 +337,49 @@ def find_relations(
     return tuple(relations)
 
 
+def _jacobian_determinant(polys) -> Polynomial:
+    """det(d J_i / d x_j) of n polynomials in n variables, exactly, by the
+    Leibniz expansion over the polynomial entries."""
+    n = len(polys)
+    jac = [p.gradient() for p in polys]
+    det = Polynomial.zero(n)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Polynomial.constant(n, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * jac[i][j]
+        det = det + term
+    return det
+
+
 def is_coregular(basis: IntegrityBasis) -> bool:
-    """True when the basis generates freely (no relations up to default cap)."""
-    return len(find_relations(basis)) == 0
+    """True when the basis is certified to generate the invariant ring
+    freely (Molien + Chevalley-Shephard-Todd; Sturmfels, *Algorithms in
+    Invariant Theory* 2.2-2.4, Derksen-Kemper ch. 3).  Three checks:
+
+    1. k = n generators;
+    2. their Jacobian determinant is a nonzero polynomial, so they are
+       algebraically independent and R[J] has Hilbert series 1/F(t),
+       F(t) = prod_i (1 - t^{d_i});
+    3. F(t) * Molien(t) == 1, so R[J], a subring of the invariant ring,
+       has its dimension at every degree and is all of it.
+
+    Check 3 compares the series through degree D + sum(d_i), where D is
+    the sum of the degrees of the distinct q(t) = det(I - t T_g).  That is
+    enough: with Q the product of the distinct q, Molien = N / (|G| Q) for
+    a polynomial N of degree at most D, so F * Molien - 1 = R / (|G| Q)
+    with R = F N - |G| Q of degree at most D + sum(d_i).  Since Q(0) = 1,
+    R = |G| Q (F * Molien - 1) vanishes through that degree when the
+    series does, hence R = 0 and the identity holds exactly.
+    """
+    rep = basis.rep
+    if basis.k != rep.dim or _jacobian_determinant(basis.polys).is_zero():
+        return False
+    top = sum(len(q) - 1 for q, _ in _char_polys(rep)) + sum(basis.degrees)
+    series = molien_series(rep, top).coefficients
+    for d in basis.degrees:
+        series = [c - (series[i - d] if i >= d else 0) for i, c in enumerate(series)]
+    return list(series) == [1] + [0] * top
 
 
 # ------------------------------------------------------- basis re-expression

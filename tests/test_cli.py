@@ -124,6 +124,34 @@ def test_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_unread_flag_gets_the_subcommand_usage(tmp_path, capsys):
+    spec = write_spec(tmp_path, "d4", D4)
+    with pytest.raises(SystemExit) as exc:
+        main(["strata", "--spec", spec, "--seed", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: orbitscope strata")
+    assert "orbitscope strata: error: unrecognized arguments: --seed 3" in err
+
+
+@pytest.mark.parametrize("spec, flags", [
+    ("d4", ["--degree-cap", "3"]),          # one generator: a truncated basis
+    ("o-rot", ["--relation-cap", "10"]),    # 4 generators in R^3, relation at degree 18
+], ids=["d4-degree-cap", "o-rot-relation-cap"])
+def test_uncertified_basis_is_not_coregular(capsys, spec, flags):
+    path = str(Path(__file__).resolve().parent / "golden" / "specs" / f"{spec}.json")
+    argv = ["invariants", "--spec", path, *flags]
+    rc, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert rc == 0
+    report = json.loads(out)["report"]
+    assert report["relations"] == []
+    assert report["coregular"] is False
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert "(coregular)" not in out
+    assert "relations (0):" in out
+
+
 def test_readme_invariants_example(tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("$ orbitscope invariants --spec z2r2.json\n", 1)[1]
@@ -324,49 +352,6 @@ def test_byte_identical_reruns(tmp_path, capsys):
     rc2, out2, _ = run(capsys, argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
-
-
-def test_cache_roundtrip(tmp_path, capsys, monkeypatch):
-    spec = write_spec(tmp_path, "d4", D4)
-    argv = ["invariants", "--spec", spec, "--format", "json"]
-    rc0, plain, _ = run(capsys, argv)
-    assert rc0 == 0
-
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("ORBITSCOPE_CACHE_DIR", str(cache))
-    rc1, first, _ = run(capsys, argv)
-    assert rc1 == 0
-    assert list(cache.glob("*-mib-*.json"))     # cache file written
-    rc2, second, _ = run(capsys, argv)
-    assert first == second == plain             # cache never changes output
-
-
-@pytest.mark.parametrize("entry", [
-    "{garbage",
-    # J1 = x1 is moved by x -> -x
-    json.dumps({"degrees": [1], "polys": [{"nvars": 1, "kind": "x", "terms": [[[1], "1"]]}]}),
-    # degree list does not match the polynomial x1^2
-    json.dumps({"degrees": [4], "polys": [{"nvars": 1, "kind": "x", "terms": [[[2], "1"]]}]}),
-    # invariant and of the right degree, but not monic: P would read [12*J1]
-    json.dumps({"degrees": [2], "polys": [{"nvars": 1, "kind": "x", "terms": [[[2], "3"]]}]}),
-    # canonical through its (absent) top degree, but no basis at all
-    json.dumps({"degrees": [], "polys": []}),
-], ids=["garbage", "not-invariant", "wrong-degree", "not-canonical", "empty"])
-def test_bad_cache_entry_is_recomputed(tmp_path, capsys, monkeypatch, entry):
-    spec = write_spec(tmp_path, "z2line", Z2_LINE)
-    argv = ["invariants", "--spec", spec, "--format", "json"]
-    _, plain, _ = run(capsys, argv)
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("ORBITSCOPE_CACHE_DIR", str(cache))
-    run(capsys, argv)
-    (path,) = cache.glob("*-mib-*.json")
-    good = path.read_text()
-    path.write_text(entry)
-    rc, out, err = run(capsys, argv)
-    assert rc == 0 and err == ""
-    assert out == plain
-    assert path.read_text() == good            # rewritten from the recomputed basis
-    assert list(cache.iterdir()) == [path]     # no temporary file left behind
 
 
 def test_out_directory(tmp_path, capsys):

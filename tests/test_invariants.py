@@ -19,11 +19,11 @@ from orbitscope.errors import DimensionMismatch, NotExpressible, NotInvariant
 from orbitscope.groups import close_generators, invariant_metric, orbit
 from orbitscope.invariants import (
     IntegrityBasis,
+    _jacobian_determinant,
     compute_mib,
     express_in_basis,
     find_relations,
     invariant_space_basis,
-    is_canonical,
     is_coregular,
     jmonomials_of_xdegree,
     molien_series,
@@ -169,23 +169,6 @@ def test_mib_z2_plane_footnote_basis(z2_plane):
     )
 
 
-def test_is_canonical_accepts_only_the_computed_basis(z2_plane, d4, s3_perm):
-    for rep in (z2_plane, d4, s3_perm):
-        basis = compute_mib(rep)
-        assert is_canonical(rep, basis.polys, basis.degrees)
-    x2, y2, xy = compute_mib(z2_plane).polys
-    for polys in [
-        (x2, y2, xy.scale(3)),          # not monic
-        (x2, y2 + x2, xy),              # not reduced against x^2
-        (y2, x2, xy),                   # not in the listing order
-        (x2, y2),                       # short of the Molien count at degree 2
-    ]:
-        assert not is_canonical(z2_plane, polys, (2,) * len(polys))
-    # a product of lower generators in place of the degree-4 generator of D4
-    j1, _ = compute_mib(d4).polys
-    assert not is_canonical(d4, (j1, j1 * j1), (2, 4))
-
-
 def test_mib_d4(d4):
     basis = compute_mib(d4)
     assert basis.degrees == (2, 4)
@@ -273,25 +256,73 @@ def test_mib_minimality(z2_plane, z4, d4):
             assert not span.contains(target)
 
 
+def product_span_rank(rep, basis, d):
+    """Oracle: exact rank of the degree-d power products of the basis."""
+    monos = monomials_of_degree(rep.dim, d)
+    index = {m: i for i, m in enumerate(monos)}
+    span = ra.RowReducer(len(monos))
+    for expo in jmonomials_of_xdegree(basis.degrees, d):
+        prod = Polynomial.constant(rep.dim, 1)
+        for i, e in enumerate(expo):
+            if e:
+                prod = prod * basis.polys[i] ** e
+        vec = [Fraction(0)] * len(monos)
+        for m, c in prod.terms.items():
+            vec[index[m]] = c
+        span.add(vec)
+    return span.rank
+
+
 def test_hilbert_series_of_mib_matches_molien(z2_plane, z4, d4, s3_perm):
     # products of the basis exhaust every graded invariant space
     for rep in (z2_plane, z4, d4, s3_perm):
         basis = compute_mib(rep)
         series = molien_series(rep, 6)
         for d in range(1, 7):
-            monos = monomials_of_degree(rep.dim, d)
-            index = {m: i for i, m in enumerate(monos)}
-            span = ra.RowReducer(len(monos))
-            for expo in jmonomials_of_xdegree(basis.degrees, d):
-                prod = Polynomial.constant(rep.dim, 1)
-                for i, e in enumerate(expo):
-                    if e:
-                        prod = prod * basis.polys[i] ** e
-                vec = [Fraction(0)] * len(monos)
-                for m, c in prod.terms.items():
-                    vec[index[m]] = c
-                span.add(vec)
-            assert span.rank == series.coefficient(d)
+            assert product_span_rank(rep, basis, d) == series.coefficient(d)
+
+
+# -------------------------------------------------- completeness certificate
+
+
+def test_certified_stop_is_not_early(z2xz2, d4, d4_sheared, s3_perm):
+    # the certified basis spans every graded invariant space through |G|,
+    # checked by rank, without the certificate
+    for rep in (z2xz2, d4, d4_sheared, s3_perm):
+        basis = compute_mib(rep)
+        assert is_coregular(basis)
+        series = molien_series(rep, rep.order)
+        for d in range(1, rep.order + 1):
+            assert product_span_rank(rep, basis, d) == series.coefficient(d)
+
+
+def test_certificate_rejects_a_short_hilbert_series(z2_plane):
+    # k = n and the Jacobian is nonzero, but (1 - t^2)^2 * Molien = 1 + t^2
+    x2, y2, xy = compute_mib(z2_plane).polys
+    for polys in [(x2, y2), (x2, xy)]:
+        assert not _jacobian_determinant(polys).is_zero()
+        assert not is_coregular(IntegrityBasis(z2_plane, polys, (2, 2)))
+
+
+def test_certificate_rejects_a_vanishing_jacobian(d4):
+    j1, _ = compute_mib(d4).polys
+    polys = (j1, j1 * j1)
+    assert _jacobian_determinant(polys).is_zero()
+    assert not is_coregular(IntegrityBasis(d4, polys, (2, 4)))
+
+
+def test_certificate_rejects_a_truncated_basis(d4):
+    basis = compute_mib(d4, degree_cap=3)
+    assert basis.degrees == (2,)
+    assert not is_coregular(basis)
+
+
+def test_jacobian_of_elementary_symmetric_is_vandermonde():
+    # det d(e1, e2, e3) / d(x1, x2, x3) = (x1 - x2)(x1 - x3)(x2 - x3)
+    x = [Polynomial.variable(i, 3) for i in range(3)]
+    vandermonde = (x[0] - x[1]) * (x[0] - x[2]) * (x[1] - x[2])
+    polys = [elementary_symmetric(3, k) for k in (1, 2, 3)]
+    assert _jacobian_determinant(polys) == vandermonde
 
 
 # ----------------------------------------------------------------- relations
