@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the analysis stages: ``group`` (closure
 and subgroup census), ``invariants`` (integrity basis, graded dimensions,
 relations, gradient-product matrix), ``strata`` (isotropy lattice and
 guaranteed critical rays), ``landau`` (critical points or a parameter
-sweep), ``reduce`` (normal-form reduction with numeric verification),
+sweep), ``reduce`` (normal-form reduction with exact verification),
 ``flow`` (gradient-flow trajectory).
 
 Group input is a small JSON file::
@@ -416,11 +416,8 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     truncation = model.degree_x
     result = reduce_potential(psi, truncation, pm)
 
-    lam = {k: float(v) for k, v in _model_assignment(model, cfg).items()}
-    stats = verify_reduction(psi, result, [lam], seed=cfg.seed)
-
-    def _slope(v: float) -> str:
-        return "inf" if v == float("inf") else f"{v:.6g}"
+    lam = _model_assignment(model, cfg)
+    stats = verify_reduction(psi, result, [lam])
 
     report = {
         "truncation": truncation,
@@ -438,7 +435,7 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
         ],
         "verification": {
             "lambdas": [{k: _fnum(v) for k, v in sorted(lam.items())}],
-            "min_slope": _slope(stats.min_slope),
+            "min_slope": str(stats.min_slope),
             "required": result.residual_degree + 1,
         },
     }
@@ -593,7 +590,7 @@ _COMMANDS = {
     "landau": (cmd_landau, "critical points, or a phase sweep with --sweep",
                (*_MODEL_FLAGS, "--sweep", "--seed", "--tol")),
     "reduce": (cmd_reduce, "normal-form reduction of the generic model, with verification",
-               (*_MODEL_FLAGS, "--seed")),
+               _MODEL_FLAGS),
     "flow": (cmd_flow, "gradient-flow trajectory as CSV",
              (*_MODEL_FLAGS, "--tol", "--x0", "--t-end", "--dt")),
 }
@@ -639,6 +636,8 @@ def main(argv=None) -> int:
         # the subcommand's usage lists the flags it does read
         args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
+        if args.ell is not None and args.ell < 2:
+            raise SpecParseError(f"--ell must be at least 2, got {args.ell}")
         params = dict(_parse_param(p) for p in args.param)
         sweep_spec = _parse_sweep(args.sweep) if args.sweep else None
         flow_args = (

@@ -96,7 +96,7 @@ COMMAND_FLAGS = {
     "invariants": {"--degree-cap", "--relation-cap"},
     "strata": set(),
     "landau": MODEL_FLAGS | {"--sweep", "--seed", "--tol"},
-    "reduce": MODEL_FLAGS | {"--seed"},
+    "reduce": MODEL_FLAGS,
     "flow": MODEL_FLAGS | {"--tol", "--x0", "--t-end", "--dt"},
 }
 
@@ -115,7 +115,8 @@ def test_help_lists_only_the_flags_the_command_reads(command, capsys):
     ["group", "--ell", "4"],
     ["flow", "--x0", "0.1,0.2", "--sweep", "a1:0:1:3"],
     ["reduce", "--tol", "1e-9"],
-], ids=["strata-seed", "group-ell", "flow-sweep", "reduce-tol"])
+    ["reduce", "--seed", "3"],
+], ids=["strata-seed", "group-ell", "flow-sweep", "reduce-tol", "reduce-seed"])
 def test_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
     spec = write_spec(tmp_path, "d4", D4)
     with pytest.raises(SystemExit) as exc:
@@ -288,6 +289,29 @@ def test_reduce_report(tmp_path, capsys):
     assert rep["removed"] == [{"degree": 6, "monomial": [3]}]
     assert [g["degree"] for g in rep["generators"]] == [4, 6]
     assert float(rep["verification"]["min_slope"]) >= 7.0
+
+
+@pytest.mark.parametrize("spec, ell, slope", [("s4-std", 4, 5), ("z2xz2", 5, 6)])
+def test_reduce_passes_the_exact_oracle(capsys, spec, ell, slope):
+    # the exact residual starts one degree past the truncation, which a
+    # float slope fit over the scales 1 to 1/8 read as 4.948 and 5.984
+    path = Path(__file__).parent / "golden" / "specs" / f"{spec}.json"
+    rc, out, err = run(capsys, ["reduce", "--spec", str(path), f"--ell={ell}", "--format", "json"])
+    assert rc == 0 and err == ""
+    verification = json.loads(out)["report"]["verification"]
+    assert verification["min_slope"] == str(slope)
+    assert verification["required"] == slope
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce"], ["landau"], ["flow", "--x0", "0.1"],
+], ids=lambda c: c[0])
+def test_ell_below_two_is_an_input_error(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, "z2line", Z2_LINE)
+    rc, out, err = run(capsys, [command[0], "--spec", spec, "--ell", "1", *command[1:]])
+    assert rc == 1 and out == ""
+    assert error_code(err) == "cli.SpecParseError"
+    assert "--ell" in json.loads(err)["error"]["message"]
 
 
 def test_flow_csv(tmp_path, capsys):

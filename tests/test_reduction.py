@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitscope import rationals as ra
 from orbitscope.errors import (
@@ -12,7 +13,7 @@ from orbitscope.errors import (
 )
 from orbitscope.groups import invariant_metric
 from orbitscope.invariants import compute_mib, jmonomials_of_xdegree, p_matrix
-from orbitscope.landau import MinimizeOptions, make_model, minimize
+from orbitscope.landau import MinimizeOptions, build_generic, make_model, minimize
 from orbitscope.params import Coefficient, substitute_param
 from orbitscope.polynomials import J_KIND, Polynomial, act, mono_degree, substitute
 from orbitscope.reduction import (
@@ -378,16 +379,16 @@ def test_verify_z2_sextic_slopes(z2_setup):
     report = reduce(psi, 6, P)
     stats = verify_reduction(psi, report, ACCEPTANCE_LAMBDAS)
     assert stats.min_slope >= 7.0
-    assert len(stats.samples) == 3 * 6
 
 
 def test_verify_empty_generators_zero_residual(z2_setup):
     _, basis, P = z2_setup
     psi = GradedPotential.from_psi(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
     report = reduce(psi, 6, P)
-    stats = verify_reduction(psi, report, [{"a": -0.3, "b": 1.0}], points=3)
-    assert stats.min_slope == float("inf")
-    assert max(max(s.residuals) for s in stats.samples) == 0.0
+    lam = {"a": F(-3, 10), "b": F(1)}
+    stats = verify_reduction(psi, report, [lam])
+    assert stats.min_slope == report.residual_degree + 2
+    assert report.reduced.x_polynomial(lam) == psi.x_polynomial(lam)
 
 
 def test_verify_corrupted_generator_fails(z2_setup):
@@ -411,8 +412,54 @@ def test_verify_z2xz2(z2xz2_setup):
     psi = z2xz2_degree6_potential(basis)
     report = reduce(psi, 6, P)
     lam = {"a": -0.3, "eps": 0.2, "c1": 0.5, "c2": -0.33, "c3": 0.28, "c4": 0.25}
-    stats = verify_reduction(psi, report, [lam], points=4)
+    stats = verify_reduction(psi, report, [lam])
     assert stats.min_slope >= 7.0
+
+
+def _without_term(reduced: GradedPotential, degree, mono) -> GradedPotential:
+    comp = reduced.component(degree)
+    kept = {m: c for m, c in comp.terms.items() if m != mono}
+    components = {**reduced.components, degree: Polynomial(comp.nvars, kept, J_KIND)}
+    return GradedPotential(reduced.basis, components, reduced.critical)
+
+
+@pytest.mark.parametrize("group, ell", [("z2_line", 6), ("z2xz2", 4), ("d4", 4)])
+def test_verify_names_the_degree_of_a_dropped_term(request, group, ell):
+    # every term the reduced potential keeps is needed: without it the
+    # residual starts at that term's x-degree
+    rep = request.getfixturevalue(group)
+    basis = compute_mib(rep)
+    psi = GradedPotential.from_model(build_generic(basis, degree_x=ell))
+    report = reduce(psi, ell, p_matrix(rep, basis))
+    lam = {name: F(1, k + 2) for k, name in enumerate(sorted(psi.parameters()))}
+    assert verify_reduction(psi, report, [lam]).min_slope > ell
+    dropped = 0
+    for d in report.reduced.degrees():
+        for mono in report.reduced.component(d).terms:
+            mutant = ReductionReport(
+                reduced=_without_term(report.reduced, d, mono),
+                generators=report.generators,
+                removed_terms=report.removed_terms,
+                residual_degree=report.residual_degree,
+            )
+            with pytest.raises(VerificationFailed, match=f"residual term of degree {d} "):
+                verify_reduction(psi, mutant, [lam])
+            dropped += 1
+    assert dropped >= 2
+
+
+nonzero = st.fractions(-3, 3, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fractions(-3, 3, max_denominator=7), nonzero, st.fractions(-3, 3, max_denominator=7))
+def test_verify_z2_sextic_at_random_rationals(z2_setup, a, b, c):
+    # the reduction divides by b (the quartic coefficient), never by a
+    _, basis, P = z2_setup
+    psi = sextic(basis)
+    report = reduce(psi, 6, P)
+    stats = verify_reduction(psi, report, [{"a": a, "b": b, "c": c}])
+    assert stats.min_slope > 6
 
 
 # --------------------------------------------------- structure preservation
