@@ -8,7 +8,8 @@ Layers, bottom up:
 - ``invariants``  Molien series, minimal integrity bases, P-matrices
 - ``strata``      isotropy classes, orbit-space strata, critical rays
 - ``landau``      invariant potentials, minimization, phase diagrams
-- ``reduction``   near-identity polynomial changes of coordinates
+- ``reduction``   near-identity changes of coordinates: the time-one flow of
+                  eta^-1 grad(H o J), applied as exp(L_H) in J-space
 - ``dynamics``    equivariant descent flow and orbit-space projection
 - ``cli``         deterministic command line front end
 """

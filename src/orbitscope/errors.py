@@ -66,6 +66,13 @@ class NotExpressible(OrbitscopeError):
     layer = "invariants"
 
 
+# ---------------------------------------------------------- parameter layer
+
+class ParameterPole(OrbitscopeError, ZeroDivisionError):
+    """A parameter assignment zeroes the denominator of a coefficient."""
+    layer = "params"
+
+
 # --------------------------------------------------------------- strata layer
 
 class NoUniqueMinimum(OrbitscopeError):
@@ -103,7 +110,7 @@ class SingularHomologicalSolve(OrbitscopeError):
 
 
 class VerificationFailed(OrbitscopeError):
-    """Numeric composition check fell short of the expected residual order."""
+    """The exact composition oracle found a residual term through the truncation."""
     layer = "reduction"
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ParameterPole
 from .polynomials import Polynomial, compose, substitute
 
 # A parameter monomial is a name-sorted tuple of (name, exponent) pairs;
@@ -225,6 +226,8 @@ class Coefficient:
 
     def __add__(self, other) -> "Coefficient":
         other = Coefficient.coerce(other)
+        if self.den == other.den:
+            return Coefficient(_pp_add(self.num, other.num), self.den)
         num = _pp_add(_pp_mul(self.num, other.den), _pp_mul(other.num, self.den))
         return Coefficient(num, _pp_mul(self.den, other.den))
 
@@ -276,7 +279,7 @@ class Coefficient:
         assignment = {k: Fraction(v) for k, v in assignment.items()}
         den = _pp_eval(self.den, assignment)
         if den == 0:
-            raise ZeroDivisionError("parameter assignment zeroes a denominator")
+            raise ParameterPole(f"parameter assignment zeroes the denominator of {self}")
         return _pp_eval(self.num, assignment) / den
 
     def __str__(self) -> str:
@@ -290,11 +293,13 @@ class Coefficient:
 
 def compose_param(p: Polynomial, maps, truncate_at: int | None = None) -> Polynomial:
     """:func:`polynomials.compose` under the name the layer tracer of
-    ``perfbench`` times; kept as its own entry point for that reason."""
+    ``perfbench`` times.  No orbitscope code calls it any more; it stays
+    only because ``perfbench/tracer.py`` ``TARGETS`` names it."""
     return compose(p, maps, truncate_at)
 
 
 def substitute_param(psi: Polynomial, basis_polys, truncate_at=None) -> Polynomial:
     """:func:`polynomials.substitute` under the name the layer tracer of
-    ``perfbench`` times; kept as its own entry point for that reason."""
+    ``perfbench`` times.  No orbitscope code calls it any more; it stays
+    only because ``perfbench/tracer.py`` ``TARGETS`` names it."""
     return substitute(psi, basis_polys, truncate_at)

@@ -1,12 +1,15 @@
 """Reduction of graded invariant potentials by near-identity changes of
 coordinates generated by invariant functions.
 
-The change x = y + h(y) with h the (metric) gradient of an invariant
-generator H acts on a potential written in the basic invariants.  To
-leading order the action on a graded component is the homological
-operator (D Psi) P (D H), with P the gradient Gram matrix of the basis;
-the exact action is recomputed by formal composition up to the
-truncation degree, so nothing is discarded silently.
+Each change is the time-one flow of the equivariant field
+eta_inv grad(H o J), for an invariant generator H.  On a potential Psi
+written in the basic invariants it acts as the Lie series exp(L_H) Psi,
+with L_H Psi = Sum_ab dPsi/dJ_a P_ab dH/dJ_b and P the gradient Gram
+matrix of the basis (Deprit, Celest. Mech. 1 (1969) 12-30; Gaeta,
+Phys. Rep. 189 (1990) 1-87).  The leading term is the homological operator
+that chooses the generators; the series is applied exactly through the
+truncation degree, in J-space, so nothing is discarded silently.  The
+oracle checks the result in x-space by composing with the flow map.
 
 Coefficients are exact rational functions of the model parameters.  Each
 parameter is declared "critical" (may vanish along the sweep) or
@@ -29,7 +32,7 @@ from .errors import (
 from .groups import invariant_metric
 from . import rationals as ra
 from .invariants import IntegrityBasis, PMatrix, express_homogeneous, jmonomials_of_xdegree
-from .params import Coefficient, _pp_kill, compose_param, substitute_param
+from .params import Coefficient, _pp_kill
 from .polynomials import (
     J_KIND,
     X_KIND,
@@ -159,55 +162,34 @@ def delta_J(h, pmatrix: PMatrix) -> list:
     """Action of the generator on each basic invariant: Sum_b P_ab dH/dJ_b."""
     if isinstance(h, PoincareGenerator):
         h = h.h_poly
-    k = pmatrix.k
-    dh = [h.partial(b) for b in range(k)]
-    out = []
-    for a in range(k):
-        acc = Polynomial.zero(k, J_KIND)
-        for b in range(k):
-            if dh[b].is_zero():
-                continue
-            acc = acc + pmatrix.entries[a][b] * dh[b]
-        out.append(acc)
-    return out
+    dh = h.gradient()
+    zero = Polynomial.zero(pmatrix.k, J_KIND)
+    return [
+        sum((p_ab * dh_b for p_ab, dh_b in zip(row, dh) if not dh_b.is_zero()), zero)
+        for row in pmatrix.entries
+    ]
+
+
+def lie_derivative(psi, delta) -> Polynomial:
+    """L_H psi = Sum_a (dpsi/dJ_a) delta_a, with delta = delta_J(H, P): the
+    derivative of psi o basis along the field eta_inv grad(H o basis)."""
+    terms = (psi.partial(a) * d for a, d in enumerate(delta) if not d.is_zero())
+    return sum(terms, Polynomial.zero(psi.nvars, J_KIND))
 
 
 def homological_image(psi_term, h, pmatrix: PMatrix):
-    """Leading-order change of a potential term: (D Psi) P (D H).
+    """Leading-order change of a potential term: (D Psi) P (D H) = L_H Psi.
 
     If the term substitutes to x-degree s and the generator to x-degree t,
     the image is homogeneous of x-degree s + t - 2.
     """
-    if isinstance(h, PoincareGenerator):
-        h = h.h_poly
-    k = pmatrix.k
-    dpsi = [psi_term.partial(a) for a in range(k)]
-    dh = [h.partial(b) for b in range(k)]
-    acc = Polynomial.zero(k, J_KIND)
-    for a in range(k):
-        if dpsi[a].is_zero():
-            continue
-        for b in range(k):
-            if dh[b].is_zero():
-                continue
-            acc = acc + dpsi[a] * pmatrix.entries[a][b] * dh[b]
-    return acc
+    return lie_derivative(psi_term, delta_J(h, pmatrix))
 
 
 def u_functions(psi: GradedPotential, pmatrix: PMatrix) -> list:
-    """U_i = Sum_s (dPsi/dJ_s) P_si, carrying the parameter coefficients."""
-    k = pmatrix.k
-    total = psi.total()
-    dpsi = [total.partial(s) for s in range(k)]
-    out = []
-    for i in range(k):
-        acc = Polynomial.zero(k, J_KIND)
-        for s in range(k):
-            if dpsi[s].is_zero():
-                continue
-            acc = acc + dpsi[s] * pmatrix.entries[s][i]
-        out.append(acc)
-    return out
+    """U_i = Sum_s (dPsi/dJ_s) P_si, carrying the parameter coefficients;
+    P is symmetric, so this is delta_J of the whole potential."""
+    return delta_J(psi.total(), pmatrix)
 
 
 def is_compatible(q_vector) -> bool:
@@ -323,46 +305,24 @@ class ReductionReport:
         return tuple(out)
 
 
-def _coordinate_change(h, basis, eta_inv) -> list:
-    """The maps x_i = y_i + Sum_j eta_inv[i][j] d(H o basis)/dy_j, that is
-    x = y + eta_inv grad(H o basis), for a J-space generator H."""
-    n = basis.rep.dim
-    grads = substitute(h, basis.polys).gradient()
-    maps = []
-    for i in range(n):
-        mi = Polynomial.variable(i, n, X_KIND)
-        for j in range(n):
-            w = eta_inv[i][j]
-            if w and not grads[j].is_zero():
-                mi = mi + grads[j].scale(w)
-        maps.append(mi)
-    return maps
+def _lie_series(psi: Polynomial, gen: PoincareGenerator, pmatrix: PMatrix, truncation):
+    """exp(L_H) psi = Sum_k L_H^k psi / k!, truncated at x-degree truncation.
 
-
-def _apply_generator(components, gen: PoincareGenerator, basis, eta_inv, truncation):
-    """Exact formal composition x = y + eta_inv grad(H o basis), truncated."""
-    total = Polynomial.zero(basis.k, J_KIND)
-    for d in sorted(components):
-        total = total + components[d]
-    total_x = substitute_param(total, basis.polys, truncate_at=truncation)
-    maps = _coordinate_change(gen.h_poly, basis, eta_inv)
-    new_parts = compose_param(total_x, maps, truncate_at=truncation).homogeneous_parts()
-    old_parts = total_x.homogeneous_parts()
-
-    out = {}
-    for d in range(2, truncation + 1):
-        comp_x = new_parts.get(d)
-        if d < gen.degree:
-            # the filtration law, asserted rather than assumed
-            if comp_x != old_parts.get(d):
-                raise AssertionError("low-degree component changed by the generator")
-            if d in components:
-                out[d] = components[d]
-            continue
-        if comp_x is None:
-            continue
-        out[d] = Polynomial(basis.k, express_homogeneous(basis, comp_x, d), J_KIND)
-    return out
+    L_H raises the x-degree by deg H - 2 >= 1, so the series is finite; a
+    term above truncation - (deg H - 2) only feeds degrees past the
+    truncation and is dropped before it is differentiated.
+    """
+    weights = pmatrix.basis.degrees
+    delta = delta_J(gen.h_poly, pmatrix)
+    out = term = psi
+    k = 1
+    while True:
+        term = term.truncate(truncation - gen.degree + 2, weights)
+        if term.is_zero():
+            return out
+        term = lie_derivative(term, delta).scale(Fraction(1, k))
+        out = out + term
+        k += 1
 
 
 def reduce(
@@ -373,14 +333,16 @@ def reduce(
 ) -> ReductionReport:
     """Remove every removable term of x-degree 3..truncation_degree.
 
-    Generators are chosen degree by degree; each is applied by exact
-    composition, so components below the working degree are untouched and
-    the leftovers of one stage (quadratic in the previous generator) are
-    attacked again at the next.  A coefficient marked critical is never
-    inverted: a candidate pivot that is not uniformly invertible is used
-    only when the division happens to be exact with a uniform quotient,
-    otherwise the term survives.  With strict=True such a refusal raises
-    SingularHomologicalSolve instead.
+    Generators are chosen degree by degree.  Each acts as the time-one flow
+    of the field eta_inv grad(H o basis), applied in J-space as the exact
+    Lie series exp(L_H) truncated at truncation_degree, so components below
+    the generator's degree are untouched and the leftovers of one stage are
+    attacked again at the next.  Every changed component is re-expressed
+    in the canonical representative of the basis.  A coefficient marked
+    critical is never inverted: a candidate pivot that is not uniformly
+    invertible is used only when the division happens to be exact with a
+    uniform quotient, otherwise the term survives.  With strict=True such
+    a refusal raises SingularHomologicalSolve instead.
     """
     basis = psi.basis
     if pmatrix.basis.polys != basis.polys:
@@ -389,27 +351,24 @@ def reduce(
         raise ValueError("reduction needs the quadratic part of the potential")
     weights = basis.degrees
     critical = psi.critical
-    eta_inv = pmatrix.metric.eta_inv
 
-    current = {d: c for d, c in psi.components.items() if d <= truncation_degree}
+    current = psi.total().truncate(truncation_degree, weights)
     generators = []
     for g in range(3, truncation_degree + 1):
         unknown_monos = jmonomials_of_xdegree(weights, g)
         if not unknown_monos:
             continue
-        total = Polynomial.zero(basis.k, J_KIND)
-        for d in sorted(current):
-            total = total + current[d]
         images = []
         for m in unknown_monos:
             h = Polynomial.monomial(m, 1, J_KIND)
-            images.append(homological_image(total, h, pmatrix))
+            images.append(homological_image(current, h, pmatrix))
 
         # one row per term to remove: sum_j image_j[mono] * h_j == -term
         reducer = ra.RowReducer(admissible=_uniform(critical))
         determined: dict = {}
+        parts = current.homogeneous_parts(weights)
         for d in range(g, truncation_degree + 1):
-            comp = current.get(d)
+            comp = parts.get(d)
             if comp is None:
                 continue
             for mono in jmonomials_of_xdegree(weights, d):
@@ -448,19 +407,24 @@ def reduce(
             continue
         gen = PoincareGenerator(Polynomial(basis.k, h_terms, J_KIND), g)
         generators.append(gen)
-        current = _apply_generator(current, gen, basis, eta_inv, truncation_degree)
+        # L_H cannot touch a degree below g; the rest is put back in the
+        # representative express_in_basis prints when the basis has relations
+        flowed = _lie_series(current, gen, pmatrix, truncation_degree)
+        current = Polynomial.zero(basis.k, J_KIND)
+        for d, part in flowed.homogeneous_parts(weights).items():
+            if d >= g:
+                part = Polynomial(
+                    basis.k, express_homogeneous(basis, substitute(part, basis.polys), d), J_KIND
+                )
+            current = current + part
 
-    removed = []
-    for d in range(3, truncation_degree + 1):
-        orig = psi.components.get(d)
-        if orig is None:
-            continue
-        new = current.get(d)
-        for mono in jmonomials_of_xdegree(weights, d):
-            if mono in orig.terms and (new is None or mono not in new.terms):
-                removed.append((d, mono))
-
-    reduced = GradedPotential(basis, current, critical)
+    reduced = GradedPotential.from_psi(basis, current, critical)
+    removed = tuple(
+        (d, mono)
+        for d in range(3, truncation_degree + 1)
+        for mono in jmonomials_of_xdegree(weights, d)
+        if mono in psi.component(d).terms and mono not in reduced.component(d).terms
+    )
     for gen in generators:
         for c in gen.h_poly.terms.values():
             assert _den_survives(c, critical), "generator divided by a critical value"
@@ -470,7 +434,7 @@ def reduce(
     return ReductionReport(
         reduced=reduced,
         generators=tuple(generators),
-        removed_terms=tuple(removed),
+        removed_terms=removed,
         residual_degree=truncation_degree,
     )
 
@@ -483,15 +447,37 @@ class VerificationStats:
     min_slope: int
 
 
+def _coordinate_change(h, basis, eta_inv, cap) -> list:
+    """The time-one flow of the field eta_inv grad(H o basis) for a J-space
+    generator H over Fraction: x_i = Sum_k L^k y_i / k!, with
+    L f = grad f . eta_inv grad(H o basis), truncated at degree cap."""
+    n = basis.rep.dim
+    zero = Polynomial.zero(n, X_KIND)
+    grads = substitute(h, basis.polys).gradient()
+    field = [sum((g.scale(w) for w, g in zip(row, grads) if w), zero) for row in eta_inv]
+    maps = []
+    for i in range(n):
+        term = total = Polynomial.variable(i, n, X_KIND)
+        k = 1
+        while not term.is_zero():
+            term = sum((d * f for d, f in zip(term.gradient(), field)), zero)
+            term = term.truncate(cap).scale(Fraction(1, k))
+            total, k = total + term, k + 1
+        maps.append(total)
+    return maps
+
+
 def verify_reduction(psi: GradedPotential, report: ReductionReport, lambdas) -> VerificationStats:
     """Exactly confirm the reduction at each rational parameter point.
 
     At each assignment lambda (values taken exactly as Fractions) the
     original potential in x-space is composed with every generator's
-    coordinate change, first to last, so x = phi_1(phi_2(...(y))), over
+    time-one flow map, first to last, so x = phi_1(phi_2(...(y))), over
     Fraction and truncated at N + 1, with N the report's residual degree.
     The reduced potential is subtracted.  A nonzero residual term of degree
-    <= N raises VerificationFailed naming that degree and lambda.
+    <= N raises VerificationFailed naming that degree and lambda.  This is
+    the x-space referee of the J-space Lie series in ``reduce``: the two
+    share nothing but ``substitute``.
 
     min_slope is the lowest degree of a nonzero residual term, minimized
     over the assignments, or N + 2 when the residual vanishes through
@@ -506,7 +492,7 @@ def verify_reduction(psi: GradedPotential, report: ReductionReport, lambdas) -> 
         lam = {k: Fraction(v) for k, v in sorted(lam.items())}
         residual = psi.x_polynomial(lam).truncate(cap)
         for gen in report.generators:
-            maps = _coordinate_change(gen.h_poly.evaluate_params(lam), basis, eta_inv)
+            maps = _coordinate_change(gen.h_poly.evaluate_params(lam), basis, eta_inv, cap)
             residual = compose(residual, maps, truncate_at=cap)
         residual = residual - report.reduced.x_polynomial(lam).truncate(cap)
         low = min((mono_degree(m) for m in residual.terms), default=cap + 1)

@@ -303,6 +303,16 @@ def test_reduce_passes_the_exact_oracle(capsys, spec, ell, slope):
     assert verification["required"] == slope
 
 
+def test_pole_at_the_parameter_point_is_an_error_record(capsys):
+    # the degree-4 generator's coefficient (-1/4*a4)/(a2 + a1) has a pole at
+    # a2 = -a1 = 1/2, where the report evaluates it
+    path = Path(__file__).parent / "golden" / "specs" / "z2xz2.json"
+    rc, out, err = run(capsys, ["reduce", "--spec", str(path), "--ell", "4", "--param", "a2=1/2"])
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert error_code(err) == "params.ParameterPole"
+
+
 @pytest.mark.parametrize("command", [
     ["reduce"], ["landau"], ["flow", "--x0", "0.1"],
 ], ids=lambda c: c[0])

@@ -4,10 +4,13 @@ full text and CSV output of others, byte for byte.
 The ``invariants`` and ``reduce`` files under ``golden/`` were recorded before
 every exact solve moved onto the one eliminator, ``rationals.RowReducer``.
 Parameter-valued coefficients print in a form that follows the elimination
-dataflow, so these files pin it down.  The ``landau`` and ``flow`` files were
-recorded before the float layer moved onto one compiled kernel,
-``polynomials.NumericPoly`` over a polynomial map; they pin every float of
-minimization, sweep bisection and integration to the last bit.  The ``.txt``
+dataflow, so these files pin it down.  ``reduce-d4-ell6`` was re-recorded
+when each generator came to act as its time-one flow, applied in J-space as
+a Lie series: a flow is not y + h, so the degree-6 generator differs, and
+the survivors print the same values in a shorter form.  The ``landau`` and
+``flow`` files were recorded before the float layer moved onto one compiled
+kernel, ``polynomials.NumericPoly`` over a polynomial map; they pin every
+float of minimization, sweep bisection and integration to the last bit.  The ``.txt``
 and ``.csv`` files were recorded before the text and CSV output of every
 command came to be read from its JSON report; they pin the header lines and
 every line the two formats print.  They run from ``golden/`` with a relative

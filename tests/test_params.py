@@ -105,6 +105,14 @@ def test_evaluate():
         expr.evaluate({"a": 1, "b": -1})
 
 
+def test_sum_over_a_common_denominator_keeps_it():
+    a = Coefficient.parameter("a")
+    den = a + Coefficient.number(1)
+    total = Coefficient.number(1) / den + Coefficient.number(2) / den
+    assert total.den == den.num
+    assert total == Coefficient.number(3) / den
+
+
 def test_zero_division_guard():
     a = Coefficient.parameter("a")
     with pytest.raises(ZeroDivisionError):

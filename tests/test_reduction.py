@@ -12,7 +12,12 @@ from orbitscope.errors import (
     VerificationFailed,
 )
 from orbitscope.groups import invariant_metric
-from orbitscope.invariants import compute_mib, jmonomials_of_xdegree, p_matrix
+from orbitscope.invariants import (
+    compute_mib,
+    express_homogeneous,
+    jmonomials_of_xdegree,
+    p_matrix,
+)
 from orbitscope.landau import MinimizeOptions, build_generic, make_model, minimize
 from orbitscope.params import Coefficient, substitute_param
 from orbitscope.polynomials import J_KIND, Polynomial, act, mono_degree, substitute
@@ -296,7 +301,10 @@ def test_reduce_z2_sextic_exact(z2_setup):
     assert degs == [4, 6]
     kappa = -c / (b * 16)
     assert report.generators[0].h_poly == jpp(1, {(2,): kappa})
-    assert report.generators[1].h_poly == jpp(1, {(3,): kappa * kappa * F(-4, 3)})
+    # after the flow of H1 = kappa J^2 the J^3 coefficient is
+    # (1/2) L_H1^2 (a J) = 64 kappa^2 a, and L_{mu J^3}(a J) = 12 mu a J^3,
+    # so mu = -16 kappa^2 / 3 (the composition with y + h gave -4/3)
+    assert report.generators[1].h_poly == jpp(1, {(3,): kappa * kappa * F(-16, 3)})
 
 
 def test_reduce_fixed_point(z2_setup):
@@ -347,6 +355,40 @@ def test_reduce_z2xz2_degree6(z2xz2_setup):
     phi = report.reduced.x_polynomial(lam)
     for e in rep.elements:
         assert act(e.matrix, phi) == phi
+
+
+def test_reduce_z2_plane_keeps_the_canonical_representative(z2_plane):
+    # J1 = x1^2, J2 = x2^2, J3 = x1 x2 satisfy J1 J2 = J3^2, so a J-space
+    # potential has many representatives; reduce keeps the canonical one
+    basis = compute_mib(z2_plane)
+    psi = GradedPotential.from_psi(
+        basis,
+        jpp(3, {(1, 0, 0): cf("a"), (0, 1, 0): 1, (2, 0, 0): cf("b"),
+                (1, 0, 1): cf("c"), (0, 2, 0): cf("e")}),
+        critical={"a"},
+    )
+    report = reduce(psi, 6, p_matrix(z2_plane, basis))
+    assert [g.degree for g in report.generators] == [4, 6]
+    assert set(report.generators[1].h_poly.terms) == {
+        (0, 3, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0)
+    }
+    assert report.removed_terms == ((4, (1, 0, 1)), (4, (0, 2, 0)))
+    assert [(d, m) for d, m, _ in report.survivors()] == [(4, (2, 0, 0)), (6, (3, 0, 0))]
+    for d in report.reduced.degrees():
+        comp = report.reduced.component(d)
+        canonical = express_homogeneous(basis, substitute(comp, basis.polys), d)
+        assert comp == Polynomial(3, canonical, J_KIND)
+    lam = {"a": F(1, 5), "b": F(1, 3), "c": F(2, 5), "e": F(1, 7)}
+    assert verify_reduction(psi, report, [lam]).min_slope == 8
+
+
+def test_reduce_generic_d4_sheared(d4_sheared):
+    # a non-orthogonal action: the P-matrix carries the invariant metric
+    basis = compute_mib(d4_sheared)
+    psi = GradedPotential.from_model(build_generic(basis, degree_x=6))
+    report = reduce(psi, 6, p_matrix(d4_sheared, basis))
+    lam = {name: F(1, k + 2) for k, name in enumerate(sorted(psi.parameters()))}
+    assert verify_reduction(psi, report, [lam]).min_slope > 6
 
 
 def test_reduce_requires_quadratic_part(z2_setup):
