@@ -41,7 +41,7 @@ from pathlib import Path
 from . import __version__
 from .dynamics import dump_trajectory_csv, gradient_field, integrate
 from .errors import OrbitscopeError, SpecParseError, UnknownParameter
-from .groups import FiniteGroupRep, all_subgroups, close_generators
+from .groups import FiniteGroupRep, close_generators
 from .invariants import (
     IntegrityBasis,
     compute_mib,
@@ -204,6 +204,7 @@ Report = tuple[dict, list[str], list[list[str]]]
 
 
 def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
+    types = symmetry_types(rep)
     report = {
         "name": rep.name,
         "order": rep.order,
@@ -211,8 +212,9 @@ def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
         # close_generators builds the Cayley table by looking every product
         # up in its element index, so a closed rep has a closed table
         "cayley_closed": True,
-        "subgroup_count": len(all_subgroups(rep)),
-        "symmetry_type_count": len(symmetry_types(rep)),
+        # every subgroup lies in exactly one conjugacy class
+        "subgroup_count": sum(len(t.conjugates) for t in types),
+        "symmetry_type_count": len(types),
     }
     text = [
         f"group {report['name']}: order {report['order']}, acting on R^{report['dim']}",

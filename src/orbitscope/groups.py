@@ -1,10 +1,17 @@
 """Finite matrix groups over exact rationals.
 
 A group is represented concretely: the full element list (index 0 is the
-identity), the Cayley table, and the inverse table, all built by breadth
-first closure from a generating set.  Everything downstream (orbits,
-isotropy, fixed spaces, subgroup enumeration) works on element indices so
-exactness is never at risk.
+identity), the Cayley table, and the inverse table.  ``close_generators``
+builds them by permutation action.  The standard basis is closed under the
+generators to a finite G-stable point set that spans R^n, so every element
+acts faithfully as a permutation of it.  Elements are found breadth first
+and identified by their base images, the images of the basis vectors.
+Those images are the matrix's columns, so a product is ``dim`` tuple
+reads and one dict lookup, and no exact matrix product is formed.
+Everything downstream (orbits, isotropy, fixed spaces, subgroup
+enumeration) works on element indices, so exactness is never at risk.
+``all_subgroups`` finds the subgroup lattice by cyclic extension: each
+subgroup found is extended by every cyclic subgroup outside it.
 """
 
 from __future__ import annotations
@@ -94,9 +101,15 @@ class InvariantMetric:
 def close_generators(generators, max_order: int = 10000, name=None) -> FiniteGroupRep:
     """Close a generating set of exact matrices into a FiniteGroupRep.
 
-    Breadth first: multiply known elements by generators until nothing new
-    appears.  Raises OrderCapExceeded beyond ``max_order`` elements, which
-    is the practical guard against generators of infinite order.
+    The standard basis is first closed under the generators to a finite
+    G-stable point set; every generator then acts as a permutation of it.
+    Elements are found breadth first as products m*g of known elements by
+    generators and keyed by the images of the basis (the first ``dim``
+    entries of the permutation p), which fix the matrix: its column j is
+    the point ``pts[p[j]]``.  Raises OrderCapExceeded beyond ``max_order`` elements,
+    or once the point set passes ``dim * max_order`` points (each basis
+    orbit has at most |G| points), which is how a generator of infinite
+    order is caught.
     """
     gens = [ra.mat(g) for g in generators]
     if not gens:
@@ -107,36 +120,47 @@ def close_generators(generators, max_order: int = 10000, name=None) -> FiniteGro
             raise DimensionMismatch("generators must be square and equal size")
         if ra.mat_det(g) == 0:
             raise NonInvertibleGenerator("generator matrix is singular")
-    identity = ra.mat_identity(dim)
-    elements = [identity]
-    seen = {identity}
+    pts = list(ra.mat_identity(dim))
+    point_index = {p: i for i, p in enumerate(pts)}
+    for p in pts:
+        for g in gens:
+            q = ra.mat_vec(g, p)
+            if q not in point_index:
+                point_index[q] = len(pts)
+                pts.append(q)
+                if len(pts) > dim * max_order:
+                    raise OrderCapExceeded(
+                        f"closure exceeded {max_order} elements: the basis "
+                        f"orbits passed {dim * max_order} points"
+                    )
+    gen_perms = [tuple(point_index[ra.mat_vec(g, p)] for p in pts) for g in gens]
+    identity = tuple(range(len(pts)))
+    perms = [identity]
+    index = {identity[:dim]: 0}
     frontier = [identity]
     while frontier:
         new_frontier = []
         for m in frontier:
-            for g in gens:
-                prod = ra.mat_mul(m, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
+            for g in gen_perms:
+                key = tuple(m[g[j]] for j in range(dim))
+                if key not in index:
+                    index[key] = len(perms)
+                    prod = tuple(m[k] for k in g)
+                    perms.append(prod)
                     new_frontier.append(prod)
-                    if len(elements) > max_order:
+                    if len(perms) > max_order:
                         raise OrderCapExceeded(
                             f"closure exceeded {max_order} elements"
                         )
         frontier = new_frontier
-    index = {m: i for i, m in enumerate(elements)}
-    n = len(elements)
-    cayley = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cayley[i][j] = index[ra.mat_mul(elements[i], elements[j])]
-    inverse = [0] * n
-    for i in range(n):
-        inverse[i] = cayley[i].index(0)
-    return FiniteGroupRep(
-        dim, [GroupElement(m) for m in elements], cayley, inverse, name=name
-    )
+    cayley = [
+        [index[tuple(a[b[j]] for j in range(dim))] for b in perms] for a in perms
+    ]
+    inverse = [row.index(0) for row in cayley]
+    elements = [
+        GroupElement(tuple(zip(*(pts[p[j]] for j in range(dim))))) for p in perms
+    ]
+    return FiniteGroupRep(dim, elements, cayley, inverse, name=name)
 
 
 def invariant_metric(rep: FiniteGroupRep) -> InvariantMetric:
@@ -214,54 +238,55 @@ def _cyclic_subgroup(rep: FiniteGroupRep, g: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _close_indices(rep: FiniteGroupRep, seed) -> tuple[int, ...]:
-    members = set(seed) | {0}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in list(members):
-                for k in (rep.cayley[i][j], rep.cayley[j][i]):
-                    if k not in members:
-                        members.add(k)
-                        nxt.append(k)
-        frontier = nxt
-    return tuple(sorted(members))
-
-
 def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
-    """Every subgroup, by closing joins of cyclic subgroups to a fixed point.
+    """Every subgroup, by cyclic extension (Neubüser, 1960).
 
-    Returns subgroups sorted by (order, members) for determinism.  The cap
-    bounds the number of closure computations attempted.
+    Starting from the trivial group, each newly found subgroup H is
+    extended by every cyclic subgroup <g> not inside H: <H, g> is closed
+    from H under right multiplication by H's stored generators and g.
+    Every subgroup <g1, ..., gk> is reached along the chain of its
+    partial joins, so the search is complete.  Returns subgroups sorted by
+    (order, members) for determinism.  The cap bounds the number of
+    closure computations attempted.
     """
-    found: set[tuple[int, ...]] = set()
+    cyclic: dict[tuple[int, ...], int] = {}
+    for g in range(1, rep.order):
+        cyclic.setdefault(_cyclic_subgroup(rep, g), g)
+    cayley = rep.cayley
+    found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
+    queue = [(0,)]
     work = 0
-    for g in range(rep.order):
-        found.add(_cyclic_subgroup(rep, g))
-        work += 1
-        if work > cap:
-            raise SubgroupCapExceeded(f"exceeded {cap} closure computations")
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(found)
-        for a in current:
-            for b in current:
-                if a >= b:
-                    continue
-                sa, sb = set(a), set(b)
-                if sa <= sb or sb <= sa:
-                    continue
-                work += 1
-                if work > cap:
-                    raise SubgroupCapExceeded(
-                        f"exceeded {cap} closure computations"
-                    )
-                join = _close_indices(rep, sa | sb)
-                if join not in found:
-                    found.add(join)
-                    changed = True
+    for members in queue:
+        gens = found[members]
+        inside = set(members)
+        for g in cyclic.values():
+            if g in inside:
+                continue
+            work += 1
+            if work > cap:
+                raise SubgroupCapExceeded(f"exceeded {cap} closure computations")
+            ext_gens = gens + (g,)
+            closed = set(inside)
+            frontier = []
+            for h in members:
+                k = cayley[h][g]
+                if k not in closed:
+                    closed.add(k)
+                    frontier.append(k)
+            while frontier:
+                nxt = []
+                for m in frontier:
+                    row = cayley[m]
+                    for s in ext_gens:
+                        k = row[s]
+                        if k not in closed:
+                            closed.add(k)
+                            nxt.append(k)
+                frontier = nxt
+            key = tuple(sorted(closed))
+            if key not in found:
+                found[key] = ext_gens
+                queue.append(key)
     return [Subgroup(m) for m in sorted(found, key=lambda m: (len(m), m))]
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitscope import groups
+from orbitscope import groups, rationals as ra
 
 
 def _frac_rows(rows):
@@ -68,26 +68,60 @@ def s3_perm():
     return groups.close_generators([swap, cycle], name="s3-perm")
 
 
+S4_PERM_GENS = (permutation_matrix((1, 0, 2, 3)), permutation_matrix((1, 2, 3, 0)))
+
+
 @pytest.fixture(scope="session")
 def s4_perm():
     """Permutation action of S4 on R^4."""
-    swap = permutation_matrix((1, 0, 2, 3))
-    cycle = permutation_matrix((1, 2, 3, 0))
-    return groups.close_generators([swap, cycle], name="s4-perm")
+    return groups.close_generators(S4_PERM_GENS, name="s4-perm")
 
 
 CONJUGATOR = _frac_rows([[1, 1], [0, 2]])
 
 
+def conjugate(gens, s):
+    """The generators S^-1 g S of the conjugate group."""
+    s_inv = ra.mat_inverse(s)
+    return [ra.mat_mul(ra.mat_mul(s_inv, g), s) for g in gens]
+
+
+D4_SHEARED_GENS = conjugate((ROT90, FLIP_Y), CONJUGATOR)
+
+
 @pytest.fixture(scope="session")
 def d4_sheared():
     """D4 conjugated by a non-orthogonal rational matrix."""
-    from orbitscope import rationals as ra
+    return groups.close_generators(D4_SHEARED_GENS, name="d4-sheared")
 
-    s = CONJUGATOR
-    s_inv = ra.mat_inverse(s)
-    gens = [ra.mat_mul(ra.mat_mul(s_inv, g), s) for g in (ROT90, FLIP_Y)]
-    return groups.close_generators(gens, name="d4-sheared")
+
+# all signed permutations of R^3: two permutations and one sign flip
+B3_GENS = (
+    permutation_matrix((1, 0, 2)),
+    permutation_matrix((1, 2, 0)),
+    _frac_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+)
+
+
+@pytest.fixture(scope="session")
+def b3():
+    """The hyperoctahedral group B3 on R^3, order 48."""
+    return groups.close_generators(B3_GENS, name="b3")
+
+
+# S5 on the sum-zero hyperplane of R^5 in the basis v_i = e_i - e_5: the
+# transposition (1 2) swaps v1 and v2; the 5-cycle sends v_i to
+# v_{i+1} - v_1 for i < 4 and v_4 to -v_1 (columns are images).
+S5_GENS = (
+    permutation_matrix((1, 0, 2, 3)),
+    _frac_rows([[-1, -1, -1, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+)
+
+
+@pytest.fixture(scope="session")
+def s5_std():
+    """The standard representation of S5 on R^4, order 120."""
+    return groups.close_generators(S5_GENS, name="s5-std")
 
 
 # --------------------------------------------------------------- acceptance

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import B3_GENS, D4_SHEARED_GENS, S4_PERM_GENS, conjugate
 from orbitscope import groups, rationals as ra
 from orbitscope.cli import load_group_spec
 from orbitscope.errors import (
@@ -16,7 +17,13 @@ from orbitscope.errors import (
     NotASubgroup,
     OrderCapExceeded,
     SpecParseError,
+    SubgroupCapExceeded,
 )
+from orbitscope.strata import symmetry_types
+
+# a dense rational conjugator for B3, det -3
+B3_CONJUGATOR = ra.mat([[1, 2, 0], [0, 1, -1], [2, 0, 1]])
+B3_CONJ_GENS = conjugate(B3_GENS, B3_CONJUGATOR)
 
 
 def brute_force_subgroups(rep):
@@ -33,6 +40,25 @@ def brute_force_subgroups(rep):
             if ok:
                 found.append(tuple(sorted(members)))
     return sorted(found, key=lambda m: (len(m), m))
+
+
+def matmul_closure(gens):
+    """Oracle: the element list of a breadth first closure by exact
+    matrix products m*g, in order of discovery."""
+    elements = [ra.mat_identity(len(gens[0]))]
+    seen = set(elements)
+    frontier = list(elements)
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for g in gens:
+                prod = ra.mat_mul(m, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return elements
 
 
 def rand_rational_point(rng, n):
@@ -87,17 +113,59 @@ def test_dimension_mismatch():
         groups.close_generators([[[1, 0], [0, 1]], [[1]]])
 
 
+@pytest.mark.parametrize("gens", [D4_SHEARED_GENS, S4_PERM_GENS, B3_CONJ_GENS],
+                         ids=["d4-sheared", "s4-perm", "b3-conj"])
+def test_closure_against_matmul_oracle(gens):
+    rep = groups.close_generators(gens)
+    # the element order fixes every T<k> label downstream
+    assert [e.matrix for e in rep.elements] == matmul_closure(gens)
+    index = {e.matrix: i for i, e in enumerate(rep.elements)}
+    identity = ra.mat_identity(rep.dim)
+    for i in range(rep.order):
+        for j in range(rep.order):
+            assert rep.cayley[i][j] == index[ra.mat_mul(rep.matrix(i), rep.matrix(j))]
+        assert ra.mat_mul(rep.matrix(i), rep.matrix(rep.inverse[i])) == identity
+
+
 def test_order_cap():
+    # the shear moves (0, 1) along the infinite orbit (k, 1), which the
+    # point-set guard stops at dim * max_order points
     shear = [[1, 1], [0, 1]]
-    with pytest.raises(OrderCapExceeded):
+    with pytest.raises(OrderCapExceeded, match="passed 128 points"):
         groups.close_generators([shear], max_order=64)
 
 
-def test_subgroup_counts_against_oracle(d4, s3_perm, z2_plane, z2xz2):
-    for rep, expected in ((d4, 10), (s3_perm, 6), (z2_plane, 2), (z2xz2, 5)):
+def test_order_cap_boundary():
+    assert groups.close_generators(B3_GENS, max_order=48).order == 48
+    with pytest.raises(OrderCapExceeded, match="exceeded 47 elements$"):
+        groups.close_generators(B3_GENS, max_order=47)
+
+
+def test_subgroup_cap(b3):
+    with pytest.raises(SubgroupCapExceeded):
+        groups.all_subgroups(b3, cap=10)
+
+
+def test_subgroup_counts_against_oracle(d4, d4_sheared, s3_perm, z2_plane, z2xz2, z4):
+    for rep, expected in ((d4, 10), (d4_sheared, 10), (s3_perm, 6),
+                          (z2_plane, 2), (z2xz2, 5), (z4, 3)):
         enumerated = [s.members for s in groups.all_subgroups(rep)]
         assert enumerated == brute_force_subgroups(rep)
         assert len(enumerated) == expected
+
+
+@pytest.mark.parametrize("name, subgroups, classes", [
+    ("s4_perm", 30, 11), ("b3", 98, 33), ("s5_std", 156, 19),
+])
+def test_subgroup_census(request, name, subgroups, classes):
+    rep = request.getfixturevalue(name)
+    subs = groups.all_subgroups(rep)
+    assert len(subs) == subgroups
+    for sub in subs:
+        groups.check_subgroup(rep, sub)
+    types = symmetry_types(rep)
+    assert len(types) == classes
+    assert sum(len(t.conjugates) for t in types) == subgroups
 
 
 def test_lagrange(d4, s3_perm, s4_perm):
