@@ -50,7 +50,7 @@ from .invariants import (
     molien_series,
     p_matrix,
 )
-from .landau import MinimizeOptions, SweepOptions, build_generic, minimize, sweep
+from .landau import build_generic, minimize, sweep
 from .polynomials import J_KIND, mono_text
 from .reduction import GradedPotential, reduce as reduce_potential, verify_reduction
 from .strata import (
@@ -257,9 +257,9 @@ def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
 
 def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     types = symmetry_types(rep)
-    lattice = isotropy_lattice(rep, types)
-    principal = principal_stratum(rep, lattice)
-    pco = principal_critical_orbits(rep, types)
+    lattice = isotropy_lattice(rep)
+    principal = principal_stratum(rep)
+    pco = principal_critical_orbits(rep)
     report = {
         "types": [
             {
@@ -305,10 +305,9 @@ def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     if cfg.sweep is not None:
         return _landau_sweep(cfg, model, rep.dim)
     assignment = _model_assignment(model, cfg)
-    options = MinimizeOptions(
-        seed=cfg.seed, gtol=cfg.tol if cfg.tol is not None else 1e-10
+    points = minimize(
+        model, assignment, seed=cfg.seed, gtol=cfg.tol if cfg.tol is not None else 1e-10
     )
-    points = minimize(model, assignment, options)
     report = {
         "assignment": {k: str(v) for k, v in sorted(assignment.items())},
         "critical_points": [
@@ -355,12 +354,10 @@ def _landau_sweep(cfg: RunConfig, model, n: int) -> Report:
         )
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     assignment = _model_assignment(model, cfg, skip=(name,))
-    options = SweepOptions(
-        assignment=assignment,
-        minimize=MinimizeOptions(seed=cfg.seed),
+    diagram = sweep(
+        model, name, grid, assignment, seed=cfg.seed,
         transition_tol=cfg.tol if cfg.tol is not None else 1e-6,
     )
-    diagram = sweep(model, name, grid, options)
     report = {
         "parameter": name,
         "assignment": {k: str(v) for k, v in sorted(assignment.items())},

@@ -18,7 +18,13 @@ No separate machinery is provided for them.
 The integrator is a fixed-step classical Runge-Kutta scheme.  Fixed steps
 keep reruns bit-identical; the energy guard catches the one failure mode
 that matters for descent flows (a step overshooting uphill) and retries
-with finer substeps before giving up.
+with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` = 6) before giving up.
+
+`check_stratum_invariance` draws 6 points of Fix(H) (`_INVARIANCE_SAMPLES`)
+from a generator seeded with 0, flows each to t = 2.0 (`_INVARIANCE_T_END`)
+in steps of 1e-2 (`_INVARIANCE_DT`), and accepts a field residual up to
+1e-10 (`_FIELD_TOL`) and a trajectory residual up to 1e-8
+(`_TRAJECTORY_TOL`) off Fix(H).
 
 Non-gradient fields may be integrated too -- any callable works -- but the
 energy diagnostics only engage when the field exposes a `potential`
@@ -38,13 +44,19 @@ from .invariants import IntegrityBasis
 from .landau import LandauModel
 from .polynomials import compile_gradient, compile_polynomial
 
+_MAX_HALVINGS = 6
+_INVARIANCE_SAMPLES = 6
+_INVARIANCE_T_END = 2.0
+_INVARIANCE_DT = 1e-2
+_FIELD_TOL = 1e-10
+_TRAJECTORY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
     dt: float
-    integrator: str = "rk4"
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -116,7 +128,6 @@ def integrate(
     t_end: float,
     dt: float,
     energy_tol: float = 1e-9,
-    max_halvings: int = 6,
 ) -> Trajectory:
     """Fixed-step integration with an energy guard for gradient fields.
 
@@ -124,7 +135,7 @@ def integrate(
     the trajectory is the start point alone.
 
     A step that raises the potential by more than energy_tol is retried
-    with 2, 4, ..., 2**max_halvings substeps before MonotonicityViolation.
+    with 2, 4, ..., 2**_MAX_HALVINGS substeps before MonotonicityViolation.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -141,18 +152,16 @@ def integrate(
 
     # overflow in a rejected candidate step is expected, not news
     with np.errstate(over="ignore", invalid="ignore"):
-        return _run_steps(field, potential, x, dt, steps, times, states,
-                          energy_tol, max_halvings)
+        return _run_steps(field, potential, x, dt, steps, times, states, energy_tol)
 
 
-def _run_steps(field, potential, x, dt, steps, times, states, energy_tol,
-               max_halvings) -> Trajectory:
+def _run_steps(field, potential, x, dt, steps, times, states, energy_tol) -> Trajectory:
     for i in range(steps):
         x_new = _rk4_step(field, x, dt)
         if potential is not None and np.all(np.isfinite(x_new)):
             e_old = potential(x)
             if potential(x_new) > e_old + energy_tol:
-                for halving in range(1, max_halvings + 1):
+                for halving in range(1, _MAX_HALVINGS + 1):
                     nsub = 2**halving
                     h = dt / nsub
                     y = x
@@ -164,14 +173,14 @@ def _run_steps(field, potential, x, dt, steps, times, states, energy_tol,
                 else:
                     raise MonotonicityViolation(
                         f"potential increased at t={times[i]:.6g} and substep "
-                        f"refinement down to dt/{2**max_halvings} did not cure it"
+                        f"refinement down to dt/{2**_MAX_HALVINGS} did not cure it"
                     )
         if not np.all(np.isfinite(x_new)):
             raise NonFiniteState(f"state left the finite range at t={times[i]:.6g}")
         x = x_new
         times[i + 1] = (i + 1) * dt
         states[i + 1] = x
-    return Trajectory(times, states, dt, "rk4")
+    return Trajectory(times, states, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +200,6 @@ class StratumInvarianceReport:
     subgroup: Subgroup
     fix_dim: int
     samples: tuple
-    field_tol: float
-    trajectory_tol: float
 
     @property
     def passed(self) -> bool:
@@ -214,15 +221,7 @@ def _orthonormal_fix(rep: FiniteGroupRep, sub: Subgroup) -> np.ndarray:
 
 
 def check_stratum_invariance(
-    rep: FiniteGroupRep,
-    field,
-    sub: Subgroup,
-    samples: int = 6,
-    seed: int = 0,
-    field_tol: float = 1e-10,
-    trajectory_tol: float = 1e-8,
-    t_end: float = 2.0,
-    dt: float = 1e-2,
+    rep: FiniteGroupRep, field, sub: Subgroup
 ) -> StratumInvarianceReport:
     """Sample Fix(H), test f(x) in Fix(H), and flow each sample point.
 
@@ -233,10 +232,10 @@ def check_stratum_invariance(
     """
     basis_mat = _orthonormal_fix(rep, sub)
     fix_dim = basis_mat.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     out = []
-    for _ in range(samples):
+    for _ in range(_INVARIANCE_SAMPLES):
         if fix_dim == 0:
             x = np.zeros(rep.dim)
         else:
@@ -251,15 +250,13 @@ def check_stratum_invariance(
             return float(np.linalg.norm(v - basis_mat @ (basis_mat.T @ v)))
 
         fres = off_fix(field(x))
-        traj = integrate(field, x, t_end, dt)
+        traj = integrate(field, x, _INVARIANCE_T_END, _INVARIANCE_DT)
         tres = max(off_fix(s) for s in traj.states)
-        ok = fres <= field_tol and tres <= trajectory_tol
+        ok = fres <= _FIELD_TOL and tres <= _TRAJECTORY_TOL
         out.append(InvarianceSample(tuple(x), fres, tres, ok))
         if fix_dim == 0:
             break
-    return StratumInvarianceReport(
-        sub, fix_dim, tuple(out), field_tol, trajectory_tol
-    )
+    return StratumInvarianceReport(sub, fix_dim, tuple(out))
 
 
 # ---------------------------------------------------------------------------

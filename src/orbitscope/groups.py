@@ -16,6 +16,7 @@ subgroup found is extended by every cyclic subgroup outside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -313,14 +314,9 @@ def fixed_subspace(rep: FiniteGroupRep, sub: Subgroup) -> list[ra.Vec]:
     basis = ra.nullspace(constraints, rep.dim)
     out = []
     for v in basis:
-        denom_lcm = 1
-        for q in v:
-            if q != 0:
-                denom_lcm = denom_lcm * q.denominator // _gcd(denom_lcm, q.denominator)
+        denom_lcm = math.lcm(*(q.denominator for q in v))
         scaled = [q * denom_lcm for q in v]
-        num_gcd = 0
-        for q in scaled:
-            num_gcd = _gcd(num_gcd, abs(q.numerator))
+        num_gcd = math.gcd(*(q.numerator for q in scaled))
         if num_gcd > 1:
             scaled = [q / num_gcd for q in scaled]
         lead = next((q for q in scaled if q != 0), Fraction(1))
@@ -328,9 +324,3 @@ def fixed_subspace(rep: FiniteGroupRep, sub: Subgroup) -> list[ra.Vec]:
             scaled = [-q for q in scaled]
         out.append(tuple(scaled))
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -11,12 +11,31 @@ bisection-refined transition points.
 Minimization runs in x-space; the orbit-space picture enters only through
 reporting.  All stochastic pieces are seeded, so identical inputs give
 identical outputs.
+
+The numerical settings are module constants; only the seed and the
+gradient tolerance of `minimize` and the transition tolerance of `sweep`
+are arguments:
+
+- `minimize` descends from 16 starts per basic invariant
+  (`_STARTS_PER_GENERATOR`) in the ball of radius 2.0 (`_RADIUS`), with at
+  most 300 gradient steps (`_MAX_GRADIENT_STEPS`) and 60 Newton steps
+  (`_MAX_NEWTON_STEPS`); a descent leaving radius 10.0 * 2.0
+  (`_ESCAPE_FACTOR`) is a runaway.  Points within 1e-7 of each other's
+  orbit, relative to their norm (`_CLUSTER_TOL`), are one critical orbit,
+  and Hessian eigenvalues within 1e-8 of zero (`_HESSIAN_ZERO_TOL`) count
+  as zero.
+- `classify_symmetry` treats g as fixing x when |T_g x - x| <= 1e-8 |x|
+  (`_CLASSIFY_TOL`).
+- `check_stability` samples 64 directions (`_STABILITY_SAMPLES`), seeded
+  with 0.
+- `verify_critical_orbits` scans each ray out to t = 3.0 (`_RAY_T_MAX`)
+  and accepts a tangential residual up to 1e-9 (`_RAY_TOL`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +61,18 @@ from .polynomials import (
     substitute,
 )
 from .strata import PrincipalCriticalOrbitSet, SymmetryType, symmetry_types
+
+_STARTS_PER_GENERATOR = 16
+_RADIUS = 2.0
+_MAX_GRADIENT_STEPS = 300
+_MAX_NEWTON_STEPS = 60
+_ESCAPE_FACTOR = 10.0
+_CLUSTER_TOL = 1e-7
+_HESSIAN_ZERO_TOL = 1e-8
+_CLASSIFY_TOL = 1e-8
+_STABILITY_SAMPLES = 64
+_RAY_T_MAX = 3.0
+_RAY_TOL = 1e-9
 
 # ----------------------------------------------------------------- the model
 
@@ -118,17 +149,6 @@ def make_model(
     return LandauModel(basis, psi, degree_x, frozenset(critical))
 
 
-# --------------------------------------------------------- shared numerics
-
-
-def _cached_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
-    """The symmetry types of rep, computed once and kept on the rep."""
-    types = rep.memo.get("symmetry_types")
-    if types is None:
-        types = rep.memo["symmetry_types"] = tuple(symmetry_types(rep))
-    return types
-
-
 # ----------------------------------------------------------------- stability
 
 
@@ -136,16 +156,13 @@ def _cached_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
 class StabilityReport:
     stable: bool
     radius: float
-    samples: int
     witnesses: tuple[tuple[tuple[float, ...], float], ...]
 
     def __bool__(self) -> bool:
         return self.stable
 
 
-def check_stability(
-    model: LandauModel, assignment, radius: float, samples: int = 64, seed: int = 0
-) -> StabilityReport:
+def check_stability(model: LandauModel, assignment, radius: float) -> StabilityReport:
     """Outward-gradient screen on the sphere of the given radius.
 
     The descent flow x' = -grad Phi points inward at x exactly when
@@ -155,9 +172,9 @@ def check_stability(
     phi = model.potential(assignment)
     grad = compile_gradient(phi)
     n = phi.nvars
-    rng = random.Random(seed)
+    rng = random.Random(0)
     witnesses = []
-    for i in range(samples):
+    for i in range(_STABILITY_SAMPLES):
         if n == 1:
             direction = np.array([1.0 if i % 2 == 0 else -1.0])
         else:
@@ -172,20 +189,15 @@ def check_stability(
         if outward <= 0.0:
             witnesses.append((tuple(float(c) for c in x), outward))
     return StabilityReport(
-        stable=not witnesses,
-        radius=radius,
-        samples=samples,
-        witnesses=tuple(witnesses),
+        stable=not witnesses, radius=radius, witnesses=tuple(witnesses)
     )
 
 
 # ------------------------------------------------------------ classification
 
 
-def classify_symmetry(
-    rep: FiniteGroupRep, x, tol: float = 1e-8, types=None
-) -> SymmetryType:
-    """Symmetry type of {g : |T_g x - x| <= tol |x|}.
+def classify_symmetry(rep: FiniteGroupRep, x) -> SymmetryType:
+    """Symmetry type of {g : |T_g x - x| <= _CLASSIFY_TOL |x|}.
 
     The candidate set must be an actual subgroup; if the tolerance sits
     astride a stratum boundary it need not be, and that is reported as
@@ -195,7 +207,7 @@ def classify_symmetry(
     scale = float(np.linalg.norm(xv))
     members = []
     for i, mat in enumerate(float_group(rep)[0]):
-        if float(np.linalg.norm(mat @ xv - xv)) <= tol * scale:
+        if float(np.linalg.norm(mat @ xv - xv)) <= _CLASSIFY_TOL * scale:
             members.append(i)
     sub = Subgroup(tuple(members))
     try:
@@ -203,11 +215,9 @@ def classify_symmetry(
     except NotASubgroup as exc:
         raise AmbiguousClassification(
             f"candidate fixing set of size {len(members)} is not a subgroup "
-            f"(tolerance {tol} likely astride a stratum boundary): {exc}"
+            f"(tolerance {_CLASSIFY_TOL} likely astride a stratum boundary): {exc}"
         ) from None
-    if types is None:
-        types = _cached_types(rep)
-    for t in types:
+    for t in symmetry_types(rep):
         if t.contains_subgroup(sub):
             return t
     raise AssertionError("subgroup missing from enumerated symmetry types")
@@ -235,20 +245,6 @@ class CriticalPoint:
         return self.hessian_inertia[1] > 0
 
 
-@dataclass(frozen=True)
-class MinimizeOptions:
-    starts: int | None = None
-    radius: float = 2.0
-    seed: int = 0
-    gtol: float = 1e-10
-    cluster_tol: float = 1e-7
-    classify_tol: float = 1e-8
-    max_gradient_steps: int = 300
-    max_newton_steps: int = 60
-    escape_factor: float = 10.0
-    hessian_zero_tol: float = 1e-8
-
-
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
@@ -273,16 +269,16 @@ def _ball_starts(n: int, count: int, radius: float, seed: int) -> list[np.ndarra
     return out
 
 
-def _descend(x0, f, grad, hess, opts: MinimizeOptions, escape_radius: float):
+def _descend(x0, f, grad, hess, gtol: float, escape_radius: float):
     """Backtracking gradient descent, then damped Newton. Returns
     ('ok', x) | ('escaped', x) | ('unconverged', x)."""
     x = np.array(x0, dtype=float)
-    for _ in range(opts.max_gradient_steps):
+    for _ in range(_MAX_GRADIENT_STEPS):
         g = grad(x)
         gn = float(np.linalg.norm(g))
         if not np.isfinite(gn):
             return ("unconverged", x)
-        if gn <= 100.0 * opts.gtol:
+        if gn <= 100.0 * gtol:
             break
         fx = f(x)
         step = 1.0 / (1.0 + gn)
@@ -291,10 +287,10 @@ def _descend(x0, f, grad, hess, opts: MinimizeOptions, escape_radius: float):
         x = x - step * g
         if float(np.linalg.norm(x)) > escape_radius:
             return ("escaped", x)
-    for _ in range(opts.max_newton_steps):
+    for _ in range(_MAX_NEWTON_STEPS):
         g = grad(x)
         gn = float(np.linalg.norm(g))
-        if gn <= 1e-3 * opts.gtol:
+        if gn <= 1e-3 * gtol:
             break
         try:
             d = np.linalg.solve(hess(x), g)
@@ -316,23 +312,23 @@ def _descend(x0, f, grad, hess, opts: MinimizeOptions, escape_radius: float):
         if float(np.linalg.norm(x)) > escape_radius:
             return ("escaped", x)
     gn = float(np.linalg.norm(grad(x)))
-    if np.isfinite(gn) and gn <= opts.gtol:
+    if np.isfinite(gn) and gn <= gtol:
         return ("ok", x)
     return ("unconverged", x)
 
 
 def minimize(
-    model: LandauModel, assignment, options: MinimizeOptions | None = None
+    model: LandauModel, assignment, seed: int = 0, gtol: float = 1e-10
 ) -> list[CriticalPoint]:
     """Multistart search for critical points, deduplicated by group orbit.
 
     Points are classified by symmetry type and sorted by value, so the
     first entry is the global minimizer among those found.  A descent
-    trajectory leaving escape_factor * radius aborts the search: under
+    trajectory leaving _ESCAPE_FACTOR * _RADIUS aborts the search: under
     monotone descent that is a certificate the model runs away inside the
-    examined region.
+    examined region.  seed offsets the quasi-random starts; a start
+    converges when its gradient norm reaches gtol.
     """
-    opts = options or MinimizeOptions()
     rep = model.basis.rep
     phi = model.potential(assignment)
     n = rep.dim
@@ -342,12 +338,12 @@ def minimize(
     def hess(x):
         return second(x).reshape(n, n)
 
-    count = opts.starts if opts.starts is not None else 16 * model.basis.k
-    escape_radius = opts.escape_factor * opts.radius
+    count = _STARTS_PER_GENERATOR * model.basis.k
+    escape_radius = _ESCAPE_FACTOR * _RADIUS
 
     found = []
-    for x0 in _ball_starts(n, count, opts.radius, opts.seed):
-        status, x = _descend(x0, f, grad, hess, opts, escape_radius)
+    for x0 in _ball_starts(n, count, _RADIUS, seed):
+        status, x = _descend(x0, f, grad, hess, gtol, escape_radius)
         if status == "escaped":
             raise StabilityViolation(
                 f"descent from {tuple(float(c) for c in x0)} escaped radius "
@@ -365,21 +361,20 @@ def minimize(
         duplicate = False
         for r in reps:
             d = min(float(np.linalg.norm(m @ x - r)) for m in mats)
-            if d <= opts.cluster_tol * (1.0 + float(np.linalg.norm(r))):
+            if d <= _CLUSTER_TOL * (1.0 + float(np.linalg.norm(r))):
                 duplicate = True
                 break
         if not duplicate:
             reps.append(x)
 
-    types = _cached_types(rep)
     points = []
     for x in reps:
-        if float(np.linalg.norm(x)) <= 1e-9 * (1.0 + opts.radius):
+        if float(np.linalg.norm(x)) <= 1e-9 * (1.0 + _RADIUS):
             x = np.zeros(n)
-        sym = classify_symmetry(rep, x, opts.classify_tol, types)
+        sym = classify_symmetry(rep, x)
         eigs = np.linalg.eigvalsh(hess(x))
-        neg = int(np.sum(eigs < -opts.hessian_zero_tol))
-        pos = int(np.sum(eigs > opts.hessian_zero_tol))
+        neg = int(np.sum(eigs < -_HESSIAN_ZERO_TOL))
+        pos = int(np.sum(eigs > _HESSIAN_ZERO_TOL))
         zero = len(eigs) - neg - pos
         points.append(
             CriticalPoint(
@@ -422,30 +417,28 @@ class PhaseDiagram:
     transitions: tuple[Transition, ...]
 
 
-@dataclass(frozen=True)
-class SweepOptions:
-    assignment: dict = field(default_factory=dict)
-    minimize: MinimizeOptions = field(default_factory=MinimizeOptions)
-    transition_tol: float = 1e-6
-
-
 def sweep(
-    model: LandauModel, parameter: str, grid, options: SweepOptions | None = None
+    model: LandauModel,
+    parameter: str,
+    grid,
+    assignment=None,
+    seed: int = 0,
+    transition_tol: float = 1e-6,
 ) -> PhaseDiagram:
     """Phase diagram along one parameter; transitions refined by bisection.
 
-    Per-grid-point failures are recorded on the corresponding PhasePoint
-    and do not abort the sweep.
+    assignment fixes the other parameters, and seed is passed to every
+    minimize call; bisection stops once a transition is bracketed within
+    transition_tol.  Per-grid-point failures are recorded on the
+    corresponding PhasePoint and do not abort the sweep.
     """
-    opts = options or SweepOptions()
     if parameter not in model.parameters():
         raise UnknownParameter(f"model has no parameter named {parameter!r}")
 
     def global_minimum(value):
-        lam = dict(opts.assignment)
+        lam = dict(assignment or {})
         lam[parameter] = Fraction(value)
-        best = minimize(model, lam, opts.minimize)[0]
-        return best
+        return minimize(model, lam, seed)[0]
 
     points = []
     for v in grid:
@@ -467,7 +460,7 @@ def sweep(
         if left.symmetry.label == right.symmetry.label:
             continue
         lo, hi = left.parameter_value, right.parameter_value
-        while hi - lo > opts.transition_tol:
+        while hi - lo > transition_tol:
             mid = 0.5 * (lo + hi)
             try:
                 sym_mid = global_minimum(mid).symmetry
@@ -514,8 +507,6 @@ def verify_critical_orbits(
     model: LandauModel,
     assignment,
     orbit_set: PrincipalCriticalOrbitSet,
-    tol: float = 1e-9,
-    t_max: float = 3.0,
 ) -> RayCheckReport:
     """Confirm each fixed-line family carries interior ray-critical points
     at which the (metric) gradient is parallel to the line.
@@ -532,7 +523,7 @@ def verify_critical_orbits(
         def dphi(t):
             return float(grad(t * v) @ v)
 
-        ts = np.linspace(1e-6, t_max, 800)
+        ts = np.linspace(1e-6, _RAY_T_MAX, 800)
         vals = [dphi(t) for t in ts]
         roots = []
         for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
@@ -565,7 +556,7 @@ def verify_critical_orbits(
             w = eta_inv @ grad(t * v)
             tang = w - float(w @ v) * v
             residuals.append(float(np.linalg.norm(tang)))
-        ok = max(residuals) <= tol
+        ok = max(residuals) <= _RAY_TOL
         checks.append(
             RayCheck(
                 direction=tuple(float(c) for c in v),

@@ -222,6 +222,11 @@ class Coefficient:
             _pp_kill(self.den, set(critical))
         )
 
+    def denominator_survives(self, critical) -> bool:
+        """Finite uniformly over the sweep: the denominator survives
+        critical -> 0, while the numerator is allowed to vanish."""
+        return bool(_pp_kill(self.den, set(critical)))
+
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other) -> "Coefficient":

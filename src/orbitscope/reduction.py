@@ -32,7 +32,7 @@ from .errors import (
 from .groups import invariant_metric
 from . import rationals as ra
 from .invariants import IntegrityBasis, PMatrix, express_homogeneous, jmonomials_of_xdegree
-from .params import Coefficient, _pp_kill
+from .params import Coefficient
 from .polynomials import (
     J_KIND,
     X_KIND,
@@ -48,12 +48,6 @@ from .polynomials import (
 def _uniform(critical):
     """Admissible-pivot predicate: invertible for every value in the sweep."""
     return lambda c: Coefficient.coerce(c).uniform_nonzero(critical)
-
-
-def _den_survives(c, critical) -> bool:
-    # a quotient is admissible iff its denominator stays nonzero as the
-    # critical parameters go to zero; the numerator is allowed to die
-    return bool(_pp_kill(Coefficient.coerce(c).den, set(critical)))
 
 
 def _jmono_text(m) -> str:
@@ -390,7 +384,8 @@ def reduce(
                 if len(unknowns) == 1:
                     (j,) = unknowns
                     q = residual.get(ra.RHS, 0) / residual[j]
-                    if _den_survives(q, critical):
+                    # admissible iff q stays finite as the critical parameters go to zero
+                    if Coefficient.coerce(q).denominator_survives(critical):
                         determined[j] = q
                         continue
                 if strict:
@@ -427,10 +422,12 @@ def reduce(
     )
     for gen in generators:
         for c in gen.h_poly.terms.values():
-            assert _den_survives(c, critical), "generator divided by a critical value"
+            c = Coefficient.coerce(c)
+            assert c.denominator_survives(critical), "generator divided by a critical value"
     for comp in reduced.components.values():
         for c in comp.terms.values():
-            assert _den_survives(c, critical), "reduced coefficient has critical denominator"
+            c = Coefficient.coerce(c)
+            assert c.denominator_survives(critical), "reduced coefficient has critical denominator"
     return ReductionReport(
         reduced=reduced,
         generators=tuple(generators),

@@ -12,6 +12,9 @@ is a line.  The classical criterion (critical for every invariant
 potential iff isolated in its stratum) then reduces to scanning realized
 types with one-dimensional fixed space; those rays are returned as the
 principal critical orbit families.
+
+The types are enumerated once per group: `symmetry_types` keeps them in
+``rep.memo``, and every function here that needs them reads them there.
 """
 
 from __future__ import annotations
@@ -32,17 +35,25 @@ from .groups import (
 
 @dataclass(frozen=True)
 class SymmetryType:
-    """A conjugacy class of subgroups with its fixed-space data."""
+    """A conjugacy class of subgroups with its fixed-space data.
+
+    fix is the exact basis of Fix(representative) that `fixed_subspace`
+    returns.
+    """
 
     label: str
     representative: Subgroup
     conjugates: tuple[Subgroup, ...]
-    fix_dim: int
+    fix: tuple[ra.Vec, ...]
     realized: bool
 
     @property
     def order(self) -> int:
         return self.representative.order
+
+    @property
+    def fix_dim(self) -> int:
+        return len(self.fix)
 
     def contains_subgroup(self, sub: Subgroup) -> bool:
         return any(c.members == sub.members for c in self.conjugates)
@@ -104,16 +115,19 @@ def _is_realized(rep: FiniteGroupRep, sub: Subgroup, fix) -> bool:
     )
 
 
-def symmetry_types(rep: FiniteGroupRep) -> list[SymmetryType]:
-    """Conjugacy classes of all subgroups, with fix_dim and realized flags.
+def symmetry_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
+    """Conjugacy classes of all subgroups, with fixed spaces and realized flags.
 
     Deterministic: subgroups are enumerated in sorted order and classes are
-    labeled T0, T1, ... with orders ascending.
+    labeled T0, T1, ... with orders ascending.  Computed once per group and
+    kept in ``rep.memo["symmetry_types"]``.
     """
-    subs = all_subgroups(rep)
+    cached = rep.memo.get("symmetry_types")
+    if cached is not None:
+        return cached
     assigned: set[tuple[int, ...]] = set()
     types: list[SymmetryType] = []
-    for sub in subs:
+    for sub in all_subgroups(rep):
         if sub.members in assigned:
             continue
         conj_members = sorted(
@@ -127,22 +141,21 @@ def symmetry_types(rep: FiniteGroupRep) -> list[SymmetryType]:
                 label=f"T{len(types)}",
                 representative=representative,
                 conjugates=tuple(Subgroup(m) for m in conj_members),
-                fix_dim=len(fix),
+                fix=tuple(fix),
                 realized=_is_realized(rep, representative, fix),
             )
         )
-    return types
+    cached = rep.memo["symmetry_types"] = tuple(types)
+    return cached
 
 
-def stratum_of(rep: FiniteGroupRep, point, types=None) -> SymmetryType:
+def stratum_of(rep: FiniteGroupRep, point) -> SymmetryType:
     """The symmetry type of the isotropy subgroup of an exact point."""
     x = ra.vec(point)
     if len(x) != rep.dim:
         raise DimensionMismatch("point dimension mismatch")
-    if types is None:
-        types = symmetry_types(rep)
     iso = isotropy_subgroup(rep, x)
-    for t in types:
+    for t in symmetry_types(rep):
         if t.contains_subgroup(iso):
             return t
     raise AssertionError("isotropy subgroup missing from the enumerated types")
@@ -157,10 +170,8 @@ def _class_strictly_below(t_low: SymmetryType, t_high: SymmetryType) -> bool:
     return False
 
 
-def isotropy_lattice(rep: FiniteGroupRep, types=None) -> IsotropyLattice:
-    if types is None:
-        types = symmetry_types(rep)
-    types = tuple(types)
+def isotropy_lattice(rep: FiniteGroupRep) -> IsotropyLattice:
+    types = symmetry_types(rep)
     pairs = set()
     for i, ti in enumerate(types):
         for j, tj in enumerate(types):
@@ -180,24 +191,21 @@ def _principal_index(types, pairs) -> int | None:
     return minimal[0] if len(minimal) == 1 else None
 
 
-def principal_stratum(rep: FiniteGroupRep, lattice: IsotropyLattice | None = None) -> SymmetryType:
+def principal_stratum(rep: FiniteGroupRep) -> SymmetryType:
     """The unique minimal realized type: the open dense stratum's type."""
-    if lattice is None:
-        lattice = isotropy_lattice(rep)
+    lattice = isotropy_lattice(rep)
     if lattice.principal_index is None:
         raise NoUniqueMinimum("no unique minimal realized symmetry type")
     return lattice.types[lattice.principal_index]
 
 
-def principal_critical_orbits(rep: FiniteGroupRep, types=None) -> PrincipalCriticalOrbitSet:
+def principal_critical_orbits(rep: FiniteGroupRep) -> PrincipalCriticalOrbitSet:
     """Ray families critical for every invariant potential on the sphere."""
-    if types is None:
-        types = symmetry_types(rep)
     rays = []
-    for t in types:
+    for t in symmetry_types(rep):
         if not t.realized or t.fix_dim != 1:
             continue
-        direction = fixed_subspace(rep, t.representative)[0]
+        direction = t.fix[0]
         norm = float(sum(c * c for c in direction)) ** 0.5
         unit = tuple(float(c) / norm for c in direction)
         rays.append(RayFamily(symmetry=t, direction=direction, unit=unit))

@@ -31,8 +31,6 @@ from orbitscope.invariants import (
     p_matrix,
 )
 from orbitscope.landau import (
-    MinimizeOptions,
-    SweepOptions,
     classify_symmetry,
     make_model,
     minimize,
@@ -261,7 +259,7 @@ def test_criterion_5_pitchfork(z2_line):
             critical={"a"},
         )
         grid = [F(i, 10) for i in range(-10, 11)]
-        diagram = sweep(model, "a", grid, SweepOptions(assignment={}))
+        diagram = sweep(model, "a", grid)
         assert diagram.transitions, "no transition found"
         t = diagram.transitions[0]
         assert abs(t.parameter_value) <= 1e-6, f"transition at {t.parameter_value}"

@@ -1,6 +1,8 @@
 """Model building, stability screening, minimization, sweeps, ray checks."""
 
+import dataclasses
 import gc
+import inspect
 import math
 import weakref
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbitscope import dynamics, landau, strata
 from orbitscope.errors import (
     AmbiguousClassification,
     StabilityViolation,
@@ -16,8 +19,6 @@ from orbitscope.errors import (
 from orbitscope.groups import close_generators
 from orbitscope.invariants import compute_mib
 from orbitscope.landau import (
-    MinimizeOptions,
-    SweepOptions,
     build_generic,
     check_stability,
     classify_symmetry,
@@ -28,7 +29,7 @@ from orbitscope.landau import (
 )
 from orbitscope.params import Coefficient
 from orbitscope.polynomials import J_KIND, Polynomial, act, compile_polynomial
-from orbitscope.strata import principal_critical_orbits, symmetry_types
+from orbitscope.strata import principal_critical_orbits
 
 F = Fraction
 
@@ -45,6 +46,51 @@ def quartic_d4_model(d4_basis):
         J_KIND,
     )
     return make_model(d4_basis, psi, critical={"a"})
+
+
+# ------------------------------------------------------------ settable values
+
+
+def settable_values(module) -> list[str]:
+    """Defaulted parameters of public functions and defaulted fields of
+    public dataclasses defined in module: what a caller may set or omit."""
+    out = []
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if dataclasses.is_dataclass(obj):
+            out += [
+                f"{name}.{f.name}"
+                for f in dataclasses.fields(obj)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING
+            ]
+        elif inspect.isfunction(obj):
+            out += [
+                f"{name}({p.name})"
+                for p in inspect.signature(obj).parameters.values()
+                if p.default is not p.empty
+            ]
+    return out
+
+
+def test_library_settable_values():
+    # numerical settings with one value in use are module constants; what
+    # is left is what callers, the CLI among them, actually vary
+    found = [v for m in (landau, dynamics, strata) for v in settable_values(m)]
+    assert sorted(found) == [
+        "PhasePoint.error",
+        "build_generic(critical)",
+        "build_generic(degree_x)",
+        "integrate(energy_tol)",
+        "make_model(critical)",
+        "make_model(degree_x)",
+        "minimize(gtol)",
+        "minimize(seed)",
+        "sweep(assignment)",
+        "sweep(seed)",
+        "sweep(transition_tol)",
+    ]
 
 
 # ------------------------------------------------------------- construction
@@ -138,11 +184,10 @@ def test_stability_d4_quartic_family(d4):
 
 
 def test_classify_d4_points(d4):
-    types = symmetry_types(d4)
-    axis = classify_symmetry(d4, (0.3, 0.0), types=types)
-    diag = classify_symmetry(d4, (0.2, 0.2), types=types)
-    generic = classify_symmetry(d4, (0.3, 0.1), types=types)
-    origin = classify_symmetry(d4, (0.0, 0.0), types=types)
+    axis = classify_symmetry(d4, (0.3, 0.0))
+    diag = classify_symmetry(d4, (0.2, 0.2))
+    generic = classify_symmetry(d4, (0.3, 0.1))
+    origin = classify_symmetry(d4, (0.0, 0.0))
     assert axis.fix_dim == 1 and axis.order == 2
     assert diag.fix_dim == 1 and diag.order == 2
     assert axis.label != diag.label
@@ -155,7 +200,7 @@ def test_classify_ambiguous_tolerance(s3_perm):
     # tolerance band, but their product (a 3-cycle) moves the point too far
     x = (1.0, 1.0 + 1.2e-8, 1.0 + 2.4e-8)
     with pytest.raises(AmbiguousClassification):
-        classify_symmetry(s3_perm, x, tol=1e-8)
+        classify_symmetry(s3_perm, x)
 
 
 # -------------------------------------------------------------- minimization
@@ -263,7 +308,7 @@ def test_minima_sit_on_principal_critical_rays(d4):
 def test_sweep_pitchfork(z2_line):
     model = build_generic(compute_mib(z2_line))
     grid = [-1 + 0.1 * i for i in range(21)]
-    diagram = sweep(model, "a1", grid, SweepOptions(assignment={"a2": 1}))
+    diagram = sweep(model, "a1", grid, assignment={"a2": 1})
     assert diagram.parameter == "a1"
     assert len(diagram.points) == 21
     for p in diagram.points:
@@ -287,9 +332,7 @@ def test_sweep_unknown_parameter(z2_line):
 
 def test_sweep_records_per_point_errors(z2_line):
     model = build_generic(compute_mib(z2_line))
-    diagram = sweep(
-        model, "a2", [-0.5, 0.5], SweepOptions(assignment={"a1": 1})
-    )
+    diagram = sweep(model, "a2", [-0.5, 0.5], assignment={"a1": 1})
     bad, good = diagram.points
     assert bad.error is not None and "StabilityViolation" in bad.error
     assert bad.symmetry is None and bad.min_value is None
@@ -322,7 +365,7 @@ def test_verify_critical_orbits_sheared(d4_sheared):
     lam["a2"] = F(1)
     orbits = principal_critical_orbits(d4_sheared)
     assert len(orbits.rays) == 2
-    report = verify_critical_orbits(model, lam, orbits, tol=1e-9)
+    report = verify_critical_orbits(model, lam, orbits)
     assert report.all_passed
 
 

@@ -18,7 +18,7 @@ from orbitscope.invariants import (
     jmonomials_of_xdegree,
     p_matrix,
 )
-from orbitscope.landau import MinimizeOptions, build_generic, make_model, minimize
+from orbitscope.landau import build_generic, make_model, minimize
 from orbitscope.params import Coefficient, substitute_param
 from orbitscope.polynomials import J_KIND, Polynomial, act, mono_degree, substitute
 from orbitscope.reduction import (
@@ -512,13 +512,12 @@ def test_pitchfork_structure_preserved(z2_setup):
     _, basis, P = z2_setup
     psi = sextic(basis)
     report = reduce(psi, 6, P)
-    opts = MinimizeOptions(starts=12)
     for a in (F(-6, 10), F(-2, 10), F(1, 10), F(4, 10), F(8, 10)):
         lam = {"a": a, "b": F(1), "c": F(3, 10)}
         orig_model = make_model(basis, psi.total(), critical={"a"})
         red_model = make_model(basis, report.reduced.total(), critical={"a"})
-        best_orig = minimize(orig_model, lam, opts)[0]
-        best_red = minimize(red_model, lam, opts)[0]
+        best_orig = minimize(orig_model, lam)[0]
+        best_red = minimize(red_model, lam)[0]
         assert best_orig.symmetry.label == best_red.symmetry.label
 
 

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import FLIP_Y, ROT90
 
-from orbitscope import rationals as ra
+from orbitscope import groups, rationals as ra, strata
 from orbitscope.errors import DimensionMismatch
 from orbitscope.groups import (
     close_generators,
@@ -16,6 +17,7 @@ from orbitscope.groups import (
     orbit,
 )
 from orbitscope.invariants import compute_mib, jmonomials_of_xdegree
+from orbitscope.landau import build_generic, classify_symmetry, minimize
 from orbitscope.polynomials import J_KIND, Polynomial, substitute
 from orbitscope.strata import (
     isotropy_lattice,
@@ -94,8 +96,34 @@ def test_types_s3(s3_perm):
     assert c3.fix_dim == 1 and not c3.realized
 
 
-def test_types_deterministic(d4):
-    assert symmetry_types(d4) == symmetry_types(d4)
+def test_types_deterministic():
+    # two closures of the same generators, so neither reads the other's memo
+    first, second = (close_generators([ROT90, FLIP_Y], name="d4") for _ in range(2))
+    assert symmetry_types(first) == symmetry_types(second)
+
+
+def test_symmetry_types_enumerated_once(monkeypatch):
+    # every consumer of the types reads them from rep.memo, so one group
+    # runs the subgroup search once however many of them are called
+    calls = []
+
+    def counted(rep, *args, **kwargs):
+        calls.append(rep.name)
+        return groups.all_subgroups(rep, *args, **kwargs)
+
+    monkeypatch.setattr(strata, "all_subgroups", counted)
+    rep = close_generators([ROT90, FLIP_Y], name="d4-fresh")
+    symmetry_types(rep)
+    isotropy_lattice(rep)
+    principal_stratum(rep)
+    principal_critical_orbits(rep)
+    stratum_of(rep, (1, 0))
+    classify_symmetry(rep, (0.3, 0.0))
+    model = build_generic(compute_mib(rep), degree_x=4)
+    lam = {name: Fraction(1, 4) for name in model.parameters()}
+    lam["a1"] = Fraction(-1)
+    minimize(model, lam)
+    assert calls == ["d4-fresh"]
 
 
 def test_conjugates_share_order_and_fixdim(d4, s3_perm):
@@ -110,29 +138,27 @@ def test_conjugates_share_order_and_fixdim(d4, s3_perm):
 
 
 def test_stratum_of_d4_points(d4):
-    types = symmetry_types(d4)
-    axis = stratum_of(d4, (1, 0), types)
-    diag = stratum_of(d4, (1, 1), types)
-    generic = stratum_of(d4, (2, 1), types)
+    axis = stratum_of(d4, (1, 0))
+    diag = stratum_of(d4, (1, 1))
+    generic = stratum_of(d4, (2, 1))
     assert axis.order == 2 and axis.fix_dim == 1
     assert diag.order == 2 and diag.fix_dim == 1
     assert axis != diag
     assert generic.order == 1 and generic.fix_dim == 2
-    assert stratum_of(d4, (0, 0), types).order == 8
+    assert stratum_of(d4, (0, 0)).order == 8
 
 
 def test_stratum_constant_on_orbits(d4, s3_perm):
     rng = random.Random(5)
     for rep in (d4, s3_perm):
-        types = symmetry_types(rep)
         for _ in range(25):
             x = tuple(
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 for _ in range(rep.dim)
             )
-            t = stratum_of(rep, x, types)
+            t = stratum_of(rep, x)
             for y in orbit(rep, x):
-                assert stratum_of(rep, y, types) == t
+                assert stratum_of(rep, y) == t
 
 
 def test_stratum_of_dimension_check(d4):
