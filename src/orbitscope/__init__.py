@@ -4,6 +4,7 @@ Layers, bottom up:
 
 - ``rationals``   exact rational linear algebra
 - ``polynomials`` sparse exact polynomials, group action, Reynolds average
+                  (the tests' oracle)
 - ``groups``      finite matrix groups, subgroups, fixed spaces
 - ``invariants``  Molien series, minimal integrity bases, P-matrices
 - ``strata``      isotropy classes, orbit-space strata, critical rays

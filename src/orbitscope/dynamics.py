@@ -24,7 +24,9 @@ with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` = 6) before giving up.
 from a generator seeded with 0, flows each to t = 2.0 (`_INVARIANCE_T_END`)
 in steps of 1e-2 (`_INVARIANCE_DT`), and accepts a field residual up to
 1e-10 (`_FIELD_TOL`) and a trajectory residual up to 1e-8
-(`_TRAJECTORY_TOL`) off Fix(H).
+(`_TRAJECTORY_TOL`) off Fix(H).  `ConsistencyReport.energy_monotone`
+accepts a rise of the projected potential up to 1e-9
+(`_ENERGY_MONOTONE_TOL`).
 
 Non-gradient fields may be integrated too -- any callable works -- but the
 energy diagnostics only engage when the field exposes a `potential`
@@ -50,6 +52,7 @@ _INVARIANCE_T_END = 2.0
 _INVARIANCE_DT = 1e-2
 _FIELD_TOL = 1e-10
 _TRAJECTORY_TOL = 1e-8
+_ENERGY_MONOTONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -275,8 +278,8 @@ class ConsistencyReport:
     max_energy_increase: float
     projected: OrbitSpaceTrajectory
 
-    def energy_monotone(self, tol: float = 1e-9) -> bool:
-        return self.max_energy_increase <= tol
+    def energy_monotone(self) -> bool:
+        return self.max_energy_increase <= _ENERGY_MONOTONE_TOL
 
 
 def orbit_space_consistency(field: GradientField, traj: Trajectory) -> ConsistencyReport:

@@ -1,7 +1,8 @@
 """Finite matrix groups over exact rationals.
 
-A group is represented concretely: the full element list (index 0 is the
-identity), the Cayley table, and the inverse table.  ``close_generators``
+A group is represented concretely: the full list of exact element matrices
+(index 0 is the identity), the Cayley table, the inverse table, and the
+indices of the generators it was closed from.  ``close_generators``
 builds them by permutation action.  The standard basis is closed under the
 generators to a finite G-stable point set that spans R^n, so every element
 acts faithfully as a permutation of it.  Elements are found breadth first
@@ -32,45 +33,34 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """One group element: an exact invertible matrix."""
-
-    matrix: ra.Mat
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-
 class FiniteGroupRep:
     """Closed finite matrix group with multiplication tables.
 
     Attributes
     ----------
     dim : ambient dimension
-    elements : list[GroupElement], identity at index 0
+    elements : list of exact matrices T_i, identity at index 0
     cayley : cayley[i][j] = index of T_i @ T_j
     inverse : inverse[i] = index of T_i^{-1}
+    generators : indices of the distinct non-identity spec generators, in
+        spec order; a polynomial or point they fix is fixed by the group
     name : optional label carried through reports
     memo : results that later layers derive from the group once and keep
         for its lifetime, by name
     """
 
-    def __init__(self, dim, elements, cayley, inverse, name=None):
+    def __init__(self, dim, elements, cayley, inverse, generators, name=None):
         self.dim = dim
         self.elements = list(elements)
         self.cayley = tuple(tuple(row) for row in cayley)
         self.inverse = tuple(inverse)
+        self.generators = tuple(generators)
         self.name = name
         self.memo: dict = {}
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def matrix(self, i: int) -> ra.Mat:
-        return self.elements[i].matrix
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -158,18 +148,17 @@ def close_generators(generators, max_order: int = 10000, name=None) -> FiniteGro
         [index[tuple(a[b[j]] for j in range(dim))] for b in perms] for a in perms
     ]
     inverse = [row.index(0) for row in cayley]
-    elements = [
-        GroupElement(tuple(zip(*(pts[p[j]] for j in range(dim))))) for p in perms
-    ]
-    return FiniteGroupRep(dim, elements, cayley, inverse, name=name)
+    elements = [tuple(zip(*(pts[p[j]] for j in range(dim)))) for p in perms]
+    gen_index = dict.fromkeys(index[g[:dim]] for g in gen_perms)
+    gen_index.pop(0, None)
+    return FiniteGroupRep(dim, elements, cayley, inverse, gen_index, name=name)
 
 
 def invariant_metric(rep: FiniteGroupRep) -> InvariantMetric:
     """eta = (1/|G|) sum_g T_g^T T_g, exactly invariant: T_g^T eta T_g = eta."""
     n = rep.dim
     total = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    for e in rep.elements:
-        t = e.matrix
+    for t in rep.elements:
         total = ra.mat_add(total, ra.mat_mul(ra.mat_transpose(t), t))
     eta = ra.mat_scale(total, Fraction(1, rep.order))
     return InvariantMetric(eta=eta, eta_inv=ra.mat_inverse(eta))
@@ -183,7 +172,7 @@ def float_group(rep: FiniteGroupRep) -> tuple[list[np.ndarray], np.ndarray]:
         def to_float(m):
             return np.array([[float(c) for c in row] for row in m])
 
-        mats = [to_float(e.matrix) for e in rep.elements]
+        mats = [to_float(t) for t in rep.elements]
         data = rep.memo["float_group"] = (mats, to_float(invariant_metric(rep).eta_inv))
     return data
 
@@ -193,7 +182,7 @@ def orbit(rep: FiniteGroupRep, point) -> tuple[ra.Vec, ...]:
     x = ra.vec(point)
     if len(x) != rep.dim:
         raise DimensionMismatch("point dimension mismatch")
-    pts = {ra.mat_vec(e.matrix, x) for e in rep.elements}
+    pts = {ra.mat_vec(t, x) for t in rep.elements}
     return tuple(sorted(pts))
 
 
@@ -203,7 +192,7 @@ def isotropy_subgroup(rep: FiniteGroupRep, point) -> Subgroup:
     if len(x) != rep.dim:
         raise DimensionMismatch("point dimension mismatch")
     members = tuple(
-        i for i, e in enumerate(rep.elements) if ra.mat_vec(e.matrix, x) == x
+        i for i, t in enumerate(rep.elements) if ra.mat_vec(t, x) == x
     )
     return Subgroup(members)
 
@@ -303,7 +292,7 @@ def fixed_subspace(rep: FiniteGroupRep, sub: Subgroup) -> list[ra.Vec]:
     for h in sub.members:
         if h == 0:
             continue
-        constraints.extend(ra.mat_sub_identity(rep.matrix(h)))
+        constraints.extend(ra.mat_sub_identity(rep.elements[h]))
     if not constraints:
         return [
             tuple(

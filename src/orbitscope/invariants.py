@@ -1,13 +1,16 @@
 """Invariant rings of finite matrix groups, computed exactly.
 
-The dimension count of each graded invariant space comes from the Molien
-generating function; the basis itself comes from Reynolds averages of
-monomials with exact rank bookkeeping.  A minimal integrity basis (MIB) is
-grown degree by degree: at each degree the power products of the basis so
-far are spanned first, then Reynolds candidates that enlarge the span are
-appended, which guarantees minimality.  The growth stops at the first
-degree where the basis is certified complete (:func:`is_coregular`), or
-else at the degree cap.
+A polynomial is invariant exactly when each generator fixes it, so the
+degree-d invariant space is one exact null space, W_d = ∩_s ker(T_s - I)
+on degree-d forms over the spec generators s (Derksen-Kemper,
+*Computational Invariant Theory*, §3.1); its cost grows with the number of
+generators, not with |G|.  Only the Molien series, which counts dim W_d,
+sums over every element.  A minimal integrity basis (MIB) is grown degree
+by degree: at each degree the power products of the basis so far are
+spanned first, then the reduced echelon basis of W_d modulo that span is
+appended, which guarantees minimality.  The growth stops at the first degree where
+the basis is certified complete (:func:`is_coregular`), or else at the
+degree cap.
 
 All greedy choices scan candidates in the canonical monomial order, so the
 output is deterministic down to the coefficient level.
@@ -29,7 +32,6 @@ from .polynomials import (
     act,
     mono_key,
     monomials_of_degree,
-    reynolds,
     substitute,
 )
 
@@ -119,8 +121,8 @@ def _char_polys(rep: FiniteGroupRep) -> tuple[tuple[tuple[Fraction, ...], int], 
     table = rep.memo.get("char_polys")
     if table is None:
         counts: dict[tuple[Fraction, ...], int] = {}
-        for e in rep.elements:
-            q = tuple(_char_poly_reversed(e.matrix))
+        for t in rep.elements:
+            q = tuple(_char_poly_reversed(t))
             counts[q] = counts.get(q, 0) + 1
         table = rep.memo["char_polys"] = tuple(counts.items())
     return table
@@ -147,22 +149,27 @@ def molien_series(rep: FiniteGroupRep, degree_cap: int) -> MolienSeries:
 # -------------------------------------------------- graded invariant spaces
 
 
-def invariant_space_basis(rep: FiniteGroupRep, degree: int) -> list[Polynomial]:
-    """Monic basis of the degree-`degree` invariant subspace.
+def _invariant_space(rep: FiniteGroupRep, monos, index) -> list[ra.Vec]:
+    """W_d = ∩_s ker(T_s - I) over the generators s, as the canonical null
+    space of the stacked rows of act(T_s, x^m) - x^m, one column per
+    monomial x^m of ``monos`` (all of one degree, positions in ``index``)."""
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for s in rep.generators:
+        for col, m in enumerate(monos):
+            xm = Polynomial.monomial(m, 1)
+            for mm, c in (act(rep.elements[s], xm) - xm).terms.items():
+                rows.setdefault((s, index[mm]), {})[col] = c
+    return ra.nullspace(rows.values(), len(monos))
 
-    Reynolds images of monomials are scanned in canonical order and kept
-    greedily by exact rank, then normalized monic.
-    """
+
+def invariant_space_basis(rep: FiniteGroupRep, degree: int) -> list[Polynomial]:
+    """Monic basis of the degree-`degree` invariant subspace: the null
+    space vectors of :func:`_invariant_space`, normalized monic."""
     monos, index = monomial_index(rep.dim, degree)
-    reducer = ra.RowReducer()
-    basis = []
-    for m in monos:
-        image = reynolds(rep, Polynomial.monomial(m, 1))
-        if image.is_zero():
-            continue
-        if reducer.add(coefficient_row(image, index)):
-            basis.append(image.monic())
-    return basis
+    return [
+        Polynomial(rep.dim, {monos[i]: c for i, c in enumerate(v) if c}).monic()
+        for v in _invariant_space(rep, monos, index)
+    ]
 
 
 # -------------------------------------------------- minimal integrity basis
@@ -264,16 +271,10 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
             raise ArithmeticError("product span exceeds Molien count")
         if products.rank == c_d:
             continue
-        quotient = ra.RowReducer()
-        raw_rows = []
-        for m in monos:
-            image = reynolds(rep, Polynomial.monomial(m, 1))
-            if image.is_zero():
-                continue
-            residual = products.residual(coefficient_row(image, index))
-            if residual and quotient.add(residual):
-                raw_rows.append(residual)
-        reduced_rows, _ = ra.rref(raw_rows, len(monos))
+        reduced_rows, _ = ra.rref(
+            (products.residual(v) for v in _invariant_space(rep, monos, index)),
+            len(monos),
+        )
         if products.rank + len(reduced_rows) != c_d:
             raise CapTooLow(
                 f"invariant space at degree {d} not exhausted (cap {degree_cap})"
@@ -385,15 +386,6 @@ def is_coregular(basis: IntegrityBasis) -> bool:
 # ------------------------------------------------------- basis re-expression
 
 
-def is_invariant(rep: FiniteGroupRep, p: Polynomial) -> bool:
-    return all(act(e.matrix, p) == p for e in rep.elements)
-
-
-def _check_invariant(rep: FiniteGroupRep, p: Polynomial):
-    if not is_invariant(rep, p):
-        raise NotInvariant("polynomial is moved by the group action")
-
-
 def express_homogeneous(basis: IntegrityBasis, part, xdegree: int) -> dict:
     """Coefficients {J-monomial: c} with sum c * J-monomial == ``part``.
 
@@ -417,8 +409,12 @@ def express_homogeneous(basis: IntegrityBasis, part, xdegree: int) -> dict:
 def express_in_basis(
     rep: FiniteGroupRep, basis: IntegrityBasis, p: Polynomial
 ) -> Polynomial:
-    """Exact Psi with Psi(J_1..J_k) == p, canonical representative."""
-    _check_invariant(rep, p)
+    """Exact Psi with Psi(J_1..J_k) == p, canonical representative.
+
+    Raises NotInvariant when some generator moves ``p``.
+    """
+    if any(act(rep.elements[s], p) != p for s in rep.generators):
+        raise NotInvariant("polynomial is moved by the group action")
     result = Polynomial.zero(basis.k, J_KIND)
     for xdeg, part in p.homogeneous_parts().items():
         if xdeg == 0:

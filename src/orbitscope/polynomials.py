@@ -18,6 +18,10 @@ this orders degree-2 monomials as x1^2, x1 x2, x2^2.
 
 Text serialization is a sum of ``c * x1^a1 x2^a2`` terms in canonical
 order and round-trips exactly through :func:`parse_polynomial`.
+
+:func:`reynolds`, the average over every group element, has no caller in
+the library (``invariants`` works from the generators); it is the tests'
+independent oracle.
 """
 
 from __future__ import annotations
@@ -467,17 +471,16 @@ def act(matrix, p: Polynomial) -> Polynomial:
     """Pull back p along the linear map given by ``matrix``: x -> p(T x)."""
     if p.kind != X_KIND:
         raise KindMismatch("group action applies to x-space polynomials")
-    rows = getattr(matrix, "matrix", matrix)
-    n = len(rows)
+    n = len(matrix)
     if n != p.nvars:
         raise ValueError("matrix dimension mismatch")
     forms = [
         Polynomial(
             n,
             {
-                tuple(1 if j == jj else 0 for jj in range(n)): rows[i][j]
+                tuple(1 if j == jj else 0 for jj in range(n)): matrix[i][j]
                 for j in range(n)
-                if rows[i][j] != 0
+                if matrix[i][j] != 0
             },
             X_KIND,
         )
@@ -489,8 +492,8 @@ def act(matrix, p: Polynomial) -> Polynomial:
 def reynolds(rep, p: Polynomial) -> Polynomial:
     """Group average (1/|G|) sum_g p(T_g x); a projection onto invariants."""
     total: dict = {}
-    for g in rep.elements:
-        _accumulate(total, act(g.matrix, p).terms)
+    for t in rep.elements:
+        _accumulate(total, act(t, p).terms)
     return Polynomial._new(p.nvars, total, p.kind).scale(Fraction(1, rep.order))
 
 

@@ -13,8 +13,9 @@ potential iff isolated in its stratum) then reduces to scanning realized
 types with one-dimensional fixed space; those rays are returned as the
 principal critical orbit families.
 
-The types are enumerated once per group: `symmetry_types` keeps them in
-``rep.memo``, and every function here that needs them reads them there.
+The types and their lattice are computed once per group:
+`symmetry_types` and `isotropy_lattice` keep them in ``rep.memo``, and
+every function here that needs them reads them there.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _is_realized(rep: FiniteGroupRep, sub: Subgroup, fix) -> bool:
     return (
         tuple(
             i
-            for i, e in enumerate(rep.elements)
-            if all(ra.mat_vec(e.matrix, b) == b for b in fix)
+            for i, t in enumerate(rep.elements)
+            if all(ra.mat_vec(t, b) == b for b in fix)
         )
         == sub.members
     )
@@ -171,6 +172,10 @@ def _class_strictly_below(t_low: SymmetryType, t_high: SymmetryType) -> bool:
 
 
 def isotropy_lattice(rep: FiniteGroupRep) -> IsotropyLattice:
+    """The types, their order and the principal type; kept in ``rep.memo``."""
+    cached = rep.memo.get("isotropy_lattice")
+    if cached is not None:
+        return cached
     types = symmetry_types(rep)
     pairs = set()
     for i, ti in enumerate(types):
@@ -178,7 +183,8 @@ def isotropy_lattice(rep: FiniteGroupRep) -> IsotropyLattice:
             if i != j and _class_strictly_below(ti, tj):
                 pairs.add((i, j))
     principal = _principal_index(types, pairs)
-    return IsotropyLattice(types, frozenset(pairs), principal)
+    cached = rep.memo["isotropy_lattice"] = IsotropyLattice(types, frozenset(pairs), principal)
+    return cached
 
 
 def _principal_index(types, pairs) -> int | None:

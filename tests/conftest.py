@@ -103,6 +103,10 @@ B3_GENS = (
 )
 
 
+# a dense rational conjugate of B3: the conjugator has determinant -3
+B3_CONJ_GENS = conjugate(B3_GENS, _frac_rows([[1, 2, 0], [0, 1, -1], [2, 0, 1]]))
+
+
 @pytest.fixture(scope="session")
 def b3():
     """The hyperoctahedral group B3 on R^3, order 48."""

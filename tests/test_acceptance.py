@@ -213,8 +213,8 @@ def test_criterion_4_michel_rays(d4, z2xz2):
             # exclude the whole group orbit of each ray, not just the
             # representative direction
             mats = [
-                np.array([[float(c) for c in row] for row in e.matrix])
-                for e in rep.elements
+                np.array([[float(c) for c in row] for row in t])
+                for t in rep.elements
             ]
             units = []
             for r in rays:
@@ -418,8 +418,8 @@ def test_criterion_9_dynamics(d4, z2_line):
         )
         field = gradient_field(model, {"a": -1, "c": F(1, 2)})
         mats = [
-            np.array([[float(c) for c in row] for row in e.matrix])
-            for e in d4.elements
+            np.array([[float(c) for c in row] for row in t])
+            for t in d4.elements
         ]
         x0 = np.array([0.37, -0.21])
         base = integrate(field, x0, 5.0, 1e-2)

@@ -55,8 +55,8 @@ def d4_flow(d4):
     )
     field = gradient_field(model, {"a": -1, "c": F(1, 2)})
     mats = [
-        np.array([[float(c) for c in row] for row in e.matrix])
-        for e in d4.elements
+        np.array([[float(c) for c in row] for row in t])
+        for t in d4.elements
     ]
     return d4, basis, field, mats
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B3_GENS, D4_SHEARED_GENS, S4_PERM_GENS, conjugate
+from conftest import B3_CONJ_GENS, B3_GENS, D4_SHEARED_GENS, ROT90, S4_PERM_GENS
 from orbitscope import groups, rationals as ra
 from orbitscope.cli import load_group_spec
 from orbitscope.errors import (
@@ -20,11 +20,6 @@ from orbitscope.errors import (
     SubgroupCapExceeded,
 )
 from orbitscope.strata import symmetry_types
-
-# a dense rational conjugator for B3, det -3
-B3_CONJUGATOR = ra.mat([[1, 2, 0], [0, 1, -1], [2, 0, 1]])
-B3_CONJ_GENS = conjugate(B3_GENS, B3_CONJUGATOR)
-
 
 def brute_force_subgroups(rep):
     """Oracle: scan all index subsets containing the identity (small groups)."""
@@ -78,14 +73,14 @@ def test_closure_orders(z2_line, z2_plane, z2xz2, z4, d4, s3_perm, s4_perm):
 
 
 def test_identity_first(d4):
-    assert d4.matrix(0) == ra.mat_identity(2)
+    assert d4.elements[0] == ra.mat_identity(2)
 
 
 def test_cayley_matches_matrix_product(d4):
     for i in range(d4.order):
         for j in range(d4.order):
-            prod = ra.mat_mul(d4.matrix(i), d4.matrix(j))
-            assert d4.matrix(d4.cayley[i][j]) == prod
+            prod = ra.mat_mul(d4.elements[i], d4.elements[j])
+            assert d4.elements[d4.cayley[i][j]] == prod
 
 
 def test_cayley_associative(d4):
@@ -103,6 +98,14 @@ def test_inverse_table(s4_perm):
         assert s4_perm.cayley[s4_perm.inverse[i]][i] == 0
 
 
+def test_generators_are_distinct_and_not_the_identity():
+    rep = groups.close_generators([ROT90, ROT90, ra.mat_identity(2)])
+    assert rep.order == 4
+    assert len(rep.generators) == 1
+    assert rep.elements[rep.generators[0]] == ROT90
+    assert groups.close_generators([ra.mat_identity(2)]).generators == ()
+
+
 def test_non_invertible_generator():
     with pytest.raises(NonInvertibleGenerator):
         groups.close_generators([[[1, 0], [0, 0]]])
@@ -118,13 +121,13 @@ def test_dimension_mismatch():
 def test_closure_against_matmul_oracle(gens):
     rep = groups.close_generators(gens)
     # the element order fixes every T<k> label downstream
-    assert [e.matrix for e in rep.elements] == matmul_closure(gens)
-    index = {e.matrix: i for i, e in enumerate(rep.elements)}
+    assert rep.elements == matmul_closure(gens)
+    index = {t: i for i, t in enumerate(rep.elements)}
     identity = ra.mat_identity(rep.dim)
     for i in range(rep.order):
         for j in range(rep.order):
-            assert rep.cayley[i][j] == index[ra.mat_mul(rep.matrix(i), rep.matrix(j))]
-        assert ra.mat_mul(rep.matrix(i), rep.matrix(rep.inverse[i])) == identity
+            assert rep.cayley[i][j] == index[ra.mat_mul(rep.elements[i], rep.elements[j])]
+        assert ra.mat_mul(rep.elements[i], rep.elements[rep.inverse[i]]) == identity
 
 
 def test_order_cap():
@@ -204,7 +207,7 @@ def test_isotropy_conjugation(d4, s3_perm):
         for _ in range(30):
             x = rand_rational_point(rng, rep.dim)
             g = rng.randrange(rep.order)
-            gx = ra.mat_vec(rep.matrix(g), x)
+            gx = ra.mat_vec(rep.elements[g], x)
             lhs = groups.isotropy_subgroup(rep, gx)
             rhs = groups.conjugate_subgroup(
                 rep, groups.isotropy_subgroup(rep, x), g
@@ -218,7 +221,7 @@ def test_conjugate_mirror(d4):
     rot = next(
         i
         for i in range(d4.order)
-        if d4.matrix(i) == ra.mat([[0, -1], [1, 0]])
+        if d4.elements[i] == ra.mat([[0, -1], [1, 0]])
     )
     conj = groups.conjugate_subgroup(d4, mirror_y, rot)
     expected = groups.isotropy_subgroup(d4, (0, 1))
@@ -229,7 +232,7 @@ def test_check_subgroup_rejects(d4):
     rot = next(
         i
         for i in range(1, d4.order)
-        if d4.matrix(i) == ra.mat([[0, -1], [1, 0]])
+        if d4.elements[i] == ra.mat([[0, -1], [1, 0]])
     )
     with pytest.raises(NotASubgroup):
         groups.check_subgroup(d4, groups.Subgroup((0, rot)))
@@ -263,8 +266,7 @@ def test_invariant_metric_orthogonal(d4):
 def test_invariant_metric_sheared(d4_sheared):
     metric = groups.invariant_metric(d4_sheared)
     assert metric.eta != ra.mat_identity(2)
-    for e in d4_sheared.elements:
-        t = e.matrix
+    for t in d4_sheared.elements:
         assert ra.mat_mul(ra.mat_mul(ra.mat_transpose(t), metric.eta), t) == metric.eta
     assert ra.mat_mul(metric.eta, metric.eta_inv) == ra.mat_identity(2)
 
@@ -283,7 +285,7 @@ def test_group_file_round_trip(tmp_path, d4):
     assert rep.order == 8
     assert rep.name == "d4-file"
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert {e.matrix for e in rep.elements} == {e.matrix for e in d4.elements}
+    assert set(rep.elements) == set(d4.elements)
 
 
 def test_group_file_errors(tmp_path):

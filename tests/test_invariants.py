@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitscope import rationals as ra
+from conftest import B3_CONJ_GENS, FLIP_Y, ROT90, permutation_matrix
+from orbitscope import invariants, rationals as ra
 from orbitscope.errors import DimensionMismatch, NotExpressible, NotInvariant
 from orbitscope.groups import close_generators, invariant_metric, orbit
 from orbitscope.invariants import (
@@ -75,6 +76,21 @@ def elementary_symmetric(n, k):
 
 def random_rational_point(rng, n):
     return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+
+
+def row_space(polys, monos):
+    """The RREF of the coefficient rows of ``polys`` over ``monos``."""
+    rows = [[p.terms.get(m, Fraction(0)) for m in monos] for p in polys]
+    reduced, _ = ra.rref(rows, len(monos))
+    return reduced
+
+
+# the hyperoctahedral group B4 on R^4, order 384
+B4_GENS = (
+    permutation_matrix((1, 0, 2, 3)),
+    permutation_matrix((1, 2, 3, 0)),
+    ra.mat([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+)
 
 
 # ------------------------------------------------------------ Molien series
@@ -143,13 +159,34 @@ def test_invariant_space_z2_degree2_span(z2_plane):
     got = invariant_space_basis(z2_plane, 2)
     want = [xpoly(2, {(2, 0): 1}), xpoly(2, {(0, 2): 1}), xpoly(2, {(1, 1): 1})]
     monos = monomials_of_degree(2, 2)
+    assert row_space(got, monos) == row_space(want, monos)
 
-    def row_space(polys):
-        rows = [[p.terms.get(m, Fraction(0)) for m in monos] for p in polys]
-        reduced, _ = ra.rref(rows)
-        return reduced
 
-    assert row_space(got) == row_space(want)
+def test_invariant_space_is_the_reynolds_span(
+    z2_line, z2_plane, z2xz2, z4, d4, d4_sheared, s3_perm, s4_perm, b3
+):
+    # the kernel of the generators' action spans what the group average of
+    # every monomial spans
+    b3_conj = close_generators(B3_CONJ_GENS, name="b3-conj")
+    for rep in (z2_line, z2_plane, z2xz2, z4, d4, d4_sheared, s3_perm, s4_perm, b3, b3_conj):
+        for d in range(7):
+            monos = monomials_of_degree(rep.dim, d)
+            images = [reynolds(rep, Polynomial.monomial(m, 1)) for m in monos]
+            assert row_space(invariant_space_basis(rep, d), monos) == row_space(images, monos)
+
+
+def test_basis_and_p_matrix_act_by_generators_only(monkeypatch, b3):
+    generator_matrices = {b3.elements[s] for s in b3.generators}
+    assert len(generator_matrices) == 3
+    acted = []
+
+    def counted(matrix, p):
+        acted.append(matrix)
+        return act(matrix, p)
+
+    monkeypatch.setattr(invariants, "act", counted)
+    p_matrix(b3, compute_mib(b3))
+    assert acted and set(acted) <= generator_matrices
 
 
 def test_invariant_space_d4_degree2(d4):
@@ -328,6 +365,20 @@ def test_jacobian_of_elementary_symmetric_is_vandermonde():
 # ----------------------------------------------------------------- relations
 
 
+def test_b4_basis_is_coregular():
+    rep = close_generators(B4_GENS, name="b4")
+    assert rep.order == 384
+    basis = compute_mib(rep)
+    assert basis.degrees == (2, 4, 6, 8)
+    assert is_coregular(basis)
+    pm = p_matrix(rep, basis)
+    assert all(pm.entries[i][h] == pm.entries[h][i] for i in range(4) for h in range(4))
+    # J1 = |x|^2, so P_11 = |grad J1|^2 = 4 J1
+    squares = {tuple(2 * (i == j) for j in range(4)): 1 for i in range(4)}
+    assert basis.polys[0] == xpoly(4, squares)
+    assert pm.entries[0][0] == jpoly(4, {(1, 0, 0, 0): 4})
+
+
 def test_relations_z2_footnote(z2_plane):
     basis = compute_mib(z2_plane)
     rels = find_relations(basis)
@@ -407,6 +458,17 @@ def test_express_rejects_noninvariant(z2_plane):
     basis = compute_mib(z2_plane)
     with pytest.raises(NotInvariant):
         express_in_basis(z2_plane, basis, xpoly(2, {(3, 0): 1}))
+
+
+def test_express_rejects_what_one_generator_moves(d4):
+    basis = compute_mib(d4)
+    x1_squared = xpoly(2, {(2, 0): 1})
+    rotation, mirror = (d4.elements[s] for s in d4.generators)
+    assert (rotation, mirror) == (ROT90, FLIP_Y)
+    assert act(mirror, x1_squared) == x1_squared
+    assert act(rotation, x1_squared) != x1_squared
+    with pytest.raises(NotInvariant):
+        express_in_basis(d4, basis, x1_squared)
 
 
 def test_express_incomplete_basis(d4):

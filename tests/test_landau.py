@@ -52,8 +52,17 @@ def quartic_d4_model(d4_basis):
 
 
 def settable_values(module) -> list[str]:
-    """Defaulted parameters of public functions and defaulted fields of
-    public dataclasses defined in module: what a caller may set or omit."""
+    """Defaulted parameters of public functions and of the public methods
+    of public classes, and defaulted fields of public dataclasses, defined
+    in module: what a caller may set or omit."""
+
+    def defaulted(label, fn):
+        return [
+            f"{label}({p.name})"
+            for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty
+        ]
+
     out = []
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
@@ -65,12 +74,13 @@ def settable_values(module) -> list[str]:
                 if f.default is not dataclasses.MISSING
                 or f.default_factory is not dataclasses.MISSING
             ]
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    out += defaulted(f"{name}.{attr}", fn)
         elif inspect.isfunction(obj):
-            out += [
-                f"{name}({p.name})"
-                for p in inspect.signature(obj).parameters.values()
-                if p.default is not p.empty
-            ]
+            out += defaulted(name, obj)
     return out
 
 
@@ -151,8 +161,8 @@ def test_potential_is_invariant(z2_plane):
     model = build_generic(compute_mib(z2_plane), degree_x=4)
     lam = {f"a{i}": F(i, 7) - F(1, 3) for i in range(1, 10)}
     phi = model.potential(lam)
-    for e in z2_plane.elements:
-        assert act(e.matrix, phi) == phi
+    for t in z2_plane.elements:
+        assert act(t, phi) == phi
 
 
 # ---------------------------------------------------------------- stability
@@ -283,8 +293,8 @@ def test_critical_point_values_orbit_invariant(d4):
     lam = {"a": -1, "c": F(-1, 2)}
     f = compile_polynomial(model.potential(lam))
     mats = [
-        np.array([[float(c) for c in row] for row in e.matrix])
-        for e in d4.elements
+        np.array([[float(c) for c in row] for row in t])
+        for t in d4.elements
     ]
     for p in minimize(model, lam):
         x = np.array(p.location)

@@ -129,8 +129,8 @@ def test_reynolds_projection(z2_plane):
     # odd part averages away
     assert rp == Polynomial(2, {(2, 0): 3})
     assert reynolds(z2_plane, rp) == rp
-    for g in z2_plane.elements:
-        assert act(g.matrix, rp) == rp
+    for t in z2_plane.elements:
+        assert act(t, rp) == rp
 
 
 def test_reynolds_d4_degree4(d4):

@@ -353,8 +353,8 @@ def test_reduce_z2xz2_degree6(z2xz2_setup):
     lam = {"a": F(-1, 3), "eps": F(1, 5), "c1": F(1, 2),
            "c2": F(-1, 3), "c3": F(2, 7), "c4": F(1, 4)}
     phi = report.reduced.x_polynomial(lam)
-    for e in rep.elements:
-        assert act(e.matrix, phi) == phi
+    for t in rep.elements:
+        assert act(t, phi) == phi
 
 
 def test_reduce_z2_plane_keeps_the_canonical_representative(z2_plane):

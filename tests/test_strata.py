@@ -102,6 +102,12 @@ def test_types_deterministic():
     assert symmetry_types(first) == symmetry_types(second)
 
 
+def test_isotropy_lattice_built_once():
+    # kept in rep.memo, so cmd_strata and principal_stratum share one lattice
+    rep = close_generators([ROT90, FLIP_Y], name="d4-lattice")
+    assert isotropy_lattice(rep) is isotropy_lattice(rep)
+
+
 def test_symmetry_types_enumerated_once(monkeypatch):
     # every consumer of the types reads them from rep.memo, so one group
     # runs the subgroup search once however many of them are called
