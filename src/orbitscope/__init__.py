@@ -49,11 +49,9 @@ from .landau import (
     LandauModel,
     make_model,
     build_generic,
-    check_stability,
     classify_symmetry,
     minimize,
     sweep,
-    verify_critical_orbits,
 )
 from .reduction import (
     GradedPotential,
@@ -99,11 +97,9 @@ __all__ = [
     "LandauModel",
     "make_model",
     "build_generic",
-    "check_stability",
     "classify_symmetry",
     "minimize",
     "sweep",
-    "verify_critical_orbits",
     "GradedPotential",
     "poincare_generator",
     "removable_terms",

@@ -93,7 +93,7 @@ class NoConvergence(OrbitscopeError):
 
 
 class StabilityViolation(OrbitscopeError):
-    """Potential is not confining on the sampled sphere / search ball."""
+    """A descent escaped the search region: the potential appears unbounded below."""
     layer = "landau"
 
 
@@ -103,11 +103,6 @@ class UnknownParameter(OrbitscopeError):
 
 
 # ------------------------------------------------------------ reduction layer
-
-class SingularHomologicalSolve(OrbitscopeError):
-    """Elimination would divide by a coefficient marked critical."""
-    layer = "reduction"
-
 
 class VerificationFailed(OrbitscopeError):
     """The exact composition oracle found a residual term through the truncation."""

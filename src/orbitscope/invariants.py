@@ -451,6 +451,9 @@ class PMatrix:
 
 
 def p_matrix(rep: FiniteGroupRep, basis: IntegrityBasis) -> PMatrix:
+    """Entry (i, h) is homogeneous of x-degree d_i + d_h - 2 and is
+    re-expressed at that degree alone; the consistent solve certifies it
+    lies in the algebra, so no invariance test is repeated."""
     metric = invariant_metric(rep)
     grads = [p.gradient() for p in basis.polys]
     k = basis.k
@@ -464,7 +467,8 @@ def p_matrix(rep: FiniteGroupRep, basis: IntegrityBasis) -> PMatrix:
                     w = metric.eta_inv[a][b]
                     if w != 0:
                         acc = acc + (grads[i][a] * grads[h][b]).scale(w)
-            expr = express_in_basis(rep, basis, acc)
+            degree = basis.degrees[i] + basis.degrees[h] - 2
+            expr = Polynomial(k, express_homogeneous(basis, acc, degree), J_KIND)
             entries[i][h] = expr
             entries[h][i] = expr
     return PMatrix(basis, tuple(tuple(row) for row in entries), metric)

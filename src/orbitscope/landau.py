@@ -1,12 +1,12 @@
 """Landau models over an integrity basis.
 
 A model is the general invariant polynomial of bounded x-degree written in
-the basic invariants, with named coefficients.  The numerical layer screens
-thermodynamic stability (the gradient must point outward on a large
-sphere, so the descent flow points inward), locates critical points by
-multistart descent with Newton polishing, classifies their symmetry
-types, and sweeps a control parameter to produce a phase diagram with
-bisection-refined transition points.
+the basic invariants, with named coefficients.  The numerical layer
+locates critical points by multistart descent with Newton polishing,
+classifies their symmetry types, and sweeps a control parameter to
+produce a phase diagram with bisection-refined transition points.  A
+model is thermodynamically stable when no descent escapes the search
+region; a descent that does raises StabilityViolation.
 
 Minimization runs in x-space; the orbit-space picture enters only through
 reporting.  All stochastic pieces are seeded, so identical inputs give
@@ -26,15 +26,10 @@ are arguments:
   as zero.
 - `classify_symmetry` treats g as fixing x when |T_g x - x| <= 1e-8 |x|
   (`_CLASSIFY_TOL`).
-- `check_stability` samples 64 directions (`_STABILITY_SAMPLES`), seeded
-  with 0.
-- `verify_critical_orbits` scans each ray out to t = 3.0 (`_RAY_T_MAX`)
-  and accepts a tangential residual up to 1e-9 (`_RAY_TOL`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +55,7 @@ from .polynomials import (
     mono_degree,
     substitute,
 )
-from .strata import PrincipalCriticalOrbitSet, SymmetryType, symmetry_types
+from .strata import SymmetryType, symmetry_types
 
 _STARTS_PER_GENERATOR = 16
 _RADIUS = 2.0
@@ -70,9 +65,6 @@ _ESCAPE_FACTOR = 10.0
 _CLUSTER_TOL = 1e-7
 _HESSIAN_ZERO_TOL = 1e-8
 _CLASSIFY_TOL = 1e-8
-_STABILITY_SAMPLES = 64
-_RAY_T_MAX = 3.0
-_RAY_TOL = 1e-9
 
 # ----------------------------------------------------------------- the model
 
@@ -147,50 +139,6 @@ def make_model(
     if degree_x is None:
         degree_x = max(psi.degree(weights), 2)
     return LandauModel(basis, psi, degree_x, frozenset(critical))
-
-
-# ----------------------------------------------------------------- stability
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    stable: bool
-    radius: float
-    witnesses: tuple[tuple[tuple[float, ...], float], ...]
-
-    def __bool__(self) -> bool:
-        return self.stable
-
-
-def check_stability(model: LandauModel, assignment, radius: float) -> StabilityReport:
-    """Outward-gradient screen on the sphere of the given radius.
-
-    The descent flow x' = -grad Phi points inward at x exactly when
-    <grad Phi(x), x> > 0; any sampled direction violating that is returned
-    as a witness of (potential) thermodynamic instability.
-    """
-    phi = model.potential(assignment)
-    grad = compile_gradient(phi)
-    n = phi.nvars
-    rng = random.Random(0)
-    witnesses = []
-    for i in range(_STABILITY_SAMPLES):
-        if n == 1:
-            direction = np.array([1.0 if i % 2 == 0 else -1.0])
-        else:
-            while True:
-                raw = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-                norm = float(np.linalg.norm(raw))
-                if norm > 1e-12:
-                    break
-            direction = raw / norm
-        x = radius * direction
-        outward = float(grad(x) @ x)
-        if outward <= 0.0:
-            witnesses.append((tuple(float(c) for c in x), outward))
-    return StabilityReport(
-        stable=not witnesses, radius=radius, witnesses=tuple(witnesses)
-    )
 
 
 # ------------------------------------------------------------ classification
@@ -479,92 +427,3 @@ def sweep(
             )
         )
     return PhaseDiagram(parameter, tuple(points), tuple(transitions))
-
-
-# -------------------------------------------------- critical-orbit checking
-
-
-@dataclass(frozen=True)
-class RayCheck:
-    direction: tuple[float, ...]
-    symmetry: SymmetryType
-    critical_radii: tuple[float, ...]
-    tangential_residuals: tuple[float, ...]
-    passed: bool
-    note: str
-
-
-@dataclass(frozen=True)
-class RayCheckReport:
-    checks: tuple[RayCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_critical_orbits(
-    model: LandauModel,
-    assignment,
-    orbit_set: PrincipalCriticalOrbitSet,
-) -> RayCheckReport:
-    """Confirm each fixed-line family carries interior ray-critical points
-    at which the (metric) gradient is parallel to the line.
-
-    The metric inverse makes the check frame independent: for orthogonal
-    actions it is the identity and the plain gradient is tested.
-    """
-    grad = compile_gradient(model.potential(assignment))
-    eta_inv = float_group(model.basis.rep)[1]
-    checks = []
-    for family in orbit_set.rays:
-        v = np.array(family.unit)
-
-        def dphi(t):
-            return float(grad(t * v) @ v)
-
-        ts = np.linspace(1e-6, _RAY_T_MAX, 800)
-        vals = [dphi(t) for t in ts]
-        roots = []
-        for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
-            if fa == 0.0:
-                roots.append(float(a))
-                continue
-            if fa * fb < 0.0:
-                lo, hi = float(a), float(b)
-                for _ in range(90):
-                    mid = 0.5 * (lo + hi)
-                    if dphi(lo) * dphi(mid) <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                roots.append(0.5 * (lo + hi))
-        if not roots:
-            checks.append(
-                RayCheck(
-                    direction=tuple(float(c) for c in v),
-                    symmetry=family.symmetry,
-                    critical_radii=(),
-                    tangential_residuals=(),
-                    passed=False,
-                    note="no interior critical point on the ray",
-                )
-            )
-            continue
-        residuals = []
-        for t in roots:
-            w = eta_inv @ grad(t * v)
-            tang = w - float(w @ v) * v
-            residuals.append(float(np.linalg.norm(tang)))
-        ok = max(residuals) <= _RAY_TOL
-        checks.append(
-            RayCheck(
-                direction=tuple(float(c) for c in v),
-                symmetry=family.symmetry,
-                critical_radii=tuple(roots),
-                tangential_residuals=tuple(residuals),
-                passed=ok,
-                note="" if ok else "tangential residual above tolerance",
-            )
-        )
-    return RayCheckReport(tuple(checks))

@@ -26,15 +26,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def parse_rational(text) -> Fraction:
-    """Parse 'p/q', 'p', or a decimal string into an exact Fraction."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    return Fraction(str(text).strip())
-
-
 def vec(entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 

@@ -24,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    KindMismatch,
-    SingularHomologicalSolve,
-    VerificationFailed,
-)
+from .errors import KindMismatch, VerificationFailed
 from .groups import invariant_metric
 from . import rationals as ra
 from .invariants import IntegrityBasis, PMatrix, express_homogeneous, jmonomials_of_xdegree
@@ -323,7 +319,6 @@ def reduce(
     psi: GradedPotential,
     truncation_degree: int,
     pmatrix: PMatrix,
-    strict: bool = False,
 ) -> ReductionReport:
     """Remove every removable term of x-degree 3..truncation_degree.
 
@@ -335,8 +330,7 @@ def reduce(
     in the canonical representative of the basis.  A coefficient marked
     critical is never inverted: a candidate pivot that is not uniformly
     invertible is used only when the division happens to be exact with a
-    uniform quotient, otherwise the term survives.  With strict=True such
-    a refusal raises SingularHomologicalSolve instead.
+    uniform quotient, otherwise the term survives and is reported.
     """
     basis = psi.basis
     if pmatrix.basis.polys != basis.polys:
@@ -387,14 +381,7 @@ def reduce(
                     # admissible iff q stays finite as the critical parameters go to zero
                     if Coefficient.coerce(q).denominator_survives(critical):
                         determined[j] = q
-                        continue
-                if strict:
-                    raise SingularHomologicalSolve(
-                        f"term {_jmono_text(mono)} at x-degree {d}: every "
-                        "candidate pivot is critical and no exact quotient "
-                        "exists; refusing to divide"
-                    )
-                # survivor: only critical pivots offered, division refused
+                # otherwise a survivor: only critical pivots offered, division refused
 
         values = reducer.solve(determined)
         h_terms = {unknown_monos[j]: v for j, v in values.items()}

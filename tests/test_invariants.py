@@ -189,6 +189,21 @@ def test_basis_and_p_matrix_act_by_generators_only(monkeypatch, b3):
     assert acted and set(acted) <= generator_matrices
 
 
+def test_p_matrix_acts_with_no_element(monkeypatch, b3):
+    # each entry is expressed at its known degree; the consistent solve
+    # already puts it in the algebra, so no invariance test runs
+    basis = compute_mib(b3)
+    acted = []
+
+    def counted(matrix, p):
+        acted.append(matrix)
+        return act(matrix, p)
+
+    monkeypatch.setattr(invariants, "act", counted)
+    p_matrix(b3, basis)
+    assert acted == []
+
+
 def test_invariant_space_d4_degree2(d4):
     assert invariant_space_basis(d4, 2) == [xpoly(2, {(2, 0): 1, (0, 2): 1})]
 

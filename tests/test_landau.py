@@ -1,4 +1,4 @@
-"""Model building, stability screening, minimization, sweeps, ray checks."""
+"""Model building, minimization, classification and sweeps."""
 
 import dataclasses
 import gc
@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitscope import dynamics, landau, strata
+from orbitscope import dynamics, landau, reduction, strata
 from orbitscope.errors import (
     AmbiguousClassification,
     StabilityViolation,
@@ -20,12 +20,10 @@ from orbitscope.groups import close_generators
 from orbitscope.invariants import compute_mib
 from orbitscope.landau import (
     build_generic,
-    check_stability,
     classify_symmetry,
     make_model,
     minimize,
     sweep,
-    verify_critical_orbits,
 )
 from orbitscope.params import Coefficient
 from orbitscope.polynomials import J_KIND, Polynomial, act, compile_polynomial
@@ -87,8 +85,10 @@ def settable_values(module) -> list[str]:
 def test_library_settable_values():
     # numerical settings with one value in use are module constants; what
     # is left is what callers, the CLI among them, actually vary
-    found = [v for m in (landau, dynamics, strata) for v in settable_values(m)]
+    modules = (landau, dynamics, strata, reduction)
+    found = [v for m in modules for v in settable_values(m)]
     assert sorted(found) == [
+        "GradedPotential.from_psi(critical)",
         "PhasePoint.error",
         "build_generic(critical)",
         "build_generic(degree_x)",
@@ -97,6 +97,7 @@ def test_library_settable_values():
         "make_model(degree_x)",
         "minimize(gtol)",
         "minimize(seed)",
+        "removable_terms(min_generator_degree)",
         "sweep(assignment)",
         "sweep(seed)",
         "sweep(transition_tol)",
@@ -163,31 +164,6 @@ def test_potential_is_invariant(z2_plane):
     phi = model.potential(lam)
     for t in z2_plane.elements:
         assert act(t, phi) == phi
-
-
-# ---------------------------------------------------------------- stability
-
-
-def test_stability_quartic_well(z2_line):
-    model = build_generic(compute_mib(z2_line))
-    report = check_stability(model, {"a1": -1, "a2": 1}, radius=2.0)
-    assert report
-    assert report.stable and report.witnesses == ()
-
-
-def test_stability_inverted_quartic(z2_line):
-    model = build_generic(compute_mib(z2_line))
-    report = check_stability(model, {"a1": 0, "a2": -1}, radius=2.0)
-    assert not report
-    point, outward = report.witnesses[0]
-    assert outward <= 0.0
-    assert math.isclose(abs(point[0]), 2.0)
-
-
-def test_stability_d4_quartic_family(d4):
-    model = quartic_d4_model(compute_mib(d4))
-    for c in (0, F(1, 2), 2):
-        assert check_stability(model, {"a": -1, "c": c}, radius=3.0).stable
 
 
 # ----------------------------------------------------------- classification
@@ -348,40 +324,3 @@ def test_sweep_records_per_point_errors(z2_line):
     assert bad.symmetry is None and bad.min_value is None
     assert good.error is None
     assert diagram.transitions == ()
-
-
-# ----------------------------------------------------------------- ray checks
-
-
-def test_verify_critical_orbits_d4(d4):
-    basis = compute_mib(d4)
-    model = quartic_d4_model(basis)
-    orbits = principal_critical_orbits(d4)
-    report = verify_critical_orbits(model, {"a": -1, "c": F(1, 2)}, orbits)
-    assert report.all_passed
-    assert len(report.checks) == 2
-    radii = sorted(r for ch in report.checks for r in ch.critical_radii)
-    # axis well at 1/sqrt(2), diagonal well at 2/3 for this coefficient choice
-    assert abs(radii[0] - 2 / 3) <= 1e-9
-    assert abs(radii[1] - math.sqrt(0.5)) <= 1e-9
-
-
-def test_verify_critical_orbits_sheared(d4_sheared):
-    # non-orthogonal frame: only the metric-corrected gradient is parallel
-    basis = compute_mib(d4_sheared)
-    model = build_generic(basis, degree_x=4)
-    lam = {name: F(0) for name in model.parameters()}
-    lam["a1"] = F(-1)
-    lam["a2"] = F(1)
-    orbits = principal_critical_orbits(d4_sheared)
-    assert len(orbits.rays) == 2
-    report = verify_critical_orbits(model, lam, orbits)
-    assert report.all_passed
-
-
-def test_verify_reports_missing_root(z2_line):
-    model = build_generic(compute_mib(z2_line))
-    orbits = principal_critical_orbits(z2_line)
-    report = verify_critical_orbits(model, {"a1": 1, "a2": 1}, orbits)
-    assert not report.all_passed
-    assert report.checks[0].note == "no interior critical point on the ray"

@@ -16,12 +16,6 @@ def rand_matrix(rng, n, m):
     )
 
 
-def test_parse_rational():
-    assert ra.parse_rational("3/4") == Fraction(3, 4)
-    assert ra.parse_rational("-2") == Fraction(-2)
-    assert ra.parse_rational("0.25") == Fraction(1, 4)
-
-
 def test_det_and_inverse_exact():
     a = ra.mat([[1, 2], [3, 5]])
     assert ra.mat_det(a) == Fraction(-1)

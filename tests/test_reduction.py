@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitscope import rationals as ra
-from orbitscope.errors import (
-    KindMismatch,
-    SingularHomologicalSolve,
-    VerificationFailed,
-)
+from orbitscope.errors import KindMismatch, VerificationFailed
 from orbitscope.groups import invariant_metric
 from orbitscope.invariants import (
     compute_mib,
@@ -329,13 +325,6 @@ def test_reduce_all_critical_removes_nothing(z2_setup):
         assert comp == psi.component(d)
         for coeff in comp.terms.values():
             assert coeff.den == Coefficient.number(1).den
-
-
-def test_reduce_strict_raises(z2_setup):
-    _, basis, P = z2_setup
-    psi = sextic(basis, critical=("a", "b", "c"))
-    with pytest.raises(SingularHomologicalSolve):
-        reduce(psi, 6, P, strict=True)
 
 
 def test_reduce_z2xz2_degree6(z2xz2_setup):

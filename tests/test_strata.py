@@ -311,6 +311,8 @@ def test_rays_are_gradient_parallel(d4, z2xz2, s3_perm):
 
 def test_rays_parallel_in_sheared_frame(d4_sheared):
     # non-orthogonal action: parallelism holds for the metric gradient
+    # eta_inv grad(phi), exactly; the plain gradient is c * eta v with eta v
+    # off the ray, so it is parallel only where it vanishes
     rng = random.Random(23)
     basis = compute_mib(d4_sheared)
     metric = invariant_metric(d4_sheared)
@@ -322,6 +324,7 @@ def test_rays_parallel_in_sheared_frame(d4_sheared):
             grad = tuple(g.evaluate(ray.direction) for g in phi.gradient())
             w = ra.mat_vec(metric.eta_inv, grad)
             assert parallel_exact(w, ray.direction)
+            assert parallel_exact(grad, ray.direction) == (not any(grad))
 
 
 def test_principal_points_not_critical(d4, z2xz2):
