@@ -36,15 +36,16 @@ attribute, as the fields built by `gradient_field` do.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, MonotonicityViolation, NonFiniteState
-from .groups import FiniteGroupRep, Subgroup, fixed_subspace, float_group
+from .groups import FiniteGroupRep, Subgroup, fixed_subspace, invariant_metric
 from .invariants import IntegrityBasis
 from .landau import LandauModel
-from .polynomials import compile_gradient, compile_polynomial
+from .polynomials import Polynomial, compile_gradient, compile_polynomial
 
 _MAX_HALVINGS = 6
 _INVARIANCE_SAMPLES = 6
@@ -89,27 +90,35 @@ class OrbitSpaceTrajectory:
 class GradientField:
     """Callable descent field with its potential and metric attached.
 
-    Evaluation is float throughout; the exact model is kept only to build
-    the compiled pieces once.
+    Evaluation is float throughout.  The field -eta_inv grad Phi is formed
+    exactly and compiled once, like the potential and its gradient; calls
+    take any sequence of coordinates and return ndarrays.
     """
 
     def __init__(self, model: LandauModel, assignment):
         self.model = model
         self.assignment = dict(assignment)
+        rep = model.basis.rep
         phi = model.potential(assignment)
+        grads = phi.gradient()
+        zero = Polynomial.zero(rep.dim)
+        descent = [
+            sum((g.scale(-w) for w, g in zip(row, grads) if w), zero)
+            for row in invariant_metric(rep).eta_inv
+        ]
         self._phi = compile_polynomial(phi)
         self._grad = compile_gradient(phi)
-        self.dim = model.basis.rep.dim
-        self._eta_inv = float_group(model.basis.rep)[1]
+        self._field = compile_polynomial(descent)
+        self.dim = rep.dim
 
     def __call__(self, x) -> np.ndarray:
-        return -self._eta_inv @ self._grad(x)
+        return np.array(self._field(x))
 
     def potential(self, x) -> float:
         return self._phi(x)
 
     def gradient(self, x) -> np.ndarray:
-        return self._grad(x)
+        return np.array(self._grad(x))
 
 
 def gradient_field(model: LandauModel, assignment) -> GradientField:
@@ -117,12 +126,21 @@ def gradient_field(model: LandauModel, assignment) -> GradientField:
     return GradientField(model, assignment)
 
 
-def _rk4_step(field, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = field(x)
-    k2 = field(x + 0.5 * h * k1)
-    k3 = field(x + 0.5 * h * k2)
-    k4 = field(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(field, x: tuple, h: float) -> tuple:
+    """One classical Runge-Kutta step on a tuple of plain floats."""
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = tuple(map(float, field(x)))
+    k2 = tuple(map(float, field(tuple(a + half * b for a, b in zip(x, k1)))))
+    k3 = tuple(map(float, field(tuple(a + half * b for a, b in zip(x, k2)))))
+    k4 = tuple(map(float, field(tuple(a + h * b for a, b in zip(x, k3)))))
+    return tuple(
+        a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+    )
+
+
+def _finite(x: tuple) -> bool:
+    return all(map(math.isfinite, x))
 
 
 def integrate(
@@ -146,44 +164,45 @@ def integrate(
     if not np.all(np.isfinite(x)):
         raise NonFiniteState("initial state is not finite")
     potential = getattr(field, "potential", None)
-
     steps = int(round(t_end / dt))
-    times = np.empty(steps + 1)
-    states = np.empty((steps + 1, len(x)))
-    times[0] = 0.0
-    states[0] = x
 
     # overflow in a rejected candidate step is expected, not news
     with np.errstate(over="ignore", invalid="ignore"):
-        return _run_steps(field, potential, x, dt, steps, times, states, energy_tol)
+        states = _run_steps(field, potential, tuple(x.tolist()), dt, steps, energy_tol)
+    return Trajectory(np.arange(steps + 1) * dt, np.array(states), dt)
 
 
-def _run_steps(field, potential, x, dt, steps, times, states, energy_tol) -> Trajectory:
+def _run_steps(field, potential, x: tuple, dt, steps, energy_tol) -> list[tuple]:
+    """The states after 0, 1, ..., steps steps, each a tuple of floats."""
+    states = [x]
+    e_old = None if potential is None else potential(x)
     for i in range(steps):
         x_new = _rk4_step(field, x, dt)
-        if potential is not None and np.all(np.isfinite(x_new)):
-            e_old = potential(x)
-            if potential(x_new) > e_old + energy_tol:
+        if potential is not None and _finite(x_new):
+            e_new = potential(x_new)
+            if e_new > e_old + energy_tol:
                 for halving in range(1, _MAX_HALVINGS + 1):
                     nsub = 2**halving
                     h = dt / nsub
                     y = x
                     for _ in range(nsub):
                         y = _rk4_step(field, y, h)
-                    if np.all(np.isfinite(y)) and potential(y) <= e_old + energy_tol:
-                        x_new = y
-                        break
+                    if _finite(y):
+                        e_new = potential(y)
+                        if e_new <= e_old + energy_tol:
+                            x_new = y
+                            break
                 else:
                     raise MonotonicityViolation(
-                        f"potential increased at t={times[i]:.6g} and substep "
+                        f"potential increased at t={i * dt:.6g} and substep "
                         f"refinement down to dt/{2**_MAX_HALVINGS} did not cure it"
                     )
-        if not np.all(np.isfinite(x_new)):
-            raise NonFiniteState(f"state left the finite range at t={times[i]:.6g}")
+            e_old = e_new
+        if not _finite(x_new):
+            raise NonFiniteState(f"state left the finite range at t={i * dt:.6g}")
         x = x_new
-        times[i + 1] = (i + 1) * dt
-        states[i + 1] = x
-    return Trajectory(times, states, dt)
+        states.append(x)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +286,7 @@ def check_stratum_invariance(
 
 
 def project_trajectory(basis: IntegrityBasis, traj: Trajectory) -> OrbitSpaceTrajectory:
-    orbit_map = compile_polynomial(basis.polys)
-    j_states = np.array([orbit_map(x) for x in traj.states])
+    j_states = compile_polynomial(basis.polys).eval_many(traj.states)
     return OrbitSpaceTrajectory(traj.times, j_states)
 
 
@@ -298,7 +316,7 @@ def orbit_space_consistency(field: GradientField, traj: Trajectory) -> Consisten
     for i in range(1, len(traj.times) - 1):
         x = traj.states[i]
         fx = field(x)
-        rows = jacobian(x).reshape(basis.k, -1)
+        rows = np.reshape(jacobian(x), (basis.k, -1))
         rhs = np.array([sum(d * fv for d, fv in zip(row, fx)) for row in rows])
         fd = (projected.j_states[i + 1] - projected.j_states[i - 1]) / (2.0 * dt)
         worst = max(worst, float(np.max(np.abs(fd - rhs))))

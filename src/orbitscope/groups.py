@@ -164,17 +164,15 @@ def invariant_metric(rep: FiniteGroupRep) -> InvariantMetric:
     return InvariantMetric(eta=eta, eta_inv=ra.mat_inverse(eta))
 
 
-def float_group(rep: FiniteGroupRep) -> tuple[list[np.ndarray], np.ndarray]:
-    """Float copies of the element matrices and of the metric inverse
-    eta_inv, converted once per rep and kept in its memo."""
-    data = rep.memo.get("float_group")
-    if data is None:
-        def to_float(m):
-            return np.array([[float(c) for c in row] for row in m])
-
-        mats = [to_float(t) for t in rep.elements]
-        data = rep.memo["float_group"] = (mats, to_float(invariant_metric(rep).eta_inv))
-    return data
+def float_group(rep: FiniteGroupRep) -> list[np.ndarray]:
+    """Float copies of the element matrices, converted once per rep and
+    kept in its memo."""
+    mats = rep.memo.get("float_group")
+    if mats is None:
+        mats = rep.memo["float_group"] = [
+            np.array([[float(c) for c in row] for row in t]) for t in rep.elements
+        ]
+    return mats
 
 
 def orbit(rep: FiniteGroupRep, point) -> tuple[ra.Vec, ...]:

@@ -30,6 +30,7 @@ are arguments:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,7 +155,7 @@ def classify_symmetry(rep: FiniteGroupRep, x) -> SymmetryType:
     xv = np.asarray(x, dtype=float)
     scale = float(np.linalg.norm(xv))
     members = []
-    for i, mat in enumerate(float_group(rep)[0]):
+    for i, mat in enumerate(float_group(rep)):
         if float(np.linalg.norm(mat @ xv - xv)) <= _CLASSIFY_TOL * scale:
             members.append(i)
     sub = Subgroup(tuple(members))
@@ -219,24 +220,30 @@ def _ball_starts(n: int, count: int, radius: float, seed: int) -> list[np.ndarra
 
 def _descend(x0, f, grad, hess, gtol: float, escape_radius: float):
     """Backtracking gradient descent, then damped Newton. Returns
-    ('ok', x) | ('escaped', x) | ('unconverged', x)."""
-    x = np.array(x0, dtype=float)
+    ('ok', x) | ('escaped', x) | ('unconverged', x).
+
+    The gradient phase, nearly every iteration, steps a tuple of plain
+    floats; the Newton phase solves with numpy."""
+    x = tuple(float(c) for c in x0)
     for _ in range(_MAX_GRADIENT_STEPS):
         g = grad(x)
-        gn = float(np.linalg.norm(g))
-        if not np.isfinite(gn):
-            return ("unconverged", x)
+        gn = math.hypot(*g)
+        if not math.isfinite(gn):
+            return ("unconverged", np.array(x))
         if gn <= 100.0 * gtol:
             break
         fx = f(x)
         step = 1.0 / (1.0 + gn)
-        while step > 1e-18 and f(x - step * g) > fx - 1e-4 * step * gn * gn:
+        trial = tuple(a - step * b for a, b in zip(x, g))
+        while step > 1e-18 and f(trial) > fx - 1e-4 * step * gn * gn:
             step *= 0.5
-        x = x - step * g
-        if float(np.linalg.norm(x)) > escape_radius:
-            return ("escaped", x)
+            trial = tuple(a - step * b for a, b in zip(x, g))
+        x = trial
+        if math.hypot(*x) > escape_radius:
+            return ("escaped", np.array(x))
+    x = np.array(x)
     for _ in range(_MAX_NEWTON_STEPS):
-        g = grad(x)
+        g = np.array(grad(x))
         gn = float(np.linalg.norm(g))
         if gn <= 1e-3 * gtol:
             break
@@ -284,7 +291,7 @@ def minimize(
     second = compile_polynomial([d.partial(j) for d in phi.gradient() for j in range(n)])
 
     def hess(x):
-        return second(x).reshape(n, n)
+        return np.reshape(second(x), (n, n))
 
     count = _STARTS_PER_GENERATOR * model.basis.k
     escape_radius = _ESCAPE_FACTOR * _RADIUS
@@ -303,7 +310,7 @@ def minimize(
         raise NoConvergence(f"none of {count} starts reached gradient tolerance")
 
     found.sort(key=lambda x: (f(x), tuple(x)))
-    mats = float_group(rep)[0]
+    mats = float_group(rep)
     reps: list[np.ndarray] = []
     for x in found:
         duplicate = False

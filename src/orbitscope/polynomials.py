@@ -511,52 +511,89 @@ def substitute(psi: Polynomial, basis_polys, truncate_at: int | None = None) -> 
 
 # --------------------------------------------------------- numeric compile
 
+# A sum is a left-leaning chain of additions, and ``compile`` recurses once
+# per link: about 3000 terms in one expression overflow it.  An output with
+# more terms accumulates over statements of at most this many.
+_TERMS_PER_STATEMENT = 200
+
+
+def _kernel_source(polys: list[Polynomial], scalar: bool) -> str:
+    """Source of ``_k(x0, ..., x{n-1})``, straight-line float code.
+
+    Power x_i^e is the name ``x{i}_{e}``, built once for all outputs as
+    ``x{i}_{e-1} * x{i}``.  Each output is the left-to-right sum of
+    ``repr(float(c)) * powers`` over its ``sorted_terms()``, so it runs the
+    same operations alone or inside a map.  The source holds nothing but
+    these names, float literals and operators.
+    """
+    nvars = polys[0].nvars
+    args = [f"x{i}" for i in range(nvars)]
+    lines = [f"def _k({', '.join(args)}):"]
+    for i in range(nvars):
+        top = max((m[i] for p in polys for m in p.terms), default=0)
+        for e in range(2, top + 1):
+            prev = args[i] if e == 2 else f"x{i}_{e - 1}"
+            lines.append(f"    x{i}_{e} = {prev} * x{i}")
+    outputs = []
+    for j, p in enumerate(polys):
+        terms = [
+            " * ".join(
+                [repr(float(c))]
+                + [args[i] if e == 1 else f"x{i}_{e}" for i, e in enumerate(m) if e]
+            )
+            for m, c in p.sorted_terms()
+        ]
+        chunks = [
+            " + ".join(terms[k : k + _TERMS_PER_STATEMENT])
+            for k in range(0, len(terms), _TERMS_PER_STATEMENT)
+        ] or ["0.0"]
+        if len(chunks) == 1:
+            outputs.append(chunks[0])
+            continue
+        lines.append(f"    s{j} = {chunks[0]}")
+        lines += [f"    s{j} = s{j} + {chunk}" for chunk in chunks[1:]]
+        outputs.append(f"s{j}")
+    lines.append(f"    return {outputs[0] if scalar else '(' + ', '.join(outputs) + ',)'}")
+    return "\n".join(lines) + "\n"
+
 
 class NumericPoly:
     """Float evaluator compiled once from an exact polynomial or polynomial map.
 
     ``NumericPoly(p)`` evaluates to a float; ``NumericPoly([p1, ..., pm])``
-    to an array of m floats.  The terms of every output, each in
-    ``sorted_terms()`` order, are stacked into one exponent table and one
-    coefficient vector.  A call builds one power table prod(x ** exps) and
-    takes output i as the dot product of its slice of that table with its
-    coefficients: the same float operations in the same order as compiling
-    each output on its own, so the results agree to the last bit.
+    to a tuple of m floats.  Construction generates one straight-line Python
+    function of the coordinates (see :func:`_kernel_source`, kept as
+    ``source``) and compiles it with ``compile``.  Calls pass the
+    coordinates as arguments; :meth:`eval_many` passes the columns of a
+    point array, so one kernel serves single points and batches, and the
+    two agree to the last bit.  The sums run in a fixed order, so reruns
+    are bit-identical; they are not bit-identical to other float
+    evaluation orders of the same polynomial.
     """
 
-    __slots__ = ("nvars", "exps", "coeffs", "parts", "scalar")
+    __slots__ = ("nvars", "scalar", "source", "_fn")
 
     def __init__(self, polys):
         self.scalar = isinstance(polys, Polynomial)
         polys = [polys] if self.scalar else list(polys)
         self.nvars = polys[0].nvars
-        items = [p.sorted_terms() for p in polys]
-        flat = [mc for terms in items for mc in terms]
-        self.exps = np.array([m for m, _ in flat], dtype=np.int64).reshape(-1, self.nvars)
-        self.coeffs = np.array([float(c) for _, c in flat])
-        # (rows of the power table, coefficients) of each output
-        self.parts = []
-        lo = 0
-        for terms in items:
-            s = slice(lo, lo + len(terms))
-            self.parts.append((s, self.coeffs[s]))
-            lo = s.stop
+        self.source = _kernel_source(polys, self.scalar)
+        namespace: dict = {}
+        exec(compile(self.source, "<orbitscope kernel>", "exec"), namespace)
+        self._fn = namespace["_k"]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        table = np.prod(x[None, :] ** self.exps, axis=1)
-        if self.scalar:
-            return float(table @ self.coeffs)
-        return np.array([table[s] @ c for s, c in self.parts])
+        return self._fn(*x)
 
     def eval_many(self, pts) -> np.ndarray:
         """Values at each row of ``pts``: shape (points,) for one polynomial,
         (points, m) for a map."""
         pts = np.asarray(pts, dtype=float)
-        table = np.prod(pts[:, None, :] ** self.exps[None, :, :], axis=2)
+        rows = pts.shape[:1]
+        out = self._fn(*pts.T)
         if self.scalar:
-            return table @ self.coeffs
-        return np.stack([table[:, s] @ c for s, c in self.parts], axis=-1)
+            return np.array(np.broadcast_to(out, rows))
+        return np.stack([np.broadcast_to(v, rows) for v in out], axis=-1)
 
 
 def compile_polynomial(p) -> NumericPoly:

@@ -1,6 +1,11 @@
 """Polynomial algebra: ring axioms, group action, Reynolds, serialization."""
 
+import io
+import math
 import random
+import re
+import sys
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -234,17 +239,103 @@ points3 = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(polys3, min_size=1, max_size=4), points3)
 def test_kernel_over_a_map_is_bit_identical(polys, x):
-    # one stacked kernel computes each output with exactly the operations
-    # of that output's own kernel, so equality is exact, not approximate
+    # each output of a map runs the statements of that output's own kernel
+    # over the same shared powers, so equality is exact, not approximate
     p = polys[0]
     grad = compile_gradient(p)(x)
-    assert grad.shape == (3,)
+    assert isinstance(grad, tuple) and len(grad) == 3
     for i in range(3):
         assert grad[i] == compile_polynomial(p.partial(i))(x)
     values = compile_polynomial(polys)(x)
-    assert values.tolist() == [compile_polynomial(q)(x) for q in polys]
+    assert values == tuple(compile_polynomial(q)(x) for q in polys)
     pts = [x, [-c for c in x]]
     many = compile_polynomial(polys).eval_many(pts)
     assert many.shape == (2, len(polys))
     for j, q in enumerate(polys):
         assert many[:, j].tolist() == compile_polynomial(q).eval_many(pts).tolist()
+        assert many[:, j].tolist() == [compile_polynomial(q)(pt) for pt in pts]
+
+
+def _kernel_bound(p, point):
+    """C * eps * Sum |c_m x^m| with C = degree + number of terms.
+
+    A term takes `degree` float multiplications after the coefficient is
+    rounded, and the left-to-right sum of N terms adds N - 1 roundings, so
+    the computed value is within gamma_(degree + N) * Sum |c_m x^m| of the
+    exact one (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1 and 4.2), with gamma_k = k u / (1 - k u) < k eps for unit roundoff
+    u = eps / 2.
+    """
+    c_factor = max(p.degree(), 0) + len(p.terms)
+    magnitude = sum(
+        abs(c) * abs(math.prod(x**e for x, e in zip(point, m))) for m, c in p.terms.items()
+    )
+    return c_factor * Fraction(sys.float_info.epsilon) * magnitude
+
+
+def test_kernel_within_rounding_bound_of_exact_value():
+    rng = random.Random(29)
+    for _ in range(200):
+        p = random_poly(rng, nvars=3, max_degree=4)
+        p = p + Polynomial(3, {(0, 0, 0): Fraction(rng.randint(-9, 9), rng.randint(1, 7))})
+        # dyadic rationals are floats exactly, so only the kernel rounds
+        point = [Fraction(rng.randint(-2048, 2048), 1024) for _ in range(3)]
+        got = compile_polynomial(p)([float(c) for c in point])
+        assert abs(Fraction(got) - p.evaluate(point)) <= _kernel_bound(p, point)
+
+
+def test_kernel_compiles_five_thousand_terms():
+    # one expression of this many terms overflows compile's recursion
+    rng = random.Random(5)
+    terms = {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+             for d in range(31) for m in monomials_of_degree(3, d)}
+    p = Polynomial(3, terms)
+    assert len(p.terms) >= 5000
+    kernel = compile_polynomial(p)
+    point = [Fraction(1, 2), Fraction(-3, 4), Fraction(7, 8)]
+    pts = [[float(c) for c in point], [0.25, 0.5, -1.0]]
+    value = kernel(pts[0])
+    assert abs(Fraction(value) - p.evaluate(point)) <= _kernel_bound(p, point)
+    assert kernel.eval_many(pts).tolist() == [kernel(pt) for pt in pts]
+
+
+def test_kernel_constant_and_zero_outputs():
+    pts = [[1.5, -2.0], [0.0, 3.0], [-1.0, -1.0]]
+    linear = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(-2, 5)})
+    grad = compile_gradient(linear)
+    assert grad(pts[0]) == (3.0, -0.4)
+    assert grad.eval_many(pts).tolist() == [[3.0, -0.4]] * 3
+    zero = compile_polynomial(Polynomial.zero(2))
+    assert zero(pts[0]) == 0.0 and isinstance(zero(pts[0]), float)
+    assert zero.eval_many(pts).tolist() == [0.0] * 3
+    assert compile_gradient(Polynomial.constant(2, 5)).eval_many(pts).tolist() == [[0.0, 0.0]] * 3
+    mixed = compile_polynomial([X2, Polynomial.zero(2), Polynomial.constant(2, 7)])
+    assert mixed(pts[0]) == (2.25, 0.0, 7.0)
+    assert mixed.eval_many(pts).tolist() == [[2.25, 0.0, 7.0], [0.0, 0.0, 7.0], [1.0, 0.0, 7.0]]
+
+
+def test_kernel_source_holds_only_floats_and_coordinate_names():
+    # coefficients reach compile only as repr(float(c)); no text of the
+    # polynomial or its spec does
+    rng = random.Random(11)
+    long_poly = Polynomial(2, {m: Fraction(rng.randint(1, 9), 3)
+                               for d in range(25) for m in monomials_of_degree(2, d)})
+    assert len(long_poly.terms) > 300
+    polys = [long_poly, Polynomial.zero(2), X2.scale(Fraction(-1, 3)) + Polynomial.constant(2, 10**30)]
+    source = compile_polynomial(polys).source
+    names, literals = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            names.add(tok.string)
+        elif tok.type == tokenize.NUMBER:
+            literals.add(tok.string)
+        elif tok.type == tokenize.OP:
+            assert tok.string in {"(", ")", ",", ":", "=", "*", "+", "-"}
+        else:
+            assert tok.type in {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER}, tok
+    keywords = {"def", "_k", "return"}
+    assert {n for n in names - keywords if not re.fullmatch(r"x\d+(_\d+)?|s\d+", n)} == set()
+    assert {"x0", "x1", "x0_24", "s0"} <= names
+    assert all(repr(float(lit)) == lit for lit in literals)
+    assert {"1e+30", "0.3333333333333333"} <= literals
