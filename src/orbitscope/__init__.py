@@ -54,7 +54,6 @@ from .landau import (
     sweep,
 )
 from .reduction import (
-    GradedPotential,
     poincare_generator,
     removable_terms,
     reduce,
@@ -100,7 +99,6 @@ __all__ = [
     "classify_symmetry",
     "minimize",
     "sweep",
-    "GradedPotential",
     "poincare_generator",
     "removable_terms",
     "reduce",

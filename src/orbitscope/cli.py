@@ -52,7 +52,7 @@ from .invariants import (
 )
 from .landau import build_generic, minimize, sweep
 from .polynomials import J_KIND, mono_text
-from .reduction import GradedPotential, reduce as reduce_potential, verify_reduction
+from .reduction import reduce as reduce_potential, verify_reduction
 from .strata import (
     isotropy_lattice,
     principal_critical_orbits,
@@ -259,7 +259,7 @@ def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     types = symmetry_types(rep)
     lattice = isotropy_lattice(rep)
     principal = principal_stratum(rep)
-    pco = principal_critical_orbits(rep)
+    rays = principal_critical_orbits(rep)
     report = {
         "types": [
             {
@@ -279,7 +279,7 @@ def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
                 "direction": [str(c) for c in r.direction],
                 "unit": [_fnum(c) for c in r.unit],
             }
-            for r in pco.rays
+            for r in rays
         ],
     }
     text = [f"symmetry types for {rep.name} (principal: {report['principal']}):"]
@@ -411,16 +411,15 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     basis = _basis_for(cfg, rep)
     model = build_generic(basis, degree_x=cfg.ell)
     pm = p_matrix(rep, basis)
-    psi = GradedPotential.from_model(model)
     truncation = model.degree_x
-    result = reduce_potential(psi, truncation, pm)
+    result = reduce_potential(model, truncation, pm)
 
     lam = _model_assignment(model, cfg)
-    stats = verify_reduction(psi, result, [lam])
+    stats = verify_reduction(model, result, [lam])
 
     report = {
         "truncation": truncation,
-        "critical": sorted(psi.critical),
+        "critical": sorted(model.critical),
         "generators": [
             {"degree": g.degree, "h": g.h_poly.to_text(bracketed=True)}
             for g in result.generators

@@ -45,7 +45,7 @@ from .errors import DimensionMismatch, MonotonicityViolation, NonFiniteState
 from .groups import FiniteGroupRep, Subgroup, fixed_subspace, invariant_metric
 from .invariants import IntegrityBasis
 from .landau import LandauModel
-from .polynomials import Polynomial, compile_gradient, compile_polynomial
+from .polynomials import Polynomial, compile_polynomial
 
 _MAX_HALVINGS = 6
 _INVARIANCE_SAMPLES = 6
@@ -91,8 +91,8 @@ class GradientField:
     """Callable descent field with its potential and metric attached.
 
     Evaluation is float throughout.  The field -eta_inv grad Phi is formed
-    exactly and compiled once, like the potential and its gradient; calls
-    take any sequence of coordinates and return ndarrays.
+    exactly and compiled once, like the potential; a call takes any
+    sequence of coordinates and returns the kernel's tuple of floats.
     """
 
     def __init__(self, model: LandauModel, assignment):
@@ -107,18 +107,14 @@ class GradientField:
             for row in invariant_metric(rep).eta_inv
         ]
         self._phi = compile_polynomial(phi)
-        self._grad = compile_gradient(phi)
         self._field = compile_polynomial(descent)
         self.dim = rep.dim
 
-    def __call__(self, x) -> np.ndarray:
-        return np.array(self._field(x))
+    def __call__(self, x) -> tuple:
+        return self._field(x)
 
     def potential(self, x) -> float:
         return self._phi(x)
-
-    def gradient(self, x) -> np.ndarray:
-        return np.array(self._grad(x))
 
 
 def gradient_field(model: LandauModel, assignment) -> GradientField:

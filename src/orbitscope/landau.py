@@ -1,12 +1,14 @@
 """Landau models over an integrity basis.
 
 A model is the general invariant polynomial of bounded x-degree written in
-the basic invariants, with named coefficients.  The numerical layer
-locates critical points by multistart descent with Newton polishing,
-classifies their symmetry types, and sweeps a control parameter to
-produce a phase diagram with bisection-refined transition points.  A
-model is thermodynamically stable when no descent escapes the search
-region; a descent that does raises StabilityViolation.
+the basic invariants, with named coefficients.  `components()` grades it
+by x-degree; `reduction.reduce` works on it degree by degree and returns
+its normal form as another model.  The numerical layer locates critical
+points by multistart descent with Newton polishing, classifies their
+symmetry types, and sweeps a control parameter to produce a phase diagram
+with bisection-refined transition points.  A model is thermodynamically
+stable when no descent escapes the search region; a descent that does
+raises StabilityViolation.
 
 Minimization runs in x-space; the orbit-space picture enters only through
 reporting.  All stochastic pieces are seeded, so identical inputs give
@@ -86,6 +88,14 @@ class LandauModel:
 
     def parameters(self) -> set[str]:
         return self.psi.parameters()
+
+    def components(self) -> dict[int, Polynomial]:
+        """psi split by x-degree: the nonzero homogeneous parts, ascending."""
+        return self.psi.homogeneous_parts(self.basis.degrees)
+
+    def component(self, d: int) -> Polynomial:
+        """The part of psi of x-degree d, or the J-space zero."""
+        return self.components().get(d) or Polynomial.zero(self.basis.k, J_KIND)
 
     def _complete(self, assignment) -> dict:
         need = self.parameters()

@@ -1,5 +1,10 @@
-"""Reduction of graded invariant potentials by near-identity changes of
-coordinates generated by invariant functions.
+"""Reduction of Landau potentials by near-identity changes of coordinates
+generated by invariant functions.
+
+The potential is a `landau.LandauModel`, graded by x-degree through its
+`components`, and so is the normal form: `reduce` returns the reduced
+model with degree_x the truncation degree, for `minimize`, `sweep` and
+`verify_reduction` to take as they take the original.
 
 Each change is the time-one flow of the equivariant field
 eta_inv grad(H o J), for an invariant generator H.  On a potential Psi
@@ -28,6 +33,7 @@ from .errors import KindMismatch, VerificationFailed
 from .groups import invariant_metric
 from . import rationals as ra
 from .invariants import IntegrityBasis, PMatrix, express_homogeneous, jmonomials_of_xdegree
+from .landau import LandauModel, make_model
 from .params import Coefficient
 from .polynomials import (
     J_KIND,
@@ -50,78 +56,18 @@ def _jmono_text(m) -> str:
     return mono_text(m, J_KIND) or "1"
 
 
-# ----------------------------------------------------------- graded potential
+# ---------------------------------------------------------------- old name
 
 
-@dataclass(frozen=True)
 class GradedPotential:
-    """Potential split into components by the x-degree of their substitution.
-
-    components maps x-degree -> J-space polynomial; parameters named in
-    `critical` may vanish along the parameter sweep, all others are
-    treated as uniformly nonzero.
-    """
-
-    basis: IntegrityBasis
-    components: dict[int, Polynomial]
-    critical: frozenset[str]
-
-    def __post_init__(self):
-        weights = self.basis.degrees
-        cleaned = {}
-        for d, comp in sorted(self.components.items()):
-            if comp.kind != J_KIND or comp.nvars != self.basis.k:
-                raise KindMismatch("components must live in the basis J-space")
-            if comp.is_zero():
-                continue
-            for m in comp.terms:
-                if mono_degree(m, weights) != d:
-                    raise ValueError(
-                        f"component keyed {d} contains a term of x-degree "
-                        f"{mono_degree(m, weights)}"
-                    )
-            if d < 2:
-                raise ValueError("potentials start at x-degree 2")
-            cleaned[d] = comp
-        object.__setattr__(self, "components", cleaned)
-        object.__setattr__(self, "critical", frozenset(self.critical))
+    """Kept only for ``TARGETS`` in ``perfbench/tracer.py``, which names
+    ``GradedPotential.from_model``; no orbitscope code calls it.  A Landau
+    model is already graded (``LandauModel.components``), so the model
+    comes back unchanged."""
 
     @classmethod
-    def from_psi(cls, basis: IntegrityBasis, psi, critical=()) -> "GradedPotential":
-        return cls(basis, psi.homogeneous_parts(basis.degrees), frozenset(critical))
-
-    @classmethod
-    def from_model(cls, model) -> "GradedPotential":
-        return cls.from_psi(model.basis, model.psi, model.critical)
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.components))
-
-    def component(self, d: int) -> Polynomial:
-        comp = self.components.get(d)
-        if comp is None:
-            return Polynomial.zero(self.basis.k, J_KIND)
-        return comp
-
-    def total(self) -> Polynomial:
-        out = Polynomial.zero(self.basis.k, J_KIND)
-        for d in sorted(self.components):
-            out = out + self.components[d]
-        return out
-
-    def parameters(self) -> set[str]:
-        names = set()
-        for comp in self.components.values():
-            names |= comp.parameters()
-        return names
-
-    def j_polynomial(self, assignment) -> Polynomial:
-        return self.total().evaluate_params(
-            {k: Fraction(v) for k, v in assignment.items()}
-        )
-
-    def x_polynomial(self, assignment) -> Polynomial:
-        return substitute(self.j_polynomial(assignment), self.basis.polys)
+    def from_model(cls, model):
+        return model
 
 
 # ---------------------------------------------------------------- generators
@@ -176,10 +122,10 @@ def homological_image(psi_term, h, pmatrix: PMatrix):
     return lie_derivative(psi_term, delta_J(h, pmatrix))
 
 
-def u_functions(psi: GradedPotential, pmatrix: PMatrix) -> list:
+def u_functions(model: LandauModel, pmatrix: PMatrix) -> list:
     """U_i = Sum_s (dPsi/dJ_s) P_si, carrying the parameter coefficients;
     P is symmetric, so this is delta_J of the whole potential."""
-    return delta_J(psi.total(), pmatrix)
+    return delta_J(model.psi, pmatrix)
 
 
 def is_compatible(q_vector) -> bool:
@@ -220,7 +166,7 @@ class RemovableSubspace:
 
 
 def removable_terms(
-    psi: GradedPotential,
+    model: LandauModel,
     degree: int,
     pmatrix: PMatrix,
     min_generator_degree: int = 3,
@@ -232,13 +178,13 @@ def removable_terms(
     changes only; lowering it to 2 admits constant Q (linear coordinate
     changes), whose removable contribution is proportional to U itself.
     """
-    basis = psi.basis
+    basis = model.basis
     weights = basis.degrees
     target_monos = jmonomials_of_xdegree(weights, degree)
     columns = []      # (gen_degree, gen_mono, image polynomial)
     for g in range(min_generator_degree, degree + 1):
         s = degree - g + 2
-        comp = psi.component(s)
+        comp = model.component(s)
         if comp.is_zero():
             continue
         for m in jmonomials_of_xdegree(weights, g):
@@ -247,7 +193,7 @@ def removable_terms(
             if not image.is_zero():
                 columns.append((g, m, image))
 
-    reducer = ra.RowReducer(admissible=_uniform(psi.critical))
+    reducer = ra.RowReducer(admissible=_uniform(model.critical))
     removable = []    # (mono, pivot column)
     constraints = []
     non_removable = []
@@ -279,17 +225,19 @@ def removable_terms(
 
 @dataclass(frozen=True)
 class ReductionReport:
-    reduced: GradedPotential
+    reduced: LandauModel          # x-degree truncated at the residual degree
     generators: tuple
     removed_terms: tuple          # (x-degree, J-monomial), ascending degree
-    residual_degree: int
+
+    @property
+    def residual_degree(self) -> int:
+        return self.reduced.degree_x
 
     def survivors(self) -> tuple:
         out = []
-        for d in self.reduced.degrees():
+        for d, comp in self.reduced.components().items():
             if d < 3:
                 continue
-            comp = self.reduced.component(d)
             for m in sorted(comp.terms, key=mono_key, reverse=True):
                 out.append((d, m, comp.terms[m]))
         return tuple(out)
@@ -316,7 +264,7 @@ def _lie_series(psi: Polynomial, gen: PoincareGenerator, pmatrix: PMatrix, trunc
 
 
 def reduce(
-    psi: GradedPotential,
+    model: LandauModel,
     truncation_degree: int,
     pmatrix: PMatrix,
 ) -> ReductionReport:
@@ -332,15 +280,15 @@ def reduce(
     invertible is used only when the division happens to be exact with a
     uniform quotient, otherwise the term survives and is reported.
     """
-    basis = psi.basis
+    basis = model.basis
     if pmatrix.basis.polys != basis.polys:
         raise KindMismatch("potential and P-matrix use different bases")
-    if 2 not in psi.components:
+    if model.component(2).is_zero():
         raise ValueError("reduction needs the quadratic part of the potential")
     weights = basis.degrees
-    critical = psi.critical
+    critical = model.critical
 
-    current = psi.total().truncate(truncation_degree, weights)
+    current = model.psi.truncate(truncation_degree, weights)
     generators = []
     for g in range(3, truncation_degree + 1):
         unknown_monos = jmonomials_of_xdegree(weights, g)
@@ -400,26 +348,23 @@ def reduce(
                 )
             current = current + part
 
-    reduced = GradedPotential.from_psi(basis, current, critical)
     removed = tuple(
         (d, mono)
         for d in range(3, truncation_degree + 1)
         for mono in jmonomials_of_xdegree(weights, d)
-        if mono in psi.component(d).terms and mono not in reduced.component(d).terms
+        if mono in model.psi.terms and mono not in current.terms
     )
     for gen in generators:
         for c in gen.h_poly.terms.values():
             c = Coefficient.coerce(c)
             assert c.denominator_survives(critical), "generator divided by a critical value"
-    for comp in reduced.components.values():
-        for c in comp.terms.values():
-            c = Coefficient.coerce(c)
-            assert c.denominator_survives(critical), "reduced coefficient has critical denominator"
+    for c in current.terms.values():
+        c = Coefficient.coerce(c)
+        assert c.denominator_survives(critical), "reduced coefficient has critical denominator"
     return ReductionReport(
-        reduced=reduced,
+        reduced=make_model(basis, current, critical, truncation_degree),
         generators=tuple(generators),
         removed_terms=removed,
-        residual_degree=truncation_degree,
     )
 
 
@@ -451,7 +396,7 @@ def _coordinate_change(h, basis, eta_inv, cap) -> list:
     return maps
 
 
-def verify_reduction(psi: GradedPotential, report: ReductionReport, lambdas) -> VerificationStats:
+def verify_reduction(model: LandauModel, report: ReductionReport, lambdas) -> VerificationStats:
     """Exactly confirm the reduction at each rational parameter point.
 
     At each assignment lambda (values taken exactly as Fractions) the
@@ -468,17 +413,17 @@ def verify_reduction(psi: GradedPotential, report: ReductionReport, lambdas) -> 
     N + 1: the exact order of decay of Phi_original(x(s y)) -
     Phi_reduced(s y) as s -> 0.  A passing reduction has min_slope > N.
     """
-    basis = psi.basis
+    basis = model.basis
     eta_inv = invariant_metric(basis.rep).eta_inv
     cap = report.residual_degree + 1
     min_slope = cap + 1
     for lam in lambdas:
         lam = {k: Fraction(v) for k, v in sorted(lam.items())}
-        residual = psi.x_polynomial(lam).truncate(cap)
+        residual = model.potential(lam).truncate(cap)
         for gen in report.generators:
             maps = _coordinate_change(gen.h_poly.evaluate_params(lam), basis, eta_inv, cap)
             residual = compose(residual, maps, truncate_at=cap)
-        residual = residual - report.reduced.x_polynomial(lam).truncate(cap)
+        residual = residual - report.reduced.potential(lam).truncate(cap)
         low = min((mono_degree(m) for m in residual.terms), default=cap + 1)
         if low < cap:
             point = ", ".join(f"{k}={v}" for k, v in lam.items())

@@ -90,11 +90,6 @@ class RayFamily:
     unit: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PrincipalCriticalOrbitSet:
-    rays: tuple[RayFamily, ...]
-
-
 def _is_realized(rep: FiniteGroupRep, sub: Subgroup, fix) -> bool:
     """Does some point have isotropy exactly this subgroup H?
 
@@ -205,7 +200,7 @@ def principal_stratum(rep: FiniteGroupRep) -> SymmetryType:
     return lattice.types[lattice.principal_index]
 
 
-def principal_critical_orbits(rep: FiniteGroupRep) -> PrincipalCriticalOrbitSet:
+def principal_critical_orbits(rep: FiniteGroupRep) -> tuple[RayFamily, ...]:
     """Ray families critical for every invariant potential on the sphere."""
     rays = []
     for t in symmetry_types(rep):
@@ -215,4 +210,4 @@ def principal_critical_orbits(rep: FiniteGroupRep) -> PrincipalCriticalOrbitSet:
         norm = float(sum(c * c for c in direction)) ** 0.5
         unit = tuple(float(c) / norm for c in direction)
         rays.append(RayFamily(symmetry=t, direction=direction, unit=unit))
-    return PrincipalCriticalOrbitSet(tuple(rays))
+    return tuple(rays)

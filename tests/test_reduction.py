@@ -1,4 +1,4 @@
-"""Graded potentials, homological operators, removability, reduction."""
+"""Graded Landau models, homological operators, removability, reduction."""
 
 from fractions import Fraction
 
@@ -18,7 +18,6 @@ from orbitscope.landau import build_generic, make_model, minimize
 from orbitscope.params import Coefficient, substitute_param
 from orbitscope.polynomials import J_KIND, Polynomial, act, mono_degree, substitute
 from orbitscope.reduction import (
-    GradedPotential,
     PoincareGenerator,
     ReductionReport,
     delta_J,
@@ -75,9 +74,7 @@ def z2xz2_setup(z2xz2):
 
 
 def sextic(basis, critical=("a",)):
-    return GradedPotential.from_psi(
-        basis, jpp(1, {(1,): cf("a"), (2,): cf("b"), (3,): cf("c")}), critical
-    )
+    return make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b"), (3,): cf("c")}), critical)
 
 
 # -------------------------------------------------------------- delta_J / U
@@ -111,21 +108,21 @@ def test_delta_j_z2xz2_product(z2xz2_setup):
 
 def test_u_functions_z2(z2_setup):
     _, basis, P = z2_setup
-    psi = GradedPotential.from_psi(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
+    psi = make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
     (u,) = u_functions(psi, P)
     assert u == jpp(1, {(1,): cf("a") * 4, (2,): cf("b") * 8})
 
 
 def test_u_functions_zero(z2_setup):
     _, basis, P = z2_setup
-    psi = GradedPotential(basis, {}, frozenset())
+    psi = make_model(basis, Polynomial.zero(1, J_KIND))
     (u,) = u_functions(psi, P)
     assert u.is_zero()
 
 
 def test_u_functions_z2xz2(z2xz2_setup):
     _, basis, P = z2xz2_setup
-    psi = GradedPotential.from_psi(basis, jpp(2, {(1, 0): cf("a"), (0, 1): cf("b")}), {"a"})
+    psi = make_model(basis, jpp(2, {(1, 0): cf("a"), (0, 1): cf("b")}), {"a"})
     u1, u2 = u_functions(psi, P)
     assert u1 == jpp(2, {(1, 0): cf("a") * 4})
     assert u2 == jpp(2, {(0, 1): cf("b") * 4})
@@ -204,7 +201,7 @@ def test_constant_q_removable_form(z2_setup):
 
 def test_removable_z2_sextic_direction(z2_setup):
     _, basis, P = z2_setup
-    psi = GradedPotential.from_psi(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
+    psi = make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
     sub = removable_terms(psi, 6, P)
     assert sub.removable_monomials == ((3,),)
     assert sub.non_removable == ()
@@ -216,7 +213,7 @@ def test_removable_z2_sextic_direction(z2_setup):
 
 def test_removable_all_critical_empty(z2_setup):
     _, basis, P = z2_setup
-    psi = GradedPotential.from_psi(
+    psi = make_model(
         basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), critical={"a", "b"}
     )
     for degree in (4, 6, 8):
@@ -229,7 +226,7 @@ def test_removable_constant_q_gives_u_direction(z2_setup):
     # admitting linear changes (generator degree 2) makes the U-component
     # itself removable
     _, basis, P = z2_setup
-    psi = GradedPotential.from_psi(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
+    psi = make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
     sub = removable_terms(psi, 4, P, min_generator_degree=2)
     assert sub.removable_monomials == ((2,),)
     (u,) = u_functions(psi, P)
@@ -237,7 +234,7 @@ def test_removable_constant_q_gives_u_direction(z2_setup):
 
 
 def z2xz2_degree6_potential(basis):
-    return GradedPotential.from_psi(
+    return make_model(
         basis,
         jpp(2, {
             (1, 0): cf("a"), (0, 1): cf("a"),
@@ -305,12 +302,11 @@ def test_reduce_z2_sextic_exact(z2_setup):
 
 def test_reduce_fixed_point(z2_setup):
     _, basis, P = z2_setup
-    psi = GradedPotential.from_psi(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
+    psi = make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
     report = reduce(psi, 6, P)
     assert report.generators == ()
     assert report.removed_terms == ()
-    for d in psi.degrees():
-        assert report.reduced.component(d) == psi.component(d)
+    assert report.reduced.components() == psi.components()
 
 
 def test_reduce_all_critical_removes_nothing(z2_setup):
@@ -320,11 +316,9 @@ def test_reduce_all_critical_removes_nothing(z2_setup):
     assert report.generators == ()
     assert report.removed_terms == ()
     # zero divisions: every surviving coefficient still has a bare denominator
-    for d in psi.degrees():
-        comp = report.reduced.component(d)
-        assert comp == psi.component(d)
-        for coeff in comp.terms.values():
-            assert coeff.den == Coefficient.number(1).den
+    assert report.reduced.components() == psi.components()
+    for coeff in report.reduced.psi.terms.values():
+        assert coeff.den == Coefficient.number(1).den
 
 
 def test_reduce_z2xz2_degree6(z2xz2_setup):
@@ -341,7 +335,7 @@ def test_reduce_z2xz2_degree6(z2xz2_setup):
 
     lam = {"a": F(-1, 3), "eps": F(1, 5), "c1": F(1, 2),
            "c2": F(-1, 3), "c3": F(2, 7), "c4": F(1, 4)}
-    phi = report.reduced.x_polynomial(lam)
+    phi = report.reduced.potential(lam)
     for t in rep.elements:
         assert act(t, phi) == phi
 
@@ -350,7 +344,7 @@ def test_reduce_z2_plane_keeps_the_canonical_representative(z2_plane):
     # J1 = x1^2, J2 = x2^2, J3 = x1 x2 satisfy J1 J2 = J3^2, so a J-space
     # potential has many representatives; reduce keeps the canonical one
     basis = compute_mib(z2_plane)
-    psi = GradedPotential.from_psi(
+    psi = make_model(
         basis,
         jpp(3, {(1, 0, 0): cf("a"), (0, 1, 0): 1, (2, 0, 0): cf("b"),
                 (1, 0, 1): cf("c"), (0, 2, 0): cf("e")}),
@@ -363,8 +357,7 @@ def test_reduce_z2_plane_keeps_the_canonical_representative(z2_plane):
     }
     assert report.removed_terms == ((4, (1, 0, 1)), (4, (0, 2, 0)))
     assert [(d, m) for d, m, _ in report.survivors()] == [(4, (2, 0, 0)), (6, (3, 0, 0))]
-    for d in report.reduced.degrees():
-        comp = report.reduced.component(d)
+    for d, comp in report.reduced.components().items():
         canonical = express_homogeneous(basis, substitute(comp, basis.polys), d)
         assert comp == Polynomial(3, canonical, J_KIND)
     lam = {"a": F(1, 5), "b": F(1, 3), "c": F(2, 5), "e": F(1, 7)}
@@ -374,7 +367,7 @@ def test_reduce_z2_plane_keeps_the_canonical_representative(z2_plane):
 def test_reduce_generic_d4_sheared(d4_sheared):
     # a non-orthogonal action: the P-matrix carries the invariant metric
     basis = compute_mib(d4_sheared)
-    psi = GradedPotential.from_model(build_generic(basis, degree_x=6))
+    psi = build_generic(basis, degree_x=6)
     report = reduce(psi, 6, p_matrix(d4_sheared, basis))
     lam = {name: F(1, k + 2) for k, name in enumerate(sorted(psi.parameters()))}
     assert verify_reduction(psi, report, [lam]).min_slope > 6
@@ -382,7 +375,7 @@ def test_reduce_generic_d4_sheared(d4_sheared):
 
 def test_reduce_requires_quadratic_part(z2_setup):
     _, basis, P = z2_setup
-    psi = GradedPotential.from_psi(basis, jpp(1, {(2,): cf("b")}), {"a"})
+    psi = make_model(basis, jpp(1, {(2,): cf("b")}), {"a"})
     with pytest.raises(ValueError):
         reduce(psi, 6, P)
 
@@ -414,12 +407,12 @@ def test_verify_z2_sextic_slopes(z2_setup):
 
 def test_verify_empty_generators_zero_residual(z2_setup):
     _, basis, P = z2_setup
-    psi = GradedPotential.from_psi(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
+    psi = make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
     report = reduce(psi, 6, P)
     lam = {"a": F(-3, 10), "b": F(1)}
     stats = verify_reduction(psi, report, [lam])
     assert stats.min_slope == report.residual_degree + 2
-    assert report.reduced.x_polynomial(lam) == psi.x_polynomial(lam)
+    assert report.reduced.potential(lam) == psi.potential(lam)
 
 
 def test_verify_corrupted_generator_fails(z2_setup):
@@ -432,7 +425,6 @@ def test_verify_corrupted_generator_fails(z2_setup):
         reduced=report.reduced,
         generators=(PoincareGenerator(bad_h, 4),) + report.generators[1:],
         removed_terms=report.removed_terms,
-        residual_degree=report.residual_degree,
     )
     with pytest.raises(VerificationFailed):
         verify_reduction(psi, corrupted, [{"a": -0.5, "b": 1.0, "c": 0.3}])
@@ -447,11 +439,10 @@ def test_verify_z2xz2(z2xz2_setup):
     assert stats.min_slope >= 7.0
 
 
-def _without_term(reduced: GradedPotential, degree, mono) -> GradedPotential:
-    comp = reduced.component(degree)
-    kept = {m: c for m, c in comp.terms.items() if m != mono}
-    components = {**reduced.components, degree: Polynomial(comp.nvars, kept, J_KIND)}
-    return GradedPotential(reduced.basis, components, reduced.critical)
+def _without_term(reduced, mono):
+    kept = {m: c for m, c in reduced.psi.terms.items() if m != mono}
+    psi = Polynomial(reduced.psi.nvars, kept, J_KIND)
+    return make_model(reduced.basis, psi, reduced.critical, reduced.degree_x)
 
 
 @pytest.mark.parametrize("group, ell", [("z2_line", 6), ("z2xz2", 4), ("d4", 4)])
@@ -460,18 +451,17 @@ def test_verify_names_the_degree_of_a_dropped_term(request, group, ell):
     # residual starts at that term's x-degree
     rep = request.getfixturevalue(group)
     basis = compute_mib(rep)
-    psi = GradedPotential.from_model(build_generic(basis, degree_x=ell))
+    psi = build_generic(basis, degree_x=ell)
     report = reduce(psi, ell, p_matrix(rep, basis))
     lam = {name: F(1, k + 2) for k, name in enumerate(sorted(psi.parameters()))}
     assert verify_reduction(psi, report, [lam]).min_slope > ell
     dropped = 0
-    for d in report.reduced.degrees():
-        for mono in report.reduced.component(d).terms:
+    for d, comp in report.reduced.components().items():
+        for mono in comp.terms:
             mutant = ReductionReport(
-                reduced=_without_term(report.reduced, d, mono),
+                reduced=_without_term(report.reduced, mono),
                 generators=report.generators,
                 removed_terms=report.removed_terms,
-                residual_degree=report.residual_degree,
             )
             with pytest.raises(VerificationFailed, match=f"residual term of degree {d} "):
                 verify_reduction(psi, mutant, [lam])
@@ -503,33 +493,26 @@ def test_pitchfork_structure_preserved(z2_setup):
     report = reduce(psi, 6, P)
     for a in (F(-6, 10), F(-2, 10), F(1, 10), F(4, 10), F(8, 10)):
         lam = {"a": a, "b": F(1), "c": F(3, 10)}
-        orig_model = make_model(basis, psi.total(), critical={"a"})
-        red_model = make_model(basis, report.reduced.total(), critical={"a"})
-        best_orig = minimize(orig_model, lam)[0]
-        best_red = minimize(red_model, lam)[0]
+        best_orig = minimize(psi, lam)[0]
+        best_red = minimize(report.reduced, lam)[0]
         assert best_orig.symmetry.label == best_red.symmetry.label
 
 
 # -------------------------------------------------------------- containers
 
 
-def test_graded_potential_validation(z2_line):
-    basis = compute_mib(z2_line)
-    with pytest.raises(ValueError):
-        GradedPotential(basis, {4: jpp(1, {(1,): 1})}, frozenset())
-    with pytest.raises(ValueError):
-        GradedPotential(basis, {0: jpp(1, {(0,): 1})}, frozenset())
-
-
-def test_graded_potential_from_model(z2_line):
-    from orbitscope.landau import build_generic
-
-    basis = compute_mib(z2_line)
+@pytest.mark.parametrize("group", ["z2_line", "d4"])
+def test_model_components(request, group):
+    degrees = {"z2_line": (2, 4), "d4": (2, 4, 6, 8)}[group]
+    basis = compute_mib(request.getfixturevalue(group))
     model = build_generic(basis)
-    psi = GradedPotential.from_model(model)
-    assert psi.degrees() == (2, 4)
-    assert psi.critical == frozenset({"a1"})
-    assert psi.total() == model.psi
+    parts = model.components()
+    assert tuple(parts) == degrees
+    for d, part in parts.items():
+        assert model.component(d) == part
+        assert {mono_degree(m, basis.degrees) for m in part.terms} == {d}
+    assert sum(parts.values(), Polynomial.zero(basis.k, J_KIND)) == model.psi
+    assert model.component(3).is_zero()
 
 
 def test_generator_must_be_homogeneous(z2_line):
