@@ -16,7 +16,9 @@ floats: the sums run in another order, so the last bits moved.  Before
 re-recording, the old and new files had the same text apart from numbers, so
 the same labels, inertia, orbit sizes and row counts, and every number agreed
 within 1e-12 absolute (the largest change was 1.1e-16).  The z2-line sweep
-did not change.  The ``.txt``
+did not change.  ``invariants-d4-sheared`` pins a dense rational conjugate
+whose invariant metric is not the identity, and ``invariants-s3-perm`` a
+basis with a degree-1 generator.  The ``.txt``
 and ``.csv`` files were recorded before the text and CSV output of every
 command came to be read from its JSON report; they pin the header lines and
 every line the two formats print.  They run from ``golden/`` with a relative
@@ -37,6 +39,8 @@ CASES = [
     ("invariants-d4", ["invariants", "--spec", "d4"]),
     ("invariants-o-rot", ["invariants", "--spec", "o-rot"]),
     ("invariants-s4-std", ["invariants", "--spec", "s4-std"]),
+    ("invariants-d4-sheared", ["invariants", "--spec", "d4-sheared"]),
+    ("invariants-s3-perm", ["invariants", "--spec", "s3-perm"]),
     ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
     ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
     ("landau-d4", ["landau", "--spec", "d4"]),
