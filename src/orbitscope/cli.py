@@ -118,7 +118,7 @@ def _entry_fraction(e) -> Fraction:
         )
     try:
         return Fraction(e)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad matrix entry {e!r}: {exc}") from None
 
 
@@ -135,8 +135,12 @@ def load_group_spec(path: str) -> tuple[FiniteGroupRep, str]:
         raise SpecParseError(f"spec file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "generators" not in doc:
         raise SpecParseError(f"spec file {path} must be an object with 'generators'")
+    if not isinstance(doc["generators"], list):
+        raise SpecParseError(f"'generators' in {path} must be a list of matrices")
     gens = []
     for g in doc["generators"]:
+        if not isinstance(g, list) or not all(isinstance(row, list) for row in g):
+            raise SpecParseError(f"generator {g!r} in {path} is not a list of rows")
         rows = tuple(tuple(_entry_fraction(e) for e in row) for row in g)
         if not rows or any(len(r) != len(rows) for r in rows):
             raise SpecParseError(f"generator in {path} is not a square matrix")
@@ -525,7 +529,7 @@ def _parse_param(text: str) -> tuple[str, Fraction]:
     name, _, val = text.partition("=")
     try:
         return name.strip(), Fraction(val.strip())
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise SpecParseError(f"--param {name}: {val!r} is not an exact number") from None
 
 
@@ -536,7 +540,7 @@ def _parse_sweep(text: str) -> tuple[str, Fraction, Fraction, int]:
     name, lo, hi, steps = parts
     try:
         lo_f, hi_f, n = Fraction(lo), Fraction(hi), int(steps)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise SpecParseError(f"--sweep {text!r}: bounds must be exact, steps integer") from None
     if n < 2:
         raise SpecParseError("--sweep needs at least 2 steps")
@@ -556,6 +560,8 @@ def _parse_flow(x0: str, t_end: str, dt: str) -> tuple[list[float], float, float
         raise SpecParseError(f"--dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(t_end_f) and t_end_f >= 0):
         raise SpecParseError(f"--t-end must be non-negative and finite, got {t_end!r}")
+    if not math.isfinite(t_end_f / dt_f):
+        raise SpecParseError(f"--t-end {t_end} / --dt {dt} is not a finite number of steps")
     return point, t_end_f, dt_f
 
 
@@ -636,6 +642,8 @@ def main(argv=None) -> int:
     try:
         if args.ell is not None and args.ell < 2:
             raise SpecParseError(f"--ell must be at least 2, got {args.ell}")
+        if args.degree_cap is not None and args.degree_cap < 0:
+            raise SpecParseError(f"--degree-cap must be non-negative, got {args.degree_cap}")
         params = dict(_parse_param(p) for p in args.param)
         sweep_spec = _parse_sweep(args.sweep) if args.sweep else None
         flow_args = (

@@ -8,9 +8,10 @@ generators, not with |G|.  Only the Molien series, which counts dim W_d,
 sums over every element.  A minimal integrity basis (MIB) is grown degree
 by degree: at each degree the power products of the basis so far are
 spanned first, then the reduced echelon basis of W_d modulo that span is
-appended, which guarantees minimality.  The growth stops at the first degree where
-the basis is certified complete (:func:`is_coregular`), or else at the
-degree cap.
+appended, which guarantees minimality.  Products of the generators and
+the images x^m(T_s x) come from ``polynomials.power_products`` tables, each
+built once.  The growth stops at the first degree where the basis is
+certified complete (:func:`is_coregular`), or else at the degree cap.
 
 All greedy choices scan candidates in the canonical monomial order, so the
 output is deterministic down to the coefficient level.
@@ -19,7 +20,7 @@ output is deterministic down to the coefficient level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rationals as ra
@@ -30,9 +31,10 @@ from .polynomials import (
     Monomial,
     Polynomial,
     act,
+    linear_forms,
     mono_key,
     monomials_of_degree,
-    substitute,
+    power_products,
 )
 
 # ---------------------------------------------------------------- utilities
@@ -151,13 +153,18 @@ def molien_series(rep: FiniteGroupRep, degree_cap: int) -> MolienSeries:
 
 def _invariant_space(rep: FiniteGroupRep, monos, index) -> list[ra.Vec]:
     """W_d = ∩_s ker(T_s - I) over the generators s, as the canonical null
-    space of the stacked rows of act(T_s, x^m) - x^m, one column per
-    monomial x^m of ``monos`` (all of one degree, positions in ``index``)."""
+    space of the stacked rows of x^m(T_s x) - x^m, one column per monomial
+    x^m of ``monos`` (all of one degree, positions in ``index``), read from
+    one power-product table per generator, kept in the rep's memo."""
+    tables = rep.memo.get("generator_images")
+    if tables is None:
+        tables = rep.memo["generator_images"] = [
+            power_products(linear_forms(rep.elements[s])) for s in rep.generators
+        ]
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for s in rep.generators:
+    for s, image in zip(rep.generators, tables):
         for col, m in enumerate(monos):
-            xm = Polynomial.monomial(m, 1)
-            for mm, c in (act(rep.elements[s], xm) - xm).terms.items():
+            for mm, c in (image(m) - Polynomial.monomial(m, 1)).terms.items():
                 rows.setdefault((s, index[mm]), {})[col] = c
     return ra.nullspace(rows.values(), len(monos))
 
@@ -175,16 +182,29 @@ def invariant_space_basis(rep: FiniteGroupRep, degree: int) -> list[Polynomial]:
 # -------------------------------------------------- minimal integrity basis
 
 
-@dataclass(frozen=True)
+@dataclass
 class IntegrityBasis:
     """Minimal generating set of the invariant ring; :func:`find_relations`
-    computes the relations among its generators.
+    computes the relations among its generators.  ``image(e)``, the x-space
+    image of the J-monomial e, comes from one :func:`power_products` table,
+    which stays valid as :func:`compute_mib` adds blocks.
     """
 
     rep: FiniteGroupRep
     polys: tuple[Polynomial, ...]
     degrees: tuple[int, ...]
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._maps = list(self.polys)
+        self.image = power_products(self._maps)
+        self._images: dict = {}
+
+    def add_block(self, block: list[Polynomial], degree: int) -> None:
+        """Append generators of one degree, in listing order."""
+        self.polys += tuple(block)
+        self.degrees += (degree,) * len(block)
+        self._maps += block
+        self._images.clear()
 
     @property
     def k(self) -> int:
@@ -203,8 +223,7 @@ class IntegrityBasis:
             jmonos = jmonomials_of_xdegree(self.degrees, xdegree)
             rows: dict[Monomial, dict[int, Fraction]] = {}
             for col, expo in enumerate(jmonos):
-                image = substitute(Polynomial.monomial(expo, 1, J_KIND), self.polys)
-                for m, c in image.terms.items():
+                for m, c in self.image(expo).terms.items():
                     rows.setdefault(m, {})[col] = c
             ordered = {m: rows[m] for m in sorted(rows, key=mono_key, reverse=True)}
             self._images[xdegree] = (jmonos, ordered)
@@ -218,18 +237,6 @@ def _support_size(p: Polynomial) -> int:
             if e:
                 used.add(i)
     return len(used)
-
-
-def _product_span(rep: FiniteGroupRep, polys, degrees, d: int, index) -> ra.RowReducer:
-    """The power products of x-degree d of the given generators, as rows."""
-    products = ra.RowReducer()
-    for expo in jmonomials_of_xdegree(degrees, d):
-        prod = Polynomial.constant(rep.dim, 1)
-        for i, e in enumerate(expo):
-            if e:
-                prod = prod * polys[i] ** e
-        products.add(coefficient_row(prod, index))
-    return products
 
 
 def _listing_order(block: list[Polynomial]) -> list[Polynomial]:
@@ -247,7 +254,8 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
     Otherwise it runs to the cap: the default cap is sufficient for
     completeness (Noether's bound); a user-lowered cap yields the
     degree-truncated answer, and raises CapTooLow when it leaves no
-    generator.  At each degree the new generators
+    generator.  One basis grows block by block, and the degree-d power
+    products are read from its table.  At each degree the new generators
     are the reduced-echelon basis of the quotient (invariant space modulo
     products of lower generators), which pins the choice completely: the
     Z2 footnote basis comes out as (x^2, y^2, xy), the symmetric groups
@@ -258,15 +266,15 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
     if degree_cap is None:
         degree_cap = rep.order
     series = molien_series(rep, degree_cap)
-    polys: list[Polynomial] = []
-    degrees: list[int] = []
-    basis = None
+    basis = IntegrityBasis(rep, (), ())
     for d in range(1, degree_cap + 1):
         c_d = series.coefficient(d)
         if c_d == 0:
             continue
         monos, index = monomial_index(rep.dim, d)
-        products = _product_span(rep, polys, degrees, d, index)
+        products = ra.RowReducer()
+        for expo in jmonomials_of_xdegree(basis.degrees, d):
+            products.add(coefficient_row(basis.image(expo), index))
         if products.rank > c_d:
             raise ArithmeticError("product span exceeds Molien count")
         if products.rank == c_d:
@@ -279,19 +287,15 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
             raise CapTooLow(
                 f"invariant space at degree {d} not exhausted (cap {degree_cap})"
             )
-        new_polys = _listing_order([
+        basis.add_block(_listing_order([
             Polynomial(
                 rep.dim, {monos[i]: c for i, c in enumerate(row) if c != 0}
             ).monic()
             for row in reduced_rows
-        ])
-        for p in new_polys:
-            polys.append(p)
-            degrees.append(d)
-        basis = IntegrityBasis(rep, tuple(polys), tuple(degrees))
+        ]), d)
         if is_coregular(basis):
             break
-    if basis is None:
+    if not basis.polys:
         raise CapTooLow("the integrity basis has no generators below the degree cap")
     return basis
 

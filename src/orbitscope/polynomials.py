@@ -27,6 +27,7 @@ independent oracle.
 from __future__ import annotations
 
 import numbers
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -398,13 +399,13 @@ def parse_polynomial(text: str, nvars: int, kind: str = X_KIND) -> Polynomial:
             coeff_text, factors_text = piece.split(" * ", 1)
             expo = [0] * nvars
             for factor in factors_text.split():
-                if "^" not in factor or not factor.startswith(kind):
+                match = re.fullmatch(rf"{re.escape(kind)}([0-9]+)\^([0-9]+)", factor)
+                if not match:
                     raise PolynomialParseError(f"bad factor {factor!r}")
-                var_text, exp_text = factor[len(kind):].split("^")
-                idx = int(var_text) - 1
+                idx = int(match[1]) - 1
                 if not 0 <= idx < nvars:
                     raise PolynomialParseError(f"variable out of range in {factor!r}")
-                expo[idx] += int(exp_text)
+                expo[idx] += int(match[2])
             mono = tuple(expo)
         else:
             coeff_text = piece
@@ -420,73 +421,68 @@ def parse_polynomial(text: str, nvars: int, kind: str = X_KIND) -> Polynomial:
 # ------------------------------------------------------------- composition
 
 
+def power_products(maps, truncate_at: int | None = None):
+    """The image of each monomial under x_i -> maps[i], each built once.
+
+    ``image(m)`` is the image of m less one factor of its last variable,
+    times that variable's map, truncated at ``truncate_at`` when given; no
+    degree is negative, so that loses no term at or below the cap.  Keys
+    drop trailing zero exponents: maps appended later keep every image valid.
+    """
+    table: dict[Monomial, Polynomial] = {}
+
+    def image(m: Monomial) -> Polynomial:
+        key = m[: max((i + 1 for i, e in enumerate(m) if e), default=0)]
+        got = table.get(key)
+        if got is None:
+            if key:
+                got = image(key[:-1] + (key[-1] - 1,)) * maps[len(key) - 1]
+            else:
+                got = Polynomial.constant(maps[0].nvars, 1, maps[0].kind)
+            if truncate_at is not None:
+                got = got.truncate(truncate_at)
+            table[key] = got
+        return got
+
+    return image
+
+
 def compose(
     p: Polynomial, maps: list[Polynomial], truncate_at: int | None = None
 ) -> Polynomial:
     """Substitute maps[i] for variable i of p; optionally drop degrees above a cap.
 
     All maps must share one (nvars, kind); the result lives in that space.
-    Terms are taken in p's dict order, each a product of cached powers
-    (built by squaring) scaled by its coefficient.  Truncation is by plain
-    total degree in the target space and applies inside every product,
-    which keeps graded compositions from blowing up.
+    It is the sum over p's terms, in dict order, of the exact image of each
+    monomial from one :func:`power_products` table, scaled by its
+    coefficient.  With a cap it equals ``compose(p, maps).truncate(cap)``.
     """
     if len(maps) != p.nvars:
         raise ValueError("need one substitution map per variable")
     if not maps:
         raise ValueError("cannot compose a zero-variable polynomial")
     nvars, kind = maps[0].nvars, maps[0].kind
-    for q in maps:
-        if q.nvars != nvars or q.kind != kind:
-            raise KindMismatch("substitution maps disagree on target space")
-
-    def trunc(q: Polynomial) -> Polynomial:
-        return q if truncate_at is None else q.truncate(truncate_at)
-
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        if key not in powers:
-            if e == 1:
-                powers[key] = trunc(maps[i])
-            else:
-                half = power(i, e // 2)
-                sq = trunc(half * half)
-                powers[key] = sq if e % 2 == 0 else trunc(sq * maps[i])
-        return powers[key]
-
-    one = Polynomial.constant(nvars, 1, kind)
+    if any(q.nvars != nvars or q.kind != kind for q in maps):
+        raise KindMismatch("substitution maps disagree on target space")
+    image = power_products(maps, truncate_at)
     total: dict = {}
     for m, c in p.terms.items():
-        term = one
-        for i, e in enumerate(m):
-            if e:
-                term = trunc(term * power(i, e))
-        _accumulate(total, term.scale(c).terms)
+        _accumulate(total, image(m).scale(c).terms)
     return Polynomial._new(nvars, total, kind)
+
+
+def linear_forms(matrix) -> list[Polynomial]:
+    """The coordinates of x -> T x as linear forms, the maps of :func:`act`."""
+    n = len(matrix)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return [Polynomial(n, dict(zip(units, row))) for row in matrix]
 
 
 def act(matrix, p: Polynomial) -> Polynomial:
     """Pull back p along the linear map given by ``matrix``: x -> p(T x)."""
     if p.kind != X_KIND:
         raise KindMismatch("group action applies to x-space polynomials")
-    n = len(matrix)
-    if n != p.nvars:
-        raise ValueError("matrix dimension mismatch")
-    forms = [
-        Polynomial(
-            n,
-            {
-                tuple(1 if j == jj else 0 for jj in range(n)): matrix[i][j]
-                for j in range(n)
-                if matrix[i][j] != 0
-            },
-            X_KIND,
-        )
-        for i in range(n)
-    ]
-    return compose(p, forms)
+    return compose(p, linear_forms(matrix))
 
 
 def reynolds(rep, p: Polynomial) -> Polynomial:

@@ -193,6 +193,25 @@ def test_float_entries_rejected(tmp_path, capsys):
     assert error_code(err) == "cli.SpecParseError"
 
 
+@pytest.mark.parametrize("gens, argv", [
+    (3, ["group"]),
+    ([3], ["group"]),
+    ([[3]], ["group"]),
+    ([[["1/0"]]], ["group"]),
+    (Z2_LINE, ["landau", "--param", "a1=1/0"]),
+    (Z2_LINE, ["landau", "--sweep", "a1:1/0:1:5"]),
+    (Z2_LINE, ["invariants", "--degree-cap", "-3"]),
+    (Z2_LINE, ["flow", "--x0", "0.1", "--t-end", "1e300", "--dt", "1e-300"]),
+], ids=["generators-int", "generator-int", "row-int", "entry-1/0", "param-1/0",
+        "sweep-1/0", "degree-cap-negative", "flow-step-overflow"])
+def test_bad_input_is_one_error_record(tmp_path, capsys, gens, argv):
+    spec = write_spec(tmp_path, "bad", gens)
+    rc, out, err = run(capsys, [argv[0], "--spec", spec, *argv[1:]])
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert error_code(err) == "cli.SpecParseError"
+
+
 def test_invariants_z2_plane_text(tmp_path, capsys):
     spec = write_spec(tmp_path, "z2r2", Z2_PLANE)
     rc, out, _ = run(capsys, ["invariants", "--spec", spec])

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import B3_CONJ_GENS, FLIP_Y, ROT90, permutation_matrix
-from orbitscope import invariants, rationals as ra
+from conftest import B3_CONJ_GENS, B3_GENS, FLIP_Y, ROT90, permutation_matrix
+from orbitscope import invariants, polynomials, rationals as ra
 from orbitscope.errors import DimensionMismatch, NotExpressible, NotInvariant
 from orbitscope.groups import close_generators, invariant_metric, orbit
 from orbitscope.invariants import (
@@ -35,6 +35,8 @@ from orbitscope.polynomials import (
     J_KIND,
     Polynomial,
     act,
+    compose,
+    linear_forms,
     monomials_of_degree,
     reynolds,
     substitute,
@@ -175,16 +177,20 @@ def test_invariant_space_is_the_reynolds_span(
             assert row_space(invariant_space_basis(rep, d), monos) == row_space(images, monos)
 
 
-def test_basis_and_p_matrix_act_by_generators_only(monkeypatch, b3):
+def test_basis_and_p_matrix_act_by_generators_only(monkeypatch):
+    # group matrices enter through their linear forms; a fresh rep, since
+    # the session fixture's memo already holds the generator tables
+    b3 = close_generators(B3_GENS, name="b3")
     generator_matrices = {b3.elements[s] for s in b3.generators}
     assert len(generator_matrices) == 3
     acted = []
 
-    def counted(matrix, p):
+    def counted(matrix):
         acted.append(matrix)
-        return act(matrix, p)
+        return linear_forms(matrix)
 
-    monkeypatch.setattr(invariants, "act", counted)
+    monkeypatch.setattr(invariants, "linear_forms", counted)
+    monkeypatch.setattr(polynomials, "linear_forms", counted)
     p_matrix(b3, compute_mib(b3))
     assert acted and set(acted) <= generator_matrices
 
@@ -506,6 +512,43 @@ def test_express_roundtrip_random(z2_plane, z4, d4, s3_perm):
             p = substitute(psi, basis.polys)
             back = express_in_basis(rep, basis, p)
             assert substitute(back, basis.polys) == p
+
+
+def test_jmonomial_images_match_powers(z2xz2, d4, d4_sheared, s3_perm, b3):
+    # the power-product table against products of ``**`` powers, which it
+    # does not use
+    for rep in (z2xz2, d4, d4_sheared, s3_perm, b3):
+        basis = compute_mib(rep)
+        for xdeg in range(2 * basis.max_degree + 1):
+            jmonos, rows = basis.jmonomial_images(xdeg)
+            for col, expo in enumerate(jmonos):
+                image = Polynomial(
+                    rep.dim, {m: row[col] for m, row in rows.items() if col in row}
+                )
+                want = Polynomial.constant(rep.dim, 1)
+                for i, e in enumerate(expo):
+                    want = want * basis.polys[i] ** e
+                assert image == want, (rep.name, expo)
+
+
+def test_truncated_compose_is_the_truncated_composition():
+    rng = random.Random(11)
+
+    def random_poly(nvars, degree, terms):
+        return Polynomial(nvars, {
+            tuple(rng.randint(0, degree) for _ in range(nvars)):
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for _ in range(terms)
+        })
+
+    for _ in range(25):
+        k, n = rng.randint(1, 3), rng.randint(1, 3)
+        p = random_poly(k, 3, 5)
+        # maps with constant terms as well as higher ones
+        maps = [random_poly(n, 2, 4) + Fraction(rng.randint(-2, 2)) for _ in range(k)]
+        full = compose(p, maps)
+        for cap in range(-1, 8):
+            assert compose(p, maps, truncate_at=cap) == full.truncate(cap)
 
 
 # ------------------------------------------------------------------ P-matrix

@@ -211,6 +211,9 @@ def test_parse_rejects_garbage():
         parse_polynomial("1 * y1^2", 2)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("one", 2)
+    for text in ("1 * x1^2^3", "1 * xa^2", "1 * x1^b", "1 * x1^-2"):
+        with pytest.raises(PolynomialParseError):
+            parse_polynomial(text, 2)
 
 
 def test_pretty_smoke():
