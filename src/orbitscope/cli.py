@@ -39,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dynamics import dump_trajectory_csv, gradient_field, integrate
+from .dynamics import _MAX_STEPS, dump_trajectory_csv, gradient_field, integrate
 from .errors import OrbitscopeError, SpecParseError, UnknownParameter
 from .groups import FiniteGroupRep, close_generators
 from .invariants import (
@@ -483,7 +483,8 @@ def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -
     )
     buf = io.StringIO()
     dump_trajectory_csv(buf, field, traj)
-    table = [line.split(",") for line in buf.getvalue().splitlines()]
+    lines = buf.getvalue().splitlines()
+    table = [line.split(",") for line in lines]
     report = {
         "assignment": {k: str(v) for k, v in sorted(assignment.items())},
         "t_end": t_end,
@@ -497,7 +498,7 @@ def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -
         f"integrated {report['steps']} steps of dt={report['dt']} "
         f"(final state: {', '.join(report['final_state'])})"
     ]
-    text += [",".join(r) for r in table]
+    text += lines
     return report, text, table
 
 
@@ -562,6 +563,10 @@ def _parse_flow(x0: str, t_end: str, dt: str) -> tuple[list[float], float, float
         raise SpecParseError(f"--t-end must be non-negative and finite, got {t_end!r}")
     if not math.isfinite(t_end_f / dt_f):
         raise SpecParseError(f"--t-end {t_end} / --dt {dt} is not a finite number of steps")
+    if round(t_end_f / dt_f) > _MAX_STEPS:
+        raise SpecParseError(
+            f"--t-end {t_end} / --dt {dt} asks for more than {_MAX_STEPS} steps"
+        )
     return point, t_end_f, dt_f
 
 

@@ -18,7 +18,11 @@ No separate machinery is provided for them.
 The integrator is a fixed-step classical Runge-Kutta scheme.  Fixed steps
 keep reruns bit-identical; the energy guard catches the one failure mode
 that matters for descent flows (a step overshooting uphill) and retries
-with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` = 6) before giving up.
+with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` = 6) before giving up.  A
+`GradientField` compiles one step as a single function that inlines the
+field at the four stages and the potential at the new state
+(`_rk4_kernel`); `integrate` runs it in one loop for steps and substeps
+alike.  The CLI refuses a flow of more than 1_000_000 steps (`_MAX_STEPS`).
 
 `check_stratum_invariance` draws 6 points of Fix(H) (`_INVARIANCE_SAMPLES`)
 from a generator seeded with 0, flows each to t = 2.0 (`_INVARIANCE_T_END`)
@@ -28,14 +32,14 @@ in steps of 1e-2 (`_INVARIANCE_DT`), and accepts a field residual up to
 accepts a rise of the projected potential up to 1e-9
 (`_ENERGY_MONOTONE_TOL`).
 
-Non-gradient fields may be integrated too -- any callable works -- but the
-energy diagnostics only engage when the field exposes a `potential`
-attribute, as the fields built by `gradient_field` do.
+Non-gradient fields may be integrated too -- any callable works, stepped
+by `_rk4_step` through the same loop -- but the energy diagnostics only
+engage when the field exposes a `potential` attribute, as the fields built
+by `gradient_field` do.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -45,9 +49,10 @@ from .errors import DimensionMismatch, MonotonicityViolation, NonFiniteState
 from .groups import FiniteGroupRep, Subgroup, fixed_subspace, invariant_metric
 from .invariants import IntegrityBasis
 from .landau import LandauModel
-from .polynomials import Polynomial, compile_polynomial
+from .polynomials import FusedKernel, Polynomial, _kernel_body, compile_polynomial
 
 _MAX_HALVINGS = 6
+_MAX_STEPS = 1_000_000
 _INVARIANCE_SAMPLES = 6
 _INVARIANCE_T_END = 2.0
 _INVARIANCE_DT = 1e-2
@@ -93,6 +98,8 @@ class GradientField:
     Evaluation is float throughout.  The field -eta_inv grad Phi is formed
     exactly and compiled once, like the potential; a call takes any
     sequence of coordinates and returns the kernel's tuple of floats.
+    ``step`` is one classical Runge-Kutta step compiled as a single
+    function (see :func:`_rk4_kernel`), which :func:`integrate` runs.
     """
 
     def __init__(self, model: LandauModel, assignment):
@@ -108,6 +115,7 @@ class GradientField:
         ]
         self._phi = compile_polynomial(phi)
         self._field = compile_polynomial(descent)
+        self.step = _rk4_kernel(descent, phi)
         self.dim = rep.dim
 
     def __call__(self, x) -> tuple:
@@ -120,6 +128,45 @@ class GradientField:
 def gradient_field(model: LandauModel, assignment) -> GradientField:
     """Bind parameters and return x |-> -eta_inv grad Phi(x)."""
     return GradientField(model, assignment)
+
+
+def _rk4_kernel(field: list[Polynomial], phi: Polynomial) -> FusedKernel:
+    """One Runge-Kutta step of the polynomial field, compiled as one function.
+
+    ``fn(x0, ..., x{n-1}, h)`` returns ``((x0', ...), phi(x'))``.  The
+    field is inlined at the four stages and phi at the new state, with the
+    operations of :func:`_rk4_step` in the same order, so the two agree to
+    the last bit.
+    """
+    n = len(field)
+    xs = [f"x{i}" for i in range(n)]
+    lines = [f"def _k({', '.join(xs)}, h):", "    half = 0.5 * h", "    sixth = h / 6.0"]
+
+    def slope(k, at):
+        statements, outputs = _kernel_body(field, at, f"k{k}_")
+        names = [f"k{k}_{i}" for i in range(n)]
+        lines.extend(f"    {s}" for s in statements)
+        lines.extend(f"    {a} = {e}" for a, e in zip(names, outputs))
+        return names
+
+    def point(name, scale, ks):
+        names = [f"{name}{i}" for i in range(n)]
+        lines.extend(f"    {a} = {x} + {scale} * {k}" for a, x, k in zip(names, xs, ks))
+        return names
+
+    k1 = slope(1, xs)
+    k2 = slope(2, point("y", "half", k1))
+    k3 = slope(3, point("z", "half", k2))
+    k4 = slope(4, point("w", "h", k3))
+    new = [f"n{i}" for i in range(n)]
+    lines += [
+        f"    {a} = {x} + sixth * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})"
+        for a, x, b1, b2, b3, b4 in zip(new, xs, k1, k2, k3, k4)
+    ]
+    statements, (energy,) = _kernel_body([phi], new, "p_")
+    lines += [f"    {s}" for s in statements]
+    lines.append(f"    return ({', '.join(new)},), {energy}")
+    return FusedKernel("\n".join(lines) + "\n")
 
 
 def _rk4_step(field, x: tuple, h: float) -> tuple:
@@ -139,6 +186,18 @@ def _finite(x: tuple) -> bool:
     return all(map(math.isfinite, x))
 
 
+def _callable_step(field, potential):
+    """A bare callable field as a step ``(x0, ..., h) -> (x', energy)``:
+    :func:`_rk4_step`, with the potential at x' when there is one and x'
+    is finite, else None."""
+
+    def step(*args):
+        x = _rk4_step(field, args[:-1], args[-1])
+        return x, (potential(x) if potential is not None and _finite(x) else None)
+
+    return step
+
+
 def integrate(
     field,
     x0,
@@ -149,7 +208,8 @@ def integrate(
     """Fixed-step integration with an energy guard for gradient fields.
 
     Takes round(t_end / dt) steps of dt; none when t_end rounds to 0, so
-    the trajectory is the start point alone.
+    the trajectory is the start point alone.  A GradientField runs its
+    compiled step; any other callable runs :func:`_rk4_step` on it.
 
     A step that raises the potential by more than energy_tol is retried
     with 2, 4, ..., 2**_MAX_HALVINGS substeps before MonotonicityViolation.
@@ -160,44 +220,55 @@ def integrate(
     if not np.all(np.isfinite(x)):
         raise NonFiniteState("initial state is not finite")
     potential = getattr(field, "potential", None)
+    if isinstance(field, GradientField):
+        step = field.step.fn
+    else:
+        step = _callable_step(field, potential)
     steps = int(round(t_end / dt))
+    x = tuple(x.tolist())
+    energy = None if potential is None else potential(x)
 
     # overflow in a rejected candidate step is expected, not news
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _run_steps(field, potential, tuple(x.tolist()), dt, steps, energy_tol)
+        states = _run_steps(step, x, energy, dt, steps, energy_tol)
     return Trajectory(np.arange(steps + 1) * dt, np.array(states), dt)
 
 
-def _run_steps(field, potential, x: tuple, dt, steps, energy_tol) -> list[tuple]:
-    """The states after 0, 1, ..., steps steps, each a tuple of floats."""
+def _run_steps(step, x: tuple, e_old, dt, steps, energy_tol) -> list[tuple]:
+    """The states after 0, 1, ..., steps steps, each a tuple of floats.
+
+    One loop takes both the steps of dt and the 2**halving substeps of a
+    retried one; e_old is None when the field has no potential."""
     states = [x]
-    e_old = None if potential is None else potential(x)
-    for i in range(steps):
-        x_new = _rk4_step(field, x, dt)
-        if potential is not None and _finite(x_new):
-            e_new = potential(x_new)
-            if e_new > e_old + energy_tol:
-                for halving in range(1, _MAX_HALVINGS + 1):
-                    nsub = 2**halving
-                    h = dt / nsub
-                    y = x
-                    for _ in range(nsub):
-                        y = _rk4_step(field, y, h)
-                    if _finite(y):
-                        e_new = potential(y)
-                        if e_new <= e_old + energy_tol:
-                            x_new = y
-                            break
-                else:
-                    raise MonotonicityViolation(
-                        f"potential increased at t={i * dt:.6g} and substep "
-                        f"refinement down to dt/{2**_MAX_HALVINGS} did not cure it"
-                    )
-            e_old = e_new
-        if not _finite(x_new):
-            raise NonFiniteState(f"state left the finite range at t={i * dt:.6g}")
-        x = x_new
+    halving, nsub, h = 0, 1, dt
+    y, done = x, 0
+    while len(states) <= steps:
+        y, e_new = step(*y, h)
+        done += 1
+        if done < nsub:
+            continue
+        if halving == 0:
+            if not _finite(y):
+                raise NonFiniteState(
+                    f"state left the finite range at t={(len(states) - 1) * dt:.6g}"
+                )
+            retry = e_old is not None and e_new > e_old + energy_tol
+        else:
+            retry = not (_finite(y) and e_new <= e_old + energy_tol)
+        if retry:
+            if halving == _MAX_HALVINGS:
+                raise MonotonicityViolation(
+                    f"potential increased at t={(len(states) - 1) * dt:.6g} and substep "
+                    f"refinement down to dt/{2**_MAX_HALVINGS} did not cure it"
+                )
+            halving += 1
+            nsub = 2**halving
+            h = dt / nsub
+            y, done = x, 0
+            continue
+        x, e_old = y, e_new
         states.append(x)
+        halving, nsub, h, done = 0, 1, dt, 0
     return states
 
 
@@ -324,21 +395,28 @@ def orbit_space_consistency(field: GradientField, traj: Trajectory) -> Consisten
 
 
 def dump_trajectory_csv(out, field: GradientField, traj: Trajectory) -> None:
-    """t, x-components, basis values, potential -- one row per step."""
+    """t, x-components, basis values, potential -- one row per step.
+
+    Every cell is a number or a fixed header, so rows are plain
+    comma-joined lines; the potential is evaluated on plain floats."""
     basis = field.model.basis
     projected = project_trajectory(basis, traj)
     k = len(basis.polys)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
+    header = (
         ["t"]
         + [f"x{i + 1}" for i in range(field.dim)]
         + [f"J{i + 1}" for i in range(k)]
         + ["phi"]
     )
-    for t, x, j in zip(traj.times, traj.states, projected.j_states):
-        writer.writerow(
-            [f"{t:.12g}"]
-            + [f"{c:.17g}" for c in x]
-            + [f"{c:.17g}" for c in j]
-            + [f"{field.potential(x):.17g}"]
+    out.write(",".join(header) + "\n")
+    potential = field.potential
+    for t, x, j in zip(traj.times.tolist(), traj.states.tolist(), projected.j_states.tolist()):
+        out.write(
+            ",".join(
+                [f"{t:.12g}"]
+                + [f"{c:.17g}" for c in x]
+                + [f"{c:.17g}" for c in j]
+                + [f"{potential(x):.17g}"]
+            )
+            + "\n"
         )

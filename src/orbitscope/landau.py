@@ -12,7 +12,10 @@ raises StabilityViolation.
 
 Minimization runs in x-space; the orbit-space picture enters only through
 reporting.  All stochastic pieces are seeded, so identical inputs give
-identical outputs.
+identical outputs.  Each `minimize` call compiles the gradient phase of its
+descents as one straight-line float function (`_gradient_phase`), with the
+gradient and the potential inlined; the Newton polish evaluates the
+gradient and Hessian kernels through numpy.
 
 The numerical settings are module constants; only the seed and the
 gradient tolerance of `minimize` and the transition tolerance of `sweep`
@@ -32,7 +35,6 @@ are arguments:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,7 +54,9 @@ from .invariants import IntegrityBasis, jmonomials_of_xdegree
 from .params import Coefficient
 from .polynomials import (
     J_KIND,
+    FusedKernel,
     Polynomial,
+    _kernel_body,
     compile_gradient,
     compile_polynomial,
     mono_degree,
@@ -228,29 +232,64 @@ def _ball_starts(n: int, count: int, radius: float, seed: int) -> list[np.ndarra
     return out
 
 
-def _descend(x0, f, grad, hess, gtol: float, escape_radius: float):
+def _gradient_phase(phi: Polynomial) -> FusedKernel:
+    """The gradient phase of a descent on phi, compiled as one function.
+
+    ``fn(x0, ..., x{n-1}, tol, escape, steps)`` takes backtracking
+    gradient steps from x, one per item of ``steps``, until the gradient
+    norm is at most ``tol``.  Each step starts at 1 / (1 + |g|) and halves
+    until the Armijo test holds or it falls to 1e-18.  The gradient, phi
+    and phi at each trial point are inlined, so the loop runs on plain
+    floats.  It returns ``(escaped, x)``: None when the phase ends (at tol
+    or after the last step), False at a non-finite gradient, True once
+    |x| exceeds ``escape``.
+    """
+    n = phi.nvars
+    xs = [f"x{i}" for i in range(n)]
+    ts = [f"t{i}" for i in range(n)]
+    gs = [f"g{i}" for i in range(n)]
+    here, (*grad, f) = _kernel_body([*phi.gradient(), phi], xs, "g_")
+    trial, (ft,) = _kernel_body([phi], ts, "t_")
+    point = "(" + ", ".join(xs) + ",)"
+    body = [
+        f"def _k({', '.join(xs)}, tol, escape, steps):",
+        "    for i in steps:",
+        *(f"        {s}" for s in here),
+        *(f"        {g} = {e}" for g, e in zip(gs, grad)),
+        f"        fx = {f}",
+        f"        gn = hypot({', '.join(gs)})",
+        "        if not isfinite(gn):",
+        f"            return False, {point}",
+        "        if gn <= tol:",
+        "            break",
+        "        step = 1.0 / (1.0 + gn)",
+        "        while True:",
+        *(f"            {t} = {x} - step * {g}" for t, x, g in zip(ts, xs, gs)),
+        "            if not step > 1e-18:",
+        "                break",
+        *(f"            {s}" for s in trial),
+        f"            if not {ft} > fx - 0.0001 * step * gn * gn:",
+        "                break",
+        "            step = step * 0.5",
+        *(f"        {x} = {t}" for x, t in zip(xs, ts)),
+        f"        if hypot({', '.join(xs)}) > escape:",
+        f"            return True, {point}",
+        f"    return None, {point}",
+    ]
+    return FusedKernel("\n".join(body) + "\n")
+
+
+def _descend(x0, phase, grad, hess, gtol: float, escape_radius: float):
     """Backtracking gradient descent, then damped Newton. Returns
     ('ok', x) | ('escaped', x) | ('unconverged', x).
 
-    The gradient phase, nearly every iteration, steps a tuple of plain
-    floats; the Newton phase solves with numpy."""
-    x = tuple(float(c) for c in x0)
-    for _ in range(_MAX_GRADIENT_STEPS):
-        g = grad(x)
-        gn = math.hypot(*g)
-        if not math.isfinite(gn):
-            return ("unconverged", np.array(x))
-        if gn <= 100.0 * gtol:
-            break
-        fx = f(x)
-        step = 1.0 / (1.0 + gn)
-        trial = tuple(a - step * b for a, b in zip(x, g))
-        while step > 1e-18 and f(trial) > fx - 1e-4 * step * gn * gn:
-            step *= 0.5
-            trial = tuple(a - step * b for a, b in zip(x, g))
-        x = trial
-        if math.hypot(*x) > escape_radius:
-            return ("escaped", np.array(x))
+    The gradient phase, nearly every iteration, is the compiled
+    :func:`_gradient_phase`; the Newton phase solves with numpy."""
+    escaped, x = phase(
+        *x0.tolist(), 100.0 * gtol, escape_radius, range(_MAX_GRADIENT_STEPS)
+    )
+    if escaped is not None:
+        return ("escaped" if escaped else "unconverged", np.array(x))
     x = np.array(x)
     for _ in range(_MAX_NEWTON_STEPS):
         g = np.array(grad(x))
@@ -299,6 +338,7 @@ def minimize(
     n = rep.dim
     f, grad = compile_polynomial(phi), compile_gradient(phi)
     second = compile_polynomial([d.partial(j) for d in phi.gradient() for j in range(n)])
+    phase = _gradient_phase(phi).fn
 
     def hess(x):
         return np.reshape(second(x), (n, n))
@@ -308,7 +348,7 @@ def minimize(
 
     found = []
     for x0 in _ball_starts(n, count, _RADIUS, seed):
-        status, x = _descend(x0, f, grad, hess, gtol, escape_radius)
+        status, x = _descend(x0, phase, grad, hess, gtol, escape_radius)
         if status == "escaped":
             raise StabilityViolation(
                 f"descent from {tuple(float(c) for c in x0)} escaped radius "

@@ -26,6 +26,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from fractions import Fraction
@@ -513,29 +514,33 @@ def substitute(psi: Polynomial, basis_polys, truncate_at: int | None = None) -> 
 _TERMS_PER_STATEMENT = 200
 
 
-def _kernel_source(polys: list[Polynomial], scalar: bool) -> str:
-    """Source of ``_k(x0, ..., x{n-1})``, straight-line float code.
+def _kernel_body(polys: list[Polynomial], args: list[str], tag: str):
+    """Straight-line statements evaluating ``polys`` at the names ``args``.
 
-    Power x_i^e is the name ``x{i}_{e}``, built once for all outputs as
-    ``x{i}_{e-1} * x{i}``.  Each output is the left-to-right sum of
+    Returns ``(statements, outputs)``: unindented assignments, and one
+    expression per polynomial whose value is that polynomial at ``args``
+    once the statements have run.  Power x_i^e is the name
+    ``{tag}{args[i]}_{e}``, built once for all outputs as the power e-1
+    times ``args[i]``.  Each output is the left-to-right sum of
     ``repr(float(c)) * powers`` over its ``sorted_terms()``, so it runs the
-    same operations alone or inside a map.  The source holds nothing but
-    these names, float literals and operators.
+    same operations alone, inside a map or inlined into a larger kernel;
+    a sum too long for one expression accumulates into ``{tag}s{j}``.  The
+    statements hold nothing but these names, float literals and operators.
     """
-    nvars = polys[0].nvars
-    args = [f"x{i}" for i in range(nvars)]
-    lines = [f"def _k({', '.join(args)}):"]
-    for i in range(nvars):
+    statements = []
+    powers = []
+    for i, a in enumerate(args):
         top = max((m[i] for p in polys for m in p.terms), default=0)
+        names = [a]
         for e in range(2, top + 1):
-            prev = args[i] if e == 2 else f"x{i}_{e - 1}"
-            lines.append(f"    x{i}_{e} = {prev} * x{i}")
+            names.append(f"{tag}{a}_{e}")
+            statements.append(f"{names[-1]} = {names[-2]} * {a}")
+        powers.append(names)
     outputs = []
     for j, p in enumerate(polys):
         terms = [
             " * ".join(
-                [repr(float(c))]
-                + [args[i] if e == 1 else f"x{i}_{e}" for i, e in enumerate(m) if e]
+                [repr(float(c))] + [powers[i][e - 1] for i, e in enumerate(m) if e]
             )
             for m, c in p.sorted_terms()
         ]
@@ -546,11 +551,45 @@ def _kernel_source(polys: list[Polynomial], scalar: bool) -> str:
         if len(chunks) == 1:
             outputs.append(chunks[0])
             continue
-        lines.append(f"    s{j} = {chunks[0]}")
-        lines += [f"    s{j} = s{j} + {chunk}" for chunk in chunks[1:]]
-        outputs.append(f"s{j}")
+        total = f"{tag}s{j}"
+        statements.append(f"{total} = {chunks[0]}")
+        statements += [f"{total} = {total} + {chunk}" for chunk in chunks[1:]]
+        outputs.append(total)
+    return statements, outputs
+
+
+def _kernel_source(polys: list[Polynomial], scalar: bool) -> str:
+    """Source of ``_k(x0, ..., x{n-1})``: the :func:`_kernel_body` of
+    ``polys`` at the coordinates, returning one float or a tuple."""
+    args = [f"x{i}" for i in range(polys[0].nvars)]
+    statements, outputs = _kernel_body(polys, args, "")
+    lines = [f"def _k({', '.join(args)}):"] + [f"    {s}" for s in statements]
     lines.append(f"    return {outputs[0] if scalar else '(' + ', '.join(outputs) + ',)'}")
     return "\n".join(lines) + "\n"
+
+
+def _compile_kernel(source: str):
+    """The function ``_k`` that ``source`` defines.  Besides its arguments,
+    generated code calls only ``hypot`` and ``isfinite`` of :mod:`math`,
+    which the namespace provides."""
+    namespace = {"hypot": math.hypot, "isfinite": math.isfinite}
+    exec(compile(source, "<orbitscope kernel>", "exec"), namespace)
+    return namespace["_k"]
+
+
+class FusedKernel:
+    """A generated step function with polynomial bodies inlined.
+
+    ``source`` is straight-line code around :func:`_kernel_body` output,
+    written by the numerical layer that owns the algorithm; ``fn`` is its
+    compiled function ``_k``.
+    """
+
+    __slots__ = ("source", "fn")
+
+    def __init__(self, source: str):
+        self.source = source
+        self.fn = _compile_kernel(source)
 
 
 class NumericPoly:
@@ -574,9 +613,7 @@ class NumericPoly:
         polys = [polys] if self.scalar else list(polys)
         self.nvars = polys[0].nvars
         self.source = _kernel_source(polys, self.scalar)
-        namespace: dict = {}
-        exec(compile(self.source, "<orbitscope kernel>", "exec"), namespace)
-        self._fn = namespace["_k"]
+        self._fn = _compile_kernel(self.source)
 
     def __call__(self, x):
         return self._fn(*x)

@@ -1,9 +1,10 @@
-"""Shared group fixtures.
+"""Shared group fixtures and numerical references.
 
 All test groups are exact rational matrix groups.  Session scope keeps the
 closure cost to one run per group.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,14 @@ def d4_sheared():
     return groups.close_generators(D4_SHEARED_GENS, name="d4-sheared")
 
 
+@pytest.fixture(scope="session")
+def o_rot():
+    """Rotations of the cube on R^3, order 24: quarter turn about z and
+    the 3-fold turn about (1, 1, 1)."""
+    quarter = _frac_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    return groups.close_generators([quarter, permutation_matrix((1, 2, 0))], name="o-rot")
+
+
 # all signed permutations of R^3: two permutations and one sign flip
 B3_GENS = (
     permutation_matrix((1, 0, 2)),
@@ -126,6 +135,51 @@ S5_GENS = (
 def s5_std():
     """The standard representation of S5 on R^4, order 120."""
     return groups.close_generators(S5_GENS, name="s5-std")
+
+
+# ------------------------------------------------------- numerical references
+
+
+def cli_default_assignment(model) -> dict:
+    """The CLI's default coefficients of a generic model: a1 = -1/2 and
+    a_k = 1/(k + 1)."""
+    return {
+        f"a{k}": Fraction(-1, 2) if k == 1 else Fraction(1, k + 1)
+        for k in range(1, len(model.parameters()) + 1)
+    }
+
+
+def float_bits(x) -> tuple:
+    """The exact bits of a sequence of floats, for bit-identity checks."""
+    return tuple(float.hex(c) for c in x)
+
+
+def reference_gradient_phase(x0, f, grad, tol, escape, steps):
+    """The gradient phase of a descent as a Python loop over tuples of floats.
+
+    The oracle for ``landau._gradient_phase``: the same float operations in
+    the same order, with f and grad as separate kernels.  Returns
+    ``(escaped, x)``: None when the phase ends at tol or after ``steps``
+    steps, False at a non-finite gradient, True once |x| exceeds escape.
+    """
+    x = tuple(float(c) for c in x0)
+    for _ in range(steps):
+        g = grad(x)
+        gn = math.hypot(*g)
+        if not math.isfinite(gn):
+            return False, x
+        if gn <= tol:
+            break
+        fx = f(x)
+        step = 1.0 / (1.0 + gn)
+        trial = tuple(a - step * b for a, b in zip(x, g))
+        while step > 1e-18 and f(trial) > fx - 1e-4 * step * gn * gn:
+            step *= 0.5
+            trial = tuple(a - step * b for a, b in zip(x, g))
+        x = trial
+        if math.hypot(*x) > escape:
+            return True, x
+    return None, x
 
 
 # --------------------------------------------------------------- acceptance

@@ -202,8 +202,9 @@ def test_float_entries_rejected(tmp_path, capsys):
     (Z2_LINE, ["landau", "--sweep", "a1:1/0:1:5"]),
     (Z2_LINE, ["invariants", "--degree-cap", "-3"]),
     (Z2_LINE, ["flow", "--x0", "0.1", "--t-end", "1e300", "--dt", "1e-300"]),
+    (Z2_LINE, ["flow", "--x0", "0.1", "--t-end", "1e9", "--dt", "1e-9"]),
 ], ids=["generators-int", "generator-int", "row-int", "entry-1/0", "param-1/0",
-        "sweep-1/0", "degree-cap-negative", "flow-step-overflow"])
+        "sweep-1/0", "degree-cap-negative", "flow-step-overflow", "flow-too-many-steps"])
 def test_bad_input_is_one_error_record(tmp_path, capsys, gens, argv):
     spec = write_spec(tmp_path, "bad", gens)
     rc, out, err = run(capsys, [argv[0], "--spec", spec, *argv[1:]])

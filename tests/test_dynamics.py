@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import cli_default_assignment, float_bits
 
 from orbitscope.dynamics import (
     ConsistencyReport,
@@ -16,6 +17,7 @@ from orbitscope.dynamics import (
     integrate,
     orbit_space_consistency,
     project_trajectory,
+    _rk4_step,
 )
 from orbitscope.errors import (
     DimensionMismatch,
@@ -24,7 +26,7 @@ from orbitscope.errors import (
 )
 from orbitscope.groups import isotropy_subgroup
 from orbitscope.invariants import compute_mib
-from orbitscope.landau import make_model
+from orbitscope.landau import build_generic, make_model
 from orbitscope.params import Coefficient
 from orbitscope.polynomials import J_KIND, Polynomial, compile_gradient
 
@@ -157,6 +159,64 @@ def test_monotonicity_violation_raises(pitchfork):
 
     with pytest.raises(MonotonicityViolation):
         integrate(Ascent(), [0.3], 2.0, 1e-2)
+
+
+@pytest.fixture(scope="module", params=["d4_sheared", "o_rot"])
+def default_field(request):
+    rep = request.getfixturevalue(request.param)
+    model = build_generic(compute_mib(rep))
+    return gradient_field(model, cli_default_assignment(model))
+
+
+class BareField:
+    """A GradientField seen as a bare callable with a potential, so that
+    integrate steps it through _rk4_step."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __call__(self, x):
+        return self.field(x)
+
+    def potential(self, x):
+        return self.field.potential(x)
+
+
+def test_compiled_step_is_rk4_step(default_field):
+    # the fused kernel takes _rk4_step's float operations in its order,
+    # at the step and at every energy-guard substep length
+    f = default_field
+    dt = 1e-2
+    rng = np.random.default_rng(5)
+    for x in rng.uniform(-1.5, 1.5, size=(8, f.dim)).tolist():
+        for k in range(7):
+            h = dt / 2**k
+            want = _rk4_step(f, tuple(x), h)
+            got, energy = f.step.fn(*x, h)
+            assert float_bits(got) == float_bits(want)
+            assert energy.hex() == f.potential(want).hex()
+
+
+def test_compiled_and_bare_paths_agree(pitchfork, default_field):
+    _, _, f = pitchfork
+    x0 = np.linspace(0.9, -0.6, default_field.dim)
+    # dt = 0.5 from x0 = 2 on the pitchfork retries with substeps
+    for field, start, t_end, dt in ((f, [2.0], 8.0, 0.5), (default_field, x0, 3.0, 1e-2)):
+        compiled = integrate(field, start, t_end, dt)
+        bare = integrate(BareField(field), start, t_end, dt)
+        assert compiled.states.tobytes() == bare.states.tobytes()
+
+
+def test_compiled_path_reports_runaway(z2_line):
+    # Phi = x^2 - x^4 is unbounded below: the flow leaves the finite range
+    model = make_model(compute_mib(z2_line), jpp(1, {(1,): 1, (2,): -1}))
+    field = gradient_field(model, {})
+    errors = []
+    for f in (field, BareField(field)):
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(f, [1.5], 40.0, 0.05)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 def test_trajectory_validation():

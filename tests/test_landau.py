@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import cli_default_assignment, float_bits, reference_gradient_phase
 
 from orbitscope import dynamics, landau, reduction, strata
 from orbitscope.errors import (
@@ -26,7 +27,13 @@ from orbitscope.landau import (
     sweep,
 )
 from orbitscope.params import Coefficient
-from orbitscope.polynomials import J_KIND, Polynomial, act, compile_polynomial
+from orbitscope.polynomials import (
+    J_KIND,
+    Polynomial,
+    act,
+    compile_gradient,
+    compile_polynomial,
+)
 from orbitscope.strata import principal_critical_orbits
 
 F = Fraction
@@ -285,6 +292,41 @@ def test_minima_sit_on_principal_critical_rays(d4):
     for c in (F(1, 2), F(-1, 2)):
         best = minimize(model, {"a": -1, "c": c})[0]
         assert best.symmetry.label in family_labels
+
+
+@pytest.mark.parametrize("group, a1", [
+    ("z2_line", None), ("z2xz2", None), ("d4", None), ("d4_sheared", None),
+    ("o_rot", None), ("z2_line", 0), ("z2xz2", 0), ("d4", 0), ("d4_sheared", 0),
+    ("o_rot", 0), ("s3_perm", None),
+])
+def test_gradient_phase_is_the_reference_loop(request, group, a1):
+    # the compiled phase takes the reference loop's float operations in
+    # its order: same status, same bits, from every start minimize uses
+    rep = request.getfixturevalue(group)
+    model = build_generic(compute_mib(rep))
+    lam = cli_default_assignment(model)
+    if a1 is not None:
+        lam["a1"] = F(a1)
+    phi = model.potential(lam)
+    phase = landau._gradient_phase(phi).fn
+    f, grad = compile_polynomial(phi), compile_gradient(phi)
+    tol, escape = 100.0 * 1e-10, landau._ESCAPE_FACTOR * landau._RADIUS
+    count = landau._STARTS_PER_GENERATOR * model.basis.k
+    statuses, capped = [], 0
+    for x0 in landau._ball_starts(rep.dim, count, landau._RADIUS, 0):
+        want = reference_gradient_phase(
+            x0, f, grad, tol, escape, landau._MAX_GRADIENT_STEPS)
+        got = phase(*x0.tolist(), tol, escape, range(landau._MAX_GRADIENT_STEPS))
+        assert got[0] is want[0]
+        assert float_bits(got[1]) == float_bits(want[1])
+        statuses.append(want[0])
+        capped += want[0] is None and math.hypot(*grad(want[1])) > tol
+    if group == "s3_perm":
+        assert True in statuses  # the default model runs away
+    elif a1 == 0:
+        assert capped  # the flat quartic reaches the step cap
+    else:
+        assert statuses == [None] * count
 
 
 # -------------------------------------------------------------------- sweeps

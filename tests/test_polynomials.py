@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitscope import rationals as ra
+from orbitscope import dynamics, landau, rationals as ra
 from orbitscope.errors import KindMismatch, PolynomialParseError
 from orbitscope.polynomials import (
     J_KIND,
@@ -317,15 +317,9 @@ def test_kernel_constant_and_zero_outputs():
     assert mixed.eval_many(pts).tolist() == [[2.25, 0.0, 7.0], [0.0, 0.0, 7.0], [1.0, 0.0, 7.0]]
 
 
-def test_kernel_source_holds_only_floats_and_coordinate_names():
-    # coefficients reach compile only as repr(float(c)); no text of the
-    # polynomial or its spec does
-    rng = random.Random(11)
-    long_poly = Polynomial(2, {m: Fraction(rng.randint(1, 9), 3)
-                               for d in range(25) for m in monomials_of_degree(2, d)})
-    assert len(long_poly.terms) > 300
-    polys = [long_poly, Polynomial.zero(2), X2.scale(Fraction(-1, 3)) + Polynomial.constant(2, 10**30)]
-    source = compile_polynomial(polys).source
+def _source_tokens(source: str) -> tuple[set, set]:
+    """The names and number literals of generated source, which may hold
+    no other tokens than operators and layout."""
     names, literals = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
@@ -333,12 +327,47 @@ def test_kernel_source_holds_only_floats_and_coordinate_names():
         elif tok.type == tokenize.NUMBER:
             literals.add(tok.string)
         elif tok.type == tokenize.OP:
-            assert tok.string in {"(", ")", ",", ":", "=", "*", "+", "-"}
+            assert tok.string in {"(", ")", ",", ":", "=", "*", "+", "-", "/", ">", "<="}
         else:
             assert tok.type in {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                                 tokenize.DEDENT, tokenize.ENDMARKER}, tok
-    keywords = {"def", "_k", "return"}
-    assert {n for n in names - keywords if not re.fullmatch(r"x\d+(_\d+)?|s\d+", n)} == set()
-    assert {"x0", "x1", "x0_24", "s0"} <= names
-    assert all(repr(float(lit)) == lit for lit in literals)
-    assert {"1e+30", "0.3333333333333333"} <= literals
+    return names, literals
+
+
+def test_kernel_source_holds_only_floats_and_coordinate_names():
+    # coefficients reach compile only as repr(float(c)); no text of the
+    # polynomial or its spec does, in the plain kernel or in the fused
+    # descent and Runge-Kutta kernels built around it
+    rng = random.Random(11)
+    long_poly = Polynomial(2, {m: Fraction(rng.randint(1, 9), 3)
+                               for d in range(25) for m in monomials_of_degree(2, d)})
+    assert len(long_poly.terms) > 300
+    odd = X2.scale(Fraction(-1, 3)) + Polynomial.constant(2, 10**30)
+    polys = [long_poly, Polynomial.zero(2), odd]
+    # the gradient of phi holds the constants 10**30 and -1/3
+    phi = long_poly + Polynomial(2, {(1, 0): 10**30, (0, 1): Fraction(-1, 3)})
+    sources = {
+        "plain": compile_polynomial(polys).source,
+        "descent": landau._gradient_phase(phi).source,
+        "rk4": dynamics._rk4_kernel(polys[:2], odd).source,
+    }
+    generated = re.compile(
+        r"(x|s|[tgyzwn]|k\d_)\d+"        # coordinates, sums, stage points, stage values
+        r"|(g_|t_|k\d_|p_)?[xtyzwn]\d+_\d+"  # powers, tagged by inlined body
+        r"|(g_|t_|k\d_|p_)s\d+"            # long sums of an inlined body
+    )
+    keywords = {"def", "_k", "return", "for", "in", "while", "if", "not", "and",
+                "break", "True", "False", "None"}
+    template = {"tol", "escape", "steps", "i", "fx", "gn", "step", "h", "half", "sixth"}
+    builtins = {"hypot", "isfinite"}
+    for kind, source in sources.items():
+        names, literals = _source_tokens(source)
+        allowed = keywords | (set() if kind == "plain" else template | builtins)
+        assert {n for n in names - allowed if not generated.fullmatch(n)} == set(), kind
+        assert all(repr(float(lit)) == lit for lit in literals), kind
+        assert {"1e+30", "0.3333333333333333"} <= literals, kind
+    plain = _source_tokens(sources["plain"])[0]
+    assert {"x0", "x1", "x0_24", "s0"} <= plain
+    assert {n for n in plain if not re.fullmatch(r"x\d+(_\d+)?|s\d+|def|_k|return", n)} == set()
+    assert {"hypot", "isfinite", "g_s0", "t_s0"} <= _source_tokens(sources["descent"])[0]
+    assert {"k1_s0", "k4_w1_24", "p_n0_2"} <= _source_tokens(sources["rk4"])[0]
