@@ -39,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dynamics import _MAX_STEPS, dump_trajectory_csv, gradient_field, integrate
+from .dynamics import dump_trajectory_csv, gradient_field, integrate
 from .errors import OrbitscopeError, SpecParseError, UnknownParameter
 from .groups import FiniteGroupRep, close_generators
 from .invariants import (
@@ -546,6 +546,10 @@ def _parse_sweep(text: str) -> tuple[str, Fraction, Fraction, int]:
     if n < 2:
         raise SpecParseError("--sweep needs at least 2 steps")
     return name.strip(), lo_f, hi_f, n
+
+
+# the most steps a flow may take
+_MAX_STEPS = 1_000_000
 
 
 def _parse_flow(x0: str, t_end: str, dt: str) -> tuple[list[float], float, float]:

@@ -22,7 +22,7 @@ with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` = 6) before giving up.  A
 `GradientField` compiles one step as a single function that inlines the
 field at the four stages and the potential at the new state
 (`_rk4_kernel`); `integrate` runs it in one loop for steps and substeps
-alike.  The CLI refuses a flow of more than 1_000_000 steps (`_MAX_STEPS`).
+alike.
 
 `check_stratum_invariance` draws 6 points of Fix(H) (`_INVARIANCE_SAMPLES`)
 from a generator seeded with 0, flows each to t = 2.0 (`_INVARIANCE_T_END`)
@@ -49,10 +49,9 @@ from .errors import DimensionMismatch, MonotonicityViolation, NonFiniteState
 from .groups import FiniteGroupRep, Subgroup, fixed_subspace, invariant_metric
 from .invariants import IntegrityBasis
 from .landau import LandauModel
-from .polynomials import FusedKernel, Polynomial, _kernel_body, compile_polynomial
+from .polynomials import Polynomial, _compile_kernel, _kernel_body, compile_polynomial
 
 _MAX_HALVINGS = 6
-_MAX_STEPS = 1_000_000
 _INVARIANCE_SAMPLES = 6
 _INVARIANCE_T_END = 2.0
 _INVARIANCE_DT = 1e-2
@@ -130,13 +129,13 @@ def gradient_field(model: LandauModel, assignment) -> GradientField:
     return GradientField(model, assignment)
 
 
-def _rk4_kernel(field: list[Polynomial], phi: Polynomial) -> FusedKernel:
+def _rk4_kernel(field: list[Polynomial], phi: Polynomial):
     """One Runge-Kutta step of the polynomial field, compiled as one function.
 
-    ``fn(x0, ..., x{n-1}, h)`` returns ``((x0', ...), phi(x'))``.  The
-    field is inlined at the four stages and phi at the new state, with the
-    operations of :func:`_rk4_step` in the same order, so the two agree to
-    the last bit.
+    The function ``_k(x0, ..., x{n-1}, h)`` returns
+    ``((x0', ...), phi(x'))``.  The field is inlined at the four stages and
+    phi at the new state, with the operations of :func:`_rk4_step` in the
+    same order, so the two agree to the last bit.
     """
     n = len(field)
     xs = [f"x{i}" for i in range(n)]
@@ -166,7 +165,7 @@ def _rk4_kernel(field: list[Polynomial], phi: Polynomial) -> FusedKernel:
     statements, (energy,) = _kernel_body([phi], new, "p_")
     lines += [f"    {s}" for s in statements]
     lines.append(f"    return ({', '.join(new)},), {energy}")
-    return FusedKernel("\n".join(lines) + "\n")
+    return _compile_kernel("\n".join(lines) + "\n")
 
 
 def _rk4_step(field, x: tuple, h: float) -> tuple:
@@ -221,7 +220,7 @@ def integrate(
         raise NonFiniteState("initial state is not finite")
     potential = getattr(field, "potential", None)
     if isinstance(field, GradientField):
-        step = field.step.fn
+        step = field.step
     else:
         step = _callable_step(field, potential)
     steps = int(round(t_end / dt))
@@ -237,38 +236,29 @@ def integrate(
 def _run_steps(step, x: tuple, e_old, dt, steps, energy_tol) -> list[tuple]:
     """The states after 0, 1, ..., steps steps, each a tuple of floats.
 
-    One loop takes both the steps of dt and the 2**halving substeps of a
-    retried one; e_old is None when the field has no potential."""
+    e_old is the potential at x, or None when the field has none."""
     states = [x]
-    halving, nsub, h = 0, 1, dt
-    y, done = x, 0
-    while len(states) <= steps:
-        y, e_new = step(*y, h)
-        done += 1
-        if done < nsub:
-            continue
-        if halving == 0:
-            if not _finite(y):
-                raise NonFiniteState(
-                    f"state left the finite range at t={(len(states) - 1) * dt:.6g}"
-                )
-            retry = e_old is not None and e_new > e_old + energy_tol
-        else:
-            retry = not (_finite(y) and e_new <= e_old + energy_tol)
-        if retry:
-            if halving == _MAX_HALVINGS:
+    for i in range(steps):
+        x_new, e_new = step(*x, dt)
+        if not _finite(x_new):
+            raise NonFiniteState(f"state left the finite range at t={i * dt:.6g}")
+        if e_old is not None and e_new > e_old + energy_tol:
+            for halving in range(1, _MAX_HALVINGS + 1):
+                nsub = 2**halving
+                h = dt / nsub
+                y = x
+                for _ in range(nsub):
+                    y, e_new = step(*y, h)
+                if _finite(y) and e_new <= e_old + energy_tol:
+                    x_new = y
+                    break
+            else:
                 raise MonotonicityViolation(
-                    f"potential increased at t={(len(states) - 1) * dt:.6g} and substep "
+                    f"potential increased at t={i * dt:.6g} and substep "
                     f"refinement down to dt/{2**_MAX_HALVINGS} did not cure it"
                 )
-            halving += 1
-            nsub = 2**halving
-            h = dt / nsub
-            y, done = x, 0
-            continue
-        x, e_old = y, e_new
+        x, e_old = x_new, e_new
         states.append(x)
-        halving, nsub, h, done = 0, 1, dt, 0
     return states
 
 

@@ -54,8 +54,8 @@ from .invariants import IntegrityBasis, jmonomials_of_xdegree
 from .params import Coefficient
 from .polynomials import (
     J_KIND,
-    FusedKernel,
     Polynomial,
+    _compile_kernel,
     _kernel_body,
     compile_gradient,
     compile_polynomial,
@@ -232,17 +232,17 @@ def _ball_starts(n: int, count: int, radius: float, seed: int) -> list[np.ndarra
     return out
 
 
-def _gradient_phase(phi: Polynomial) -> FusedKernel:
+def _gradient_phase(phi: Polynomial):
     """The gradient phase of a descent on phi, compiled as one function.
 
-    ``fn(x0, ..., x{n-1}, tol, escape, steps)`` takes backtracking
-    gradient steps from x, one per item of ``steps``, until the gradient
-    norm is at most ``tol``.  Each step starts at 1 / (1 + |g|) and halves
-    until the Armijo test holds or it falls to 1e-18.  The gradient, phi
-    and phi at each trial point are inlined, so the loop runs on plain
-    floats.  It returns ``(escaped, x)``: None when the phase ends (at tol
-    or after the last step), False at a non-finite gradient, True once
-    |x| exceeds ``escape``.
+    The function ``_k(x0, ..., x{n-1}, tol, escape, steps)`` takes
+    backtracking gradient steps from x, one per item of ``steps``, until
+    the gradient norm is at most ``tol``.  Each step starts at
+    1 / (1 + |g|) and halves until the Armijo test holds or it falls to
+    1e-18.  The gradient, phi and phi at each trial point are inlined, so
+    the loop runs on plain floats.  It returns ``(escaped, x)``: None when
+    the phase ends (at tol or after the last step), False at a non-finite
+    gradient, True once |x| exceeds ``escape``.
     """
     n = phi.nvars
     xs = [f"x{i}" for i in range(n)]
@@ -276,7 +276,7 @@ def _gradient_phase(phi: Polynomial) -> FusedKernel:
         f"            return True, {point}",
         f"    return None, {point}",
     ]
-    return FusedKernel("\n".join(body) + "\n")
+    return _compile_kernel("\n".join(body) + "\n")
 
 
 def _descend(x0, phase, grad, hess, gtol: float, escape_radius: float):
@@ -338,7 +338,7 @@ def minimize(
     n = rep.dim
     f, grad = compile_polynomial(phi), compile_gradient(phi)
     second = compile_polynomial([d.partial(j) for d in phi.gradient() for j in range(n)])
-    phase = _gradient_phase(phi).fn
+    phase = _gradient_phase(phi)
 
     def hess(x):
         return np.reshape(second(x), (n, n))

@@ -569,27 +569,14 @@ def _kernel_source(polys: list[Polynomial], scalar: bool) -> str:
 
 
 def _compile_kernel(source: str):
-    """The function ``_k`` that ``source`` defines.  Besides its arguments,
-    generated code calls only ``hypot`` and ``isfinite`` of :mod:`math`,
-    which the namespace provides."""
+    """The function ``_k`` that ``source`` defines, with ``source`` kept as
+    its ``.source``.  Besides its arguments, generated code calls only
+    ``hypot`` and ``isfinite`` of :mod:`math`, which the namespace provides."""
     namespace = {"hypot": math.hypot, "isfinite": math.isfinite}
     exec(compile(source, "<orbitscope kernel>", "exec"), namespace)
-    return namespace["_k"]
-
-
-class FusedKernel:
-    """A generated step function with polynomial bodies inlined.
-
-    ``source`` is straight-line code around :func:`_kernel_body` output,
-    written by the numerical layer that owns the algorithm; ``fn`` is its
-    compiled function ``_k``.
-    """
-
-    __slots__ = ("source", "fn")
-
-    def __init__(self, source: str):
-        self.source = source
-        self.fn = _compile_kernel(source)
+    fn = namespace["_k"]
+    fn.source = source
+    return fn
 
 
 class NumericPoly:

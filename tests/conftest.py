@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitscope import groups, rationals as ra
+from orbitscope import cli, groups, rationals as ra
 
 
 def _frac_rows(rows):
@@ -141,12 +141,12 @@ def s5_std():
 
 
 def cli_default_assignment(model) -> dict:
-    """The CLI's default coefficients of a generic model: a1 = -1/2 and
-    a_k = 1/(k + 1)."""
-    return {
-        f"a{k}": Fraction(-1, 2) if k == 1 else Fraction(1, k + 1)
-        for k in range(1, len(model.parameters()) + 1)
-    }
+    """The coefficients the CLI gives a model when no --param is passed."""
+    cfg = cli.RunConfig(
+        command="landau", spec="", spec_sha256="", degree_cap=None, relation_cap=None,
+        ell=None, params={}, sweep=None, seed=0, tol=None, out=None, fmt="json",
+    )
+    return cli._model_assignment(model, cfg)
 
 
 def float_bits(x) -> tuple:

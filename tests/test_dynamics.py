@@ -192,7 +192,7 @@ def test_compiled_step_is_rk4_step(default_field):
         for k in range(7):
             h = dt / 2**k
             want = _rk4_step(f, tuple(x), h)
-            got, energy = f.step.fn(*x, h)
+            got, energy = f.step(*x, h)
             assert float_bits(got) == float_bits(want)
             assert energy.hex() == f.potential(want).hex()
 

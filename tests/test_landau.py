@@ -308,7 +308,7 @@ def test_gradient_phase_is_the_reference_loop(request, group, a1):
     if a1 is not None:
         lam["a1"] = F(a1)
     phi = model.potential(lam)
-    phase = landau._gradient_phase(phi).fn
+    phase = landau._gradient_phase(phi)
     f, grad = compile_polynomial(phi), compile_gradient(phi)
     tol, escape = 100.0 * 1e-10, landau._ESCAPE_FACTOR * landau._RADIUS
     count = landau._STARTS_PER_GENERATOR * model.basis.k

@@ -317,9 +317,14 @@ def test_kernel_constant_and_zero_outputs():
     assert mixed.eval_many(pts).tolist() == [[2.25, 0.0, 7.0], [0.0, 0.0, 7.0], [1.0, 0.0, 7.0]]
 
 
-def _source_tokens(source: str) -> tuple[set, set]:
+_PLAIN_OPS = {"(", ")", ",", ":", "=", "*", "+", "-"}
+# the fused descent and Runge-Kutta templates also divide and compare
+_FUSED_OPS = _PLAIN_OPS | {"/", ">", "<="}
+
+
+def _source_tokens(source: str, ops: set) -> tuple[set, set]:
     """The names and number literals of generated source, which may hold
-    no other tokens than operators and layout."""
+    no other tokens than the operators ``ops`` and layout."""
     names, literals = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
@@ -327,7 +332,7 @@ def _source_tokens(source: str) -> tuple[set, set]:
         elif tok.type == tokenize.NUMBER:
             literals.add(tok.string)
         elif tok.type == tokenize.OP:
-            assert tok.string in {"(", ")", ",", ":", "=", "*", "+", "-", "/", ">", "<="}
+            assert tok.string in ops, tok
         else:
             assert tok.type in {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                                 tokenize.DEDENT, tokenize.ENDMARKER}, tok
@@ -361,13 +366,14 @@ def test_kernel_source_holds_only_floats_and_coordinate_names():
     template = {"tol", "escape", "steps", "i", "fx", "gn", "step", "h", "half", "sixth"}
     builtins = {"hypot", "isfinite"}
     for kind, source in sources.items():
-        names, literals = _source_tokens(source)
-        allowed = keywords | (set() if kind == "plain" else template | builtins)
+        plain = kind == "plain"
+        names, literals = _source_tokens(source, _PLAIN_OPS if plain else _FUSED_OPS)
+        allowed = keywords | (set() if plain else template | builtins)
         assert {n for n in names - allowed if not generated.fullmatch(n)} == set(), kind
         assert all(repr(float(lit)) == lit for lit in literals), kind
         assert {"1e+30", "0.3333333333333333"} <= literals, kind
-    plain = _source_tokens(sources["plain"])[0]
+    plain = _source_tokens(sources["plain"], _PLAIN_OPS)[0]
     assert {"x0", "x1", "x0_24", "s0"} <= plain
     assert {n for n in plain if not re.fullmatch(r"x\d+(_\d+)?|s\d+|def|_k|return", n)} == set()
-    assert {"hypot", "isfinite", "g_s0", "t_s0"} <= _source_tokens(sources["descent"])[0]
-    assert {"k1_s0", "k4_w1_24", "p_n0_2"} <= _source_tokens(sources["rk4"])[0]
+    assert {"hypot", "isfinite", "g_s0", "t_s0"} <= _source_tokens(sources["descent"], _FUSED_OPS)[0]
+    assert {"k1_s0", "k4_w1_24", "p_n0_2"} <= _source_tokens(sources["rk4"], _FUSED_OPS)[0]
