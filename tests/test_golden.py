@@ -18,7 +18,9 @@ the same labels, inertia, orbit sizes and row counts, and every number agreed
 within 1e-12 absolute (the largest change was 1.1e-16).  The z2-line sweep
 did not change.  ``invariants-d4-sheared`` pins a dense rational conjugate
 whose invariant metric is not the identity, and ``invariants-s3-perm`` a
-basis with a degree-1 generator.  The ``.txt``
+basis with a degree-1 generator.  ``invariants-a4-rot`` and
+``invariants-z3-perm`` pin two groups that are not coregular, whose basis
+search stops at a degree bound rather than at a certified free basis.  The ``.txt``
 and ``.csv`` files were recorded before the text and CSV output of every
 command came to be read from its JSON report; they pin the header lines and
 every line the two formats print.  They run from ``golden/`` with a relative
@@ -41,6 +43,8 @@ CASES = [
     ("invariants-s4-std", ["invariants", "--spec", "s4-std"]),
     ("invariants-d4-sheared", ["invariants", "--spec", "d4-sheared"]),
     ("invariants-s3-perm", ["invariants", "--spec", "s3-perm"]),
+    ("invariants-a4-rot", ["invariants", "--spec", "a4-rot"]),
+    ("invariants-z3-perm", ["invariants", "--spec", "z3-perm"]),
     ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
     ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
     ("landau-d4", ["landau", "--spec", "d4"]),
