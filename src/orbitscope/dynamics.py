@@ -387,8 +387,9 @@ def orbit_space_consistency(field: GradientField, traj: Trajectory) -> Consisten
 def dump_trajectory_csv(out, field: GradientField, traj: Trajectory) -> None:
     """t, x-components, basis values, potential -- one row per step.
 
-    Every cell is a number or a fixed header, so rows are plain
-    comma-joined lines; the potential is evaluated on plain floats."""
+    Every cell is a number or a fixed header, so each row is one
+    ``%``-format of plain floats; the potential of every row comes from one
+    :meth:`NumericPoly.eval_many` call, bit-identical to the scalar kernel."""
     basis = field.model.basis
     projected = project_trajectory(basis, traj)
     k = len(basis.polys)
@@ -399,14 +400,9 @@ def dump_trajectory_csv(out, field: GradientField, traj: Trajectory) -> None:
         + ["phi"]
     )
     out.write(",".join(header) + "\n")
-    potential = field.potential
-    for t, x, j in zip(traj.times.tolist(), traj.states.tolist(), projected.j_states.tolist()):
-        out.write(
-            ",".join(
-                [f"{t:.12g}"]
-                + [f"{c:.17g}" for c in x]
-                + [f"{c:.17g}" for c in j]
-                + [f"{potential(x):.17g}"]
-            )
-            + "\n"
-        )
+    row = "%.12g," + ",".join(["%.17g"] * (field.dim + k + 1)) + "\n"
+    phis = field._phi.eval_many(traj.states).tolist()
+    for t, x, j, phi in zip(
+        traj.times.tolist(), traj.states.tolist(), projected.j_states.tolist(), phis
+    ):
+        out.write(row % (t, *x, *j, phi))

@@ -11,7 +11,9 @@ spanned first, then the reduced echelon basis of W_d modulo that span is
 appended, which guarantees minimality.  Products of the generators and
 the images x^m(T_s x) come from ``polynomials.power_products`` tables, each
 built once.  The growth stops at the first degree where the basis is
-certified complete (:func:`is_coregular`), or else at the degree cap.
+certified complete (:func:`is_coregular`), or at the degree bound of a
+homogeneous system of parameters among its generators, or else at the
+degree cap.
 
 All greedy choices scan candidates in the canonical monomial order, so the
 output is deterministic down to the coefficient level.
@@ -151,16 +153,16 @@ def molien_series(rep: FiniteGroupRep, degree_cap: int) -> MolienSeries:
 # -------------------------------------------------- graded invariant spaces
 
 
-def _invariant_space(rep: FiniteGroupRep, monos, index) -> list[ra.Vec]:
+def _generator_images(rep: FiniteGroupRep) -> list:
+    """One :func:`power_products` table of x^m(T_s x) per spec generator s."""
+    return [power_products(linear_forms(rep.elements[s])) for s in rep.generators]
+
+
+def _invariant_space(rep: FiniteGroupRep, tables, monos, index) -> list[ra.Vec]:
     """W_d = ∩_s ker(T_s - I) over the generators s, as the canonical null
     space of the stacked rows of x^m(T_s x) - x^m, one column per monomial
     x^m of ``monos`` (all of one degree, positions in ``index``), read from
-    one power-product table per generator, kept in the rep's memo."""
-    tables = rep.memo.get("generator_images")
-    if tables is None:
-        tables = rep.memo["generator_images"] = [
-            power_products(linear_forms(rep.elements[s])) for s in rep.generators
-        ]
+    the :func:`_generator_images` ``tables``."""
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for s, image in zip(rep.generators, tables):
         for col, m in enumerate(monos):
@@ -175,7 +177,7 @@ def invariant_space_basis(rep: FiniteGroupRep, degree: int) -> list[Polynomial]:
     monos, index = monomial_index(rep.dim, degree)
     return [
         Polynomial(rep.dim, {monos[i]: c for i, c in enumerate(v) if c}).monic()
-        for v in _invariant_space(rep, monos, index)
+        for v in _invariant_space(rep, _generator_images(rep), monos, index)
     ]
 
 
@@ -246,28 +248,105 @@ def _listing_order(block: list[Polynomial]) -> list[Polynomial]:
     return sorted(block, key=_support_size)
 
 
-def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> IntegrityBasis:
-    """Minimal integrity basis up to ``degree_cap`` (default: group order).
+def _default_cap(rep: FiniteGroupRep) -> int:
+    """A degree by which the integrity basis is complete: Noether's bound |G|
+    for a cyclic group, ⌊3|G|/4⌋ for any other (Domokos-Hegedűs, Arch.
+    Math. 74 (2000)).  The group is cyclic when some element, read off the
+    Cayley table, has order |G|."""
+    for g in range(rep.order):
+        cur, order = g, 1
+        while cur != 0:
+            cur = rep.cayley[cur][g]
+            order += 1
+        if order == rep.order:
+            return rep.order
+    return 3 * rep.order // 4
 
-    The search stops at the first degree whose block completes a basis
-    that :func:`is_coregular` certifies; nothing above that degree is new.
-    Otherwise it runs to the cap: the default cap is sufficient for
-    completeness (Noether's bound); a user-lowered cap yields the
-    degree-truncated answer, and raises CapTooLow when it leaves no
-    generator.  One basis grows block by block, and the degree-d power
+
+def _hsop_bound(thetas) -> int | None:
+    """max(d_n, D), D = sum(d_i - 1), when the n forms ``thetas`` in n
+    variables are a homogeneous system of parameters (hsop); None otherwise.
+
+    The products x^m * theta_i of degree D + 1 span every form of that
+    degree exactly when R[x]/(theta) is finite-dimensional: its top degree
+    is then D.  So one exact span test decides it, with no Groebner basis;
+    rows stop once the rank is full.  For a finite group in characteristic
+    0 the invariant ring is Cohen-Macaulay (Hochster-Eagon), hence free over
+    the hsop with secondaries of degree at most D, and it is generated in
+    degree at most max(d_n, D) (Derksen-Kemper, *Computational Invariant
+    Theory*, ch. 3).
+    """
+    n = thetas[0].nvars
+    degrees = [p.degree() for p in thetas]
+    top = sum(d - 1 for d in degrees) + 1
+    monos, index = monomial_index(n, top)
+    span = ra.RowReducer(len(monos))
+    for theta, d in zip(thetas, degrees):
+        for m in monomials_of_degree(n, top - d):
+            span.add({
+                index[tuple(a + b for a, b in zip(m, mm))]: c
+                for mm, c in theta.terms.items()
+            })
+            if span.rank == len(monos):
+                return max(max(degrees), top - 1)
+    return None
+
+
+def _certified_stop(basis: IntegrityBasis, series: MolienSeries, top: int) -> int:
+    """The degree the search may stop at, given it runs to ``top``: the
+    hsop bound of the first n generators when that is lower and they are an
+    hsop, else ``top``.  Before the bound is trusted, Molien * prod(1 -
+    t^{d_i}) must have non-negative coefficients that vanish above D
+    through the series' cap, as a free module over the hsop requires."""
+    n = basis.rep.dim
+    degrees = basis.degrees[:n]
+    secondary_top = sum(d - 1 for d in degrees)
+    if max(degrees[-1], secondary_top) >= top:
+        return top
+    bound = _hsop_bound(basis.polys[:n])
+    if bound is None:
+        return top
+    numerator = list(series.coefficients)
+    for d in degrees:
+        numerator = [c - (numerator[i - d] if i >= d else 0) for i, c in enumerate(numerator)]
+    if min(numerator) < 0 or any(numerator[secondary_top + 1:]):
+        raise ArithmeticError("Molien series disagrees with the hsop certificate")
+    return bound
+
+
+def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> IntegrityBasis:
+    """Minimal integrity basis up to ``degree_cap``.
+
+    The search scans degrees upward and stops at the first bound it can
+    certify:
+
+    - a block that completes a basis :func:`is_coregular` certifies;
+    - else, once the basis holds n generators, the hsop bound max(d_n, D)
+      of the first n (:func:`_hsop_bound`), checked once against the
+      Molien series;
+    - else the cap.  The default cap, :func:`_default_cap`, is Noether's
+      bound |G| for a cyclic group and ⌊3|G|/4⌋ (Domokos-Hegedűs) for any
+      other, both sufficient for completeness.  A user cap replaces it; a
+      lowered one yields the degree-truncated answer, and raises CapTooLow
+      when it leaves no generator.
+
+    One basis grows block by block, and the degree-d power
     products are read from its table.  At each degree the new generators
     are the reduced-echelon basis of the quotient (invariant space modulo
     products of lower generators), which pins the choice completely: the
     Z2 footnote basis comes out as (x^2, y^2, xy), the symmetric groups
     yield the elementary symmetric functions.  Within a degree, generators
     involving fewer coordinates are listed first, ties broken by leading
-    monomial.
+    monomial.  The generator image tables live for this call only.
     """
-    if degree_cap is None:
-        degree_cap = rep.order
-    series = molien_series(rep, degree_cap)
+    top = _default_cap(rep) if degree_cap is None else degree_cap
+    series = molien_series(rep, top)
+    tables = _generator_images(rep)
     basis = IntegrityBasis(rep, (), ())
-    for d in range(1, degree_cap + 1):
+    certify = True
+    d = 0
+    while d < top:
+        d += 1
         c_d = series.coefficient(d)
         if c_d == 0:
             continue
@@ -280,12 +359,12 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
         if products.rank == c_d:
             continue
         reduced_rows, _ = ra.rref(
-            (products.residual(v) for v in _invariant_space(rep, monos, index)),
+            (products.residual(v) for v in _invariant_space(rep, tables, monos, index)),
             len(monos),
         )
         if products.rank + len(reduced_rows) != c_d:
             raise CapTooLow(
-                f"invariant space at degree {d} not exhausted (cap {degree_cap})"
+                f"invariant space at degree {d} not exhausted (cap {top})"
             )
         basis.add_block(_listing_order([
             Polynomial(
@@ -295,6 +374,9 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
         ]), d)
         if is_coregular(basis):
             break
+        if certify and basis.k >= rep.dim:
+            certify = False
+            top = _certified_stop(basis, series, top)
     if not basis.polys:
         raise CapTooLow("the integrity basis has no generators below the degree cap")
     return basis

@@ -96,12 +96,71 @@ def d4_sheared():
     return groups.close_generators(D4_SHEARED_GENS, name="d4-sheared")
 
 
+# the quarter turn about z and the 3-fold turn about (1, 1, 1)
+O_ROT_GENS = (
+    _frac_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+    permutation_matrix((1, 2, 0)),
+)
+# a dense rational conjugator of R^3, of determinant -3
+DENSE_CONJUGATOR_3 = _frac_rows([[1, 2, 0], [0, 1, -1], [2, 0, 1]])
+
+
 @pytest.fixture(scope="session")
 def o_rot():
     """Rotations of the cube on R^3, order 24: quarter turn about z and
     the 3-fold turn about (1, 1, 1)."""
-    quarter = _frac_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
-    return groups.close_generators([quarter, permutation_matrix((1, 2, 0))], name="o-rot")
+    return groups.close_generators(O_ROT_GENS, name="o-rot")
+
+
+@pytest.fixture(scope="session")
+def o_rot_conj():
+    """o-rot conjugated by a dense rational matrix."""
+    return groups.close_generators(
+        conjugate(O_ROT_GENS, DENSE_CONJUGATOR_3), name="o-rot-c"
+    )
+
+
+def _diag(*d):
+    return _frac_rows([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
+
+
+@pytest.fixture(scope="session")
+def z3_hex():
+    """The 120-degree rotation of the plane in a hexagonal lattice basis."""
+    return groups.close_generators([_frac_rows([[0, -1], [1, -1]])], name="z3-hex")
+
+
+@pytest.fixture(scope="session")
+def neg_identity_3():
+    """{I, -I} on R^3: six quadratic generators."""
+    return groups.close_generators([_diag(-1, -1, -1)], name="neg-i3")
+
+
+@pytest.fixture(scope="session")
+def z3_perm():
+    """The cyclic permutation of the coordinates of R^3."""
+    return groups.close_generators([permutation_matrix((1, 2, 0))], name="z3-perm")
+
+
+@pytest.fixture(scope="session")
+def a4_rot():
+    """Rotations of the tetrahedron on R^3, order 12."""
+    return groups.close_generators(
+        [_diag(-1, -1, 1), permutation_matrix((1, 2, 0))], name="a4-rot"
+    )
+
+
+@pytest.fixture(scope="session")
+def b4_rot():
+    """Rotations of the 4-cube, order 192: the signed permutations of
+    determinant 1."""
+    flip = _diag(-1, 1, 1, 1)
+    gens = [
+        ra.mat_mul(permutation_matrix((1, 0, 2, 3)), flip),
+        ra.mat_mul(permutation_matrix((1, 2, 3, 0)), flip),
+        _diag(-1, -1, 1, 1),
+    ]
+    return groups.close_generators(gens, name="b4-rot")
 
 
 # all signed permutations of R^3: two permutations and one sign flip
@@ -112,8 +171,8 @@ B3_GENS = (
 )
 
 
-# a dense rational conjugate of B3: the conjugator has determinant -3
-B3_CONJ_GENS = conjugate(B3_GENS, _frac_rows([[1, 2, 0], [0, 1, -1], [2, 0, 1]]))
+# a dense rational conjugate of B3
+B3_CONJ_GENS = conjugate(B3_GENS, DENSE_CONJUGATOR_3)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Gradient flow: descent field, integration, invariance, projection."""
 
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -329,3 +330,25 @@ def test_csv_dump(d4_flow):
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(0.4)
     assert float(first[3]) == pytest.approx(0.4**2 + 0.15**2)
+
+
+def test_csv_dump_rows_are_the_scalar_rows(default_field):
+    # one eval_many call and one %-format per row give the bytes of the
+    # scalar potential kernel and per-cell f-strings
+    f = default_field
+    traj = integrate(f, np.array([0.3, -0.2, 0.1][: f.dim]), 0.5, 1e-2)
+    buf = io.StringIO()
+    dump_trajectory_csv(buf, f, traj)
+    projected = project_trajectory(f.model.basis, traj)
+    want = [
+        ",".join(
+            [f"{t:.12g}"] + [f"{c:.17g}" for c in x] + [f"{c:.17g}" for c in j]
+            + [f"{f.potential(x):.17g}"]
+        )
+        for t, x, j in zip(
+            traj.times.tolist(), traj.states.tolist(), projected.j_states.tolist()
+        )
+    ]
+    assert buf.getvalue().splitlines()[1:] == want
+    for v in [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.1]:
+        assert ("%.12g" % v, "%.17g" % v) == (f"{v:.12g}", f"{v:.17g}")

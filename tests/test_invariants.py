@@ -383,6 +383,96 @@ def test_jacobian_of_elementary_symmetric_is_vandermonde():
     assert _jacobian_determinant(polys) == vandermonde
 
 
+# ------------------------------------------------------------ hsop degree bound
+
+
+NON_COREGULAR = ["z3_hex", "z4", "neg_identity_3", "z3_perm", "a4_rot", "o_rot", "o_rot_conj"]
+
+
+def refuse_hsop(monkeypatch):
+    monkeypatch.setattr(invariants, "_hsop_bound", lambda thetas: None)
+
+
+def basis_and_stop(rep, **kwargs):
+    """The basis and the top degree the search spans products at."""
+    seen = []
+    real = invariants.jmonomials_of_xdegree
+
+    def spy(degrees, xdegree):
+        seen.append(xdegree)
+        return real(degrees, xdegree)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(invariants, "jmonomials_of_xdegree", spy)
+        basis = compute_mib(rep, **kwargs)
+    return basis, max(seen)
+
+
+def test_hsop_certificate_accepts_the_cube_primaries(o_rot):
+    thetas = compute_mib(o_rot).polys[:3]
+    assert [p.degree() for p in thetas] == [2, 4, 6]
+    assert invariants._hsop_bound(thetas) == 9
+
+
+def test_hsop_certificate_refuses_a_common_zero():
+    # x1^2 and x1*x2 both vanish on the line x1 = 0
+    x1, x2 = (Polynomial.variable(i, 2) for i in range(2))
+    assert invariants._hsop_bound([x1 * x1, x1 * x2]) is None
+    assert invariants._hsop_bound([x1 * x1, x2 * x2]) == 2
+
+
+def test_search_stops_at_the_hsop_bound(o_rot, monkeypatch):
+    basis, stop = basis_and_stop(o_rot)
+    assert (basis.degrees, stop) == ((2, 4, 6, 9), 9)
+    refuse_hsop(monkeypatch)
+    assert basis_and_stop(o_rot)[1] == 18
+
+
+def test_b4_rot_basis_at_the_default_cap(b4_rot):
+    # Noether's bound is 192, the Domokos-Hegedus bound 144; the hsop
+    # (2, 4, 6, 8) bounds the generators by 16
+    assert b4_rot.order == 192
+    basis, stop = basis_and_stop(b4_rot)
+    assert (basis.degrees, stop) == ((2, 4, 6, 8, 16), 16)
+    assert not is_coregular(basis)
+
+
+def test_hsop_bound_is_checked_against_molien(o_rot):
+    basis = compute_mib(o_rot)
+    series = molien_series(o_rot, 18)
+    assert invariants._certified_stop(basis, series, 18) == 9
+    assert invariants._certified_stop(basis, series, 9) == 9
+    wrong = invariants.MolienSeries(24, series.coefficients[:10] + (0,) * 9)
+    with pytest.raises(ArithmeticError):
+        invariants._certified_stop(basis, wrong, 18)
+
+
+def test_fallback_bound_when_the_certificate_refuses(a4_rot, z4, monkeypatch):
+    # a4-rot is not cyclic: floor(3 * 12 / 4) = 9; z4 is cyclic: |G| = 4
+    certified = {rep.name: compute_mib(rep) for rep in (a4_rot, z4)}
+    refuse_hsop(monkeypatch)
+    for rep, stop in [(a4_rot, 9), (z4, 4)]:
+        basis, seen = basis_and_stop(rep)
+        assert seen == stop
+        assert basis.polys == certified[rep.name].polys
+    assert basis_and_stop(a4_rot, degree_cap=11)[1] == 11
+
+
+@pytest.mark.parametrize("name", NON_COREGULAR)
+def test_same_basis_without_the_certificate(name, request, monkeypatch):
+    rep = request.getfixturevalue(name)
+    basis = compute_mib(rep)
+    assert not is_coregular(basis)
+    refuse_hsop(monkeypatch)
+    plain = compute_mib(rep)
+    assert (plain.polys, plain.degrees) == (basis.polys, basis.degrees)
+
+
+def test_generator_tables_do_not_outlive_the_search(o_rot):
+    compute_mib(o_rot)
+    assert "generator_images" not in o_rot.memo
+
+
 # ----------------------------------------------------------------- relations
 
 
