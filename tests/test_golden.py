@@ -7,7 +7,9 @@ Parameter-valued coefficients print in a form that follows the elimination
 dataflow, so these files pin it down.  ``reduce-d4-ell6`` was re-recorded
 when each generator came to act as its time-one flow, applied in J-space as
 a Lie series: a flow is not y + h, so the degree-6 generator differs, and
-the survivors print the same values in a shorter form.  The ``landau`` and
+the survivors print the same values in a shorter form.  ``reduce-s3-perm-ell3``
+pins the one ladder report whose coefficients have denominators that are not
+monomials, such as ``a2 + 2*a1``.  The ``landau`` and
 ``flow`` files pin every float of minimization, sweep bisection and
 integration to the last bit.  ``landau-d4`` and ``flow-d4`` (``.json``,
 ``.txt``, ``.csv``) were re-recorded when ``polynomials.NumericPoly`` became
@@ -47,6 +49,7 @@ CASES = [
     ("invariants-z3-perm", ["invariants", "--spec", "z3-perm"]),
     ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
     ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
+    ("reduce-s3-perm-ell3", ["reduce", "--spec", "s3-perm", "--ell=3"]),
     ("landau-d4", ["landau", "--spec", "d4"]),
     ("landau-z2-line-sweep", ["landau", "--spec", "z2-line", "--sweep=a1:-1:1:5"]),
     ("flow-d4", ["flow", "--spec", "d4", "--x0=0.3,-0.2", "--t-end=1", "--dt=0.05"]),
