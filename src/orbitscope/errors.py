@@ -98,7 +98,9 @@ class StabilityViolation(OrbitscopeError):
 
 
 class UnknownParameter(OrbitscopeError):
-    """A coefficient value was supplied for a parameter the model lacks."""
+    """A parameter name does not match: a value was supplied for a parameter
+    the model lacks, or a parameter the model or coefficient needs was given
+    no value."""
     layer = "landau"
 
 

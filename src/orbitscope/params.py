@@ -10,6 +10,15 @@ rational functions in the parameters, with just enough normalization
 expressions small; equality is decided by cross multiplication, so the
 partial canonical form is never load bearing.
 
+The numerator and denominator are ``polynomials.Polynomial`` values of kind
+``P_KIND``, one variable per parameter name.  Names are interned at first
+use in one table for the process, so variable i is always the same name.
+A polynomial made before a later name was interned is shorter; it is
+widened with zero exponents before it meets a longer one.  The print order
+and the denominator term made monic are not ``Polynomial``'s: both take the
+highest term by degree, then by the name-sorted ``(name, exponent)`` pairs,
+so ``a2`` prints before ``a10`` and b^2 > a^2 > a*b.
+
 A polynomial with such coefficients is a plain ``polynomials.Polynomial``:
 Coefficient mixes with Fraction in every operation, a Fraction operand
 being read as a constant.
@@ -19,170 +28,100 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParameterPole
+from .errors import ParameterPole, UnknownParameter
 from .polynomials import Polynomial, compose, substitute
 
-# A parameter monomial is a name-sorted tuple of (name, exponent) pairs;
-# a parameter polynomial maps them to Fraction coefficients.
-ParamMonomial = tuple[tuple[str, int], ...]
-PPoly = dict[ParamMonomial, Fraction]
+P_KIND = "param"
 
-_ONE_MONO: ParamMonomial = ()
-
-
-def _pm_mul(a: ParamMonomial, b: ParamMonomial) -> ParamMonomial:
-    merged = dict(a)
-    for name, e in b:
-        merged[name] = merged.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in merged.items() if e))
+# The interned parameter names: variable i of a P_KIND polynomial is _NAMES[i].
+_NAMES: list[str] = []
+_INDEX: dict[str, int] = {}
 
 
-def _pm_degree(m: ParamMonomial) -> int:
-    return sum(e for _, e in m)
+def _widen(p: Polynomial) -> Polynomial:
+    """p over every name interned so far, by zero exponents appended."""
+    pad = len(_NAMES) - p.nvars
+    if not pad:
+        return p
+    zeros = (0,) * pad
+    return Polynomial._new(
+        len(_NAMES), {m + zeros: c for m, c in p.terms.items()}, P_KIND
+    )
 
 
-def _pm_key(m: ParamMonomial):
-    return (_pm_degree(m), m)
+def _divide(p: Polynomial, g) -> Polynomial:
+    """p over the monomial g, which divides each of its terms."""
+    return Polynomial._new(
+        p.nvars, {tuple(e - f for e, f in zip(m, g)): c for m, c in p.terms.items()}, P_KIND
+    )
 
 
-def _pp_make(terms) -> PPoly:
-    return {m: c for m, c in terms.items() if c != 0}
+def _pairs(m) -> list[tuple[str, int]]:
+    return sorted((_NAMES[i], e) for i, e in enumerate(m) if e)
 
 
-def _pp_add(a: PPoly, b: PPoly) -> PPoly:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
+def _name_key(m):
+    """Degree, then the name-sorted (name, exponent) pairs."""
+    return (sum(m), _pairs(m))
 
 
-def _pp_mul(a: PPoly, b: PPoly) -> PPoly:
-    out: PPoly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _pm_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _pp_scale(a: PPoly, s: Fraction) -> PPoly:
-    if s == 0:
-        return {}
-    return {m: c * s for m, c in a.items()}
-
-
-def _pp_eval(a: PPoly, assignment) -> Fraction:
-    total = Fraction(0)
-    for m, c in a.items():
-        v = c
-        for name, e in m:
-            v *= assignment[name] ** e
-        total += v
-    return total
-
-
-def _pp_kill(a: PPoly, names) -> PPoly:
-    """Set the named parameters to zero."""
-    return {m: c for m, c in a.items() if not any(n in names for n, _ in m)}
-
-
-def _pp_monomial_gcd(a: PPoly, b: PPoly) -> ParamMonomial:
-    mins: dict[str, int] | None = None
-    for poly in (a, b):
-        for m in poly:
-            expo = dict(m)
-            if mins is None:
-                mins = expo
-            else:
-                mins = {
-                    n: min(e, expo.get(n, 0)) for n, e in mins.items() if n in expo
-                }
-            if not mins:
-                return _ONE_MONO
-    if not mins:
-        return _ONE_MONO
-    return tuple(sorted((n, e) for n, e in mins.items() if e))
-
-
-def _pm_div(m: ParamMonomial, g: ParamMonomial) -> ParamMonomial:
-    gd = dict(g)
-    return tuple((n, e - gd.get(n, 0)) for n, e in m if e - gd.get(n, 0))
-
-
-def _pp_div_monomial(a: PPoly, g: ParamMonomial) -> PPoly:
-    if g == _ONE_MONO:
-        return a
-    return {_pm_div(m, g): c for m, c in a.items()}
-
-
-def _pp_leading_coeff(a: PPoly) -> Fraction:
-    lead = max(a, key=_pm_key)
-    return a[lead]
-
-
-def _pm_text(m: ParamMonomial) -> str:
-    if not m:
-        return "1"
-    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
-
-
-def _pp_text(a: PPoly) -> str:
-    if not a:
-        return "0"
+def _text(p: Polynomial) -> str:
     parts = []
-    for m in sorted(a, key=_pm_key, reverse=True):
-        c = a[m]
-        if m == _ONE_MONO:
+    for m in sorted(p.terms, key=_name_key, reverse=True):
+        c = p.terms[m]
+        factors = "*".join(n if e == 1 else f"{n}^{e}" for n, e in _pairs(m))
+        if not factors:
             parts.append(str(c))
         elif c == 1:
-            parts.append(_pm_text(m))
+            parts.append(factors)
         elif c == -1:
-            parts.append(f"-{_pm_text(m)}")
+            parts.append(f"-{factors}")
         else:
-            parts.append(f"{c}*{_pm_text(m)}")
-    return " + ".join(parts).replace("+ -", "- ")
+            parts.append(f"{c}*{factors}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+def _survives(p: Polynomial, critical) -> bool:
+    """p stays nonzero with the critical parameters set to zero."""
+    idx = [i for i in map(_INDEX.get, critical) if i is not None and i < p.nvars]
+    return any(not any(m[i] for i in idx) for m in p.terms)
 
 
 class Coefficient:
-    """Exact rational function of named parameters."""
+    """Exact rational function of named parameters, ``num / den``: two
+    ``P_KIND`` polynomials with no common monomial factor, ``den`` monic."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PPoly, den: PPoly | None = None):
-        num = _pp_make(num)
-        den = _pp_make(den) if den is not None else {_ONE_MONO: Fraction(1)}
-        if not den:
+    def __init__(self, num: Polynomial, den: Polynomial | None = None):
+        num = _widen(num)
+        den = Polynomial.constant(num.nvars, 1, P_KIND) if den is None else _widen(den)
+        if not den.terms:
             raise ZeroDivisionError("zero denominator in parameter coefficient")
-        if not num:
-            self.num, self.den = {}, {_ONE_MONO: Fraction(1)}
+        if not num.terms:
+            self.num, self.den = num, Polynomial.constant(num.nvars, 1, P_KIND)
             return
-        g = _pp_monomial_gcd(num, den)
-        num = _pp_div_monomial(num, g)
-        den = _pp_div_monomial(den, g)
-        lead = _pp_leading_coeff(den)
+        g = tuple(map(min, zip(*num.terms, *den.terms)))
+        if any(g):
+            num, den = _divide(num, g), _divide(den, g)
+        lead = den.terms[max(den.terms, key=_name_key)]
         if lead != 1:
-            inv = Fraction(1) / lead
-            num = _pp_scale(num, inv)
-            den = _pp_scale(den, inv)
+            inv = 1 / lead
+            num, den = num.scale(inv), den.scale(inv)
         self.num, self.den = num, den
 
     # ---------------------------------------------------------- constructors
 
     @staticmethod
     def number(x) -> "Coefficient":
-        return Coefficient({_ONE_MONO: Fraction(x)})
+        return Coefficient(Polynomial.constant(len(_NAMES), Fraction(x), P_KIND))
 
     @staticmethod
     def parameter(name: str) -> "Coefficient":
-        return Coefficient({((name, 1),): Fraction(1)})
+        if name not in _INDEX:
+            _INDEX[name] = len(_NAMES)
+            _NAMES.append(name)
+        return Coefficient(Polynomial.variable(_INDEX[name], len(_NAMES), P_KIND))
 
     @staticmethod
     def coerce(x) -> "Coefficient":
@@ -193,54 +132,49 @@ class Coefficient:
     # ----------------------------------------------------------- predicates
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.num.terms
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.num.terms)
 
     def as_number(self) -> Fraction | None:
         """The constant value, or None if parameters are involved."""
-        if self.den != {_ONE_MONO: Fraction(1)}:
+        if self.den.degree() or self.num.degree() > 0:
             return None
-        if not self.num:
-            return Fraction(0)
-        if set(self.num) == {_ONE_MONO}:
-            return self.num[_ONE_MONO]
-        return None
+        return next(iter(self.num.terms.values()), Fraction(0))
 
     def parameters(self) -> set[str]:
-        names = set()
-        for poly in (self.num, self.den):
-            for m in poly:
-                for n, _ in m:
-                    names.add(n)
-        return names
+        return {
+            _NAMES[i]
+            for p in (self.num, self.den)
+            for m in p.terms
+            for i, e in enumerate(m)
+            if e
+        }
 
     def uniform_nonzero(self, critical) -> bool:
         """Invertible uniformly over the sweep: survives critical -> 0."""
-        return bool(_pp_kill(self.num, set(critical))) and bool(
-            _pp_kill(self.den, set(critical))
-        )
+        return _survives(self.num, critical) and _survives(self.den, critical)
 
     def denominator_survives(self, critical) -> bool:
         """Finite uniformly over the sweep: the denominator survives
         critical -> 0, while the numerator is allowed to vanish."""
-        return bool(_pp_kill(self.den, set(critical)))
+        return _survives(self.den, critical)
 
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other) -> "Coefficient":
         other = Coefficient.coerce(other)
-        if self.den == other.den:
-            return Coefficient(_pp_add(self.num, other.num), self.den)
-        num = _pp_add(_pp_mul(self.num, other.den), _pp_mul(other.num, self.den))
-        return Coefficient(num, _pp_mul(self.den, other.den))
+        sn, sd, on, od = map(_widen, (self.num, self.den, other.num, other.den))
+        if sd == od:
+            return Coefficient(sn + on, sd)
+        return Coefficient(sn * od + on * sd, sd * od)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient(_pp_scale(self.num, Fraction(-1)), self.den)
+        return Coefficient(-self.num, self.den)
 
     def __sub__(self, other) -> "Coefficient":
         return self + (-Coefficient.coerce(other))
@@ -250,9 +184,8 @@ class Coefficient:
 
     def __mul__(self, other) -> "Coefficient":
         other = Coefficient.coerce(other)
-        return Coefficient(
-            _pp_mul(self.num, other.num), _pp_mul(self.den, other.den)
-        )
+        sn, sd, on, od = map(_widen, (self.num, self.den, other.num, other.den))
+        return Coefficient(sn * on, sd * od)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -261,9 +194,8 @@ class Coefficient:
         other = Coefficient.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero parameter coefficient")
-        return Coefficient(
-            _pp_mul(self.num, other.den), _pp_mul(self.den, other.num)
-        )
+        sn, sd, on, od = map(_widen, (self.num, self.den, other.num, other.den))
+        return Coefficient(sn * od, sd * on)
 
     def __rtruediv__(self, other) -> "Coefficient":
         return Coefficient.coerce(other) / self
@@ -274,23 +206,32 @@ class Coefficient:
                 other = Coefficient.number(other)
             else:
                 return NotImplemented
-        return _pp_mul(self.num, other.den) == _pp_mul(other.num, self.den)
+        sn, sd, on, od = map(_widen, (self.num, self.den, other.num, other.den))
+        return sn * od == on * sd
 
     __hash__ = None
 
     # -------------------------------------------------------------- output
 
     def evaluate(self, assignment) -> Fraction:
-        assignment = {k: Fraction(v) for k, v in assignment.items()}
-        den = _pp_eval(self.den, assignment)
+        """The exact value at an assignment of every parameter involved;
+        one left out raises UnknownParameter."""
+        used = self.parameters()
+        missing = used - assignment.keys()
+        if missing:
+            raise UnknownParameter(f"unassigned parameters: {', '.join(sorted(missing))}")
+        point = [
+            Fraction(assignment[n]) if n in used else 0 for n in _NAMES[: self.num.nvars]
+        ]
+        den = self.den.evaluate(point)
         if den == 0:
             raise ParameterPole(f"parameter assignment zeroes the denominator of {self}")
-        return _pp_eval(self.num, assignment) / den
+        return self.num.evaluate(point) / den
 
     def __str__(self) -> str:
-        if self.den == {_ONE_MONO: Fraction(1)}:
-            return _pp_text(self.num)
-        return f"({_pp_text(self.num)})/({_pp_text(self.den)})"
+        if not self.den.degree():
+            return _text(self.num)
+        return f"({_text(self.num)})/({_text(self.den)})"
 
     def __repr__(self) -> str:
         return f"Coefficient({self})"

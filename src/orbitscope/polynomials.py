@@ -1,20 +1,23 @@
 """Exact sparse multivariate polynomials.
 
 A polynomial is a dict from exponent tuples to nonzero coefficients,
-tagged with a variable kind so that ambient-space ("x") and orbit-space
-("J") objects cannot be mixed by accident.  Coefficients are Fractions
-(plain numbers are coerced) or any other exact field element that supports
-+ - * /, equality and truth as "nonzero"; the other one in use is
-``params.Coefficient``, a rational function of named model parameters,
-which also answers ``parameters()`` and ``evaluate(assignment)``.  This
-module only duck-types it.  Sums accumulate as ``s + c`` onto what is
-already there, in dict order, never onto a seeded zero: for ``Coefficient``
-the order of operations fixes the printed form, so it is kept stable.
+tagged with a variable kind so that ambient-space ("x"), orbit-space ("J")
+and model-parameter (``params.P_KIND``) objects cannot be mixed by accident.
+Coefficients are Fractions (plain numbers are coerced) or any other exact
+field element that supports + - * /, equality and truth as "nonzero"; the
+other one in use is ``params.Coefficient``, a rational function of named
+model parameters whose numerator and denominator are themselves
+polynomials of the parameter kind, and which also answers ``parameters()``
+and ``evaluate(assignment)``.  This module only duck-types it.  Sums
+accumulate as ``s + c`` onto what is already there, in dict order, never
+onto a seeded zero: for ``Coefficient`` the order of operations fixes the
+printed form, so it is kept stable.
 
-The canonical term order used everywhere (printing, pivoting, greedy basis
-selection) is graded lexicographic, highest first: terms compare by total
-degree, then lexicographically on the exponent tuple.  For two variables
-this orders degree-2 monomials as x1^2, x1 x2, x2^2.
+The canonical term order used everywhere here (printing, pivoting, greedy
+basis selection) is graded lexicographic, highest first: terms compare by
+total degree, then lexicographically on the exponent tuple.  For two
+variables this orders degree-2 monomials as x1^2, x1 x2, x2^2.  Parameter
+polynomials print in ``params``' own order, by name rather than by index.
 
 Text serialization is a sum of ``c * x1^a1 x2^a2`` terms in canonical
 order and round-trips exactly through :func:`parse_polynomial`.

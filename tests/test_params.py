@@ -1,12 +1,18 @@
 """Rational-function coefficients and parameter-carrying polynomials."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from orbitscope.params import Coefficient, compose_param, substitute_param
+import orbitscope
+from orbitscope.errors import UnknownParameter
+from orbitscope.params import P_KIND, Coefficient, compose_param, substitute_param
 from orbitscope.polynomials import J_KIND, X_KIND, Polynomial, compose
 
 
@@ -60,8 +66,10 @@ def test_division_normalization():
     c = Coefficient.parameter("c")
     b = Coefficient.parameter("b")
     kappa = (-c) / (Coefficient.number(16) * b)
-    assert kappa.num == {(("c", 1),): Fraction(-1, 16)}
-    assert kappa.den == {(("b", 1),): Fraction(1)}
+    assert str(kappa) == "(-1/16*c)/(b)"
+    assert kappa.num.kind == kappa.den.kind == P_KIND
+    assert kappa.num == c.num.scale(Fraction(-1, 16))
+    assert kappa.den == b.num
     assert kappa * Coefficient.number(16) * b == -c
 
 
@@ -69,8 +77,9 @@ def test_monomial_cancellation():
     a = Coefficient.parameter("a")
     b = Coefficient.parameter("b")
     x = (a * b) / (b * b)
-    assert x.num == {(("a", 1),): Fraction(1)}
-    assert x.den == {(("b", 1),): Fraction(1)}
+    assert x.num == a.num
+    assert x.den == b.num
+    assert str(x) == "(a)/(b)"
 
 
 def test_exact_cancellation_of_critical_factor():
@@ -103,6 +112,113 @@ def test_evaluate():
     assert val == Fraction(7, 3)
     with pytest.raises(ZeroDivisionError):
         expr.evaluate({"a": 1, "b": -1})
+
+
+def test_evaluate_names_missing_parameters():
+    a = Coefficient.parameter("a")
+    b = Coefficient.parameter("b")
+    with pytest.raises(UnknownParameter) as err:
+        (a / b).evaluate({"a": 1})
+    assert "unassigned parameters: b" in str(err.value)
+    assert not isinstance(err.value, KeyError)
+    # a parameter the coefficient does not involve may be left out
+    assert (a + 1).evaluate({"a": 2}) == 3
+
+
+ORACLE_NAMES = ["a", "b", "a2", "a10"]
+oracle_leaves = st.one_of(
+    st.sampled_from(ORACLE_NAMES),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+oracle_trees = st.recursive(
+    oracle_leaves,
+    lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
+    max_leaves=8,
+)
+OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+def fold(tree, leaf):
+    """The value of an expression tree, its leaves read by ``leaf``."""
+    if isinstance(tree, tuple):
+        op, left, right = tree
+        return OPS[op](fold(left, leaf), fold(right, leaf))
+    return leaf(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    oracle_trees,
+    st.fixed_dictionaries(
+        {n: st.fractions(min_value=-5, max_value=5, max_denominator=7) for n in ORACLE_NAMES}
+    ),
+)
+def test_evaluate_commutes_with_arithmetic(tree, point):
+    # the tree's value with Fractions at the leaves, off every pole on the way
+    try:
+        expect = fold(tree, lambda t: point[t] if isinstance(t, str) else t)
+    except ZeroDivisionError:
+        assume(False)
+    coeff = fold(
+        tree, lambda t: Coefficient.parameter(t) if isinstance(t, str) else t
+    )
+    coeff = Coefficient.coerce(coeff)
+    assert coeff.evaluate(point) == expect
+
+
+INTERNING_SCRIPT = """
+import sys
+from orbitscope.params import Coefficient as C
+
+def exprs():
+    a, b, a2, a10 = (C.parameter(n) for n in ("a", "b", "a2", "a10"))
+    return [
+        a10 + a2,
+        (a10 * a2 - 3 * b) / (2 * a2 + a10),
+        (a * a - b * b + a * b) / (b * b + 4 * a10),
+        (a2 * a10) / (a10 * a10 * b),
+    ]
+
+for name in sys.argv[1:]:
+    C.parameter(name)
+before = [C.parameter("a10") + 1, C.parameter("a10") / 3]
+later = C.parameter("zz")
+after = [C.parameter("a10") + 1, C.parameter("a10") / 3]
+for x, y in zip(before, after):
+    assert x == y and y == x and str(x) == str(y)
+    assert x + y == 2 * y and y + x == 2 * y
+    assert x * y == y * y and (x - y).is_zero()
+    assert x * later == y * later and x + later == later + y
+for coeff in before + exprs():
+    assert coeff.uniform_nonzero({"never-interned"})
+    assert coeff.denominator_survives({"never-interned"})
+point = {"a": 2, "b": 3, "a2": 5, "a10": 7}
+print("\\n".join(f"{c} = {c.evaluate(point)}" for c in exprs()))
+"""
+
+
+def test_interning_order_does_not_matter():
+    # the name table lives for the process: each order gets a fresh one
+    src = str(Path(orbitscope.__file__).resolve().parents[1])
+
+    def printed(order):
+        run = subprocess.run(
+            [sys.executable, "-c", INTERNING_SCRIPT, *order],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    first = printed(["a10", "b", "a2", "a"])
+    assert first == printed(["a", "a2", "b", "a10"])
+    assert "a2" in first and first.index("a2") < first.index("a10")
 
 
 def test_sum_over_a_common_denominator_keeps_it():
