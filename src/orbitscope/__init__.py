@@ -3,8 +3,8 @@
 Layers, bottom up:
 
 - ``rationals``   exact rational linear algebra
-- ``polynomials`` sparse exact polynomials, group action, Reynolds average
-                  (the tests' oracle)
+- ``polynomials`` sparse exact polynomials, group action, compiled float
+                  kernels
 - ``groups``      finite matrix groups, subgroups, fixed spaces
 - ``invariants``  Molien series, minimal integrity bases, P-matrices
 - ``strata``      isotropy classes, orbit-space strata, critical rays
@@ -18,7 +18,7 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .errors import OrbitscopeError
-from .polynomials import Polynomial, parse_polynomial, act, reynolds
+from .polynomials import Polynomial, parse_polynomial, act
 from .groups import (
     FiniteGroupRep,
     close_generators,
@@ -54,7 +54,6 @@ from .landau import (
     sweep,
 )
 from .reduction import (
-    poincare_generator,
     removable_terms,
     reduce,
     verify_reduction,
@@ -72,7 +71,6 @@ __all__ = [
     "Polynomial",
     "parse_polynomial",
     "act",
-    "reynolds",
     "FiniteGroupRep",
     "close_generators",
     "all_subgroups",
@@ -99,7 +97,6 @@ __all__ = [
     "classify_symmetry",
     "minimize",
     "sweep",
-    "poincare_generator",
     "removable_terms",
     "reduce",
     "verify_reduction",

@@ -534,6 +534,10 @@ def _parse_param(text: str) -> tuple[str, Fraction]:
         raise SpecParseError(f"--param {name}: {val!r} is not an exact number") from None
 
 
+# the most grid points a sweep may have
+_MAX_SWEEP_STEPS = 10_000
+
+
 def _parse_sweep(text: str) -> tuple[str, Fraction, Fraction, int]:
     parts = text.split(":")
     if len(parts) != 4:
@@ -545,6 +549,8 @@ def _parse_sweep(text: str) -> tuple[str, Fraction, Fraction, int]:
         raise SpecParseError(f"--sweep {text!r}: bounds must be exact, steps integer") from None
     if n < 2:
         raise SpecParseError("--sweep needs at least 2 steps")
+    if n > _MAX_SWEEP_STEPS:
+        raise SpecParseError(f"--sweep asks for {n} steps, more than {_MAX_SWEEP_STEPS}")
     return name.strip(), lo_f, hi_f, n
 
 
@@ -653,6 +659,12 @@ def main(argv=None) -> int:
             raise SpecParseError(f"--ell must be at least 2, got {args.ell}")
         if args.degree_cap is not None and args.degree_cap < 0:
             raise SpecParseError(f"--degree-cap must be non-negative, got {args.degree_cap}")
+        if args.relation_cap is not None and args.relation_cap < 0:
+            raise SpecParseError(
+                f"--relation-cap must be non-negative, got {args.relation_cap}"
+            )
+        if args.seed < 0:
+            raise SpecParseError(f"--seed must be non-negative, got {args.seed}")
         params = dict(_parse_param(p) for p in args.param)
         sweep_spec = _parse_sweep(args.sweep) if args.sweep else None
         flow_args = (

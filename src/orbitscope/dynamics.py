@@ -21,8 +21,8 @@ that matters for descent flows (a step overshooting uphill) and retries
 with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` = 6) before giving up.  A
 `GradientField` compiles one step as a single function that inlines the
 field at the four stages and the potential at the new state
-(`_rk4_kernel`); `integrate` runs it in one loop for steps and substeps
-alike.
+(`_rk4_kernel`); `integrate` takes a `GradientField` and runs that step in
+one loop for steps and substeps alike.
 
 `check_stratum_invariance` draws 6 points of Fix(H) (`_INVARIANCE_SAMPLES`)
 from a generator seeded with 0, flows each to t = 2.0 (`_INVARIANCE_T_END`)
@@ -31,11 +31,6 @@ in steps of 1e-2 (`_INVARIANCE_DT`), and accepts a field residual up to
 (`_TRAJECTORY_TOL`) off Fix(H).  `ConsistencyReport.energy_monotone`
 accepts a rise of the projected potential up to 1e-9
 (`_ENERGY_MONOTONE_TOL`).
-
-Non-gradient fields may be integrated too -- any callable works, stepped
-by `_rk4_step` through the same loop -- but the energy diagnostics only
-engage when the field exposes a `potential` attribute, as the fields built
-by `gradient_field` do.
 """
 
 from __future__ import annotations
@@ -134,8 +129,9 @@ def _rk4_kernel(field: list[Polynomial], phi: Polynomial):
 
     The function ``_k(x0, ..., x{n-1}, h)`` returns
     ``((x0', ...), phi(x'))``.  The field is inlined at the four stages and
-    phi at the new state, with the operations of :func:`_rk4_step` in the
-    same order, so the two agree to the last bit.
+    phi at the new state, with the float operations of the classical
+    scheme k1 = f(x), k2 = f(x + h/2 k1), k3 = f(x + h/2 k2),
+    k4 = f(x + h k3), x' = x + h/6 (k1 + 2 k2 + 2 k3 + k4) in that order.
     """
     n = len(field)
     xs = [f"x{i}" for i in range(n)]
@@ -168,37 +164,12 @@ def _rk4_kernel(field: list[Polynomial], phi: Polynomial):
     return _compile_kernel("\n".join(lines) + "\n")
 
 
-def _rk4_step(field, x: tuple, h: float) -> tuple:
-    """One classical Runge-Kutta step on a tuple of plain floats."""
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = tuple(map(float, field(x)))
-    k2 = tuple(map(float, field(tuple(a + half * b for a, b in zip(x, k1)))))
-    k3 = tuple(map(float, field(tuple(a + half * b for a, b in zip(x, k2)))))
-    k4 = tuple(map(float, field(tuple(a + h * b for a, b in zip(x, k3)))))
-    return tuple(
-        a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-    )
-
-
 def _finite(x: tuple) -> bool:
     return all(map(math.isfinite, x))
 
 
-def _callable_step(field, potential):
-    """A bare callable field as a step ``(x0, ..., h) -> (x', energy)``:
-    :func:`_rk4_step`, with the potential at x' when there is one and x'
-    is finite, else None."""
-
-    def step(*args):
-        x = _rk4_step(field, args[:-1], args[-1])
-        return x, (potential(x) if potential is not None and _finite(x) else None)
-
-    return step
-
-
 def integrate(
-    field,
+    field: GradientField,
     x0,
     t_end: float,
     dt: float,
@@ -207,8 +178,8 @@ def integrate(
     """Fixed-step integration with an energy guard for gradient fields.
 
     Takes round(t_end / dt) steps of dt; none when t_end rounds to 0, so
-    the trajectory is the start point alone.  A GradientField runs its
-    compiled step; any other callable runs :func:`_rk4_step` on it.
+    the trajectory is the start point alone.  Each step is the field's
+    compiled RK4 step.
 
     A step that raises the potential by more than energy_tol is retried
     with 2, 4, ..., 2**_MAX_HALVINGS substeps before MonotonicityViolation.
@@ -218,31 +189,16 @@ def integrate(
     x = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState("initial state is not finite")
-    potential = getattr(field, "potential", None)
-    if isinstance(field, GradientField):
-        step = field.step
-    else:
-        step = _callable_step(field, potential)
     steps = int(round(t_end / dt))
+    step = field.step
     x = tuple(x.tolist())
-    energy = None if potential is None else potential(x)
-
-    # overflow in a rejected candidate step is expected, not news
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = _run_steps(step, x, energy, dt, steps, energy_tol)
-    return Trajectory(np.arange(steps + 1) * dt, np.array(states), dt)
-
-
-def _run_steps(step, x: tuple, e_old, dt, steps, energy_tol) -> list[tuple]:
-    """The states after 0, 1, ..., steps steps, each a tuple of floats.
-
-    e_old is the potential at x, or None when the field has none."""
+    e_old = field.potential(x)
     states = [x]
     for i in range(steps):
         x_new, e_new = step(*x, dt)
         if not _finite(x_new):
             raise NonFiniteState(f"state left the finite range at t={i * dt:.6g}")
-        if e_old is not None and e_new > e_old + energy_tol:
+        if e_new > e_old + energy_tol:
             for halving in range(1, _MAX_HALVINGS + 1):
                 nsub = 2**halving
                 h = dt / nsub
@@ -259,7 +215,7 @@ def _run_steps(step, x: tuple, e_old, dt, steps, energy_tol) -> list[tuple]:
                 )
         x, e_old = x_new, e_new
         states.append(x)
-    return states
+    return Trajectory(np.arange(steps + 1) * dt, np.array(states), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +240,6 @@ class StratumInvarianceReport:
     def passed(self) -> bool:
         return all(s.ok for s in self.samples)
 
-    @property
-    def violations(self) -> tuple:
-        return tuple(s for s in self.samples if not s.ok)
-
 
 def _orthonormal_fix(rep: FiniteGroupRep, sub: Subgroup) -> np.ndarray:
     """Columns: orthonormal float basis of Fix(H); shape (n, fix_dim)."""
@@ -300,7 +252,7 @@ def _orthonormal_fix(rep: FiniteGroupRep, sub: Subgroup) -> np.ndarray:
 
 
 def check_stratum_invariance(
-    rep: FiniteGroupRep, field, sub: Subgroup
+    rep: FiniteGroupRep, field: GradientField, sub: Subgroup
 ) -> StratumInvarianceReport:
     """Sample Fix(H), test f(x) in Fix(H), and flow each sample point.
 

@@ -175,15 +175,6 @@ def float_group(rep: FiniteGroupRep) -> list[np.ndarray]:
     return mats
 
 
-def orbit(rep: FiniteGroupRep, point) -> tuple[ra.Vec, ...]:
-    """The set {T_g x}, deduplicated exactly, sorted for determinism."""
-    x = ra.vec(point)
-    if len(x) != rep.dim:
-        raise DimensionMismatch("point dimension mismatch")
-    pts = {ra.mat_vec(t, x) for t in rep.elements}
-    return tuple(sorted(pts))
-
-
 def isotropy_subgroup(rep: FiniteGroupRep, point) -> Subgroup:
     """Indices of all elements fixing the point exactly."""
     x = ra.vec(point)

@@ -292,6 +292,14 @@ def _hsop_bound(thetas) -> int | None:
     return None
 
 
+def _molien_numerator(coefficients, degrees) -> list:
+    """Molien(t) * prod_i (1 - t^{d_i}), through the series' own cap."""
+    out = list(coefficients)
+    for d in degrees:
+        out = [c - (out[i - d] if i >= d else 0) for i, c in enumerate(out)]
+    return out
+
+
 def _certified_stop(basis: IntegrityBasis, series: MolienSeries, top: int) -> int:
     """The degree the search may stop at, given it runs to ``top``: the
     hsop bound of the first n generators when that is lower and they are an
@@ -306,9 +314,7 @@ def _certified_stop(basis: IntegrityBasis, series: MolienSeries, top: int) -> in
     bound = _hsop_bound(basis.polys[:n])
     if bound is None:
         return top
-    numerator = list(series.coefficients)
-    for d in degrees:
-        numerator = [c - (numerator[i - d] if i >= d else 0) for i, c in enumerate(numerator)]
+    numerator = _molien_numerator(series.coefficients, degrees)
     if min(numerator) < 0 or any(numerator[secondary_top + 1:]):
         raise ArithmeticError("Molien series disagrees with the hsop certificate")
     return bound
@@ -464,9 +470,7 @@ def is_coregular(basis: IntegrityBasis) -> bool:
         return False
     top = sum(len(q) - 1 for q, _ in _char_polys(rep)) + sum(basis.degrees)
     series = molien_series(rep, top).coefficients
-    for d in basis.degrees:
-        series = [c - (series[i - d] if i >= d else 0) for i, c in enumerate(series)]
-    return list(series) == [1] + [0] * top
+    return _molien_numerator(series, basis.degrees) == [1] + [0] * top
 
 
 # ------------------------------------------------------- basis re-expression

@@ -117,16 +117,14 @@ class LandauModel:
         return substitute(self.psi_at(assignment), self.basis.polys)
 
 
-def build_generic(
-    basis: IntegrityBasis, degree_x: int | None = None, critical=None
-) -> LandauModel:
+def build_generic(basis: IntegrityBasis, degree_x: int | None = None) -> LandauModel:
     """Most general model of x-degree <= degree_x (default 2 * top degree).
 
     Each J-monomial of x-degree 2..degree_x gets a fresh parameter a1, a2,
-    ... in (degree, canonical order).  By default only a1, the coefficient
-    of the leading lowest-degree invariant, is marked critical: that is
-    the coefficient a phase transition drives through zero.  A basis
-    without generators (cut off by a low degree cap) raises CapTooLow.
+    ... in (degree, canonical order).  Only a1, the coefficient of the
+    leading lowest-degree invariant, is marked critical: that is the
+    coefficient a phase transition drives through zero.  A basis without
+    generators (cut off by a low degree cap) raises CapTooLow.
     """
     if not basis.degrees:
         raise CapTooLow("the integrity basis has no generators below the degree cap")
@@ -139,9 +137,7 @@ def build_generic(
         m: Coefficient.parameter(f"a{i + 1}") for i, m in enumerate(monos)
     }
     psi = Polynomial(basis.k, terms, J_KIND)
-    if critical is None:
-        critical = {"a1"} if monos else set()
-    return LandauModel(basis, psi, degree_x, frozenset(critical))
+    return LandauModel(basis, psi, degree_x, frozenset({"a1"} if monos else ()))
 
 
 def make_model(
@@ -197,15 +193,6 @@ class CriticalPoint:
     hessian_inertia: tuple[int, int, int]
     symmetry: SymmetryType
     orbit_size: int
-
-    @property
-    def is_minimum(self) -> bool:
-        neg, zero, _ = self.hessian_inertia
-        return neg == 0 and zero == 0
-
-    @property
-    def is_marginal(self) -> bool:
-        return self.hessian_inertia[1] > 0
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -330,9 +317,12 @@ def minimize(
     first entry is the global minimizer among those found.  A descent
     trajectory leaving _ESCAPE_FACTOR * _RADIUS aborts the search: under
     monotone descent that is a certificate the model runs away inside the
-    examined region.  seed offsets the quasi-random starts; a start
-    converges when its gradient norm reaches gtol.
+    examined region.  seed, a non-negative integer, offsets the
+    quasi-random starts; a start converges when its gradient norm reaches
+    gtol.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rep = model.basis.rep
     phi = model.potential(assignment)
     n = rep.dim

@@ -137,12 +137,6 @@ class Coefficient:
     def __bool__(self) -> bool:
         return bool(self.num.terms)
 
-    def as_number(self) -> Fraction | None:
-        """The constant value, or None if parameters are involved."""
-        if self.den.degree() or self.num.degree() > 0:
-            return None
-        return next(iter(self.num.terms.values()), Fraction(0))
-
     def parameters(self) -> set[str]:
         return {
             _NAMES[i]

@@ -23,8 +23,9 @@ Text serialization is a sum of ``c * x1^a1 x2^a2`` terms in canonical
 order and round-trips exactly through :func:`parse_polynomial`.
 
 :func:`reynolds`, the average over every group element, has no caller in
-the library (``invariants`` works from the generators); it is the tests'
-independent oracle.
+the library (``invariants`` works from the generators) and is not exported;
+it is the tests' independent oracle, and the benchmark's layer tracer
+names it.
 """
 
 from __future__ import annotations
@@ -176,10 +177,6 @@ class Polynomial:
             return -1
         return max(mono_degree(m, weights) for m in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_parts(self, weights=None) -> dict[int, "Polynomial"]:
         """Nonzero parts by total (or weighted) degree, ascending."""
         parts: dict[int, dict] = {}
@@ -281,18 +278,6 @@ class Polynomial:
         return Polynomial._new(self.nvars, terms, self.kind)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, 1, self.kind)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         return (

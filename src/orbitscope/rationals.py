@@ -7,8 +7,10 @@ eliminator, :class:`RowReducer`: ranks, residuals modulo a span, ``rref``,
 the homological solves of the reduction layer.  It reduces each new sparse
 row against unnormalized pivot rows in insertion order; normalizing would
 not change a Fraction result, but ``Coefficient`` entries cancel only
-monomial factors, so their printed form follows the dataflow.  Only
-``mat_det`` keeps its own loop, because it tracks the sign of row swaps.
+monomial factors, so their printed form follows the dataflow.  Two
+loops stay outside it: ``rref`` normalizes the reducer's pivot rows and
+back-eliminates them itself, and ``mat_det`` runs its own forward
+elimination, because it tracks the sign of row swaps.
 
 Everything here is deterministic: the pivot is always the first admissible
 column, never chosen by magnitude, so repeated runs produce identical
@@ -75,10 +77,6 @@ def mat_sub_identity(a: Mat) -> Mat:
     return tuple(
         tuple(a[i][j] - (ONE if i == j else ZERO) for j in range(n)) for i in range(n)
     )
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    return sum(x * y for x, y in zip(u, v))
 
 
 def mat_det(a: Mat) -> Fraction:
@@ -229,9 +227,6 @@ class RowReducer:
     def add(self, row) -> bool:
         """Reduce and keep a row; True when it enlarged the span."""
         return self.push(self.residual(row)) is not None
-
-    def contains(self, row) -> bool:
-        return not self.residual(row)
 
     def solve(self, known=None) -> dict:
         """Back-substitution over the pivot rows, latest first.

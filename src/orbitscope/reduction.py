@@ -15,6 +15,9 @@ Phys. Rep. 189 (1990) 1-87).  The leading term is the homological operator
 that chooses the generators; the series is applied exactly through the
 truncation degree, in J-space, so nothing is discarded silently.  The
 oracle checks the result in x-space by composing with the flow map.
+`reduce` keeps each generator it applies as a `PoincareGenerator`, H with
+its x-degree; `removable_terms` reports which terms of one x-degree the
+generators of degree >= 3 can remove, without applying any.
 
 Coefficients are exact rational functions of the model parameters.  Each
 parameter is declared "critical" (may vanish along the sweep) or
@@ -32,7 +35,7 @@ from fractions import Fraction
 from .errors import KindMismatch, VerificationFailed
 from .groups import invariant_metric
 from . import rationals as ra
-from .invariants import IntegrityBasis, PMatrix, express_homogeneous, jmonomials_of_xdegree
+from .invariants import PMatrix, express_homogeneous, jmonomials_of_xdegree
 from .landau import LandauModel, make_model
 from .params import Coefficient
 from .polynomials import (
@@ -78,26 +81,15 @@ class PoincareGenerator:
     h_poly: Polynomial         # J-space; substitutes to homogeneous x-degree
     degree: int                # that x-degree
 
-    def q_vector(self) -> tuple[Polynomial, ...]:
-        """The curl-free coefficient vector Q_a = dH/dJ_a."""
-        return tuple(self.h_poly.partial(a) for a in range(self.h_poly.nvars))
-
-
-def poincare_generator(h, basis: IntegrityBasis) -> PoincareGenerator:
-    weights = basis.degrees
-    degs = {mono_degree(m, weights) for m in h.terms}
-    if len(degs) != 1:
-        raise ValueError("generator must substitute to a homogeneous polynomial")
-    return PoincareGenerator(h, degs.pop())
-
 
 # ------------------------------------------------------- the basic operators
 
 
 def delta_J(h, pmatrix: PMatrix) -> list:
-    """Action of the generator on each basic invariant: Sum_b P_ab dH/dJ_b."""
-    if isinstance(h, PoincareGenerator):
-        h = h.h_poly
+    """Action of the generator on each basic invariant: Sum_b P_ab dH/dJ_b.
+
+    P is symmetric, so with H the whole potential Psi this is the vector
+    U_a = Sum_b (dPsi/dJ_b) P_ba."""
     dh = h.gradient()
     zero = Polynomial.zero(pmatrix.k, J_KIND)
     return [
@@ -122,33 +114,6 @@ def homological_image(psi_term, h, pmatrix: PMatrix):
     return lie_derivative(psi_term, delta_J(h, pmatrix))
 
 
-def u_functions(model: LandauModel, pmatrix: PMatrix) -> list:
-    """U_i = Sum_s (dPsi/dJ_s) P_si, carrying the parameter coefficients;
-    P is symmetric, so this is delta_J of the whole potential."""
-    return delta_J(model.psi, pmatrix)
-
-
-def is_compatible(q_vector) -> bool:
-    """Curl-free test dQ_b/dJ_a == dQ_a/dJ_b: exactly the condition for the
-    vector to be the gradient of a single generator."""
-    qs = list(q_vector)
-    k = len(qs)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if qs[b].partial(a) != qs[a].partial(b):
-                return False
-    return True
-
-
-def removable_form(q_vector, us) -> Polynomial:
-    """Sum_a Q_a U_a, the shape every removable contribution takes."""
-    acc = Polynomial.zero(us[0].nvars, us[0].kind)
-    for q, u in zip(q_vector, us):
-        if not q.is_zero():
-            acc = acc + q * u
-    return acc
-
-
 # ---------------------------------------------------------- removable terms
 
 
@@ -165,24 +130,18 @@ class RemovableSubspace:
         return len(self.removable_monomials)
 
 
-def removable_terms(
-    model: LandauModel,
-    degree: int,
-    pmatrix: PMatrix,
-    min_generator_degree: int = 3,
-) -> RemovableSubspace:
+def removable_terms(model: LandauModel, degree: int, pmatrix: PMatrix) -> RemovableSubspace:
     """Directions at the given x-degree removable by generators of degree
-    >= min_generator_degree, inverting only generic coefficients.
+    >= 3, inverting only generic coefficients.
 
-    The default floor of 3 matches `reduce`, which applies near-identity
-    changes only; lowering it to 2 admits constant Q (linear coordinate
-    changes), whose removable contribution is proportional to U itself.
+    The floor of 3 matches `reduce`, which applies near-identity changes
+    only: a generator of degree 2 would be a linear coordinate change.
     """
     basis = model.basis
     weights = basis.degrees
     target_monos = jmonomials_of_xdegree(weights, degree)
     columns = []      # (gen_degree, gen_mono, image polynomial)
-    for g in range(min_generator_degree, degree + 1):
+    for g in range(3, degree + 1):
         s = degree - g + 2
         comp = model.component(s)
         if comp.is_zero():

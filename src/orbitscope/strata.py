@@ -66,9 +66,6 @@ class IsotropyLattice:
     order_pairs: frozenset[tuple[int, int]]
     principal_index: int | None
 
-    def less(self, i: int, j: int) -> bool:
-        return (i, j) in self.order_pairs
-
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Covering pairs of the order relation, for diagram output."""
         edges = []

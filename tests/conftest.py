@@ -4,12 +4,16 @@ All test groups are exact rational matrix groups.  Session scope keeps the
 closure cost to one run per group.
 """
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from orbitscope import cli, groups, rationals as ra
+from orbitscope.errors import MonotonicityViolation
+from orbitscope.polynomials import Polynomial
 
 
 def _frac_rows(rows):
@@ -196,6 +200,20 @@ def s5_std():
     return groups.close_generators(S5_GENS, name="s5-std")
 
 
+# ------------------------------------------------------------ benchmark pins
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def trace_targets() -> list:
+    """``TARGETS`` of ``perfbench/tracer.py``: the (module, qualified name)
+    of every orbitscope callable the benchmark's layer tracer times."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
 # ------------------------------------------------------- numerical references
 
 
@@ -239,6 +257,77 @@ def reference_gradient_phase(x0, f, grad, tol, escape, steps):
         if math.hypot(*x) > escape:
             return True, x
     return None, x
+
+
+def reference_rk4_step(field, x: tuple, h: float) -> tuple:
+    """One classical Runge-Kutta step of a callable field on a tuple of
+    floats: the oracle for ``GradientField.step``, which takes these float
+    operations in this order."""
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = tuple(map(float, field(x)))
+    k2 = tuple(map(float, field(tuple(a + half * b for a, b in zip(x, k1)))))
+    k3 = tuple(map(float, field(tuple(a + half * b for a, b in zip(x, k2)))))
+    k4 = tuple(map(float, field(tuple(a + h * b for a, b in zip(x, k3)))))
+    return tuple(
+        a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+    )
+
+
+def reference_flow(field, x0, dt, steps, energy_tol=1e-9, halvings=6) -> list:
+    """``dynamics.integrate``'s stepping as a Python loop over
+    :func:`reference_rk4_step`, with the potential from ``field.potential``.
+
+    A step that raises the potential by more than energy_tol is retried
+    with 2, 4, ..., 2**halvings substeps; MonotonicityViolation when none
+    cures it.  Returns the states; when the flow leaves the finite range,
+    the last one is the first non-finite state.
+    """
+    x = tuple(float(c) for c in x0)
+    e_old = field.potential(x)
+    states = [x]
+    for _ in range(steps):
+        x_new = reference_rk4_step(field, x, dt)
+        if not all(map(math.isfinite, x_new)):
+            return states + [x_new]
+        e_new = field.potential(x_new)
+        if e_new > e_old + energy_tol:
+            for k in range(1, halvings + 1):
+                y = x
+                for _ in range(2**k):
+                    y = reference_rk4_step(field, y, dt / 2**k)
+                if all(map(math.isfinite, y)) and field.potential(y) <= e_old + energy_tol:
+                    x_new, e_new = y, field.potential(y)
+                    break
+            else:
+                raise MonotonicityViolation("no substep refinement cured a rise")
+        x, e_old = x_new, e_new
+        states.append(x)
+    return states
+
+
+# ---------------------------------------------------------- exact references
+
+
+def orbit(rep, point) -> tuple:
+    """The orbit {T_g x} over every group element, deduplicated exactly and
+    sorted."""
+    x = ra.vec(point)
+    return tuple(sorted({ra.mat_vec(t, x) for t in rep.elements}))
+
+
+def poly_pow(p: Polynomial, e: int) -> Polynomial:
+    """p**e by repeated squaring, from Polynomial's own product."""
+    if e < 0:
+        raise ValueError("negative power")
+    result = Polynomial.constant(p.nvars, 1, p.kind)
+    base = p
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
 
 
 # --------------------------------------------------------------- acceptance

@@ -203,8 +203,12 @@ def test_float_entries_rejected(tmp_path, capsys):
     (Z2_LINE, ["invariants", "--degree-cap", "-3"]),
     (Z2_LINE, ["flow", "--x0", "0.1", "--t-end", "1e300", "--dt", "1e-300"]),
     (Z2_LINE, ["flow", "--x0", "0.1", "--t-end", "1e9", "--dt", "1e-9"]),
+    (Z2_LINE, ["invariants", "--relation-cap", "-1"]),
+    (Z2_LINE, ["landau", "--seed=-1"]),
+    (Z2_LINE, ["landau", "--sweep", "a1:-1:1:10001"]),
 ], ids=["generators-int", "generator-int", "row-int", "entry-1/0", "param-1/0",
-        "sweep-1/0", "degree-cap-negative", "flow-step-overflow", "flow-too-many-steps"])
+        "sweep-1/0", "degree-cap-negative", "flow-step-overflow", "flow-too-many-steps",
+        "relation-cap-negative", "seed-negative", "sweep-too-many-steps"])
 def test_bad_input_is_one_error_record(tmp_path, capsys, gens, argv):
     spec = write_spec(tmp_path, "bad", gens)
     rc, out, err = run(capsys, [argv[0], "--spec", spec, *argv[1:]])

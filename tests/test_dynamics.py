@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import cli_default_assignment, float_bits
+from conftest import cli_default_assignment, float_bits, reference_flow, reference_rk4_step
 
 from orbitscope.dynamics import (
     ConsistencyReport,
@@ -18,7 +18,6 @@ from orbitscope.dynamics import (
     integrate,
     orbit_space_consistency,
     project_trajectory,
-    _rk4_step,
 )
 from orbitscope.errors import (
     DimensionMismatch,
@@ -141,25 +140,30 @@ def test_energy_guard_cures_overshoot(pitchfork):
     assert abs(traj.final_state[0] - 1.0 / np.sqrt(2.0)) <= 1e-5
 
 
-def test_nonfinite_state_raises(pitchfork):
+def runaway_field(z2_line):
+    # Phi = x^2 - x^4 is unbounded below: from |x| > 1/sqrt(2) the flow
+    # leaves the finite range
+    model = make_model(compute_mib(z2_line), jpp(1, {(1,): 1, (2,): -1}))
+    return gradient_field(model, {})
+
+
+def test_nonfinite_state_raises(pitchfork, z2_line):
     _, _, f = pitchfork
-    uphill = lambda x: -np.asarray(f(x))  # noqa: E731 - deliberately bare callable
-    with pytest.raises(NonFiniteState):
-        integrate(uphill, [1.5], 40.0, 0.05)
+    with pytest.raises(NonFiniteState, match="initial state"):
+        integrate(f, [math.inf], 1.0, 1e-2)
+    with pytest.raises(NonFiniteState, match="left the finite range"):
+        integrate(runaway_field(z2_line), [1.5], 40.0, 0.05)
 
 
-def test_monotonicity_violation_raises(pitchfork):
-    _, _, f = pitchfork
-
-    class Ascent:
-        def __call__(self, x):
-            return -np.asarray(f(x))
-
-        def potential(self, x):
-            return f.potential(x)
-
+def test_monotonicity_violation_raises(z2_line):
+    # Phi = J1 = x^2: steps of 100 overshoot uphill, and so do the
+    # substeps down to 100/64
+    model = make_model(compute_mib(z2_line), jpp(1, {(1,): 1}))
+    field = gradient_field(model, {})
     with pytest.raises(MonotonicityViolation):
-        integrate(Ascent(), [0.3], 2.0, 1e-2)
+        integrate(field, [1.0], 100.0, 100.0)
+    with pytest.raises(MonotonicityViolation):
+        reference_flow(field, [1.0], 100.0, 1)
 
 
 @pytest.fixture(scope="module", params=["d4_sheared", "o_rot"])
@@ -169,55 +173,40 @@ def default_field(request):
     return gradient_field(model, cli_default_assignment(model))
 
 
-class BareField:
-    """A GradientField seen as a bare callable with a potential, so that
-    integrate steps it through _rk4_step."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def __call__(self, x):
-        return self.field(x)
-
-    def potential(self, x):
-        return self.field.potential(x)
-
-
 def test_compiled_step_is_rk4_step(default_field):
-    # the fused kernel takes _rk4_step's float operations in its order,
-    # at the step and at every energy-guard substep length
+    # the fused kernel takes the reference step's float operations in its
+    # order, at the step and at every energy-guard substep length
     f = default_field
     dt = 1e-2
     rng = np.random.default_rng(5)
     for x in rng.uniform(-1.5, 1.5, size=(8, f.dim)).tolist():
         for k in range(7):
             h = dt / 2**k
-            want = _rk4_step(f, tuple(x), h)
+            want = reference_rk4_step(f, tuple(x), h)
             got, energy = f.step(*x, h)
             assert float_bits(got) == float_bits(want)
             assert energy.hex() == f.potential(want).hex()
 
 
 def test_compiled_and_bare_paths_agree(pitchfork, default_field):
+    # integrate against the reference Python loop over the bare field
     _, _, f = pitchfork
     x0 = np.linspace(0.9, -0.6, default_field.dim)
     # dt = 0.5 from x0 = 2 on the pitchfork retries with substeps
-    for field, start, t_end, dt in ((f, [2.0], 8.0, 0.5), (default_field, x0, 3.0, 1e-2)):
-        compiled = integrate(field, start, t_end, dt)
-        bare = integrate(BareField(field), start, t_end, dt)
-        assert compiled.states.tobytes() == bare.states.tobytes()
+    for field, start, steps, dt in ((f, [2.0], 16, 0.5), (default_field, x0, 300, 1e-2)):
+        compiled = integrate(field, start, steps * dt, dt)
+        reference = reference_flow(field, start, dt, steps)
+        assert compiled.states.tobytes() == np.array(reference).tobytes()
 
 
 def test_compiled_path_reports_runaway(z2_line):
-    # Phi = x^2 - x^4 is unbounded below: the flow leaves the finite range
-    model = make_model(compute_mib(z2_line), jpp(1, {(1,): 1, (2,): -1}))
-    field = gradient_field(model, {})
-    errors = []
-    for f in (field, BareField(field)):
-        with pytest.raises(NonFiniteState) as exc:
-            integrate(f, [1.5], 40.0, 0.05)
-        errors.append(str(exc.value))
-    assert errors[0] == errors[1]
+    # the error names the start of the step that left the finite range
+    field = runaway_field(z2_line)
+    states = reference_flow(field, [1.5], 0.05, 800)
+    assert not all(map(math.isfinite, states[-1]))
+    with pytest.raises(NonFiniteState) as exc:
+        integrate(field, [1.5], 40.0, 0.05)
+    assert str(exc.value) == f"state left the finite range at t={(len(states) - 2) * 0.05:.6g}"
 
 
 def test_trajectory_validation():
@@ -239,8 +228,8 @@ def test_axis_mirror_invariant(d4_flow):
     report = check_stratum_invariance(rep, f, mirror)
     assert report.fix_dim == 1
     assert report.passed
-    assert report.violations == ()
     for s in report.samples:
+        assert s.ok
         assert s.field_residual <= 1e-10
         assert s.trajectory_residual <= 1e-8
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B3_CONJ_GENS, B3_GENS, D4_SHEARED_GENS, ROT90, S4_PERM_GENS
+from conftest import B3_CONJ_GENS, B3_GENS, D4_SHEARED_GENS, ROT90, S4_PERM_GENS, orbit
 from orbitscope import groups, rationals as ra
 from orbitscope.cli import load_group_spec
 from orbitscope.errors import (
@@ -178,10 +178,10 @@ def test_lagrange(d4, s3_perm, s4_perm):
 
 
 def test_orbit_square_vertices(d4):
-    orb = groups.orbit(d4, (1, 0))
+    orb = orbit(d4, (1, 0))
     assert len(orb) == 4
     assert ra.vec((0, 1)) in orb and ra.vec((-1, 0)) in orb
-    generic = groups.orbit(d4, (Fraction(1), Fraction(1, 3)))
+    generic = orbit(d4, (Fraction(1), Fraction(1, 3)))
     assert len(generic) == 8
 
 
@@ -190,7 +190,7 @@ def test_orbit_stabilizer(d4, s3_perm):
     for rep in (d4, s3_perm):
         for _ in range(100):
             x = rand_rational_point(rng, rep.dim)
-            orb = groups.orbit(rep, x)
+            orb = orbit(rep, x)
             iso = groups.isotropy_subgroup(rep, x)
             assert len(orb) * iso.order == rep.order
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import B3_CONJ_GENS, B3_GENS, FLIP_Y, ROT90, permutation_matrix
+from conftest import B3_CONJ_GENS, B3_GENS, FLIP_Y, ROT90, orbit, permutation_matrix, poly_pow
 from orbitscope import invariants, polynomials, rationals as ra
 from orbitscope.errors import DimensionMismatch, NotExpressible, NotInvariant
-from orbitscope.groups import close_generators, invariant_metric, orbit
+from orbitscope.groups import close_generators, invariant_metric
 from orbitscope.invariants import (
     IntegrityBasis,
     _jacobian_determinant,
@@ -148,7 +148,7 @@ def test_invariant_space_sizes_and_contents(z2_plane, z2xz2, z4, d4, s3_perm):
             basis = invariant_space_basis(rep, d)
             assert len(basis) == series.coefficient(d)
             for p in basis:
-                assert p.is_homogeneous() and (p.is_zero() or p.degree() == d)
+                assert all(sum(m) == d for m in p.terms)
                 for g in rep.elements:
                     assert act(g, p) == p
 
@@ -283,7 +283,7 @@ def test_mib_elements_invariant_homogeneous(z2_plane, z4, d4, s3_perm):
         basis = compute_mib(rep)
         assert basis.degrees == tuple(sorted(basis.degrees))
         for p, d in zip(basis.polys, basis.degrees):
-            assert p.is_homogeneous() and p.degree() == d
+            assert not p.is_zero() and all(sum(m) == d for m in p.terms)
             for g in rep.elements:
                 assert act(g, p) == p
 
@@ -303,7 +303,7 @@ def test_mib_minimality(z2_plane, z4, d4):
                 prod = Polynomial.constant(rep.dim, 1)
                 for i, e in enumerate(expo):
                     if e:
-                        prod = prod * others[i] ** e
+                        prod = prod * poly_pow(others[i], e)
                 vec = [Fraction(0)] * len(monos)
                 for m, c in prod.terms.items():
                     vec[index[m]] = c
@@ -311,7 +311,7 @@ def test_mib_minimality(z2_plane, z4, d4):
             target = [Fraction(0)] * len(monos)
             for m, c in basis.polys[a].terms.items():
                 target[index[m]] = c
-            assert not span.contains(target)
+            assert span.residual(target)
 
 
 def product_span_rank(rep, basis, d):
@@ -323,7 +323,7 @@ def product_span_rank(rep, basis, d):
         prod = Polynomial.constant(rep.dim, 1)
         for i, e in enumerate(expo):
             if e:
-                prod = prod * basis.polys[i] ** e
+                prod = prod * poly_pow(basis.polys[i], e)
         vec = [Fraction(0)] * len(monos)
         for m, c in prod.terms.items():
             vec[index[m]] = c
@@ -605,8 +605,8 @@ def test_express_roundtrip_random(z2_plane, z4, d4, s3_perm):
 
 
 def test_jmonomial_images_match_powers(z2xz2, d4, d4_sheared, s3_perm, b3):
-    # the power-product table against products of ``**`` powers, which it
-    # does not use
+    # the power-product table against products of powers by repeated
+    # squaring, which it does not use
     for rep in (z2xz2, d4, d4_sheared, s3_perm, b3):
         basis = compute_mib(rep)
         for xdeg in range(2 * basis.max_degree + 1):
@@ -617,7 +617,7 @@ def test_jmonomial_images_match_powers(z2xz2, d4, d4_sheared, s3_perm, b3):
                 )
                 want = Polynomial.constant(rep.dim, 1)
                 for i, e in enumerate(expo):
-                    want = want * basis.polys[i] ** e
+                    want = want * poly_pow(basis.polys[i], e)
                 assert image == want, (rep.name, expo)
 
 

@@ -36,8 +36,9 @@ def test_number_and_parameter_basics():
     two = Coefficient.number(2)
     assert (a + a) == two * a
     assert (a - a).is_zero()
-    assert a.as_number() is None
-    assert (two + Coefficient.number(3)).as_number() == 5
+    assert a.parameters() == {"a"}
+    five = two + Coefficient.number(3)
+    assert five.parameters() == set() and five == Coefficient.number(5)
     assert Coefficient.number(0).is_zero()
     # a Fraction operand reads as a constant, on either side
     half = Fraction(1, 2)

@@ -22,12 +22,8 @@ from orbitscope.reduction import (
     ReductionReport,
     delta_J,
     homological_image,
-    is_compatible,
-    poincare_generator,
     reduce,
-    removable_form,
     removable_terms,
-    u_functions,
     verify_reduction,
 )
 
@@ -108,22 +104,22 @@ def test_delta_j_z2xz2_product(z2xz2_setup):
 
 def test_u_functions_z2(z2_setup):
     _, basis, P = z2_setup
-    psi = make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
-    (u,) = u_functions(psi, P)
+    model = make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
+    (u,) = delta_J(model.psi, P)
     assert u == jpp(1, {(1,): cf("a") * 4, (2,): cf("b") * 8})
 
 
 def test_u_functions_zero(z2_setup):
     _, basis, P = z2_setup
-    psi = make_model(basis, Polynomial.zero(1, J_KIND))
-    (u,) = u_functions(psi, P)
+    model = make_model(basis, Polynomial.zero(1, J_KIND))
+    (u,) = delta_J(model.psi, P)
     assert u.is_zero()
 
 
 def test_u_functions_z2xz2(z2xz2_setup):
     _, basis, P = z2xz2_setup
-    psi = make_model(basis, jpp(2, {(1, 0): cf("a"), (0, 1): cf("b")}), {"a"})
-    u1, u2 = u_functions(psi, P)
+    model = make_model(basis, jpp(2, {(1, 0): cf("a"), (0, 1): cf("b")}), {"a"})
+    u1, u2 = delta_J(model.psi, P)
     assert u1 == jpp(2, {(1, 0): cf("a") * 4})
     assert u2 == jpp(2, {(0, 1): cf("b") * 4})
 
@@ -170,32 +166,6 @@ def test_grading_law(z2xz2_setup):
             assert degs == {s + t - 2}
 
 
-# ------------------------------------------------- compatibility / Q-forms
-
-
-def test_gradient_q_is_compatible(z2xz2_setup):
-    _, basis, _ = z2xz2_setup
-    gen = poincare_generator(jpp(2, {(2, 0): cf("q"), (1, 1): 3}), basis)
-    assert gen.degree == 4
-    assert is_compatible(gen.q_vector())
-
-
-def test_non_gradient_q_detected():
-    # Q = (J2, 0): dQ1/dJ2 = 1 but dQ2/dJ1 = 0
-    q = (jpp(2, {(0, 1): 1}), Polynomial.zero(2, J_KIND))
-    assert not is_compatible(q)
-
-
-def test_constant_q_removable_form(z2_setup):
-    # constant Q is trivially curl-free and contributes Q * U itself
-    _, basis, P = z2_setup
-    psi = sextic(basis)
-    (u,) = u_functions(psi, P)
-    q = (jpp(1, {(0,): cf("q")}),)
-    assert is_compatible(q)
-    assert removable_form(q, [u]) == u.scale(1) * jpp(1, {(0,): cf("q")})
-
-
 # ----------------------------------------------------------- removable sets
 
 
@@ -220,17 +190,6 @@ def test_removable_all_critical_empty(z2_setup):
         sub = removable_terms(psi, degree, P)
         assert sub.removable_monomials == ()
         assert sub.basis == ()
-
-
-def test_removable_constant_q_gives_u_direction(z2_setup):
-    # admitting linear changes (generator degree 2) makes the U-component
-    # itself removable
-    _, basis, P = z2_setup
-    psi = make_model(basis, jpp(1, {(1,): cf("a"), (2,): cf("b")}), {"a"})
-    sub = removable_terms(psi, 4, P, min_generator_degree=2)
-    assert sub.removable_monomials == ((2,),)
-    (u,) = u_functions(psi, P)
-    assert sub.basis[0] == u.homogeneous_parts(basis.degrees)[4]
 
 
 def z2xz2_degree6_potential(basis):
@@ -514,8 +473,3 @@ def test_model_components(request, group):
     assert sum(parts.values(), Polynomial.zero(basis.k, J_KIND)) == model.psi
     assert model.component(3).is_zero()
 
-
-def test_generator_must_be_homogeneous(z2_line):
-    basis = compute_mib(z2_line)
-    with pytest.raises(ValueError):
-        poincare_generator(jpp(1, {(1,): 1, (2,): 1}), basis)

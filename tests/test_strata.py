@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import FLIP_Y, ROT90
+from conftest import FLIP_Y, ROT90, orbit
 
 from orbitscope import groups, rationals as ra, strata
 from orbitscope.errors import DimensionMismatch
@@ -14,7 +14,6 @@ from orbitscope.groups import (
     fixed_subspace,
     invariant_metric,
     isotropy_subgroup,
-    orbit,
 )
 from orbitscope.invariants import compute_mib, jmonomials_of_xdegree
 from orbitscope.landau import build_generic, classify_symmetry, minimize
@@ -189,7 +188,7 @@ def test_lattice_z2xz2(z2xz2):
     mids = [i for i, t in enumerate(lat.types) if t.order == 2]
     assert len(mids) == 3
     for m in mids:
-        assert lat.less(trivial, m) and lat.less(m, full)
+        assert (trivial, m) in lat.order_pairs and (m, full) in lat.order_pairs
     realized_mids = [m for m in mids if lat.types[m].realized]
     assert len(realized_mids) == 2
 
@@ -203,20 +202,19 @@ def test_lattice_d4(d4):
     ]
     assert len(reflections) == 2
     for r in reflections:
-        assert lat.less(trivial, r) and lat.less(r, full)
-    assert not any(lat.less(full, i) for i in range(len(lat.types)))
+        assert (trivial, r) in lat.order_pairs and (r, full) in lat.order_pairs
+    assert not any(i == full for i, _ in lat.order_pairs)
 
 
 def test_lattice_strict_partial_order(d4, s3_perm, z2xz2):
     for rep in (d4, s3_perm, z2xz2):
         lat = isotropy_lattice(rep)
-        n = len(lat.types)
-        for i in range(n):
-            assert not lat.less(i, i)
-            for j in range(n):
-                for k in range(n):
-                    if lat.less(i, j) and lat.less(j, k):
-                        assert lat.less(i, k)
+        less = lat.order_pairs
+        for i, j in less:
+            assert i != j
+            for j2, k in less:
+                if j2 == j:
+                    assert (i, k) in less
 
 
 def test_lattice_order_respects_fixed_spaces(d4, s3_perm, z2xz2):
@@ -235,7 +233,7 @@ def test_lattice_order_respects_fixed_spaces(d4, s3_perm, z2xz2):
             for row in low_fix:
                 reducer.add(list(row))
             for v in fixed_subspace(rep, tj.representative):
-                assert reducer.contains(list(v))
+                assert not reducer.residual(list(v))
 
 
 def test_hasse_edges_d4(d4):
