@@ -201,10 +201,14 @@ def _model_assignment(model, cfg: RunConfig, skip=()) -> dict:
 
 # ---------------------------------------------------------------- commands
 
-# what a command returns: the JSON report, the text lines, the CSV rows.
+# what a command returns: the JSON report, the text lines, the CSV lines.
 # Each command formats its results once, into the report; its text lines
 # and CSV rows read the report's strings and numbers.
-Report = tuple[dict, list[str], list[list[str]]]
+Report = tuple[dict, list[str], list[str]]
+
+
+def _csv(rows: list[list[str]]) -> list[str]:
+    return [",".join(r) for r in rows]
 
 
 def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -228,7 +232,7 @@ def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     ]
     rows = [["name", "order", "dim", "cayley_closed", "subgroups", "classes"],
             [_cell(v) for v in report.values()]]
-    return report, text, rows
+    return report, text, _csv(rows)
 
 
 def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -256,7 +260,7 @@ def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     text += ["  [" + ", ".join(row) + "]" for row in report["p_matrix"]]
     rows = [["generator", "degree", "polynomial"]]
     rows += [[f"J{i + 1}", _cell(d), p] for i, (d, p) in enumerate(zip(report["degrees"], gens))]
-    return report, text, rows
+    return report, text, _csv(rows)
 
 
 def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -300,7 +304,7 @@ def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     ]
     columns = ["label", "order", "class_size", "fix_dim", "realized"]
     rows = [columns] + [[_cell(t[c]) for c in columns] for t in report["types"]]
-    return report, text, rows
+    return report, text, _csv(rows)
 
 
 def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -346,7 +350,7 @@ def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
         + p["location"]
         for p in found
     ]
-    return report, text, rows
+    return report, text, _csv(rows)
 
 
 def _landau_sweep(cfg: RunConfig, model, n: int) -> Report:
@@ -408,7 +412,7 @@ def _landau_sweep(cfg: RunConfig, model, n: int) -> Report:
         else [at, p["symmetry"], p["min_value"]] + p["minimizer"] + [""]
         for at, p in points
     ]
-    return report, text, rows
+    return report, text, _csv(rows)
 
 
 def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -465,7 +469,7 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     rows = [["degree", "monomial", "status"]]
     rows += [[_cell(t["degree"]), _jmono(t, True), "removed"] for t in report["removed"]]
     rows += [[_cell(t["degree"]), _jmono(t, True), "kept"] for t in report["survivors"]]
-    return report, text, rows
+    return report, text, _csv(rows)
 
 
 def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -> Report:
@@ -484,32 +488,33 @@ def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -
     buf = io.StringIO()
     dump_trajectory_csv(buf, field, traj)
     lines = buf.getvalue().splitlines()
-    table = [line.split(",") for line in lines]
     report = {
         "assignment": {k: str(v) for k, v in sorted(assignment.items())},
         "t_end": t_end,
         "dt": dt,
         "steps": len(traj.times) - 1,
-        "columns": table[0],
-        "rows": table[1:],
         "final_state": [_fnum(c) for c in traj.final_state],
     }
+    if cfg.fmt == "json":
+        # only the JSON report holds the table split into cells
+        table = [line.split(",") for line in lines]
+        report["columns"], report["rows"] = table[0], table[1:]
     text = [
         f"integrated {report['steps']} steps of dt={report['dt']} "
         f"(final state: {', '.join(report['final_state'])})"
     ]
     text += lines
-    return report, text, table
+    return report, text, lines
 
 
 # ------------------------------------------------------------------ plumbing
 
 
-def _render(cfg: RunConfig, report: dict, text: list[str], rows: list[list[str]]) -> str:
+def _render(cfg: RunConfig, report: dict, text: list[str], csv: list[str]) -> str:
     if cfg.fmt == "json":
         doc = {"config": cfg.echo(), "report": report}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = text if cfg.fmt == "text" else [",".join(r) for r in rows]
+    lines = text if cfg.fmt == "text" else csv
     return "\n".join([*cfg.header_lines(), *lines]) + "\n"
 
 

@@ -17,8 +17,9 @@ No separate machinery is provided for them.
 
 The integrator is a fixed-step classical Runge-Kutta scheme.  Fixed steps
 keep reruns bit-identical; the energy guard catches the one failure mode
-that matters for descent flows (a step overshooting uphill) and retries
-with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` = 6) before giving up.  A
+that matters for descent flows (a step overshooting uphill, or out of the
+finite range of the state or its potential) and retries with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` =
+6) before giving up.  A
 `GradientField` compiles one step as a single function that inlines the
 field at the four stages and the potential at the new state
 (`_rk4_kernel`); `integrate` takes a `GradientField` and runs that step in
@@ -28,9 +29,7 @@ one loop for steps and substeps alike.
 from a generator seeded with 0, flows each to t = 2.0 (`_INVARIANCE_T_END`)
 in steps of 1e-2 (`_INVARIANCE_DT`), and accepts a field residual up to
 1e-10 (`_FIELD_TOL`) and a trajectory residual up to 1e-8
-(`_TRAJECTORY_TOL`) off Fix(H).  `ConsistencyReport.energy_monotone`
-accepts a rise of the projected potential up to 1e-9
-(`_ENERGY_MONOTONE_TOL`).
+(`_TRAJECTORY_TOL`) off Fix(H).
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ _INVARIANCE_T_END = 2.0
 _INVARIANCE_DT = 1e-2
 _FIELD_TOL = 1e-10
 _TRAJECTORY_TOL = 1e-8
-_ENERGY_MONOTONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,10 @@ class GradientField:
             sum((g.scale(-w) for w, g in zip(row, grads) if w), zero)
             for row in invariant_metric(rep).eta_inv
         ]
-        self._phi = compile_polynomial(phi)
-        self._field = compile_polynomial(descent)
-        self.step = _rk4_kernel(descent, phi)
+        codes = model.kernel_code
+        self._phi = compile_polynomial(phi, codes)
+        self._field = compile_polynomial(descent, codes)
+        self.step = _rk4_kernel(descent, phi, codes)
         self.dim = rep.dim
 
     def __call__(self, x) -> tuple:
@@ -124,7 +123,7 @@ def gradient_field(model: LandauModel, assignment) -> GradientField:
     return GradientField(model, assignment)
 
 
-def _rk4_kernel(field: list[Polynomial], phi: Polynomial):
+def _rk4_kernel(field: list[Polynomial], phi: Polynomial, codes=None):
     """One Runge-Kutta step of the polynomial field, compiled as one function.
 
     The function ``_k(x0, ..., x{n-1}, h)`` returns
@@ -132,21 +131,24 @@ def _rk4_kernel(field: list[Polynomial], phi: Polynomial):
     phi at the new state, with the float operations of the classical
     scheme k1 = f(x), k2 = f(x + h/2 k1), k3 = f(x + h/2 k2),
     k4 = f(x + h k3), x' = x + h/6 (k1 + 2 k2 + 2 k3 + k4) in that order.
+    ``codes`` as in :func:`polynomials._compile_kernel`.
     """
     n = len(field)
     xs = [f"x{i}" for i in range(n)]
-    lines = [f"def _k({', '.join(xs)}, h):", "    half = 0.5 * h", "    sixth = h / 6.0"]
+    lines = ["half = 0.5 * h", "sixth = h / 6.0"]
+    constants = {}
 
     def slope(k, at):
-        statements, outputs = _kernel_body(field, at, f"k{k}_")
+        statements, outputs, named = _kernel_body(field, at, f"k{k}_")
         names = [f"k{k}_{i}" for i in range(n)]
-        lines.extend(f"    {s}" for s in statements)
-        lines.extend(f"    {a} = {e}" for a, e in zip(names, outputs))
+        lines.extend(statements)
+        lines.extend(f"{a} = {e}" for a, e in zip(names, outputs))
+        constants.update(named)
         return names
 
     def point(name, scale, ks):
         names = [f"{name}{i}" for i in range(n)]
-        lines.extend(f"    {a} = {x} + {scale} * {k}" for a, x, k in zip(names, xs, ks))
+        lines.extend(f"{a} = {x} + {scale} * {k}" for a, x, k in zip(names, xs, ks))
         return names
 
     k1 = slope(1, xs)
@@ -155,17 +157,18 @@ def _rk4_kernel(field: list[Polynomial], phi: Polynomial):
     k4 = slope(4, point("w", "h", k3))
     new = [f"n{i}" for i in range(n)]
     lines += [
-        f"    {a} = {x} + sixth * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})"
+        f"{a} = {x} + sixth * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})"
         for a, x, b1, b2, b3, b4 in zip(new, xs, k1, k2, k3, k4)
     ]
-    statements, (energy,) = _kernel_body([phi], new, "p_")
-    lines += [f"    {s}" for s in statements]
-    lines.append(f"    return ({', '.join(new)},), {energy}")
-    return _compile_kernel("\n".join(lines) + "\n")
+    statements, (energy,), named = _kernel_body([phi], new, "p_")
+    lines += statements
+    lines.append(f"return ({', '.join(new)},), {energy}")
+    constants.update(named)
+    return _compile_kernel([*xs, "h"], lines, constants, codes)
 
 
-def _finite(x: tuple) -> bool:
-    return all(map(math.isfinite, x))
+def _finite(x: tuple, energy: float) -> bool:
+    return math.isfinite(energy) and all(map(math.isfinite, x))
 
 
 def integrate(
@@ -181,34 +184,39 @@ def integrate(
     the trajectory is the start point alone.  Each step is the field's
     compiled RK4 step.
 
-    A step that raises the potential by more than energy_tol is retried
-    with 2, 4, ..., 2**_MAX_HALVINGS substeps before MonotonicityViolation.
+    A step that leaves the finite range (the state or its potential) or
+    raises the potential by more than energy_tol is retried with 2, 4,
+    ..., 2**_MAX_HALVINGS substeps.  When none of them cures it, that is
+    NonFiniteState if neither the step nor any retry ended finite, and
+    MonotonicityViolation otherwise.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState("initial state is not finite")
     steps = int(round(t_end / dt))
     step = field.step
-    x = tuple(x.tolist())
+    x = tuple(np.asarray(x0, dtype=float).tolist())
     e_old = field.potential(x)
+    if not _finite(x, e_old):
+        raise NonFiniteState("initial state or its potential is not finite")
     states = [x]
     for i in range(steps):
         x_new, e_new = step(*x, dt)
-        if not _finite(x_new):
-            raise NonFiniteState(f"state left the finite range at t={i * dt:.6g}")
-        if e_new > e_old + energy_tol:
+        finite = _finite(x_new, e_new)
+        if not (finite and e_new <= e_old + energy_tol):
             for halving in range(1, _MAX_HALVINGS + 1):
                 nsub = 2**halving
                 h = dt / nsub
                 y = x
                 for _ in range(nsub):
                     y, e_new = step(*y, h)
-                if _finite(y) and e_new <= e_old + energy_tol:
-                    x_new = y
-                    break
+                if _finite(y, e_new):
+                    finite = True
+                    if e_new <= e_old + energy_tol:
+                        x_new = y
+                        break
             else:
+                if not finite:
+                    raise NonFiniteState(f"state left the finite range at t={i * dt:.6g}")
                 raise MonotonicityViolation(
                     f"potential increased at t={i * dt:.6g} and substep "
                     f"refinement down to dt/{2**_MAX_HALVINGS} did not cure it"
@@ -235,10 +243,6 @@ class StratumInvarianceReport:
     subgroup: Subgroup
     fix_dim: int
     samples: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(s.ok for s in self.samples)
 
 
 def _orthonormal_fix(rep: FiniteGroupRep, sub: Subgroup) -> np.ndarray:
@@ -304,9 +308,6 @@ class ConsistencyReport:
     max_residual: float
     max_energy_increase: float
     projected: OrbitSpaceTrajectory
-
-    def energy_monotone(self) -> bool:
-        return self.max_energy_increase <= _ENERGY_MONOTONE_TOL
 
 
 def orbit_space_consistency(field: GradientField, traj: Trajectory) -> ConsistencyReport:

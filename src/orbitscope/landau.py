@@ -12,10 +12,14 @@ raises StabilityViolation.
 
 Minimization runs in x-space; the orbit-space picture enters only through
 reporting.  All stochastic pieces are seeded, so identical inputs give
-identical outputs.  Each `minimize` call compiles the gradient phase of its
-descents as one straight-line float function (`_gradient_phase`), with the
-gradient and the potential inlined; the Newton polish evaluates the
-gradient and Hessian kernels through numpy.
+identical outputs.  A descent, gradient phase and Newton polish alike,
+runs as one straight-line float function (`_descent`) with the potential,
+its gradient and its Hessian inlined, and solves its Newton systems by LU
+on plain floats; numpy enters only when a found point is reported.  The
+kernels name their coefficients and take the values as bound arguments,
+so every kernel compiles once per model and coefficient support
+(`LandauModel.kernel_code`): a sweep compiles again only where a
+coefficient vanishes.
 
 The numerical settings are module constants; only the seed and the
 gradient tolerance of `minimize` and the transition tolerance of `sweep`
@@ -82,13 +86,19 @@ class LandauModel:
 
     psi lives in J-space; its J-monomials substitute to x-degrees between
     2 and degree_x.  Parameters in `critical` may vanish along a sweep,
-    the rest are treated as uniformly nonzero.
+    the rest are treated as uniformly nonzero.  ``kernel_code`` maps the
+    source of every float kernel compiled for the model to its code (see
+    :func:`polynomials._compile_kernel`), so that kernels whose
+    polynomials share a support, as along a sweep, compile once.
     """
 
     basis: IntegrityBasis
     psi: Polynomial
     degree_x: int
     critical: frozenset[str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernel_code", {})
 
     def parameters(self) -> set[str]:
         return self.psi.parameters()
@@ -219,93 +229,126 @@ def _ball_starts(n: int, count: int, radius: float, seed: int) -> list[np.ndarra
     return out
 
 
-def _gradient_phase(phi: Polynomial):
-    """The gradient phase of a descent on phi, compiled as one function.
+def _descent(phi: Polynomial, codes=None):
+    """A whole descent on phi, compiled as one function over plain floats.
 
-    The function ``_k(x0, ..., x{n-1}, tol, escape, steps)`` takes
-    backtracking gradient steps from x, one per item of ``steps``, until
-    the gradient norm is at most ``tol``.  Each step starts at
-    1 / (1 + |g|) and halves until the Armijo test holds or it falls to
-    1e-18.  The gradient, phi and phi at each trial point are inlined, so
-    the loop runs on plain floats.  It returns ``(escaped, x)``: None when
-    the phase ends (at tol or after the last step), False at a non-finite
-    gradient, True once |x| exceeds ``escape``.
+    The function ``_k(x0, ..., x{n-1}, gtol, escape, steps, newton_steps)``
+    returns ``(status, x)``, status one of ``'ok'``, ``'escaped'`` and
+    ``'unconverged'``.
+
+    - Gradient phase: backtracking gradient steps from x, one per item of
+      ``steps``, until the gradient norm is at most ``100 gtol``.  Each
+      step starts at 1 / (1 + |g|) and halves until the Armijo test holds
+      or it falls to 1e-18.  A non-finite gradient ends the descent
+      unconverged.
+    - Newton phase: damped Newton steps, one per item of ``newton_steps``,
+      until the gradient norm is at most ``gtol / 1000``.  The Hessian
+      system is solved by LU with partial pivoting; an exactly zero pivot
+      or a non-finite solution falls back to the gradient.  The step
+      halves, at most 40 times, until the gradient norm falls; if it never
+      does, the phase ends.
+    - Once |x| exceeds ``escape`` after either kind of step, the descent
+      ends escaped.  Otherwise it is ok when the final gradient norm is at
+      most ``gtol``.
+
+    phi, its gradient and its Hessian are inlined with
+    :func:`polynomials._kernel_body`; norms are ``hypot``.  ``codes`` as in
+    :func:`polynomials._compile_kernel`.
     """
     n = phi.nvars
     xs = [f"x{i}" for i in range(n)]
     ts = [f"t{i}" for i in range(n)]
+    us = [f"u{i}" for i in range(n)]
     gs = [f"g{i}" for i in range(n)]
-    here, (*grad, f) = _kernel_body([*phi.gradient(), phi], xs, "g_")
-    trial, (ft,) = _kernel_body([phi], ts, "t_")
+    ds = [f"d{i}" for i in range(n)]
+    grads = phi.gradient()
+    hess = [g.partial(j) for g in grads for j in range(n)]
+    here, (*grad, f), c_here = _kernel_body([*grads, phi], xs, "g_")
+    trial, (ft,), c_trial = _kernel_body([phi], ts, "t_")
+    newton, outs, c_newton = _kernel_body([*grads, *hess], xs, "n_")
+    ngrad, nhess = outs[:n], outs[n:]
+    candidate, ugrad, c_candidate = _kernel_body(grads, us, "u_")
+    final, fgrad, c_final = _kernel_body(grads, xs, "f_")
     point = "(" + ", ".join(xs) + ",)"
-    body = [
-        f"def _k({', '.join(xs)}, tol, escape, steps):",
-        "    for i in steps:",
-        *(f"        {s}" for s in here),
-        *(f"        {g} = {e}" for g, e in zip(gs, grad)),
-        f"        fx = {f}",
-        f"        gn = hypot({', '.join(gs)})",
-        "        if not isfinite(gn):",
-        f"            return False, {point}",
-        "        if gn <= tol:",
-        "            break",
-        "        step = 1.0 / (1.0 + gn)",
-        "        while True:",
-        *(f"            {t} = {x} - step * {g}" for t, x, g in zip(ts, xs, gs)),
-        "            if not step > 1e-18:",
-        "                break",
-        *(f"            {s}" for s in trial),
-        f"            if not {ft} > fx - 0.0001 * step * gn * gn:",
-        "                break",
-        "            step = step * 0.5",
-        *(f"        {x} = {t}" for x, t in zip(xs, ts)),
-        f"        if hypot({', '.join(xs)}) > escape:",
-        f"            return True, {point}",
-        f"    return None, {point}",
-    ]
-    return _compile_kernel("\n".join(body) + "\n")
-
-
-def _descend(x0, phase, grad, hess, gtol: float, escape_radius: float):
-    """Backtracking gradient descent, then damped Newton. Returns
-    ('ok', x) | ('escaped', x) | ('unconverged', x).
-
-    The gradient phase, nearly every iteration, is the compiled
-    :func:`_gradient_phase`; the Newton phase solves with numpy."""
-    escaped, x = phase(
-        *x0.tolist(), 100.0 * gtol, escape_radius, range(_MAX_GRADIENT_STEPS)
+    rows = ", ".join(
+        "[" + ", ".join(nhess[i * n : (i + 1) * n]) + "]" for i in range(n)
     )
-    if escaped is not None:
-        return ("escaped" if escaped else "unconverged", np.array(x))
-    x = np.array(x)
-    for _ in range(_MAX_NEWTON_STEPS):
-        g = np.array(grad(x))
-        gn = float(np.linalg.norm(g))
-        if gn <= 1e-3 * gtol:
-            break
-        try:
-            d = np.linalg.solve(hess(x), g)
-        except np.linalg.LinAlgError:
-            d = g
-        if not np.all(np.isfinite(d)):
-            d = g
-        t = 1.0
-        improved = False
-        for _ in range(40):
-            xc = x - t * d
-            if float(np.linalg.norm(grad(xc))) < gn:
-                x = xc
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        if float(np.linalg.norm(x)) > escape_radius:
-            return ("escaped", x)
-    gn = float(np.linalg.norm(grad(x)))
-    if np.isfinite(gn) and gn <= gtol:
-        return ("ok", x)
-    return ("unconverged", x)
+    lines = [
+        "tol = 100.0 * gtol",
+        "for i in steps:",
+        *(f"    {s}" for s in here),
+        *(f"    {g} = {e}" for g, e in zip(gs, grad)),
+        f"    fx = {f}",
+        f"    gn = hypot({', '.join(gs)})",
+        "    if not isfinite(gn):",
+        f"        return 'unconverged', {point}",
+        "    if gn <= tol:",
+        "        break",
+        "    step = 1.0 / (1.0 + gn)",
+        "    while True:",
+        *(f"        {t} = {x} - step * {g}" for t, x, g in zip(ts, xs, gs)),
+        "        if not step > 1e-18:",
+        "            break",
+        *(f"        {s}" for s in trial),
+        f"        if not {ft} > fx - 0.0001 * step * gn * gn:",
+        "            break",
+        "        step = step * 0.5",
+        *(f"    {x} = {t}" for x, t in zip(xs, ts)),
+        f"    if hypot({', '.join(xs)}) > escape:",
+        f"        return 'escaped', {point}",
+        "tol = 0.001 * gtol",
+        "for i in newton_steps:",
+        *(f"    {s}" for s in newton),
+        *(f"    {g} = {e}" for g, e in zip(gs, ngrad)),
+        f"    gn = hypot({', '.join(gs)})",
+        "    if gn <= tol:",
+        "        break",
+        f"    a = [{rows}]",
+        f"    d = [{', '.join(gs)}]",
+        f"    for k in range({n}):",
+        "        p = k",
+        f"        for r in range(k + 1, {n}):",
+        "            if abs(a[r][k]) > abs(a[p][k]):",
+        "                p = r",
+        "        if a[p][k] == 0.0:",
+        f"            d = [{', '.join(gs)}]",
+        "            break",
+        "        a[k], a[p] = a[p], a[k]",
+        "        d[k], d[p] = d[p], d[k]",
+        f"        for r in range(k + 1, {n}):",
+        "            m = a[r][k] / a[k][k]",
+        f"            for j in range(k + 1, {n}):",
+        "                a[r][j] = a[r][j] - m * a[k][j]",
+        "            d[r] = d[r] - m * d[k]",
+        "    else:",
+        f"        for k in range({n - 1}, -1, -1):",
+        f"            for j in range({n - 1}, k, -1):",
+        "                d[k] = d[k] - a[k][j] * d[j]",
+        "            d[k] = d[k] / a[k][k]",
+        f"    {', '.join(ds)}, = d",
+        f"    if not ({' and '.join(f'isfinite({d})' for d in ds)}):",
+        f"        {', '.join(ds)}, = {', '.join(gs)},",
+        "    damp = 1.0",
+        "    for j in range(40):",
+        *(f"        {u} = {x} - damp * {d}" for u, x, d in zip(us, xs, ds)),
+        *(f"        {s}" for s in candidate),
+        f"        if hypot({', '.join(ugrad)}) < gn:",
+        "            break",
+        "        damp = damp * 0.5",
+        "    else:",
+        "        break",
+        *(f"    {x} = {u}" for x, u in zip(xs, us)),
+        f"    if hypot({', '.join(xs)}) > escape:",
+        f"        return 'escaped', {point}",
+        *final,
+        f"gn = hypot({', '.join(fgrad)})",
+        "if isfinite(gn) and gn <= gtol:",
+        f"    return 'ok', {point}",
+        f"return 'unconverged', {point}",
+    ]
+    constants = {**c_here, **c_trial, **c_newton, **c_candidate, **c_final}
+    args = [*xs, "gtol", "escape", "steps", "newton_steps"]
+    return _compile_kernel(args, lines, constants, codes)
 
 
 def minimize(
@@ -326,9 +369,12 @@ def minimize(
     rep = model.basis.rep
     phi = model.potential(assignment)
     n = rep.dim
-    f, grad = compile_polynomial(phi), compile_gradient(phi)
-    second = compile_polynomial([d.partial(j) for d in phi.gradient() for j in range(n)])
-    phase = _gradient_phase(phi)
+    codes = model.kernel_code
+    f, grad = compile_polynomial(phi, codes), compile_gradient(phi, codes)
+    second = compile_polynomial(
+        [d.partial(j) for d in phi.gradient() for j in range(n)], codes
+    )
+    descend = _descent(phi, codes)
 
     def hess(x):
         return np.reshape(second(x), (n, n))
@@ -338,14 +384,17 @@ def minimize(
 
     found = []
     for x0 in _ball_starts(n, count, _RADIUS, seed):
-        status, x = _descend(x0, phase, grad, hess, gtol, escape_radius)
+        status, x = descend(
+            *x0.tolist(), gtol, escape_radius,
+            range(_MAX_GRADIENT_STEPS), range(_MAX_NEWTON_STEPS),
+        )
         if status == "escaped":
             raise StabilityViolation(
                 f"descent from {tuple(float(c) for c in x0)} escaped radius "
                 f"{escape_radius:g}; the model appears unbounded below"
             )
         if status == "ok":
-            found.append(x)
+            found.append(np.array(x))
     if not found:
         raise NoConvergence(f"none of {count} starts reached gradient tolerance")
 

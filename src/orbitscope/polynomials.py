@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -505,15 +506,18 @@ _TERMS_PER_STATEMENT = 200
 def _kernel_body(polys: list[Polynomial], args: list[str], tag: str):
     """Straight-line statements evaluating ``polys`` at the names ``args``.
 
-    Returns ``(statements, outputs)``: unindented assignments, and one
-    expression per polynomial whose value is that polynomial at ``args``
-    once the statements have run.  Power x_i^e is the name
-    ``{tag}{args[i]}_{e}``, built once for all outputs as the power e-1
-    times ``args[i]``.  Each output is the left-to-right sum of
-    ``repr(float(c)) * powers`` over its ``sorted_terms()``, so it runs the
-    same operations alone, inside a map or inlined into a larger kernel;
-    a sum too long for one expression accumulates into ``{tag}s{j}``.  The
-    statements hold nothing but these names, float literals and operators.
+    Returns ``(statements, outputs, constants)``: unindented assignments,
+    one expression per polynomial whose value is that polynomial at
+    ``args`` once the statements have run, and the coefficients those
+    expressions name.  Power x_i^e is the name ``{tag}{args[i]}_{e}``,
+    built once for all outputs as the power e-1 times ``args[i]``.  Each
+    output is the left-to-right sum of ``coefficient * powers`` over its
+    ``sorted_terms()``, so it runs the same operations alone, inside a map
+    or inlined into a larger kernel; a sum too long for one expression
+    accumulates into ``{tag}s{j}``.  The coefficient of the k-th term, over
+    all outputs in order, is the name ``{tag}c{k}``, and ``constants``
+    maps each such name to ``float(c)``.  The statements hold nothing but
+    names and operators, so they depend only on the supports of ``polys``.
     """
     statements = []
     powers = []
@@ -525,13 +529,13 @@ def _kernel_body(polys: list[Polynomial], args: list[str], tag: str):
             statements.append(f"{names[-1]} = {names[-2]} * {a}")
         powers.append(names)
     outputs = []
+    constants = {}
     for j, p in enumerate(polys):
-        terms = [
-            " * ".join(
-                [repr(float(c))] + [powers[i][e - 1] for i, e in enumerate(m) if e]
-            )
-            for m, c in p.sorted_terms()
-        ]
+        terms = []
+        for m, c in p.sorted_terms():
+            name = f"{tag}c{len(constants)}"
+            constants[name] = float(c)
+            terms.append(" * ".join([name] + [powers[i][e - 1] for i, e in enumerate(m) if e]))
         chunks = [
             " + ".join(terms[k : k + _TERMS_PER_STATEMENT])
             for k in range(0, len(terms), _TERMS_PER_STATEMENT)
@@ -543,26 +547,38 @@ def _kernel_body(polys: list[Polynomial], args: list[str], tag: str):
         statements.append(f"{total} = {chunks[0]}")
         statements += [f"{total} = {total} + {chunk}" for chunk in chunks[1:]]
         outputs.append(total)
-    return statements, outputs
+    return statements, outputs, constants
 
 
-def _kernel_source(polys: list[Polynomial], scalar: bool) -> str:
-    """Source of ``_k(x0, ..., x{n-1})``: the :func:`_kernel_body` of
-    ``polys`` at the coordinates, returning one float or a tuple."""
-    args = [f"x{i}" for i in range(polys[0].nvars)]
-    statements, outputs = _kernel_body(polys, args, "")
-    lines = [f"def _k({', '.join(args)}):"] + [f"    {s}" for s in statements]
-    lines.append(f"    return {outputs[0] if scalar else '(' + ', '.join(outputs) + ',)'}")
-    return "\n".join(lines) + "\n"
+# What generated code may call besides its arguments; no other builtin.
+_KERNEL_GLOBALS = {
+    "__builtins__": {}, "abs": abs, "range": range,
+    "hypot": math.hypot, "isfinite": math.isfinite,
+}
 
 
-def _compile_kernel(source: str):
-    """The function ``_k`` that ``source`` defines, with ``source`` kept as
-    its ``.source``.  Besides its arguments, generated code calls only
-    ``hypot`` and ``isfinite`` of :mod:`math`, which the namespace provides."""
-    namespace = {"hypot": math.hypot, "isfinite": math.isfinite}
-    exec(compile(source, "<orbitscope kernel>", "exec"), namespace)
-    fn = namespace["_k"]
+def _compile_kernel(args: list[str], lines: list[str], constants: dict, codes=None):
+    """The function ``_k(*args, *constants)`` with body ``lines``, each
+    constant bound as the default of its parameter.
+
+    The source, kept as the function's ``.source``, holds no constant's
+    value, so kernels of polynomials with one support share it.  ``codes``
+    maps source text to compiled code: a source found there is not
+    compiled again, and a new one is added.  Besides its arguments,
+    generated code calls only ``abs``, ``range`` and ``hypot`` and
+    ``isfinite`` of :mod:`math`.
+    """
+    source = f"def _k({', '.join([*args, *constants])}):\n" + "".join(
+        f"    {line}\n" for line in lines
+    )
+    code = None if codes is None else codes.get(source)
+    if code is None:
+        namespace = dict(_KERNEL_GLOBALS)
+        exec(compile(source, "<orbitscope kernel>", "exec"), namespace)
+        code = namespace["_k"].__code__
+        if codes is not None:
+            codes[source] = code
+    fn = types.FunctionType(code, _KERNEL_GLOBALS, "_k", tuple(constants.values()))
     fn.source = source
     return fn
 
@@ -572,23 +588,29 @@ class NumericPoly:
 
     ``NumericPoly(p)`` evaluates to a float; ``NumericPoly([p1, ..., pm])``
     to a tuple of m floats.  Construction generates one straight-line Python
-    function of the coordinates (see :func:`_kernel_source`, kept as
-    ``source``) and compiles it with ``compile``.  Calls pass the
-    coordinates as arguments; :meth:`eval_many` passes the columns of a
-    point array, so one kernel serves single points and batches, and the
-    two agree to the last bit.  The sums run in a fixed order, so reruns
-    are bit-identical; they are not bit-identical to other float
-    evaluation orders of the same polynomial.
+    function ``_k(x0, ..., x{n-1})`` of the coordinates, the
+    :func:`_kernel_body` of the polynomials with a return (kept as
+    ``source``), and binds the coefficients to it (see
+    :func:`_compile_kernel`, which reuses the compiled code of a source
+    already in ``codes``).  Calls pass the coordinates as arguments;
+    :meth:`eval_many` passes the columns of a point array, so one kernel
+    serves single points and batches, and the two agree to the last bit.
+    The sums run in a fixed order, so reruns are bit-identical; they are
+    not bit-identical to other float evaluation orders of the same
+    polynomial.
     """
 
     __slots__ = ("nvars", "scalar", "source", "_fn")
 
-    def __init__(self, polys):
+    def __init__(self, polys, codes=None):
         self.scalar = isinstance(polys, Polynomial)
         polys = [polys] if self.scalar else list(polys)
         self.nvars = polys[0].nvars
-        self.source = _kernel_source(polys, self.scalar)
-        self._fn = _compile_kernel(self.source)
+        args = [f"x{i}" for i in range(self.nvars)]
+        statements, outputs, constants = _kernel_body(polys, args, "")
+        value = outputs[0] if self.scalar else "(" + ", ".join(outputs) + ",)"
+        self._fn = _compile_kernel(args, [*statements, f"return {value}"], constants, codes)
+        self.source = self._fn.source
 
     def __call__(self, x):
         return self._fn(*x)
@@ -604,11 +626,12 @@ class NumericPoly:
         return np.stack([np.broadcast_to(v, rows) for v in out], axis=-1)
 
 
-def compile_polynomial(p) -> NumericPoly:
-    """The float kernel of a polynomial, or of a sequence of them."""
-    return NumericPoly(p)
+def compile_polynomial(p, codes=None) -> NumericPoly:
+    """The float kernel of a polynomial, or of a sequence of them; ``codes``
+    as in :func:`_compile_kernel`."""
+    return NumericPoly(p, codes)
 
 
-def compile_gradient(p: Polynomial) -> NumericPoly:
+def compile_gradient(p: Polynomial, codes=None) -> NumericPoly:
     """The float kernel of the gradient map x -> (d p / d x_i)(x)."""
-    return NumericPoly(p.gradient())
+    return NumericPoly(p.gradient(), codes)

@@ -125,10 +125,6 @@ class RemovableSubspace:
     constraints: tuple           # human-readable pivot descriptions
     non_removable: tuple
 
-    @property
-    def dimension(self) -> int:
-        return len(self.removable_monomials)
-
 
 def removable_terms(model: LandauModel, degree: int, pmatrix: PMatrix) -> RemovableSubspace:
     """Directions at the given x-degree removable by generators of degree

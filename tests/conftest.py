@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orbitscope import cli, groups, rationals as ra
@@ -234,8 +235,9 @@ def float_bits(x) -> tuple:
 def reference_gradient_phase(x0, f, grad, tol, escape, steps):
     """The gradient phase of a descent as a Python loop over tuples of floats.
 
-    The oracle for ``landau._gradient_phase``: the same float operations in
-    the same order, with f and grad as separate kernels.  Returns
+    The oracle for the gradient phase of ``landau._descent``: the same
+    float operations in the same order, with f and grad as separate
+    kernels.  Returns
     ``(escaped, x)``: None when the phase ends at tol or after ``steps``
     steps, False at a non-finite gradient, True once |x| exceeds escape.
     """
@@ -259,6 +261,47 @@ def reference_gradient_phase(x0, f, grad, tol, escape, steps):
     return None, x
 
 
+def reference_newton(x, grad, hess, gtol, escape, steps):
+    """The Newton polish of a descent as the numpy loop it once was.
+
+    The oracle for the Newton phase of ``landau._descent``: from the end x
+    of the gradient phase, damped Newton steps solved by
+    ``np.linalg.solve`` (the gradient when it raises or returns a
+    non-finite step), each halved at most 40 times until the gradient norm
+    falls, until that norm is at most gtol / 1000.  Returns
+    ``('ok' | 'escaped' | 'unconverged', x)``.
+    """
+    x = np.array(x, dtype=float)
+    for _ in range(steps):
+        g = np.array(grad(x))
+        gn = float(np.linalg.norm(g))
+        if gn <= 1e-3 * gtol:
+            break
+        try:
+            d = np.linalg.solve(hess(x), g)
+        except np.linalg.LinAlgError:
+            d = g
+        if not np.all(np.isfinite(d)):
+            d = g
+        t = 1.0
+        improved = False
+        for _ in range(40):
+            xc = x - t * d
+            if float(np.linalg.norm(grad(xc))) < gn:
+                x = xc
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+        if float(np.linalg.norm(x)) > escape:
+            return "escaped", tuple(x.tolist())
+    gn = float(np.linalg.norm(grad(x)))
+    if np.isfinite(gn) and gn <= gtol:
+        return "ok", tuple(x.tolist())
+    return "unconverged", tuple(x.tolist())
+
+
 def reference_rk4_step(field, x: tuple, h: float) -> tuple:
     """One classical Runge-Kutta step of a callable field on a tuple of
     floats: the oracle for ``GradientField.step``, which takes these float
@@ -278,28 +321,36 @@ def reference_flow(field, x0, dt, steps, energy_tol=1e-9, halvings=6) -> list:
     """``dynamics.integrate``'s stepping as a Python loop over
     :func:`reference_rk4_step`, with the potential from ``field.potential``.
 
-    A step that raises the potential by more than energy_tol is retried
-    with 2, 4, ..., 2**halvings substeps; MonotonicityViolation when none
-    cures it.  Returns the states; when the flow leaves the finite range,
-    the last one is the first non-finite state.
+    A step that leaves the finite range (the state or its potential) or
+    raises the potential by more than energy_tol is retried with 2, 4,
+    ..., 2**halvings substeps.  When none cures it, MonotonicityViolation
+    if the step or a retry ended finite; otherwise the flow has left the
+    finite range, and the states are returned with that step's end last.
     """
+    def finite(y, e):
+        return math.isfinite(e) and all(map(math.isfinite, y))
+
     x = tuple(float(c) for c in x0)
     e_old = field.potential(x)
     states = [x]
     for _ in range(steps):
         x_new = reference_rk4_step(field, x, dt)
-        if not all(map(math.isfinite, x_new)):
-            return states + [x_new]
         e_new = field.potential(x_new)
-        if e_new > e_old + energy_tol:
+        seen_finite = finite(x_new, e_new)
+        if not (seen_finite and e_new <= e_old + energy_tol):
             for k in range(1, halvings + 1):
                 y = x
                 for _ in range(2**k):
                     y = reference_rk4_step(field, y, dt / 2**k)
-                if all(map(math.isfinite, y)) and field.potential(y) <= e_old + energy_tol:
-                    x_new, e_new = y, field.potential(y)
-                    break
+                e_y = field.potential(y)
+                if finite(y, e_y):
+                    seen_finite = True
+                    if e_y <= e_old + energy_tol:
+                        x_new, e_new = y, e_y
+                        break
             else:
+                if not seen_finite:
+                    return states + [x_new]
                 raise MonotonicityViolation("no substep refinement cured a rise")
         x, e_old = x_new, e_new
         states.append(x)

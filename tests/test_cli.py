@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -374,6 +375,23 @@ def test_flow_zero_duration(tmp_path, capsys):
     assert report["steps"] == 0
     assert [row[0] for row in report["rows"]] == ["0"]
     assert report["final_state"] == ["0.1"]
+
+
+@pytest.mark.parametrize("dt", ["0.005", "0.01"])
+def test_flow_overshoot_out_of_range_is_retried(capsys, dt):
+    # from (3, 1) a full step overshoots out of the finite range (at
+    # dt = 0.005 only phi overflows, to nan); the energy guard's substeps
+    # keep it finite and descending, as for an uphill overshoot
+    path = Path(__file__).parent / "golden" / "specs" / "d4.json"
+    rc, out, err = run(capsys, ["flow", "--spec", str(path), "--x0", "3,1",
+                                "--t-end", "1", "--dt", dt, "--format", "json"])
+    assert rc == 0 and err == ""
+    report = json.loads(out)["report"]
+    assert report["steps"] == round(1 / float(dt))
+    phis = [float(row[-1]) for row in report["rows"]]
+    assert all(map(math.isfinite, phis))
+    assert all(b <= a + 1e-9 for a, b in zip(phis, phis[1:]))
+    assert phis[-1] < 0.0
 
 
 def test_flow_x0_dimension(tmp_path, capsys):

@@ -199,6 +199,22 @@ def test_compiled_and_bare_paths_agree(pitchfork, default_field):
         assert compiled.states.tobytes() == np.array(reference).tobytes()
 
 
+def test_out_of_range_step_is_retried_like_an_uphill_one(d4):
+    # at the CLI defaults on d4, one step of 0.005 from (3, 1) lands at
+    # |x| ~ 1e165, where phi overflows to nan, and one of 0.01 overflows
+    # the state itself; both are retried with substeps, as the reference
+    # loop does, and the flow descends to the finite minimum
+    model = build_generic(compute_mib(d4))
+    field = gradient_field(model, cli_default_assignment(model))
+    for dt in (0.005, 0.01):
+        x_new, e_new = field.step(3.0, 1.0, dt)
+        assert not (math.isfinite(e_new) and all(map(math.isfinite, x_new)))
+        compiled = integrate(field, [3.0, 1.0], 1.0, dt)
+        reference = reference_flow(field, [3.0, 1.0], dt, round(1.0 / dt))
+        assert compiled.states.tobytes() == np.array(reference).tobytes()
+        assert np.all(np.isfinite(compiled.states))
+
+
 def test_compiled_path_reports_runaway(z2_line):
     # the error names the start of the step that left the finite range
     field = runaway_field(z2_line)
@@ -227,7 +243,7 @@ def test_axis_mirror_invariant(d4_flow):
     assert mirror.order == 2
     report = check_stratum_invariance(rep, f, mirror)
     assert report.fix_dim == 1
-    assert report.passed
+    assert all(s.ok for s in report.samples)
     for s in report.samples:
         assert s.ok
         assert s.field_residual <= 1e-10
@@ -238,7 +254,7 @@ def test_diagonal_mirror_invariant(d4_flow):
     rep, _, f, _ = d4_flow
     mirror = isotropy_subgroup(rep, (F(1), F(1)))
     assert mirror.order == 2
-    assert check_stratum_invariance(rep, f, mirror).passed
+    assert all(s.ok for s in check_stratum_invariance(rep, f, mirror).samples)
 
 
 def test_trivial_subgroup_vacuous(d4_flow):
@@ -247,7 +263,7 @@ def test_trivial_subgroup_vacuous(d4_flow):
     assert trivial.order == 1
     report = check_stratum_invariance(rep, f, trivial)
     assert report.fix_dim == 2
-    assert report.passed
+    assert all(s.ok for s in report.samples)
 
 
 def test_full_group_origin(d4_flow):
@@ -257,7 +273,7 @@ def test_full_group_origin(d4_flow):
     report = check_stratum_invariance(rep, f, full)
     assert report.fix_dim == 0
     assert len(report.samples) == 1
-    assert report.passed  # f(0) = 0
+    assert all(s.ok for s in report.samples)  # f(0) = 0
 
 
 # -------------------------------------------------------------- projection
@@ -284,7 +300,7 @@ def test_consistency_residual_small(pitchfork):
     report = orbit_space_consistency(f, traj)
     assert isinstance(report, ConsistencyReport)
     assert report.max_residual < 1e-5
-    assert report.energy_monotone()
+    assert report.max_energy_increase <= 1e-9
 
 
 def test_consistency_quarters_under_halving(pitchfork):
@@ -304,7 +320,7 @@ def test_energy_monotone_d4(d4_flow):
     _, _, f, _ = d4_flow
     traj = integrate(f, np.array([0.31, 0.77]), 10.0, 1e-2)
     report = orbit_space_consistency(f, traj)
-    assert report.energy_monotone()
+    assert report.max_energy_increase <= 1e-9
 
 
 def test_csv_dump(d4_flow):

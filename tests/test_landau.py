@@ -6,12 +6,18 @@ import inspect
 import math
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cli_default_assignment, float_bits, reference_gradient_phase
+from conftest import (
+    cli_default_assignment,
+    float_bits,
+    reference_gradient_phase,
+    reference_newton,
+)
 
-from orbitscope import dynamics, landau, reduction, strata
+from orbitscope import cli, dynamics, landau, polynomials, reduction, strata
 from orbitscope.errors import (
     AmbiguousClassification,
     StabilityViolation,
@@ -298,39 +304,89 @@ def test_minima_sit_on_principal_critical_rays(d4):
         assert best.symmetry.label in family_labels
 
 
-@pytest.mark.parametrize("group, a1", [
-    ("z2_line", None), ("z2xz2", None), ("d4", None), ("d4_sheared", None),
-    ("o_rot", None), ("z2_line", 0), ("z2xz2", 0), ("d4", 0), ("d4_sheared", 0),
-    ("o_rot", 0), ("s3_perm", None),
-])
-def test_gradient_phase_is_the_reference_loop(request, group, a1):
-    # the compiled phase takes the reference loop's float operations in
-    # its order: same status, same bits, from every start minimize uses
+def _descent_setup(request, group, a1):
+    """phi at the CLI defaults (a1 pinned when given), its kernels and the
+    starts minimize uses, with minimize's tolerances."""
     rep = request.getfixturevalue(group)
     model = build_generic(compute_mib(rep))
     lam = cli_default_assignment(model)
     if a1 is not None:
         lam["a1"] = F(a1)
     phi = model.potential(lam)
-    phase = landau._gradient_phase(phi)
-    f, grad = compile_polynomial(phi), compile_gradient(phi)
-    tol, escape = 100.0 * 1e-10, landau._ESCAPE_FACTOR * landau._RADIUS
     count = landau._STARTS_PER_GENERATOR * model.basis.k
+    starts = landau._ball_starts(rep.dim, count, landau._RADIUS, 0)
+    escape = landau._ESCAPE_FACTOR * landau._RADIUS
+    return phi, landau._descent(phi), starts, 1e-10, escape
+
+
+@pytest.mark.parametrize("group, a1", [
+    ("z2_line", None), ("z2xz2", None), ("d4", None), ("d4_sheared", None),
+    ("o_rot", None), ("z2_line", 0), ("z2xz2", 0), ("d4", 0), ("d4_sheared", 0),
+    ("o_rot", 0), ("s3_perm", None),
+])
+def test_gradient_phase_is_the_reference_loop(request, group, a1):
+    # with no Newton steps, the descent kernel ends where its gradient
+    # phase does, having taken the reference loop's float operations in
+    # its order: same status, same bits, from every start minimize uses
+    phi, descend, starts, gtol, escape = _descent_setup(request, group, a1)
+    f, grad = compile_polynomial(phi), compile_gradient(phi)
     statuses, capped = [], 0
-    for x0 in landau._ball_starts(rep.dim, count, landau._RADIUS, 0):
+    for x0 in starts:
         want = reference_gradient_phase(
-            x0, f, grad, tol, escape, landau._MAX_GRADIENT_STEPS)
-        got = phase(*x0.tolist(), tol, escape, range(landau._MAX_GRADIENT_STEPS))
-        assert got[0] is want[0]
-        assert float_bits(got[1]) == float_bits(want[1])
+            x0, f, grad, 100.0 * gtol, escape, landau._MAX_GRADIENT_STEPS)
+        status, x = descend(
+            *x0.tolist(), gtol, escape, range(landau._MAX_GRADIENT_STEPS), range(0))
+        assert float_bits(x) == float_bits(want[1])
+        if want[0] is None:
+            assert status == ("ok" if math.hypot(*grad(x)) <= gtol else "unconverged")
+        else:
+            assert status == ("escaped" if want[0] else "unconverged")
         statuses.append(want[0])
-        capped += want[0] is None and math.hypot(*grad(want[1])) > tol
+        capped += want[0] is None and math.hypot(*grad(want[1])) > 100.0 * gtol
     if group == "s3_perm":
         assert True in statuses  # the default model runs away
     elif a1 == 0:
         assert capped  # the flat quartic reaches the step cap
     else:
-        assert statuses == [None] * count
+        assert statuses == [None] * len(starts)
+
+
+@pytest.mark.parametrize("group, a1", [
+    ("z2_line", None), ("z2xz2", None), ("d4", None), ("d4_sheared", None),
+    ("o_rot", None), ("b3", None), ("z2_line", 0), ("z2xz2", 0), ("d4", 0),
+    ("d4_sheared", 0), ("o_rot", 0), ("b3", 0),
+])
+def test_newton_phase_is_the_reference_loop(request, group, a1):
+    # the kernel's Newton phase against the numpy loop, from where the
+    # gradient phase ends at every start minimize uses.  A 1x1 or diagonal
+    # solve is one division in both, so z2-line and z2xz2 agree to the
+    # bit; numpy's LAPACK fuses multiply-adds, so elsewhere the last bits
+    # may differ
+    phi, descend, starts, gtol, escape = _descent_setup(request, group, a1)
+    f, grad = compile_polynomial(phi), compile_gradient(phi)
+    n = phi.nvars
+    second = compile_polynomial([d.partial(j) for d in phi.gradient() for j in range(n)])
+
+    def hess(x):
+        return np.reshape(second(x), (n, n))
+
+    exact = group in ("z2_line", "z2xz2")
+    statuses = []
+    for x0 in starts:
+        escaped, x = reference_gradient_phase(
+            x0, f, grad, 100.0 * gtol, escape, landau._MAX_GRADIENT_STEPS)
+        assert escaped is None
+        want = reference_newton(x, grad, hess, gtol, escape, landau._MAX_NEWTON_STEPS)
+        got = descend(*x0.tolist(), gtol, escape, range(landau._MAX_GRADIENT_STEPS),
+                      range(landau._MAX_NEWTON_STEPS))
+        assert got[0] == want[0]
+        if exact:
+            assert float_bits(got[1]) == float_bits(want[1])
+        else:
+            scale = max(1.0, math.hypot(*want[1]))
+            assert math.dist(got[1], want[1]) <= 1e-12 * scale
+        statuses.append(want[0])
+    assert "ok" in statuses
 
 
 # -------------------------------------------------------------------- sweeps
@@ -353,6 +409,30 @@ def test_sweep_pitchfork(z2_line):
     t = diagram.transitions[0]
     assert abs(t.parameter_value) <= 1e-6 and t.width <= 1e-6
     assert t.before.order == 1 and t.after.order == 2
+
+
+def test_sweep_compiles_each_kernel_once_per_support(monkeypatch, capsys):
+    # the kernels bind their coefficients, so the 24 minimize calls of this
+    # sweep (5 grid points, 19 bisection steps) compile f, the gradient,
+    # the Hessian and the descent once each for a1 != 0, and once more at
+    # a1 = 0, where the quadratic term drops out of the support
+    sources, calls = [], []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    def counted(*args, **kwargs):
+        calls.append(args[1]["a1"])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "compile", spy, raising=False)
+    monkeypatch.setattr(landau, "minimize", counted)
+    spec = Path(__file__).parent / "golden" / "specs" / "z2-line.json"
+    assert cli.main(["landau", "--spec", str(spec), "--sweep=a1:-1:1:5"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 24 and calls.count(0) == 1
+    assert len(sources) == len(set(sources)) == 8
 
 
 def test_sweep_unknown_parameter(z2_line):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import poly_pow
 
-from orbitscope import dynamics, landau, rationals as ra
+from orbitscope import dynamics, landau, polynomials, rationals as ra
 from orbitscope.errors import KindMismatch, PolynomialParseError
 from orbitscope.polynomials import (
     J_KIND,
@@ -320,31 +320,62 @@ def test_kernel_constant_and_zero_outputs():
 
 
 _PLAIN_OPS = {"(", ")", ",", ":", "=", "*", "+", "-"}
-# the fused descent and Runge-Kutta templates also divide and compare
-_FUSED_OPS = _PLAIN_OPS | {"/", ">", "<="}
+# the fused descent and Runge-Kutta templates also divide, compare, index
+# and build lists
+_FUSED_OPS = _PLAIN_OPS | {"/", ">", "<", "<=", "==", "[", "]"}
+# every number the templates write; no coefficient is written at all
+_TEMPLATE_LITERALS = {"0", "1", "2", "3", "40", "0.0", "0.5", "1.0", "2.0", "6.0",
+                      "100.0", "0.001", "0.0001", "1e-18"}
 
 
-def _source_tokens(source: str, ops: set) -> tuple[set, set]:
-    """The names and number literals of generated source, which may hold
-    no other tokens than the operators ``ops`` and layout."""
-    names, literals = set(), set()
+def _source_tokens(source: str, ops: set) -> tuple[set, set, set]:
+    """The names, number literals and string literals of generated source,
+    which may hold no other tokens than the operators ``ops`` and layout."""
+    names, literals, strings = set(), set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
             names.add(tok.string)
         elif tok.type == tokenize.NUMBER:
             literals.add(tok.string)
+        elif tok.type == tokenize.STRING:
+            strings.add(tok.string)
         elif tok.type == tokenize.OP:
             assert tok.string in ops, tok
         else:
             assert tok.type in {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                                 tokenize.DEDENT, tokenize.ENDMARKER}, tok
-    return names, literals
+    return names, literals, strings
 
 
-def test_kernel_source_holds_only_floats_and_coordinate_names():
-    # coefficients reach compile only as repr(float(c)); no text of the
-    # polynomial or its spec does, in the plain kernel or in the fused
-    # descent and Runge-Kutta kernels built around it
+def _kernels(polys, phi, field, energy):
+    """The plain, descent and Runge-Kutta kernels, each with the
+    coefficients it should bind, in the order of its bodies."""
+    def values(ps):
+        return [float(c) for p in ps for _, c in p.sorted_terms()]
+
+    grads = phi.gradient()
+    hess = [g.partial(j) for g in grads for j in range(phi.nvars)]
+    descent = values([*grads, phi]) + values([phi]) + values([*grads, *hess])
+    return {
+        "plain": (compile_polynomial(polys)._fn, values(polys)),
+        "descent": (landau._descent(phi), descent + 2 * values(grads)),
+        "rk4": (dynamics._rk4_kernel(field, energy), 4 * values(field) + values([energy])),
+    }
+
+
+def test_kernel_source_holds_only_floats_and_coordinate_names(monkeypatch):
+    # no coefficient reaches compile, as text or as a literal: every
+    # source compiled is a function of the polynomials' supports alone,
+    # and each coefficient is bound as a parameter default equal to
+    # float(c), in the plain kernel and in the fused descent and
+    # Runge-Kutta kernels built around it
+    compiled = []
+
+    def spy(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(polynomials, "compile", spy, raising=False)
     rng = random.Random(11)
     long_poly = Polynomial(2, {m: Fraction(rng.randint(1, 9), 3)
                                for d in range(25) for m in monomials_of_degree(2, d)})
@@ -353,29 +384,42 @@ def test_kernel_source_holds_only_floats_and_coordinate_names():
     polys = [long_poly, Polynomial.zero(2), odd]
     # the gradient of phi holds the constants 10**30 and -1/3
     phi = long_poly + Polynomial(2, {(1, 0): 10**30, (0, 1): Fraction(-1, 3)})
-    sources = {
-        "plain": compile_polynomial(polys).source,
-        "descent": landau._gradient_phase(phi).source,
-        "rk4": dynamics._rk4_kernel(polys[:2], odd).source,
-    }
+    kernels = _kernels(polys, phi, polys[:2], odd)
+    assert len(compiled) == 3
     generated = re.compile(
-        r"(x|s|[tgyzwn]|k\d_)\d+"        # coordinates, sums, stage points, stage values
-        r"|(g_|t_|k\d_|p_)?[xtyzwn]\d+_\d+"  # powers, tagged by inlined body
-        r"|(g_|t_|k\d_|p_)s\d+"            # long sums of an inlined body
+        r"(x|[tgyzwnud]|k\d_)\d+"            # coordinates, stage points, stage values
+        r"|(g_|t_|n_|u_|f_|k\d_|p_)?[xtyzwnu]\d+_\d+"  # powers, tagged by inlined body
+        r"|(g_|t_|n_|u_|f_|k\d_|p_)?[sc]\d+"  # long sums and coefficients of a body
     )
     keywords = {"def", "_k", "return", "for", "in", "while", "if", "not", "and",
-                "break", "True", "False", "None"}
-    template = {"tol", "escape", "steps", "i", "fx", "gn", "step", "h", "half", "sixth"}
-    builtins = {"hypot", "isfinite"}
-    for kind, source in sources.items():
+                "else", "break", "True"}
+    template = {"tol", "gtol", "escape", "steps", "newton_steps", "i", "j", "k", "p",
+                "r", "m", "a", "d", "fx", "gn", "step", "damp", "h", "half", "sixth"}
+    builtins = {"hypot", "isfinite", "abs", "range"}
+    for kind, (fn, want) in kernels.items():
         plain = kind == "plain"
-        names, literals = _source_tokens(source, _PLAIN_OPS if plain else _FUSED_OPS)
+        assert fn.source in compiled, kind
+        names, literals, strings = _source_tokens(fn.source, _PLAIN_OPS if plain else _FUSED_OPS)
         allowed = keywords | (set() if plain else template | builtins)
         assert {n for n in names - allowed if not generated.fullmatch(n)} == set(), kind
-        assert all(repr(float(lit)) == lit for lit in literals), kind
-        assert {"1e+30", "0.3333333333333333"} <= literals, kind
-    plain = _source_tokens(sources["plain"], _PLAIN_OPS)[0]
-    assert {"x0", "x1", "x0_24", "s0"} <= plain
-    assert {n for n in plain if not re.fullmatch(r"x\d+(_\d+)?|s\d+|def|_k|return", n)} == set()
-    assert {"hypot", "isfinite", "g_s0", "t_s0"} <= _source_tokens(sources["descent"], _FUSED_OPS)[0]
-    assert {"k1_s0", "k4_w1_24", "p_n0_2"} <= _source_tokens(sources["rk4"], _FUSED_OPS)[0]
+        assert literals <= _TEMPLATE_LITERALS, kind
+        assert strings <= (set() if plain else {"'ok'", "'escaped'", "'unconverged'"}), kind
+        bound = fn.__defaults__
+        assert [v.hex() for v in bound] == [v.hex() for v in want], kind
+        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        assert all(re.fullmatch(r"([a-z]\d?_)?c\d+", p) for p in params[-len(bound):]), kind
+    assert {"1e+30", "0.3333333333333333"} & set().union(
+        *(_source_tokens(s, _FUSED_OPS)[1] for s in compiled)) == set()
+    # other coefficients on the same supports: the same sources
+    scaled = [p.scale(Fraction(-7, 5)) for p in (*polys, phi)]
+    again = _kernels(scaled[:3], scaled[3], scaled[:2], scaled[2])
+    assert {kind: fn.source for kind, (fn, _) in again.items()} == {
+        kind: fn.source for kind, (fn, _) in kernels.items()}
+    assert all(again[k][0].__defaults__ != kernels[k][0].__defaults__ for k in kernels)
+    plain = _source_tokens(kernels["plain"][0].source, _PLAIN_OPS)[0]
+    assert {"x0", "x1", "x0_24", "s0", "c0"} <= plain
+    assert {n for n in plain if not re.fullmatch(r"[xc]\d+(_\d+)?|s\d+|def|_k|return", n)} == set()
+    descent = _source_tokens(kernels["descent"][0].source, _FUSED_OPS)[0]
+    assert {"hypot", "isfinite", "g_s0", "t_s0", "n_s0", "u_c0", "f_c0"} <= descent
+    assert {"k1_s0", "k4_w1_24", "p_n0_2", "k4_c0"} <= _source_tokens(
+        kernels["rk4"][0].source, _FUSED_OPS)[0]
