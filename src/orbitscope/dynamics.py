@@ -18,12 +18,12 @@ No separate machinery is provided for them.
 The integrator is a fixed-step classical Runge-Kutta scheme.  Fixed steps
 keep reruns bit-identical; the energy guard catches the one failure mode
 that matters for descent flows (a step overshooting uphill, or out of the
-finite range of the state or its potential) and retries with 2, 4, ..., 64 substeps (`_MAX_HALVINGS` =
-6) before giving up.  A
-`GradientField` compiles one step as a single function that inlines the
-field at the four stages and the potential at the new state
-(`_rk4_kernel`); `integrate` takes a `GradientField` and runs that step in
-one loop for steps and substeps alike.
+finite range of the state or its potential) and retries with 2, 4, ..., 64
+substeps (`_MAX_HALVINGS` = 6) before giving up.  A `GradientField`
+compiles one step as a single function that inlines the field at the four
+stages and the potential at the new state (`_rk4_kernel`); `integrate`
+takes a `GradientField` and runs that step in one loop for steps and
+substeps alike.
 
 `check_stratum_invariance` draws 6 points of Fix(H) (`_INVARIANCE_SAMPLES`)
 from a generator seeded with 0, flows each to t = 2.0 (`_INVARIANCE_T_END`)
