@@ -201,14 +201,10 @@ def _model_assignment(model, cfg: RunConfig, skip=()) -> dict:
 
 # ---------------------------------------------------------------- commands
 
-# what a command returns: the JSON report, the text lines, the CSV lines.
+# what a command returns: the JSON report, the text lines, the CSV rows.
 # Each command formats its results once, into the report; its text lines
 # and CSV rows read the report's strings and numbers.
-Report = tuple[dict, list[str], list[str]]
-
-
-def _csv(rows: list[list[str]]) -> list[str]:
-    return [",".join(r) for r in rows]
+Report = tuple[dict, list[str], list[list[str]]]
 
 
 def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -232,7 +228,7 @@ def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     ]
     rows = [["name", "order", "dim", "cayley_closed", "subgroups", "classes"],
             [_cell(v) for v in report.values()]]
-    return report, text, _csv(rows)
+    return report, text, rows
 
 
 def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -260,7 +256,7 @@ def cmd_invariants(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     text += ["  [" + ", ".join(row) + "]" for row in report["p_matrix"]]
     rows = [["generator", "degree", "polynomial"]]
     rows += [[f"J{i + 1}", _cell(d), p] for i, (d, p) in enumerate(zip(report["degrees"], gens))]
-    return report, text, _csv(rows)
+    return report, text, rows
 
 
 def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -304,7 +300,7 @@ def cmd_strata(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     ]
     columns = ["label", "order", "class_size", "fix_dim", "realized"]
     rows = [columns] + [[_cell(t[c]) for c in columns] for t in report["types"]]
-    return report, text, _csv(rows)
+    return report, text, rows
 
 
 def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -350,7 +346,7 @@ def cmd_landau(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
         + p["location"]
         for p in found
     ]
-    return report, text, _csv(rows)
+    return report, text, rows
 
 
 def _landau_sweep(cfg: RunConfig, model, n: int) -> Report:
@@ -412,7 +408,7 @@ def _landau_sweep(cfg: RunConfig, model, n: int) -> Report:
         else [at, p["symmetry"], p["min_value"]] + p["minimizer"] + [""]
         for at, p in points
     ]
-    return report, text, _csv(rows)
+    return report, text, rows
 
 
 def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -469,7 +465,7 @@ def cmd_reduce(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
     rows = [["degree", "monomial", "status"]]
     rows += [[_cell(t["degree"]), _jmono(t, True), "removed"] for t in report["removed"]]
     rows += [[_cell(t["degree"]), _jmono(t, True), "kept"] for t in report["survivors"]]
-    return report, text, _csv(rows)
+    return report, text, rows
 
 
 def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -> Report:
@@ -504,17 +500,18 @@ def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -
         f"(final state: {', '.join(report['final_state'])})"
     ]
     text += lines
-    return report, text, lines
+    # each CSV line is already a row: as one cell, it joins to itself
+    return report, text, [[line] for line in lines]
 
 
 # ------------------------------------------------------------------ plumbing
 
 
-def _render(cfg: RunConfig, report: dict, text: list[str], csv: list[str]) -> str:
+def _render(cfg: RunConfig, report: dict, text: list[str], rows: list[list[str]]) -> str:
     if cfg.fmt == "json":
         doc = {"config": cfg.echo(), "report": report}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = text if cfg.fmt == "text" else csv
+    lines = text if cfg.fmt == "text" else [",".join(r) for r in rows]
     return "\n".join([*cfg.header_lines(), *lines]) + "\n"
 
 

@@ -13,9 +13,9 @@ raises StabilityViolation.
 Minimization runs in x-space; the orbit-space picture enters only through
 reporting.  All stochastic pieces are seeded, so identical inputs give
 identical outputs.  A descent, gradient phase and Newton polish alike,
-runs as one straight-line float function (`_descent`) with the potential,
-its gradient and its Hessian inlined, and solves its Newton systems by LU
-on plain floats; numpy enters only when a found point is reported.  The
+runs as one generated function over plain floats (`_descent`) with the
+potential, its gradient and its Hessian inlined, and solves its Newton
+systems by LU; numpy enters only when a found point is reported.  The
 kernels name their coefficients and take the values as bound arguments,
 so every kernel compiles once per model and coefficient support
 (`LandauModel.kernel_code`): a sweep compiles again only where a

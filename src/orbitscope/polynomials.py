@@ -30,6 +30,7 @@ names it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -418,23 +419,26 @@ def power_products(maps, truncate_at: int | None = None):
     times that variable's map, truncated at ``truncate_at`` when given; no
     degree is negative, so that loses no term at or below the cap.  Keys
     drop trailing zero exponents: maps appended later keep every image valid.
+    ``image`` is a partial of a module function, not a recursive closure,
+    which would refer to itself: each table would then be a reference
+    cycle, freed only when the cyclic garbage collector happens to run.
     """
-    table: dict[Monomial, Polynomial] = {}
+    return functools.partial(_power_image, {}, maps, truncate_at)
 
-    def image(m: Monomial) -> Polynomial:
-        key = m[: max((i + 1 for i, e in enumerate(m) if e), default=0)]
-        got = table.get(key)
-        if got is None:
-            if key:
-                got = image(key[:-1] + (key[-1] - 1,)) * maps[len(key) - 1]
-            else:
-                got = Polynomial.constant(maps[0].nvars, 1, maps[0].kind)
-            if truncate_at is not None:
-                got = got.truncate(truncate_at)
-            table[key] = got
-        return got
 
-    return image
+def _power_image(table: dict, maps, truncate_at, m: Monomial) -> Polynomial:
+    key = m[: max((i + 1 for i, e in enumerate(m) if e), default=0)]
+    got = table.get(key)
+    if got is None:
+        if key:
+            lower = _power_image(table, maps, truncate_at, key[:-1] + (key[-1] - 1,))
+            got = lower * maps[len(key) - 1]
+        else:
+            got = Polynomial.constant(maps[0].nvars, 1, maps[0].kind)
+        if truncate_at is not None:
+            got = got.truncate(truncate_at)
+        table[key] = got
+    return got
 
 
 def compose(

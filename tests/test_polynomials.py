@@ -1,5 +1,6 @@
 """Polynomial algebra: ring axioms, group action, Reynolds, serialization."""
 
+import gc
 import io
 import math
 import random
@@ -24,6 +25,7 @@ from orbitscope.polynomials import (
     compose,
     monomials_of_degree,
     parse_polynomial,
+    power_products,
     reynolds,
     substitute,
 )
@@ -192,6 +194,22 @@ def test_compose_matches_pointwise():
             pt = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
             mapped = tuple(m.evaluate(pt) for m in maps)
             assert q.evaluate(pt) == p.evaluate(mapped)
+
+
+def test_power_products_table_is_freed_without_the_cycle_collector():
+    # the table is no reference cycle, so it goes when its last user does,
+    # not whenever the cyclic garbage collector next runs
+    maps = [X2 + XY, Y2 - X2]
+    want = compose(Polynomial(2, {(3, 2): 1}), maps)
+    gc.collect()
+    gc.disable()
+    try:
+        image = power_products(maps)
+        assert image((3, 2)) == want
+        del image
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_text_round_trip():
