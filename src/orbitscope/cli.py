@@ -34,6 +34,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -204,7 +205,7 @@ def _model_assignment(model, cfg: RunConfig, skip=()) -> dict:
 # what a command returns: the JSON report, the text lines, the CSV rows.
 # Each command formats its results once, into the report; its text lines
 # and CSV rows read the report's strings and numbers.
-Report = tuple[dict, list[str], list[list[str]]]
+Report = tuple[dict, list[str], Iterable[list[str]]]
 
 
 def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
@@ -500,14 +501,15 @@ def cmd_flow(cfg: RunConfig, rep: FiniteGroupRep, x0, t_end: float, dt: float) -
         f"(final state: {', '.join(report['final_state'])})"
     ]
     text += lines
-    # each CSV line is already a row: as one cell, it joins to itself
-    return report, text, [[line] for line in lines]
+    # each CSV line is already a row: as one cell, it joins to itself.  The
+    # rows are made only if the CSV is rendered, one at a time.
+    return report, text, ([line] for line in lines)
 
 
 # ------------------------------------------------------------------ plumbing
 
 
-def _render(cfg: RunConfig, report: dict, text: list[str], rows: list[list[str]]) -> str:
+def _render(cfg: RunConfig, report: dict, text: list[str], rows: Iterable[list[str]]) -> str:
     if cfg.fmt == "json":
         doc = {"config": cfg.echo(), "report": report}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
