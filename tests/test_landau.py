@@ -358,10 +358,11 @@ def test_gradient_phase_is_the_reference_loop(request, group, a1):
 ])
 def test_newton_phase_is_the_reference_loop(request, group, a1):
     # the kernel's Newton phase against the numpy loop, from where the
-    # gradient phase ends at every start minimize uses.  A 1x1 or diagonal
-    # solve is one division in both, so z2-line and z2xz2 agree to the
-    # bit; numpy's LAPACK fuses multiply-adds, so elsewhere the last bits
-    # may differ
+    # gradient phase ends at every start minimize uses.  A 1x1 solve is
+    # one division in both, and the z2xz2 iterates lie on the axes (the
+    # other coordinate below 1e-240), where the off-diagonal Hessian terms
+    # change no bit: there the two agree to the bit.  numpy's LAPACK fuses
+    # multiply-adds, so elsewhere the last bits may differ
     phi, descend, starts, gtol, escape = _descent_setup(request, group, a1)
     f, grad = compile_polynomial(phi), compile_gradient(phi)
     n = phi.nvars
