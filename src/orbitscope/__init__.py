@@ -18,7 +18,7 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .errors import OrbitscopeError
-from .polynomials import Polynomial, parse_polynomial, act
+from .polynomials import Polynomial, act
 from .groups import (
     FiniteGroupRep,
     close_generators,
@@ -35,12 +35,10 @@ from .invariants import (
     express_in_basis,
     PMatrix,
     p_matrix,
-    orbit_map,
 )
 from .strata import (
     SymmetryType,
     symmetry_types,
-    stratum_of,
     isotropy_lattice,
     principal_stratum,
     principal_critical_orbits,
@@ -61,15 +59,12 @@ from .reduction import (
 from .dynamics import (
     gradient_field,
     integrate,
-    check_stratum_invariance,
     project_trajectory,
-    orbit_space_consistency,
 )
 
 __all__ = [
     "OrbitscopeError",
     "Polynomial",
-    "parse_polynomial",
     "act",
     "FiniteGroupRep",
     "close_generators",
@@ -84,10 +79,8 @@ __all__ = [
     "express_in_basis",
     "PMatrix",
     "p_matrix",
-    "orbit_map",
     "SymmetryType",
     "symmetry_types",
-    "stratum_of",
     "isotropy_lattice",
     "principal_stratum",
     "principal_critical_orbits",
@@ -102,7 +95,5 @@ __all__ = [
     "verify_reduction",
     "gradient_field",
     "integrate",
-    "check_stratum_invariance",
     "project_trajectory",
-    "orbit_space_consistency",
 ]

@@ -3,13 +3,13 @@
 The descent field is f(x) = -eta_inv grad Phi(x); the sign makes minima
 attractors.  With the invariant metric folded in, f commutes with the group
 action, so fixed-point subspaces of realized isotropy groups are flow
-invariant: a trajectory that starts with a symmetry keeps it.  Both facts
-are checked numerically here rather than trusted.
+invariant: a trajectory that starts with a symmetry keeps it.  The tests
+check both facts numerically rather than trust them.
 
 Projection to orbit space sends x(t) to J(x(t)).  The projected curve obeys
-its own first-order system, which we never form explicitly; instead
-`orbit_space_consistency` confirms by finite differences that d/dt J(x(t))
-agrees with (DJ)(x) f(x) to the expected O(dt^2).
+its own first-order system, which we never form explicitly; the tests
+confirm by finite differences that d/dt J(x(t)) agrees with (DJ)(x) f(x) to
+the expected O(dt^2).
 
 For a finite group every orbit is finite, so there are no genuine relative
 equilibria: a trajectory whose orbit is stationary is itself stationary.
@@ -24,12 +24,6 @@ compiles one step as a single function that inlines the field at the four
 stages and the potential at the new state (`_rk4_kernel`); `integrate`
 takes a `GradientField` and runs that step in one loop for steps and
 substeps alike.
-
-`check_stratum_invariance` draws 6 points of Fix(H) (`_INVARIANCE_SAMPLES`)
-from a generator seeded with 0, flows each to t = 2.0 (`_INVARIANCE_T_END`)
-in steps of 1e-2 (`_INVARIANCE_DT`), and accepts a field residual up to
-1e-10 (`_FIELD_TOL`) and a trajectory residual up to 1e-8
-(`_TRAJECTORY_TOL`) off Fix(H).
 """
 
 from __future__ import annotations
@@ -40,17 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MonotonicityViolation, NonFiniteState
-from .groups import FiniteGroupRep, Subgroup, fixed_subspace, invariant_metric
+from .groups import invariant_metric
 from .invariants import IntegrityBasis
 from .landau import LandauModel
 from .polynomials import Polynomial, _compile_kernel, _kernel_body, compile_polynomial
 
 _MAX_HALVINGS = 6
-_INVARIANCE_SAMPLES = 6
-_INVARIANCE_T_END = 2.0
-_INVARIANCE_DT = 1e-2
-_FIELD_TOL = 1e-10
-_TRAJECTORY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,18 +59,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-@dataclass(frozen=True)
-class OrbitSpaceTrajectory:
-    times: np.ndarray
-    j_states: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.j_states):
-            raise DimensionMismatch(
-                f"{len(self.times)} times vs {len(self.j_states)} projected states"
-            )
 
 
 class GradientField:
@@ -182,7 +159,8 @@ def integrate(
 
     Takes round(t_end / dt) steps of dt; none when t_end rounds to 0, so
     the trajectory is the start point alone.  Each step is the field's
-    compiled RK4 step.
+    compiled RK4 step.  ValueError unless dt > 0 and t_end is finite and
+    non-negative.
 
     A step that leaves the finite range (the state or its potential) or
     raises the potential by more than energy_tol is retried with 2, 4,
@@ -190,8 +168,10 @@ def integrate(
     NonFiniteState if neither the step nor any retry ended finite, and
     MonotonicityViolation otherwise.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
+    if not 0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and non-negative")
     steps = int(round(t_end / dt))
     step = field.step
     x = tuple(np.asarray(x0, dtype=float).tolist())
@@ -227,114 +207,12 @@ def integrate(
 
 
 # ---------------------------------------------------------------------------
-# stratum invariance
-
-
-@dataclass(frozen=True)
-class InvarianceSample:
-    point: tuple
-    field_residual: float
-    trajectory_residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class StratumInvarianceReport:
-    subgroup: Subgroup
-    fix_dim: int
-    samples: tuple
-
-
-def _orthonormal_fix(rep: FiniteGroupRep, sub: Subgroup) -> np.ndarray:
-    """Columns: orthonormal float basis of Fix(H); shape (n, fix_dim)."""
-    vecs = fixed_subspace(rep, sub)
-    if not vecs:
-        return np.zeros((rep.dim, 0))
-    raw = np.array([[float(c) for c in v] for v in vecs]).T
-    q, _ = np.linalg.qr(raw)
-    return q[:, : len(vecs)]
-
-
-def check_stratum_invariance(
-    rep: FiniteGroupRep, field: GradientField, sub: Subgroup
-) -> StratumInvarianceReport:
-    """Sample Fix(H), test f(x) in Fix(H), and flow each sample point.
-
-    The tangency requirement for the flow along a stratum closure becomes,
-    for a linear action, exactly invariance of the fixed-point subspace;
-    both the field residual and the integrated trajectory are checked
-    against that subspace.
-    """
-    basis_mat = _orthonormal_fix(rep, sub)
-    fix_dim = basis_mat.shape[1]
-    rng = np.random.default_rng(0)
-
-    out = []
-    for _ in range(_INVARIANCE_SAMPLES):
-        if fix_dim == 0:
-            x = np.zeros(rep.dim)
-        else:
-            coeffs = rng.standard_normal(fix_dim)
-            norm = np.linalg.norm(coeffs)
-            if norm < 1e-12:
-                coeffs = np.ones(fix_dim)
-                norm = np.linalg.norm(coeffs)
-            x = basis_mat @ (0.7 * coeffs / norm)
-
-        def off_fix(v):
-            return float(np.linalg.norm(v - basis_mat @ (basis_mat.T @ v)))
-
-        fres = off_fix(field(x))
-        traj = integrate(field, x, _INVARIANCE_T_END, _INVARIANCE_DT)
-        tres = max(off_fix(s) for s in traj.states)
-        ok = fres <= _FIELD_TOL and tres <= _TRAJECTORY_TOL
-        out.append(InvarianceSample(tuple(x), fres, tres, ok))
-        if fix_dim == 0:
-            break
-    return StratumInvarianceReport(sub, fix_dim, tuple(out))
-
-
-# ---------------------------------------------------------------------------
 # orbit-space projection
 
 
-def project_trajectory(basis: IntegrityBasis, traj: Trajectory) -> OrbitSpaceTrajectory:
-    j_states = compile_polynomial(basis.polys).eval_many(traj.states)
-    return OrbitSpaceTrajectory(traj.times, j_states)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    max_residual: float
-    max_energy_increase: float
-    projected: OrbitSpaceTrajectory
-
-
-def orbit_space_consistency(field: GradientField, traj: Trajectory) -> ConsistencyReport:
-    """Central-difference check that J(x(t)) obeys the projected system.
-
-    residual_i = | (J_{i+1} - J_{i-1}) / 2dt  -  (DJ)(x_i) f(x_i) |,
-    maximized over interior points; O(dt^2) for smooth trajectories.  The
-    potential expressed through the projected states must not increase.
-    """
-    basis = field.model.basis
-    projected = project_trajectory(basis, traj)
-    jacobian = compile_polynomial([d for p in basis.polys for d in p.gradient()])
-    dt = traj.dt
-
-    worst = 0.0
-    for i in range(1, len(traj.times) - 1):
-        x = traj.states[i]
-        fx = field(x)
-        rows = np.reshape(jacobian(x), (basis.k, -1))
-        rhs = np.array([sum(d * fv for d, fv in zip(row, fx)) for row in rows])
-        fd = (projected.j_states[i + 1] - projected.j_states[i - 1]) / (2.0 * dt)
-        worst = max(worst, float(np.max(np.abs(fd - rhs))))
-
-    psi_num = compile_polynomial(field.model.psi_at(field.assignment))
-    energies = np.array([psi_num(j) for j in projected.j_states])
-    increase = float(np.max(np.diff(energies))) if len(energies) > 1 else 0.0
-    return ConsistencyReport(worst, increase, projected)
+def project_trajectory(basis: IntegrityBasis, traj: Trajectory) -> np.ndarray:
+    """J(x(t)): the basis at every state, one row per time."""
+    return compile_polynomial(basis.polys).eval_many(traj.states)
 
 
 def dump_trajectory_csv(out, field: GradientField, traj: Trajectory) -> None:
@@ -344,7 +222,7 @@ def dump_trajectory_csv(out, field: GradientField, traj: Trajectory) -> None:
     ``%``-format of plain floats; the potential of every row comes from one
     :meth:`NumericPoly.eval_many` call, bit-identical to the scalar kernel."""
     basis = field.model.basis
-    projected = project_trajectory(basis, traj)
+    j_states = project_trajectory(basis, traj)
     k = len(basis.polys)
     header = (
         ["t"]
@@ -356,6 +234,6 @@ def dump_trajectory_csv(out, field: GradientField, traj: Trajectory) -> None:
     row = "%.12g," + ",".join(["%.17g"] * (field.dim + k + 1)) + "\n"
     phis = field._phi.eval_many(traj.states).tolist()
     for t, x, j, phi in zip(
-        traj.times.tolist(), traj.states.tolist(), projected.j_states.tolist(), phis
+        traj.times.tolist(), traj.states.tolist(), j_states.tolist(), phis
     ):
         out.write(row % (t, *x, *j, phi))

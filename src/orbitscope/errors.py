@@ -44,11 +44,6 @@ class KindMismatch(OrbitscopeError):
     layer = "polynomials"
 
 
-class PolynomialParseError(OrbitscopeError):
-    """Text form of a polynomial does not follow the canonical format."""
-    layer = "polynomials"
-
-
 # ------------------------------------------------------------ invariant layer
 
 class CapTooLow(OrbitscopeError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rationals as ra
-from .errors import CapTooLow, DimensionMismatch, NotExpressible, NotInvariant
+from .errors import CapTooLow, NotExpressible, NotInvariant
 from .groups import FiniteGroupRep, InvariantMetric, invariant_metric
 from .polynomials import (
     J_KIND,
@@ -82,10 +82,6 @@ class MolienSeries:
 
     def coefficient(self, d: int) -> int:
         return self.coefficients[d]
-
-    @property
-    def degree_cap(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def _char_poly_reversed(t_mat: ra.Mat) -> list[Fraction]:
@@ -562,12 +558,3 @@ def p_matrix(rep: FiniteGroupRep, basis: IntegrityBasis) -> PMatrix:
             entries[i][h] = expr
             entries[h][i] = expr
     return PMatrix(basis, tuple(tuple(row) for row in entries), metric)
-
-
-def orbit_map(basis: IntegrityBasis, point) -> tuple:
-    """Evaluate the basis at a point: exact for rational input, float for float."""
-    if len(point) != basis.rep.dim:
-        raise DimensionMismatch(
-            f"point has {len(point)} coordinates, action has {basis.rep.dim}"
-        )
-    return tuple(p.evaluate(point) for p in basis.polys)

@@ -20,7 +20,7 @@ variables this orders degree-2 monomials as x1^2, x1 x2, x2^2.  Parameter
 polynomials print in ``params``' own order, by name rather than by index.
 
 Text serialization is a sum of ``c * x1^a1 x2^a2`` terms in canonical
-order and round-trips exactly through :func:`parse_polynomial`.
+order.
 
 :func:`reynolds`, the average over every group element, has no caller in
 the library (``invariants`` works from the generators) and is not exported;
@@ -33,13 +33,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import re
 import types
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import KindMismatch, PolynomialParseError
+from .errors import KindMismatch
 
 X_KIND = "x"
 J_KIND = "J"
@@ -340,7 +339,7 @@ class Polynomial:
     # ---------------------------------------------------------- serialization
 
     def to_text(self, bracketed: bool = False) -> str:
-        """Canonical text form; round-trips through parse_polynomial.
+        """Canonical text form: the terms in canonical order.
 
         ``bracketed`` writes ``(c) * x1^2`` instead, with ``1`` for the
         constant monomial, so that a parameter-valued coefficient such as
@@ -374,39 +373,6 @@ class Polynomial:
             else:
                 out.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(out)
-
-
-def parse_polynomial(text: str, nvars: int, kind: str = X_KIND) -> Polynomial:
-    """Parse the canonical text form produced by ``Polynomial.to_text``."""
-    text = text.strip()
-    if text == "0":
-        return Polynomial.zero(nvars, kind)
-    terms: dict[Monomial, Fraction] = {}
-    for piece in text.split(" + "):
-        piece = piece.strip()
-        if not piece:
-            raise PolynomialParseError(f"empty term in {text!r}")
-        if " * " in piece:
-            coeff_text, factors_text = piece.split(" * ", 1)
-            expo = [0] * nvars
-            for factor in factors_text.split():
-                match = re.fullmatch(rf"{re.escape(kind)}([0-9]+)\^([0-9]+)", factor)
-                if not match:
-                    raise PolynomialParseError(f"bad factor {factor!r}")
-                idx = int(match[1]) - 1
-                if not 0 <= idx < nvars:
-                    raise PolynomialParseError(f"variable out of range in {factor!r}")
-                expo[idx] += int(match[2])
-            mono = tuple(expo)
-        else:
-            coeff_text = piece
-            mono = (0,) * nvars
-        try:
-            coeff = Fraction(coeff_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PolynomialParseError(f"bad coefficient {coeff_text!r}") from exc
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    return Polynomial(nvars, terms, kind)
 
 
 # ------------------------------------------------------------- composition

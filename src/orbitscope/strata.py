@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rationals as ra
-from .errors import DimensionMismatch, NoUniqueMinimum
+from .errors import NoUniqueMinimum
 from .groups import (
     FiniteGroupRep,
     Subgroup,
     all_subgroups,
     conjugate_subgroup,
     fixed_subspace,
-    isotropy_subgroup,
 )
 
 
@@ -140,18 +139,6 @@ def symmetry_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
         )
     cached = rep.memo["symmetry_types"] = tuple(types)
     return cached
-
-
-def stratum_of(rep: FiniteGroupRep, point) -> SymmetryType:
-    """The symmetry type of the isotropy subgroup of an exact point."""
-    x = ra.vec(point)
-    if len(x) != rep.dim:
-        raise DimensionMismatch("point dimension mismatch")
-    iso = isotropy_subgroup(rep, x)
-    for t in symmetry_types(rep):
-        if t.contains_subgroup(iso):
-            return t
-    raise AssertionError("isotropy subgroup missing from the enumerated types")
 
 
 def _class_strictly_below(t_low: SymmetryType, t_high: SymmetryType) -> bool:

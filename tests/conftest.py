@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitscope import cli, groups, rationals as ra
+from orbitscope import cli, dynamics, groups, rationals as ra
 from orbitscope.errors import MonotonicityViolation
-from orbitscope.polynomials import Polynomial
+from orbitscope.polynomials import Polynomial, compile_polynomial
 
 
 def _frac_rows(rows):
@@ -355,6 +355,61 @@ def reference_flow(field, x0, dt, steps, energy_tol=1e-9, halvings=6) -> list:
         x, e_old = x_new, e_new
         states.append(x)
     return states
+
+
+def fix_residuals(rep, field, sub) -> list:
+    """How far the flow leaves Fix(sub): one (field, trajectory) pair of
+    residuals per sample point.
+
+    The oracle for flow invariance of fixed spaces.  It draws 6 points of
+    radius 0.7 in Fix(sub) from a generator seeded with 0 (the origin alone
+    when Fix(sub) = 0) and flows each to t = 2 in steps of 1e-2.  The
+    residuals are the distances of f(x) and, at worst over the trajectory,
+    of x(t) from Fix(sub).
+    """
+    vecs = groups.fixed_subspace(rep, sub)
+    basis = np.zeros((rep.dim, 0))
+    if vecs:
+        basis = np.linalg.qr(np.array([[float(c) for c in v] for v in vecs]).T)[0]
+    rng = np.random.default_rng(0)
+
+    def off_fix(v):
+        return float(np.linalg.norm(v - basis @ (basis.T @ v)))
+
+    out = []
+    for _ in range(6 if vecs else 1):
+        x = np.zeros(rep.dim)
+        if vecs:
+            coeffs = rng.standard_normal(len(vecs))
+            x = basis @ (0.7 * coeffs / np.linalg.norm(coeffs))
+        states = dynamics.integrate(field, x, 2.0, 1e-2).states
+        out.append((off_fix(field(x)), max(off_fix(s) for s in states)))
+    return out
+
+
+def orbit_space_residuals(field, traj) -> tuple:
+    """``(residual, rise)`` of a trajectory's shadow J(x(t)) in orbit space.
+
+    The oracle for the projected system: residual is the largest
+    |(J_{i+1} - J_{i-1}) / 2dt - (DJ)(x_i) f(x_i)| over interior points,
+    O(dt^2) for a smooth trajectory; rise is the largest increase of the
+    potential psi(J) from one projected state to the next.
+    """
+    basis = field.model.basis
+    j_states = dynamics.project_trajectory(basis, traj)
+    jacobian = compile_polynomial([d for p in basis.polys for d in p.gradient()])
+    residual = 0.0
+    for i in range(1, len(traj.times) - 1):
+        x = traj.states[i]
+        fx = field(x)
+        rows = np.reshape(jacobian(x), (basis.k, -1))
+        rhs = np.array([sum(d * fv for d, fv in zip(row, fx)) for row in rows])
+        fd = (j_states[i + 1] - j_states[i - 1]) / (2.0 * traj.dt)
+        residual = max(residual, float(np.max(np.abs(fd - rhs))))
+    psi = compile_polynomial(field.model.psi_at(field.assignment))
+    energies = np.array([psi(j) for j in j_states])
+    rise = float(np.max(np.diff(energies))) if len(energies) > 1 else 0.0
+    return residual, rise
 
 
 # ---------------------------------------------------------- exact references

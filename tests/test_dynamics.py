@@ -6,17 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import cli_default_assignment, float_bits, reference_flow, reference_rk4_step
+from conftest import (
+    cli_default_assignment,
+    fix_residuals,
+    float_bits,
+    orbit_space_residuals,
+    reference_flow,
+    reference_rk4_step,
+)
 
 from orbitscope.dynamics import (
-    ConsistencyReport,
-    OrbitSpaceTrajectory,
     Trajectory,
-    check_stratum_invariance,
     dump_trajectory_csv,
     gradient_field,
     integrate,
-    orbit_space_consistency,
     project_trajectory,
 )
 from orbitscope.errors import (
@@ -24,7 +27,7 @@ from orbitscope.errors import (
     MonotonicityViolation,
     NonFiniteState,
 )
-from orbitscope.groups import isotropy_subgroup
+from orbitscope.groups import fixed_subspace, isotropy_subgroup
 from orbitscope.invariants import compute_mib
 from orbitscope.landau import build_generic, make_model
 from orbitscope.params import Coefficient
@@ -230,8 +233,17 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)), 1.0)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0, 1.0]), np.zeros((3, 1)), 1.0)
-    with pytest.raises(DimensionMismatch):
-        OrbitSpaceTrajectory(np.array([0.0]), np.zeros((2, 1)))
+
+
+def test_integrate_rejects_bad_t_end_and_dt(pitchfork):
+    _, _, f = pitchfork
+    for t_end in (-1.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t_end must be finite and non-negative"):
+            integrate(f, [0.5], t_end, 0.01)
+    for dt in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate(f, [0.5], 1.0, dt)
+    assert len(integrate(f, [0.5], 0.0, 0.01).states) == 1
 
 
 # ------------------------------------------------------ stratum invariance
@@ -241,39 +253,39 @@ def test_axis_mirror_invariant(d4_flow):
     rep, _, f, _ = d4_flow
     mirror = isotropy_subgroup(rep, (F(1), F(0)))
     assert mirror.order == 2
-    report = check_stratum_invariance(rep, f, mirror)
-    assert report.fix_dim == 1
-    assert all(s.ok for s in report.samples)
-    for s in report.samples:
-        assert s.ok
-        assert s.field_residual <= 1e-10
-        assert s.trajectory_residual <= 1e-8
+    assert len(fixed_subspace(rep, mirror)) == 1
+    residuals = fix_residuals(rep, f, mirror)
+    assert len(residuals) == 6
+    for field_residual, trajectory_residual in residuals:
+        assert field_residual <= 1e-10
+        assert trajectory_residual <= 1e-8
 
 
 def test_diagonal_mirror_invariant(d4_flow):
     rep, _, f, _ = d4_flow
     mirror = isotropy_subgroup(rep, (F(1), F(1)))
     assert mirror.order == 2
-    assert all(s.ok for s in check_stratum_invariance(rep, f, mirror).samples)
+    for field_residual, trajectory_residual in fix_residuals(rep, f, mirror):
+        assert field_residual <= 1e-10
+        assert trajectory_residual <= 1e-8
 
 
 def test_trivial_subgroup_vacuous(d4_flow):
     rep, _, f, _ = d4_flow
     trivial = isotropy_subgroup(rep, (F(1), F(3)))
     assert trivial.order == 1
-    report = check_stratum_invariance(rep, f, trivial)
-    assert report.fix_dim == 2
-    assert all(s.ok for s in report.samples)
+    assert len(fixed_subspace(rep, trivial)) == 2
+    for field_residual, trajectory_residual in fix_residuals(rep, f, trivial):
+        assert field_residual <= 1e-10
+        assert trajectory_residual <= 1e-8
 
 
 def test_full_group_origin(d4_flow):
     rep, _, f, _ = d4_flow
     full = isotropy_subgroup(rep, (F(0), F(0)))
     assert full.order == rep.order
-    report = check_stratum_invariance(rep, f, full)
-    assert report.fix_dim == 0
-    assert len(report.samples) == 1
-    assert all(s.ok for s in report.samples)  # f(0) = 0
+    assert fixed_subspace(rep, full) == []
+    assert fix_residuals(rep, f, full) == [(0.0, 0.0)]  # f(0) = 0
 
 
 # -------------------------------------------------------------- projection
@@ -282,8 +294,9 @@ def test_full_group_origin(d4_flow):
 def test_project_constant(pitchfork):
     _, basis, f = pitchfork
     traj = integrate(f, [0.0], 1.0, 1e-2)
-    proj = project_trajectory(basis, traj)
-    assert np.max(np.abs(proj.j_states)) == 0.0
+    j_states = project_trajectory(basis, traj)
+    assert j_states.shape == (len(traj.times), 1)
+    assert np.max(np.abs(j_states)) == 0.0
 
 
 def test_projection_orbit_invariant(d4_flow):
@@ -291,16 +304,15 @@ def test_projection_orbit_invariant(d4_flow):
     x0 = np.array([0.4, 0.15])
     p1 = project_trajectory(basis, integrate(f, x0, 3.0, 1e-2))
     p2 = project_trajectory(basis, integrate(f, mats[3] @ x0, 3.0, 1e-2))
-    assert np.max(np.abs(p1.j_states - p2.j_states)) <= 1e-10
+    assert np.max(np.abs(p1 - p2)) <= 1e-10
 
 
 def test_consistency_residual_small(pitchfork):
     _, _, f = pitchfork
     traj = integrate(f, [0.1], 2.0, 1.25e-3)
-    report = orbit_space_consistency(f, traj)
-    assert isinstance(report, ConsistencyReport)
-    assert report.max_residual < 1e-5
-    assert report.max_energy_increase <= 1e-9
+    residual, rise = orbit_space_residuals(f, traj)
+    assert residual < 1e-5
+    assert rise <= 1e-9
 
 
 def test_consistency_quarters_under_halving(pitchfork):
@@ -310,7 +322,7 @@ def test_consistency_quarters_under_halving(pitchfork):
     dt = 1e-2
     while dt >= 1e-3:
         traj = integrate(f, [0.1], 2.0, dt)
-        residuals.append(orbit_space_consistency(f, traj).max_residual)
+        residuals.append(orbit_space_residuals(f, traj)[0])
         dt /= 2.0
     for big, small in zip(residuals, residuals[1:]):
         assert 3.5 <= big / small <= 4.5
@@ -319,8 +331,7 @@ def test_consistency_quarters_under_halving(pitchfork):
 def test_energy_monotone_d4(d4_flow):
     _, _, f, _ = d4_flow
     traj = integrate(f, np.array([0.31, 0.77]), 10.0, 1e-2)
-    report = orbit_space_consistency(f, traj)
-    assert report.max_energy_increase <= 1e-9
+    assert orbit_space_residuals(f, traj)[1] <= 1e-9
 
 
 def test_csv_dump(d4_flow):
@@ -344,14 +355,14 @@ def test_csv_dump_rows_are_the_scalar_rows(default_field):
     traj = integrate(f, np.array([0.3, -0.2, 0.1][: f.dim]), 0.5, 1e-2)
     buf = io.StringIO()
     dump_trajectory_csv(buf, f, traj)
-    projected = project_trajectory(f.model.basis, traj)
+    j_states = project_trajectory(f.model.basis, traj)
     want = [
         ",".join(
             [f"{t:.12g}"] + [f"{c:.17g}" for c in x] + [f"{c:.17g}" for c in j]
             + [f"{f.potential(x):.17g}"]
         )
         for t, x, j in zip(
-            traj.times.tolist(), traj.states.tolist(), projected.j_states.tolist()
+            traj.times.tolist(), traj.states.tolist(), j_states.tolist()
         )
     ]
     assert buf.getvalue().splitlines()[1:] == want

