@@ -15,7 +15,11 @@ reporting.  All stochastic pieces are seeded, so identical inputs give
 identical outputs.  A descent, gradient phase and Newton polish alike,
 runs as one generated function over plain floats (`_descent`) with the
 potential, its gradient and its Hessian inlined, and solves its Newton
-systems by LU; numpy enters only when a found point is reported.  The
+systems by elimination; numpy enters only when a found point is reported.
+The gradient phase takes a Newton step instead of the gradient step where
+the Hessian is positive definite, the step is at most 0.5 (1 + |x|) long,
+passes the Armijo test and lands no higher than the gradient step; the
+Newton polish then drives the gradient norm down.  The
 kernels name their coefficients and take the values as bound arguments,
 so every kernel compiles once per model and coefficient support
 (`LandauModel.kernel_code`): a sweep compiles again only where a
@@ -61,7 +65,6 @@ from .polynomials import (
     Polynomial,
     _compile_kernel,
     _kernel_body,
-    compile_gradient,
     compile_polynomial,
     mono_degree,
     substitute,
@@ -229,18 +232,76 @@ def _ball_starts(n: int, count: int, radius: float, seed: int) -> list[np.ndarra
     return out
 
 
-def _descent(phi: Polynomial, codes=None):
+def _solve(n: int, rows: str, rhs: str, pivot: bool, solved: list[str]) -> list[str]:
+    """Lines that overwrite ``d`` with the solution of a d = rhs, a the
+    n x n matrix of ``rows``, by Gaussian elimination and back substitution.
+
+    With ``pivot``, each column swaps up its largest entry (partial
+    pivoting), and an exactly zero pivot ends the elimination with d set to
+    rhs.  Without, the elimination ends at the first pivot that is not
+    positive; a symmetric matrix has all its pivots positive exactly when it
+    is positive definite.  The lines ``solved`` run only once d holds the
+    solution.
+    """
+    if pivot:
+        choose = [
+            "    p = k",
+            f"    for r in range(k + 1, {n}):",
+            "        if abs(a[r][k]) > abs(a[p][k]):",
+            "            p = r",
+            "    if a[p][k] == 0.0:",
+            f"        d = {rhs}",
+            "        break",
+            "    a[k], a[p] = a[p], a[k]",
+            "    d[k], d[p] = d[p], d[k]",
+        ]
+    else:
+        choose = ["    if not a[k][k] > 0.0:", "        break"]
+    return [
+        f"a = {rows}",
+        f"d = {rhs}",
+        f"for k in range({n}):",
+        *choose,
+        f"    for r in range(k + 1, {n}):",
+        "        m = a[r][k] / a[k][k]",
+        f"        for j in range(k + 1, {n}):",
+        "            a[r][j] = a[r][j] - m * a[k][j]",
+        "        d[r] = d[r] - m * d[k]",
+        "else:",
+        f"    for k in range({n - 1}, -1, -1):",
+        f"        for j in range({n - 1}, k, -1):",
+        "            d[k] = d[k] - a[k][j] * d[j]",
+        "        d[k] = d[k] / a[k][k]",
+        *(f"    {line}" for line in solved),
+    ]
+
+
+def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial], codes=None):
     """A whole descent on phi, compiled as one function over plain floats.
 
+    ``grads`` is the gradient of phi and ``hess`` its Hessian, row by row.
     The function ``_k(x0, ..., x{n-1}, gtol, escape, steps, newton_steps)``
     returns ``(status, x)``, status one of ``'ok'``, ``'escaped'`` and
     ``'unconverged'``.
 
-    - Gradient phase: backtracking gradient steps from x, one per item of
-      ``steps``, until the gradient norm is at most ``100 gtol``.  Each
-      step starts at 1 / (1 + |g|) and halves until the Armijo test holds
-      or it falls to 1e-18.  A non-finite gradient ends the descent
-      unconverged.
+    - Gradient phase: one step from x per item of ``steps``, until the
+      gradient norm is at most ``100 gtol``.  A non-finite gradient ends
+      the descent unconverged.  Each step first finds the backtracking
+      gradient step: it starts at 1 / (1 + |g|) and halves until the
+      Armijo test holds or it falls to 1e-18.  Then the Hessian H is
+      eliminated without pivoting, and the Newton point x - d, H d = g,
+      is taken instead when every pivot is positive (H is positive
+      definite), |d| <= 0.5 (1 + |x|), the Armijo test
+      phi(x - d) <= phi(x) - 1e-4 g.d holds and phi(x - d) is no higher
+      than at the gradient step's point: line-search Newton with a bounded
+      step (Nocedal and Wright, *Numerical Optimization*, ch. 3) that never
+      lands higher than the gradient step.  Near a minimum the Newton
+      point wins and converges quadratically.  Farther out the gradient
+      step mostly wins, so the descent keeps near the gradient path.  With
+      the bound and the Armijo test alone, Newton steps carry a d4-sheared
+      descent at the CLI defaults next to its T3 saddle, where gradient
+      steps crawl until the step cap and the polish then converges onto
+      the saddle.
     - Newton phase: damped Newton steps, one per item of ``newton_steps``,
       until the gradient norm is at most ``gtol / 1000``.  The Hessian
       system is solved by LU with partial pivoting; an exactly zero pivot
@@ -251,9 +312,9 @@ def _descent(phi: Polynomial, codes=None):
       ends escaped.  Otherwise it is ok when the final gradient norm is at
       most ``gtol``.
 
-    phi, its gradient and its Hessian are inlined with
-    :func:`polynomials._kernel_body`; norms are ``hypot``.  ``codes`` as in
-    :func:`polynomials._compile_kernel`.
+    Both phases solve by :func:`_solve`.  phi, its gradient and its Hessian
+    are inlined with :func:`polynomials._kernel_body`; norms are ``hypot``.
+    ``codes`` as in :func:`polynomials._compile_kernel`.
     """
     n = phi.nvars
     xs = [f"x{i}" for i in range(n)]
@@ -261,18 +322,33 @@ def _descent(phi: Polynomial, codes=None):
     us = [f"u{i}" for i in range(n)]
     gs = [f"g{i}" for i in range(n)]
     ds = [f"d{i}" for i in range(n)]
-    grads = phi.gradient()
-    hess = [g.partial(j) for g in grads for j in range(n)]
-    here, (*grad, f), c_here = _kernel_body([*grads, phi], xs, "g_")
+    here, outs, c_here = _kernel_body([*grads, phi, *hess], xs, "g_")
+    grad, f, hhere = outs[:n], outs[n], outs[n + 1 :]
     trial, (ft,), c_trial = _kernel_body([phi], ts, "t_")
     newton, outs, c_newton = _kernel_body([*grads, *hess], xs, "n_")
     ngrad, nhess = outs[:n], outs[n:]
     candidate, ugrad, c_candidate = _kernel_body(grads, us, "u_")
     final, fgrad, c_final = _kernel_body(grads, xs, "f_")
     point = "(" + ", ".join(xs) + ",)"
-    rows = ", ".join(
-        "[" + ", ".join(nhess[i * n : (i + 1) * n]) + "]" for i in range(n)
-    )
+    gvec = f"[{', '.join(gs)}]"
+
+    def matrix(entries):
+        return "[" + ", ".join(
+            "[" + ", ".join(entries[i * n : (i + 1) * n]) + "]" for i in range(n)
+        ) + "]"
+
+    # t holds the gradient step's point and p its potential; the Newton
+    # point replaces it in t when it passes the tests and lies no higher
+    newton_step = [
+        f"{', '.join(ds)}, = d",
+        f"if hypot({', '.join(ds)}) <= 0.5 * (1.0 + hypot({', '.join(xs)})):",
+        *(f"    {u} = {t}" for u, t in zip(us, ts)),
+        *(f"    {t} = {x} - {d}" for t, x, d in zip(ts, xs, ds)),
+        *(f"    {s}" for s in trial),
+        f"    if not ({ft} <= fx - 0.0001 * ({' + '.join(f'{g} * {d}' for g, d in zip(gs, ds))})"
+        f" and {ft} <= p):",
+        *(f"        {t} = {u}" for t, u in zip(ts, us)),
+    ]
     lines = [
         "tol = 100.0 * gtol",
         "for i in steps:",
@@ -287,12 +363,12 @@ def _descent(phi: Polynomial, codes=None):
         "    step = 1.0 / (1.0 + gn)",
         "    while True:",
         *(f"        {t} = {x} - step * {g}" for t, x, g in zip(ts, xs, gs)),
-        "        if not step > 1e-18:",
-        "            break",
         *(f"        {s}" for s in trial),
-        f"        if not {ft} > fx - 0.0001 * step * gn * gn:",
+        f"        if not (step > 1e-18 and {ft} > fx - 0.0001 * step * gn * gn):",
         "            break",
         "        step = step * 0.5",
+        f"    p = {ft}",
+        *(f"    {s}" for s in _solve(n, matrix(hhere), gvec, False, newton_step)),
         *(f"    {x} = {t}" for x, t in zip(xs, ts)),
         f"    if hypot({', '.join(xs)}) > escape:",
         f"        return 'escaped', {point}",
@@ -303,28 +379,7 @@ def _descent(phi: Polynomial, codes=None):
         f"    gn = hypot({', '.join(gs)})",
         "    if gn <= tol:",
         "        break",
-        f"    a = [{rows}]",
-        f"    d = [{', '.join(gs)}]",
-        f"    for k in range({n}):",
-        "        p = k",
-        f"        for r in range(k + 1, {n}):",
-        "            if abs(a[r][k]) > abs(a[p][k]):",
-        "                p = r",
-        "        if a[p][k] == 0.0:",
-        f"            d = [{', '.join(gs)}]",
-        "            break",
-        "        a[k], a[p] = a[p], a[k]",
-        "        d[k], d[p] = d[p], d[k]",
-        f"        for r in range(k + 1, {n}):",
-        "            m = a[r][k] / a[k][k]",
-        f"            for j in range(k + 1, {n}):",
-        "                a[r][j] = a[r][j] - m * a[k][j]",
-        "            d[r] = d[r] - m * d[k]",
-        "    else:",
-        f"        for k in range({n - 1}, -1, -1):",
-        f"            for j in range({n - 1}, k, -1):",
-        "                d[k] = d[k] - a[k][j] * d[j]",
-        "            d[k] = d[k] / a[k][k]",
+        *(f"    {s}" for s in _solve(n, matrix(nhess), gvec, True, [])),
         f"    {', '.join(ds)}, = d",
         f"    if not ({' and '.join(f'isfinite({d})' for d in ds)}):",
         f"        {', '.join(ds)}, = {', '.join(gs)},",
@@ -370,11 +425,11 @@ def minimize(
     phi = model.potential(assignment)
     n = rep.dim
     codes = model.kernel_code
-    f, grad = compile_polynomial(phi, codes), compile_gradient(phi, codes)
-    second = compile_polynomial(
-        [d.partial(j) for d in phi.gradient() for j in range(n)], codes
-    )
-    descend = _descent(phi, codes)
+    grads = phi.gradient()
+    hessian = [d.partial(j) for d in grads for j in range(n)]
+    f, grad = compile_polynomial(phi, codes), compile_polynomial(grads, codes)
+    second = compile_polynomial(hessian, codes)
+    descend = _descent(phi, grads, hessian, codes)
 
     def hess(x):
         return np.reshape(second(x), (n, n))
@@ -399,17 +454,15 @@ def minimize(
         raise NoConvergence(f"none of {count} starts reached gradient tolerance")
 
     found.sort(key=lambda x: (f(x), tuple(x)))
-    mats = float_group(rep)
-    reps: list[np.ndarray] = []
+    # x repeats a kept representative r when some image g x lies within
+    # _CLUSTER_TOL (1 + |r|) of r: all images against all kept r at once
+    mats = np.array(float_group(rep))
+    reps, bounds = np.empty((0, n)), np.empty(0)
     for x in found:
-        duplicate = False
-        for r in reps:
-            d = min(float(np.linalg.norm(m @ x - r)) for m in mats)
-            if d <= _CLUSTER_TOL * (1.0 + float(np.linalg.norm(r))):
-                duplicate = True
-                break
-        if not duplicate:
-            reps.append(x)
+        gaps = (mats @ x)[:, None, :] - reps
+        if not (np.sqrt((gaps * gaps).sum(axis=2)) <= bounds).any():
+            reps = np.vstack([reps, x])
+            bounds = np.append(bounds, _CLUSTER_TOL * (1.0 + np.linalg.norm(x)))
 
     points = []
     for x in reps:

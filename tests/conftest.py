@@ -232,14 +232,40 @@ def float_bits(x) -> tuple:
     return tuple(float.hex(c) for c in x)
 
 
-def reference_gradient_phase(x0, f, grad, tol, escape, steps):
+def _positive_definite_solve(h, g):
+    """d with H d = g, H the flat row-major n x n matrix h, by elimination
+    without pivoting; None when a pivot is not positive, that is when H is
+    not positive definite."""
+    n = len(g)
+    a = [list(h[i * n : (i + 1) * n]) for i in range(n)]
+    d = list(g)
+    for k in range(n):
+        if not a[k][k] > 0.0:
+            return None
+        for r in range(k + 1, n):
+            m = a[r][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[r][j] = a[r][j] - m * a[k][j]
+            d[r] = d[r] - m * d[k]
+    for k in range(n - 1, -1, -1):
+        for j in range(n - 1, k, -1):
+            d[k] = d[k] - a[k][j] * d[j]
+        d[k] = d[k] / a[k][k]
+    return d
+
+
+def reference_gradient_phase(x0, f, grad, hess, tol, escape, steps):
     """The gradient phase of a descent as a Python loop over tuples of floats.
 
     The oracle for the gradient phase of ``landau._descent``: the same
-    float operations in the same order, with f and grad as separate
-    kernels.  Returns
-    ``(escaped, x)``: None when the phase ends at tol or after ``steps``
-    steps, False at a non-finite gradient, True once |x| exceeds escape.
+    float operations in the same order, with f, grad and the flat Hessian
+    hess as separate kernels.  Each step is the backtracking gradient step,
+    unless the Hessian is positive definite and its Newton step x - d is no
+    longer than 0.5 (1 + |x|), passes the Armijo test and lands no higher
+    than the gradient step.
+    Returns ``(escaped, x)``: None when the phase ends at tol or after
+    ``steps`` steps, False at a non-finite gradient, True once |x| exceeds
+    escape.
     """
     x = tuple(float(c) for c in x0)
     for _ in range(steps):
@@ -255,6 +281,14 @@ def reference_gradient_phase(x0, f, grad, tol, escape, steps):
         while step > 1e-18 and f(trial) > fx - 1e-4 * step * gn * gn:
             step *= 0.5
             trial = tuple(a - step * b for a, b in zip(x, g))
+        d = _positive_definite_solve(hess(x), g)
+        if d is not None and math.hypot(*d) <= 0.5 * (1.0 + math.hypot(*x)):
+            slope = g[0] * d[0]
+            for gi, di in zip(g[1:], d[1:]):
+                slope = slope + gi * di
+            newton = tuple(a - b for a, b in zip(x, d))
+            if f(newton) <= fx - 1e-4 * slope and f(newton) <= f(trial):
+                trial = newton
         x = trial
         if math.hypot(*x) > escape:
             return True, x

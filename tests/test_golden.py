@@ -18,7 +18,12 @@ floats: the sums run in another order, so the last bits moved.  Before
 re-recording, the old and new files had the same text apart from numbers, so
 the same labels, inertia, orbit sizes and row counts, and every number agreed
 within 1e-12 absolute (the largest change was 1.1e-16).  The z2-line sweep
-did not change.  ``invariants-d4-sheared`` pins a dense rational conjugate
+did not change then.  ``landau-d4`` and ``landau-z2-line-sweep`` were
+re-recorded again when the gradient phase of a descent came to take Newton
+steps, with the same check: the same text apart from numbers, and the
+largest change 5.9e-14, on a near-zero coordinate of ``landau-d4`` (its
+reported gradient norm went from 1.5e-15 to 5.2e-14, still below the
+polish's stop at 1e-13); on the sweep, 1.6e-15.  ``invariants-d4-sheared`` pins a dense rational conjugate
 whose invariant metric is not the identity, and ``invariants-s3-perm`` a
 basis with a degree-1 generator.  ``invariants-a4-rot`` and
 ``invariants-z3-perm`` pin two groups that are not coregular, whose basis

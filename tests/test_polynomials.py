@@ -353,10 +353,10 @@ def _kernels(polys, phi, field, energy):
 
     grads = phi.gradient()
     hess = [g.partial(j) for g in grads for j in range(phi.nvars)]
-    descent = values([*grads, phi]) + values([phi]) + values([*grads, *hess])
+    descent = values([*grads, phi, *hess]) + values([phi]) + values([*grads, *hess])
     return {
         "plain": (compile_polynomial(polys)._fn, values(polys)),
-        "descent": (landau._descent(phi), descent + 2 * values(grads)),
+        "descent": (landau._descent(phi, grads, hess), descent + 2 * values(grads)),
         "rk4": (dynamics._rk4_kernel(field, energy), 4 * values(field) + values([energy])),
     }
 
