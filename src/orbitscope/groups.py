@@ -217,6 +217,33 @@ def _cyclic_subgroup(rep: FiniteGroupRep, g: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
+def _join(cayley, inside: set[int], gens: tuple[int, ...]) -> set[int]:
+    """<H, g> as a set, for a subgroup H (``inside``) generated by all but
+    the last of ``gens`` and g the last: H's members closed under right
+    multiplication by every generator.  A finite group's inverses are
+    positive powers, so the products of generators are the whole join.
+    """
+    g = gens[-1]
+    closed = set(inside)
+    frontier = []
+    for h in inside:
+        k = cayley[h][g]
+        if k not in closed:
+            closed.add(k)
+            frontier.append(k)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            row = cayley[m]
+            for s in gens:
+                k = row[s]
+                if k not in closed:
+                    closed.add(k)
+                    nxt.append(k)
+        frontier = nxt
+    return closed
+
+
 def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
     """Every subgroup, by cyclic extension (Neubüser, 1960).
 
@@ -245,24 +272,7 @@ def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
             if work > cap:
                 raise SubgroupCapExceeded(f"exceeded {cap} closure computations")
             ext_gens = gens + (g,)
-            closed = set(inside)
-            frontier = []
-            for h in members:
-                k = cayley[h][g]
-                if k not in closed:
-                    closed.add(k)
-                    frontier.append(k)
-            while frontier:
-                nxt = []
-                for m in frontier:
-                    row = cayley[m]
-                    for s in ext_gens:
-                        k = row[s]
-                        if k not in closed:
-                            closed.add(k)
-                            nxt.append(k)
-                frontier = nxt
-            key = tuple(sorted(closed))
+            key = tuple(sorted(_join(cayley, inside, ext_gens)))
             if key not in found:
                 found[key] = ext_gens
                 queue.append(key)
@@ -272,16 +282,23 @@ def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
 def fixed_subspace(rep: FiniteGroupRep, sub: Subgroup) -> list[ra.Vec]:
     """Exact basis of Fix(H) = {x : T_h x = x for all h in H}.
 
-    The basis comes from the canonical null space of the stacked
-    (T_h - I) constraints, then is rescaled to integer entries with the
+    The rows come from a generating set of H, not from all its members:
+    going through the members in order, a member is a generator when it
+    lies outside the subgroup the earlier generators span, which is closed
+    on the Cayley table.  Fix(H) is the intersection of the generators'
+    fixed spaces, so the stacked (T_s - I) rows span the same row space as
+    all |H| blocks would; its RREF, and so the canonical null space, are
+    the same.  That basis is then rescaled to integer entries with the
     first nonzero entry positive.
     """
     check_subgroup(rep, sub)
-    constraints = []
+    gens: tuple[int, ...] = ()
+    span = {0}
     for h in sub.members:
-        if h == 0:
-            continue
-        constraints.extend(ra.mat_sub_identity(rep.elements[h]))
+        if h not in span:
+            gens += (h,)
+            span = _join(rep.cayley, span, gens)
+    constraints = [row for s in gens for row in ra.mat_sub_identity(rep.elements[s])]
     if not constraints:
         return [
             tuple(

@@ -13,6 +13,11 @@ potential iff isolated in its stratum) then reduces to scanning realized
 types with one-dimensional fixed space; those rays are returned as the
 principal critical orbit families.
 
+A type is realized, the isotropy of some point, exactly when no larger
+subgroup has a fixed space of the same dimension; `symmetry_types` reads
+that off the subgroup lattice and the fixed-space dimensions, by set
+containment alone.
+
 The types and their lattice are computed once per group:
 `symmetry_types` and `isotropy_lattice` keep them in ``rep.memo``, and
 every function here that needs them reads them there.
@@ -38,7 +43,9 @@ class SymmetryType:
     """A conjugacy class of subgroups with its fixed-space data.
 
     fix is the exact basis of Fix(representative) that `fixed_subspace`
-    returns.
+    returns.  realized says that some point has isotropy exactly the
+    representative: no larger subgroup has a fixed space of the same
+    dimension (the argument is in `symmetry_types`).
     """
 
     label: str
@@ -86,29 +93,25 @@ class RayFamily:
     unit: tuple[float, ...]
 
 
-def _is_realized(rep: FiniteGroupRep, sub: Subgroup, fix) -> bool:
-    """Does some point have isotropy exactly this subgroup H?
-
-    Exactly when the pointwise stabilizer K of Fix(H) (spanned by ``fix``)
-    is H.  K contains H and fixes every point of Fix(H), so if K != H no
-    point has isotropy H.  If K = H, each g outside H fixes only a proper
-    subspace of Fix(H); a vector space over an infinite field is not a
-    finite union of proper subspaces, so some point of Fix(H) is fixed by
-    no such g, and its isotropy is H.  For Fix(H) = 0 this reads: H is
-    realized (by the origin) exactly when H = G.
-    """
-    return (
-        tuple(
-            i
-            for i, t in enumerate(rep.elements)
-            if all(ra.mat_vec(t, b) == b for b in fix)
-        )
-        == sub.members
-    )
-
-
 def symmetry_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
     """Conjugacy classes of all subgroups, with fixed spaces and realized flags.
+
+    H is realized, the isotropy of some point, exactly when no subgroup
+    K ⊋ H has dim Fix(K) = dim Fix(H).  Let P be the pointwise stabilizer
+    of Fix(H); it contains H, and Fix(P) = Fix(H).  If P ≠ H, every point
+    of Fix(H) is fixed by P, so none has isotropy H.  If P = H, each g
+    outside H fixes only a proper subspace of Fix(H), and a vector space
+    over an infinite field is not a finite union of proper subspaces, so
+    some point of Fix(H) has isotropy H.  So H is realized exactly when
+    P = H.  And P ≠ H exactly when such a K exists: P itself is one, and
+    any such K has Fix(K) ⊆ Fix(H) of equal dimension, so
+    Fix(K) = Fix(H) and H ⊊ K ⊆ P.  For Fix(H) = 0 this reads: H is
+    realized (by the origin) exactly when H = G.
+
+    Conjugate subgroups have fixed spaces of equal dimension, so every
+    subgroup takes the ``fix_dim`` of its class.  A representative is
+    then decided by set containment in the subgroups of the classes with
+    its ``fix_dim``, and no matrix is applied to a vector.
 
     Deterministic: subgroups are enumerated in sorted order and classes are
     labeled T0, T1, ... with orders ascending.  Computed once per group and
@@ -118,7 +121,7 @@ def symmetry_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
     if cached is not None:
         return cached
     assigned: set[tuple[int, ...]] = set()
-    types: list[SymmetryType] = []
+    classes: list[tuple[list[tuple[int, ...]], list[ra.Vec]]] = []
     for sub in all_subgroups(rep):
         if sub.members in assigned:
             continue
@@ -126,15 +129,20 @@ def symmetry_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
             {conjugate_subgroup(rep, sub, g).members for g in range(rep.order)}
         )
         assigned.update(conj_members)
-        representative = Subgroup(conj_members[0])
-        fix = fixed_subspace(rep, representative)
+        classes.append((conj_members, fixed_subspace(rep, Subgroup(conj_members[0]))))
+    by_fix_dim: dict[int, list[frozenset[int]]] = {}
+    for conj_members, fix in classes:
+        by_fix_dim.setdefault(len(fix), []).extend(map(frozenset, conj_members))
+    types = []
+    for conj_members, fix in classes:
+        members = frozenset(conj_members[0])
         types.append(
             SymmetryType(
                 label=f"T{len(types)}",
-                representative=representative,
+                representative=Subgroup(conj_members[0]),
                 conjugates=tuple(Subgroup(m) for m in conj_members),
                 fix=tuple(fix),
-                realized=_is_realized(rep, representative, fix),
+                realized=not any(members < k for k in by_fix_dim[len(fix)]),
             )
         )
     cached = rep.memo["symmetry_types"] = tuple(types)

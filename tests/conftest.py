@@ -66,12 +66,13 @@ def permutation_matrix(perm):
     )
 
 
+S3_PERM_GENS = (permutation_matrix((1, 0, 2)), permutation_matrix((1, 2, 0)))
+
+
 @pytest.fixture(scope="session")
 def s3_perm():
     """Permutation action of S3 on R^3."""
-    swap = permutation_matrix((1, 0, 2))
-    cycle = permutation_matrix((1, 2, 0))
-    return groups.close_generators([swap, cycle], name="s3-perm")
+    return groups.close_generators(S3_PERM_GENS, name="s3-perm")
 
 
 S4_PERM_GENS = (permutation_matrix((1, 0, 2, 3)), permutation_matrix((1, 2, 3, 0)))
@@ -178,6 +179,12 @@ B3_GENS = (
 
 # a dense rational conjugate of B3
 B3_CONJ_GENS = conjugate(B3_GENS, DENSE_CONJUGATOR_3)
+
+
+@pytest.fixture(scope="session")
+def b3_conj():
+    """B3 conjugated by a dense rational matrix."""
+    return groups.close_generators(B3_CONJ_GENS, name="b3-conj")
 
 
 @pytest.fixture(scope="session")
@@ -454,6 +461,45 @@ def orbit(rep, point) -> tuple:
     sorted."""
     x = ra.vec(point)
     return tuple(sorted({ra.mat_vec(t, x) for t in rep.elements}))
+
+
+def realized_by_stabilizer(rep, sub, fix) -> bool:
+    """Does some point have isotropy exactly the subgroup H (``sub``)?
+
+    The oracle for ``SymmetryType.realized``, by matrices: exactly when
+    the pointwise stabilizer K of Fix(H), spanned by ``fix``, is H.  K
+    contains H and fixes every point of Fix(H), so if K != H no point has
+    isotropy H.  If K = H, each g outside H fixes only a proper subspace
+    of Fix(H); a vector space over an infinite field is not a finite union
+    of proper subspaces, so some point of Fix(H) is fixed by no such g,
+    and its isotropy is H.
+    """
+    stabilizer = tuple(
+        i
+        for i, t in enumerate(rep.elements)
+        if all(ra.mat_vec(t, b) == b for b in fix)
+    )
+    return stabilizer == sub.members
+
+
+def fixed_subspace_of_all_members(rep, sub) -> list:
+    """Fix(H) from the stacked (T_h - I) rows of every member of H.
+
+    The oracle for ``groups.fixed_subspace``, which stacks the rows of a
+    generating set only: the canonical null space of all |H| blocks, each
+    vector scaled to coprime integer entries with the first nonzero entry
+    positive.
+    """
+    rows = [row for h in sub.members for row in ra.mat_sub_identity(rep.elements[h])]
+    out = []
+    for v in ra.nullspace(rows, rep.dim):
+        scale = math.lcm(*(q.denominator for q in v))
+        ints = [int(q * scale) for q in v]
+        ints = [c // math.gcd(*ints) for c in ints]
+        if next(c for c in ints if c) < 0:
+            ints = [-c for c in ints]
+        out.append(tuple(Fraction(c) for c in ints))
+    return out
 
 
 def poly_pow(p: Polynomial, e: int) -> Polynomial:

@@ -27,7 +27,14 @@ polish's stop at 1e-13); on the sweep, 1.6e-15.  ``invariants-d4-sheared`` pins 
 whose invariant metric is not the identity, and ``invariants-s3-perm`` a
 basis with a degree-1 generator.  ``invariants-a4-rot`` and
 ``invariants-z3-perm`` pin two groups that are not coregular, whose basis
-search stops at a degree bound rather than at a certified free basis.  The ``.txt``
+search stops at a degree bound rather than at a certified free basis.
+``strata-s4-std``, ``strata-o-rot``, ``strata-a4-rot`` and
+``strata-d4-sheared`` (``.json``) and ``group-s4-std`` (``.txt``, ``.csv``)
+pin the type census beyond d4 (subgroup and class counts, fix dims,
+realized flags, Hasse edges, rays): they were recorded before the realized
+flag came to be read off the subgroup lattice and fixed spaces came to be
+built from a generating set, so they hold those two changes to the old
+answers.  The ``.txt``
 and ``.csv`` files were recorded before the text and CSV output of every
 command came to be read from its JSON report; they pin the header lines and
 every line the two formats print.  They run from ``golden/`` with a relative
@@ -52,6 +59,10 @@ CASES = [
     ("invariants-s3-perm", ["invariants", "--spec", "s3-perm"]),
     ("invariants-a4-rot", ["invariants", "--spec", "a4-rot"]),
     ("invariants-z3-perm", ["invariants", "--spec", "z3-perm"]),
+    ("strata-s4-std", ["strata", "--spec", "s4-std"]),
+    ("strata-o-rot", ["strata", "--spec", "o-rot"]),
+    ("strata-a4-rot", ["strata", "--spec", "a4-rot"]),
+    ("strata-d4-sheared", ["strata", "--spec", "d4-sheared"]),
     ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
     ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
     ("reduce-s3-perm-ell3", ["reduce", "--spec", "s3-perm", "--ell=3"]),
@@ -62,6 +73,7 @@ CASES = [
 
 PRINTED = [
     ("group-d4", ["group", "--spec", "d4"]),
+    ("group-s4-std", ["group", "--spec", "s4-std"]),
     ("invariants-d4", ["invariants", "--spec", "d4"]),
     ("strata-d4", ["strata", "--spec", "d4"]),
     ("landau-d4", ["landau", "--spec", "d4"]),

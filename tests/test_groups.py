@@ -7,8 +7,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import B3_CONJ_GENS, B3_GENS, D4_SHEARED_GENS, ROT90, S4_PERM_GENS, orbit
+from conftest import (
+    B3_CONJ_GENS,
+    B3_GENS,
+    D4_SHEARED_GENS,
+    FLIP_Y,
+    ROT90,
+    S3_PERM_GENS,
+    S4_PERM_GENS,
+    conjugate,
+    fixed_subspace_of_all_members,
+    orbit,
+)
 from orbitscope import groups, rationals as ra
 from orbitscope.cli import load_group_spec
 from orbitscope.errors import (
@@ -236,6 +248,10 @@ def test_check_subgroup_rejects(d4):
     )
     with pytest.raises(NotASubgroup):
         groups.check_subgroup(d4, groups.Subgroup((0, rot)))
+    # {I, R} generates the rotation subgroup, so fixed_subspace's
+    # generating-set rows alone would answer Fix(<R>) without the check
+    with pytest.raises(NotASubgroup):
+        groups.fixed_subspace(d4, groups.Subgroup((0, rot)))
 
 
 def test_fixed_subspace(d4):
@@ -256,6 +272,36 @@ def test_fixed_subspace_diagonal_mirror(d4):
     mirror = groups.isotropy_subgroup(d4, (1, 1))
     assert mirror.order == 2
     assert groups.fixed_subspace(d4, mirror) == [(Fraction(1), Fraction(1))]
+
+
+@pytest.mark.parametrize("name", ["d4_sheared", "o_rot_conj", "b3_conj"])
+def test_fixed_subspace_matches_all_members(request, name):
+    # the rows of a generating set span the rows of all |H| members, so
+    # the canonical basis is the same, vector for vector
+    rep = request.getfixturevalue(name)
+    for sub in groups.all_subgroups(rep):
+        assert groups.fixed_subspace(rep, sub) == fixed_subspace_of_all_members(rep, sub)
+
+
+def rational_conjugators(n):
+    """n x n matrices with small rational entries; the property skips the
+    singular ones."""
+    entry = st.fractions(-2, 2, max_denominator=3)
+    return st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(ra.mat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(ROT90, FLIP_Y), S3_PERM_GENS]).flatmap(
+    lambda gens: st.tuples(st.just(gens), rational_conjugators(len(gens[0])))
+))
+def test_fixed_subspace_on_rational_conjugates(case):
+    gens, s = case
+    assume(ra.mat_det(s) != 0)
+    rep = groups.close_generators(conjugate(gens, s))
+    for sub in groups.all_subgroups(rep):
+        assert groups.fixed_subspace(rep, sub) == fixed_subspace_of_all_members(rep, sub)
 
 
 def test_invariant_metric_orthogonal(d4):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import B3_CONJ_GENS, B3_GENS, FLIP_Y, ROT90, orbit, permutation_matrix, poly_pow
+from conftest import B3_GENS, FLIP_Y, ROT90, orbit, permutation_matrix, poly_pow
 from orbitscope import invariants, polynomials, rationals as ra
 from orbitscope.errors import NotExpressible, NotInvariant
 from orbitscope.groups import close_generators, invariant_metric
@@ -164,11 +164,10 @@ def test_invariant_space_z2_degree2_span(z2_plane):
 
 
 def test_invariant_space_is_the_reynolds_span(
-    z2_line, z2_plane, z2xz2, z4, d4, d4_sheared, s3_perm, s4_perm, b3
+    z2_line, z2_plane, z2xz2, z4, d4, d4_sheared, s3_perm, s4_perm, b3, b3_conj
 ):
     # the kernel of the generators' action spans what the group average of
     # every monomial spans
-    b3_conj = close_generators(B3_CONJ_GENS, name="b3-conj")
     for rep in (z2_line, z2_plane, z2xz2, z4, d4, d4_sheared, s3_perm, s4_perm, b3, b3_conj):
         for d in range(7):
             monos = monomials_of_degree(rep.dim, d)

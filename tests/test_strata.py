@@ -4,7 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import FLIP_Y, ROT90, orbit
+import pytest
+
+from conftest import FLIP_Y, ROT90, orbit, realized_by_stabilizer
 
 from orbitscope import groups, rationals as ra, strata
 from orbitscope.groups import (
@@ -90,6 +92,19 @@ def test_types_s3(s3_perm):
     assert realized == {(1, 3), (2, 2), (6, 1)}
     c3 = next(t for t in types if t.order == 3)
     assert c3.fix_dim == 1 and not c3.realized
+
+
+@pytest.mark.parametrize("name", [
+    "z2_line", "z2_plane", "z2xz2", "z4", "d4", "d4_sheared", "s3_perm",
+    "s4_perm", "o_rot", "o_rot_conj", "z3_hex", "neg_identity_3", "z3_perm",
+    "a4_rot", "b3", "b3_conj", "b4_rot", "s5_std",
+])
+def test_realized_matches_pointwise_stabilizer(request, name):
+    # the flag read off the subgroup lattice against the pointwise
+    # stabilizer of each representative's fixed space, by matrices
+    rep = request.getfixturevalue(name)
+    for t in symmetry_types(rep):
+        assert t.realized == realized_by_stabilizer(rep, t.representative, t.fix), t.label
 
 
 def test_types_deterministic():
