@@ -34,7 +34,12 @@ pin the type census beyond d4 (subgroup and class counts, fix dims,
 realized flags, Hasse edges, rays): they were recorded before the realized
 flag came to be read off the subgroup lattice and fixed spaces came to be
 built from a generating set, so they hold those two changes to the old
-answers.  The ``.txt``
+answers.  ``invariants-b3`` (``--degree-cap=8``) and
+``invariants-s4-std-sheared`` (``--degree-cap=6``, the benchmark's dense
+3x3 conjugate of s4-std, its spec taken from ``perfbench/specs.py``) are
+the benchmark's two largest ``invariants`` jobs; they were recorded before
+the Molien series and the invariant metric came to be summed in integers,
+so they hold that change to the old Molien coefficients and P-matrix.  The ``.txt``
 and ``.csv`` files were recorded before the text and CSV output of every
 command came to be read from its JSON report; they pin the header lines and
 every line the two formats print.  They run from ``golden/`` with a relative
@@ -59,6 +64,8 @@ CASES = [
     ("invariants-s3-perm", ["invariants", "--spec", "s3-perm"]),
     ("invariants-a4-rot", ["invariants", "--spec", "a4-rot"]),
     ("invariants-z3-perm", ["invariants", "--spec", "z3-perm"]),
+    ("invariants-b3", ["invariants", "--spec", "b3", "--degree-cap=8"]),
+    ("invariants-s4-std-sheared", ["invariants", "--spec", "s4-std-sheared", "--degree-cap=6"]),
     ("strata-s4-std", ["strata", "--spec", "s4-std"]),
     ("strata-o-rot", ["strata", "--spec", "o-rot"]),
     ("strata-a4-rot", ["strata", "--spec", "a4-rot"]),
