@@ -97,10 +97,11 @@ def close_generators(generators, max_order: int = 10000, name=None) -> FiniteGro
     Elements are found breadth first as products m*g of known elements by
     generators and keyed by the images of the basis (the first ``dim``
     entries of the permutation p), which fix the matrix: its column j is
-    the point ``pts[p[j]]``.  Raises OrderCapExceeded beyond ``max_order`` elements,
-    or once the point set passes ``dim * max_order`` points (each basis
-    orbit has at most |G| points), which is how a generator of infinite
-    order is caught.
+    the point ``pts[p[j]]``.  Each generator's permutation is recorded as
+    the point closure computes its images.  Raises OrderCapExceeded beyond
+    ``max_order`` elements, or once the point set passes ``dim * max_order``
+    points (each basis orbit has at most |G| points), which is how a
+    generator of infinite order is caught.
     """
     gens = [ra.mat(g) for g in generators]
     if not gens:
@@ -113,8 +114,9 @@ def close_generators(generators, max_order: int = 10000, name=None) -> FiniteGro
             raise NonInvertibleGenerator("generator matrix is singular")
     pts = list(ra.mat_identity(dim))
     point_index = {p: i for i, p in enumerate(pts)}
+    images: list[list[int]] = [[] for _ in gens]
     for p in pts:
-        for g in gens:
+        for g, image in zip(gens, images):
             q = ra.mat_vec(g, p)
             if q not in point_index:
                 point_index[q] = len(pts)
@@ -124,7 +126,8 @@ def close_generators(generators, max_order: int = 10000, name=None) -> FiniteGro
                         f"closure exceeded {max_order} elements: the basis "
                         f"orbits passed {dim * max_order} points"
                     )
-    gen_perms = [tuple(point_index[ra.mat_vec(g, p)] for p in pts) for g in gens]
+            image.append(point_index[q])
+    gen_perms = [tuple(image) for image in images]
     identity = tuple(range(len(pts)))
     perms = [identity]
     index = {identity[:dim]: 0}
@@ -155,12 +158,28 @@ def close_generators(generators, max_order: int = 10000, name=None) -> FiniteGro
 
 
 def invariant_metric(rep: FiniteGroupRep) -> InvariantMetric:
-    """eta = (1/|G|) sum_g T_g^T T_g, exactly invariant: T_g^T eta T_g = eta."""
+    """eta = (1/|G|) sum_g T_g^T T_g, exactly invariant: T_g^T eta T_g = eta.
+
+    The sum runs in integers: with L the lcm of the denominators of every
+    entry of every element, A_g = L T_g is an integer matrix, and eta's
+    entry (a, b) is the sum over g of the dot product of A_g's columns a
+    and b, divided by L^2 |G|.  The sums run over the upper triangle only.
+    """
     n = rep.dim
-    total = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    scale = math.lcm(*(q.denominator for t in rep.elements for row in t for q in row))
+    total = [[0] * n for _ in range(n)]
     for t in rep.elements:
-        total = ra.mat_add(total, ra.mat_mul(ra.mat_transpose(t), t))
-    eta = ra.mat_scale(total, Fraction(1, rep.order))
+        a_g = [[q.numerator * (scale // q.denominator) for q in row] for row in t]
+        cols = tuple(zip(*a_g))
+        for a in range(n):
+            col_a, row = cols[a], total[a]
+            for b in range(a, n):
+                row[b] += sum(x * y for x, y in zip(col_a, cols[b]))
+    divisor = scale * scale * rep.order
+    eta = tuple(
+        tuple(Fraction(total[min(a, b)][max(a, b)], divisor) for b in range(n))
+        for a in range(n)
+    )
     return InvariantMetric(eta=eta, eta_inv=ra.mat_inverse(eta))
 
 

@@ -5,15 +5,17 @@ degree-d invariant space is one exact null space, W_d = ∩_s ker(T_s - I)
 on degree-d forms over the spec generators s (Derksen-Kemper,
 *Computational Invariant Theory*, §3.1); its cost grows with the number of
 generators, not with |G|.  Only the Molien series, which counts dim W_d,
-sums over every element.  A minimal integrity basis (MIB) is grown degree
-by degree: at each degree the power products of the basis so far are
-spanned first, then the reduced echelon basis of W_d modulo that span is
-appended, which guarantees minimality.  Products of the generators and
-the images x^m(T_s x) come from ``polynomials.power_products`` tables, each
-built once.  The growth stops at the first degree where the basis is
-certified complete (:func:`is_coregular`), or at the degree bound of a
-homogeneous system of parameters among its generators, or else at the
-degree cap.
+sums over every element, and it sums in integers: each det(I - t T_g) is
+formed from the traces of the powers of g by Newton's identities, has
+integer coefficients, and the integer series are divided by |G| once.
+A minimal integrity basis (MIB) is grown degree by degree: at each degree
+the power products of the basis so far are spanned first, then the
+reduced echelon basis of W_d modulo that span is appended, which
+guarantees minimality.  Products of the generators and the images
+x^m(T_s x) come from ``polynomials.power_products`` tables, each built
+once.  The growth stops at the first degree where the basis is certified
+complete (:func:`is_coregular`), or at the degree bound of a homogeneous
+system of parameters among its generators, or else at the degree cap.
 
 All greedy choices scan candidates in the canonical monomial order, so the
 output is deterministic down to the coefficient level.
@@ -84,65 +86,82 @@ class MolienSeries:
         return self.coefficients[d]
 
 
-def _char_poly_reversed(t_mat: ra.Mat) -> list[Fraction]:
-    """Coefficients of det(I - t*T) in ascending powers of t."""
-    n = len(t_mat)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
-    for k in range(1, n + 1):
-        total = Fraction(0)
-        for subset in itertools.combinations(range(n), k):
-            minor = tuple(
-                tuple(t_mat[i][j] for j in subset) for i in subset
-            )
-            total += ra.mat_det(minor)
-        coeffs[k] = (-1) ** k * total
-    return coeffs
-
-
-def _series_reciprocal(poly_coeffs: tuple[Fraction, ...], cap: int) -> list[Fraction]:
+def _series_reciprocal(poly_coeffs: tuple[int, ...], cap: int) -> list[int]:
     """Power series of 1/p(t) up to t^cap; requires p(0) == 1."""
     assert poly_coeffs[0] == 1
-    out = [Fraction(0)] * (cap + 1)
-    out[0] = Fraction(1)
+    out = [0] * (cap + 1)
+    out[0] = 1
     for m in range(1, cap + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, min(m, len(poly_coeffs) - 1) + 1):
             acc += poly_coeffs[i] * out[m - i]
         out[m] = -acc
     return out
 
 
-def _char_polys(rep: FiniteGroupRep) -> tuple[tuple[tuple[Fraction, ...], int], ...]:
+def _char_polys(rep: FiniteGroupRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The distinct det(I - t*T_g), each with the number of elements that
     have it.  It is a class function, so there are at most as many as
     conjugacy classes; the table is built once per rep and kept in its memo.
+
+    The coefficients a_k come from the power sums p_k = tr(T_g^k) by
+    Newton's identities, k a_k = -(a_{k-1} p_1 + ... + a_0 p_k), with the
+    powers g^k read off the Cayley table.  For g of finite order every
+    trace is a sum of roots of unity, so a rational trace is an integer,
+    and so is every a_k; a trace or a coefficient that is not raises
+    ArithmeticError.
     """
     table = rep.memo.get("char_polys")
     if table is None:
-        counts: dict[tuple[Fraction, ...], int] = {}
+        traces = []
         for t in rep.elements:
-            q = tuple(_char_poly_reversed(t))
-            counts[q] = counts.get(q, 0) + 1
-        table = rep.memo["char_polys"] = tuple(counts.items())
+            tr = sum(t[i][i] for i in range(rep.dim))
+            if tr.denominator != 1:
+                raise ArithmeticError(f"non-integral trace {tr} of a group element")
+            traces.append(int(tr))
+        counts: dict[tuple[int, ...], int] = {}
+        for g, row in enumerate(rep.cayley):
+            sums = [traces[g]]
+            power = g
+            for _ in range(1, rep.dim):
+                power = row[power]
+                sums.append(traces[power])
+            key = tuple(sums)
+            counts[key] = counts.get(key, 0) + 1
+        table = rep.memo["char_polys"] = tuple(
+            (_char_poly_from_power_sums(sums), count) for sums, count in counts.items()
+        )
     return table
+
+
+def _char_poly_from_power_sums(sums: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of det(I - t*T) in ascending powers of t, from the
+    power sums tr(T^k), k = 1..n."""
+    coeffs = [1]
+    for k in range(1, len(sums) + 1):
+        a, rem = divmod(-sum(coeffs[k - i] * sums[i - 1] for i in range(1, k + 1)), k)
+        if rem:
+            raise ArithmeticError(f"non-integral char poly coefficient at t^{k}")
+        coeffs.append(a)
+    return tuple(coeffs)
 
 
 def molien_series(rep: FiniteGroupRep, degree_cap: int) -> MolienSeries:
     """c_d = [t^d] (1/|G|) sum_g 1/det(1 - t T_g), exactly, summed over the
-    distinct det(1 - t T_g) weighted by their counts."""
-    total = [Fraction(0)] * (degree_cap + 1)
+    distinct det(1 - t T_g) weighted by their counts.  Every det(1 - t T_g)
+    has integer coefficients and constant term 1, so the sum is one of
+    integer series, divided by |G| at the end."""
+    total = [0] * (degree_cap + 1)
     for q, count in _char_polys(rep):
         series = _series_reciprocal(q, degree_cap)
         for d in range(degree_cap + 1):
             total[d] += count * series[d]
-    inv_order = Fraction(1, rep.order)
     coeffs = []
     for d in range(degree_cap + 1):
-        c = total[d] * inv_order
-        if c.denominator != 1 or c < 0:
+        c, rem = divmod(total[d], rep.order)
+        if rem or c < 0:
             raise ArithmeticError(f"non-integral Molien coefficient at degree {d}")
-        coeffs.append(int(c))
+        coeffs.append(c)
     return MolienSeries(rep.order, tuple(coeffs))
 
 

@@ -59,18 +59,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
-def mat_transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, c: Fraction) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_sub_identity(a: Mat) -> Mat:
     """a - I, used for fixed-space constraints."""
     n = len(a)

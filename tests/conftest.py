@@ -5,12 +5,14 @@ closure cost to one run per group.
 """
 
 import importlib.util
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from orbitscope import cli, dynamics, groups, rationals as ra
 from orbitscope.errors import MonotonicityViolation
@@ -148,25 +150,28 @@ def z3_perm():
     return groups.close_generators([permutation_matrix((1, 2, 0))], name="z3-perm")
 
 
+A4_ROT_GENS = (_diag(-1, -1, 1), permutation_matrix((1, 2, 0)))
+
+
 @pytest.fixture(scope="session")
 def a4_rot():
     """Rotations of the tetrahedron on R^3, order 12."""
-    return groups.close_generators(
-        [_diag(-1, -1, 1), permutation_matrix((1, 2, 0))], name="a4-rot"
-    )
+    return groups.close_generators(A4_ROT_GENS, name="a4-rot")
+
+
+# the signed permutations of R^4 of determinant 1
+B4_ROT_GENS = (
+    ra.mat_mul(permutation_matrix((1, 0, 2, 3)), _diag(-1, 1, 1, 1)),
+    ra.mat_mul(permutation_matrix((1, 2, 3, 0)), _diag(-1, 1, 1, 1)),
+    _diag(-1, -1, 1, 1),
+)
 
 
 @pytest.fixture(scope="session")
 def b4_rot():
     """Rotations of the 4-cube, order 192: the signed permutations of
     determinant 1."""
-    flip = _diag(-1, 1, 1, 1)
-    gens = [
-        ra.mat_mul(permutation_matrix((1, 0, 2, 3)), flip),
-        ra.mat_mul(permutation_matrix((1, 2, 3, 0)), flip),
-        _diag(-1, -1, 1, 1),
-    ]
-    return groups.close_generators(gens, name="b4-rot")
+    return groups.close_generators(B4_ROT_GENS, name="b4-rot")
 
 
 # all signed permutations of R^3: two permutations and one sign flip
@@ -500,6 +505,56 @@ def fixed_subspace_of_all_members(rep, sub) -> list:
             ints = [-c for c in ints]
         out.append(tuple(Fraction(c) for c in ints))
     return out
+
+
+def char_poly_by_minors(rep) -> tuple:
+    """The distinct det(I - t T_g) with the number of elements that have
+    each, in order of first appearance.
+
+    The oracle for ``invariants._char_polys``, which forms them from power
+    sums by Newton's identities: here the coefficient of t^k is (-1)^k
+    times the sum of the k x k principal minors of T_g, each an exact
+    determinant.
+    """
+    counts: dict = {}
+    n = rep.dim
+    for t in rep.elements:
+        coeffs = [Fraction(1)]
+        for k in range(1, n + 1):
+            minors = sum(
+                ra.mat_det(tuple(tuple(t[i][j] for j in subset) for i in subset))
+                for subset in itertools.combinations(range(n), k)
+            )
+            coeffs.append((-1) ** k * minors)
+        q = tuple(coeffs)
+        counts[q] = counts.get(q, 0) + 1
+    return tuple(counts.items())
+
+
+def metric_by_fraction_sum(rep):
+    """(1/|G|) sum_g T_g^T T_g, summed entry by entry in Fractions.
+
+    The oracle for ``groups.invariant_metric``, which sums integer-scaled
+    Gram matrices instead.
+    """
+    n = rep.dim
+    return tuple(
+        tuple(
+            sum((t[i][a] * t[i][b] for t in rep.elements for i in range(n)), Fraction(0))
+            / rep.order
+            for b in range(n)
+        )
+        for a in range(n)
+    )
+
+
+def rational_conjugators(n):
+    """n x n matrices with small rational entries; a property that uses
+    them skips the singular ones."""
+    entry = st.fractions(-2, 2, max_denominator=3)
+    return st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(ra.mat)
 
 
 def poly_pow(p: Polynomial, e: int) -> Polynomial:

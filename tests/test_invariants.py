@@ -6,6 +6,7 @@ monomials, computed by row reduction with no series arithmetic involved.
 Frozen values below were produced by that oracle and cross-checked by hand.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -13,11 +14,31 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import B3_GENS, FLIP_Y, ROT90, orbit, permutation_matrix, poly_pow
+from conftest import (
+    A4_ROT_GENS,
+    B3_GENS,
+    B4_ROT_GENS,
+    FLIP_X,
+    FLIP_Y,
+    O_ROT_GENS,
+    REFLECT_LINE,
+    ROT90,
+    S3_PERM_GENS,
+    S4_PERM_GENS,
+    S5_GENS,
+    char_poly_by_minors,
+    conjugate,
+    metric_by_fraction_sum,
+    orbit,
+    permutation_matrix,
+    poly_pow,
+    rational_conjugators,
+)
 from orbitscope import invariants, polynomials, rationals as ra
 from orbitscope.errors import NotExpressible, NotInvariant
-from orbitscope.groups import close_generators, invariant_metric
+from orbitscope.groups import FiniteGroupRep, close_generators, invariant_metric
 from orbitscope.invariants import (
     IntegrityBasis,
     _jacobian_determinant,
@@ -135,6 +156,59 @@ def test_molien_basic_shape(z2_plane, z4, s3_perm):
 def test_molien_invariant_under_conjugation(d4, d4_sheared):
     # similar representations have equal graded dimensions
     assert molien_series(d4, 8).coefficients == molien_series(d4_sheared, 8).coefficients
+
+
+# the ladder groups, and o-rot, a4-rot and b4-rot, by generators
+SUMMED_GROUPS = {
+    "z2-line": (REFLECT_LINE,),
+    "z2xz2": (FLIP_X, FLIP_Y),
+    "d4": (ROT90, FLIP_Y),
+    "s3-perm": S3_PERM_GENS,
+    "s4-perm": S4_PERM_GENS,
+    "b3": B3_GENS,
+    "s5-std": S5_GENS,
+    "o-rot": O_ROT_GENS,
+    "a4-rot": A4_ROT_GENS,
+    "b4-rot": B4_ROT_GENS,
+}
+
+
+@functools.cache
+def _summed_group(name):
+    return close_generators(SUMMED_GROUPS[name], name=name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(SUMMED_GROUPS)).flatmap(
+    lambda name: st.tuples(
+        st.just(name), rational_conjugators(len(SUMMED_GROUPS[name][0]))
+    )
+))
+def test_group_sums_on_rational_conjugates(case):
+    # the integer sums against the Fraction oracles, on S^-1 G S
+    name, s = case
+    assume(ra.mat_det(s) != 0)
+    rep = close_generators(conjugate(SUMMED_GROUPS[name], s))
+    assert invariants._char_polys(rep) == char_poly_by_minors(rep)
+    assert molien_series(rep, 8) == molien_series(_summed_group(name), 8)
+    eta = invariant_metric(rep).eta
+    assert eta == metric_by_fraction_sum(rep)
+    for t in rep.elements:
+        assert ra.mat_mul(ra.mat_mul(tuple(zip(*t)), eta), t) == eta
+
+
+@pytest.mark.parametrize("element, why", [
+    (((Fraction(1, 2),),), "non-integral trace"),
+    (((Fraction(2), Fraction(0)), (Fraction(0), Fraction(-1))), "non-integral char poly"),
+], ids=["trace", "coefficient"])
+def test_non_integral_char_poly_raises(element, why):
+    # {I, T} with T^2 = I by its table: T = (1/2) has a non-integral trace;
+    # T = diag(2, -1) has tr T = 1 and tr T^2 read as tr I = 2, so the
+    # t^2 coefficient (1^2 - 2) / 2 is not an integer
+    n = len(element)
+    rep = FiniteGroupRep(n, [ra.mat_identity(n), element], [[0, 1], [1, 0]], [0, 1], [1])
+    with pytest.raises(ArithmeticError, match=why):
+        molien_series(rep, 4)
 
 
 # ------------------------------------------------- graded invariant spaces

@@ -120,7 +120,7 @@ def test_act_chain_rule():
     # gradient of p(Tx) equals T^T (grad p)(Tx)
     rng = random.Random(5)
     t = ra.mat([[1, 2], [-1, 1]])
-    tt = ra.mat_transpose(t)
+    tt = tuple(zip(*t))
     for _ in range(5):
         p = random_poly(rng)
         lhs = act(t, p).gradient()
