@@ -65,10 +65,11 @@ class GradientField:
     """Callable descent field with its potential and metric attached.
 
     Evaluation is float throughout.  The field -eta_inv grad Phi is formed
-    exactly and compiled once, like the potential; a call takes any
-    sequence of coordinates and returns the kernel's tuple of floats.
-    ``step`` is one classical Runge-Kutta step compiled as a single
-    function (see :func:`_rk4_kernel`), which :func:`integrate` runs.
+    exactly and compiled into one kernel with the potential ahead of it; a
+    call takes any sequence of coordinates and returns the field's tuple
+    of floats, and :meth:`potential` the potential.  ``step`` is one
+    classical Runge-Kutta step compiled as a single function (see
+    :func:`_rk4_kernel`), which :func:`integrate` runs.
     """
 
     def __init__(self, model: LandauModel, assignment):
@@ -82,17 +83,15 @@ class GradientField:
             sum((g.scale(-w) for w, g in zip(row, grads) if w), zero)
             for row in invariant_metric(rep).eta_inv
         ]
-        codes = model.kernel_code
-        self._phi = compile_polynomial(phi, codes)
-        self._field = compile_polynomial(descent, codes)
-        self.step = _rk4_kernel(descent, phi, codes)
+        self._kernel = compile_polynomial([phi, *descent])
+        self.step = _rk4_kernel(descent, phi)
         self.dim = rep.dim
 
     def __call__(self, x) -> tuple:
-        return self._field(x)
+        return self._kernel(x)[1:]
 
     def potential(self, x) -> float:
-        return self._phi(x)
+        return self._kernel(x)[0]
 
 
 def gradient_field(model: LandauModel, assignment) -> GradientField:
@@ -100,7 +99,7 @@ def gradient_field(model: LandauModel, assignment) -> GradientField:
     return GradientField(model, assignment)
 
 
-def _rk4_kernel(field: list[Polynomial], phi: Polynomial, codes=None):
+def _rk4_kernel(field: list[Polynomial], phi: Polynomial):
     """One Runge-Kutta step of the polynomial field, compiled as one function.
 
     The function ``_k(x0, ..., x{n-1}, h)`` returns
@@ -108,7 +107,6 @@ def _rk4_kernel(field: list[Polynomial], phi: Polynomial, codes=None):
     phi at the new state, with the float operations of the classical
     scheme k1 = f(x), k2 = f(x + h/2 k1), k3 = f(x + h/2 k2),
     k4 = f(x + h k3), x' = x + h/6 (k1 + 2 k2 + 2 k3 + k4) in that order.
-    ``codes`` as in :func:`polynomials._compile_kernel`.
     """
     n = len(field)
     xs = [f"x{i}" for i in range(n)]
@@ -141,7 +139,7 @@ def _rk4_kernel(field: list[Polynomial], phi: Polynomial, codes=None):
     lines += statements
     lines.append(f"return ({', '.join(new)},), {energy}")
     constants.update(named)
-    return _compile_kernel([*xs, "h"], lines, constants, codes)
+    return _compile_kernel([*xs, "h"], lines, constants)
 
 
 def _finite(x: tuple, energy: float) -> bool:
@@ -219,8 +217,9 @@ def dump_trajectory_csv(out, field: GradientField, traj: Trajectory) -> None:
     """t, x-components, basis values, potential -- one row per step.
 
     Every cell is a number or a fixed header, so each row is one
-    ``%``-format of plain floats; the potential of every row comes from one
-    :meth:`NumericPoly.eval_many` call, bit-identical to the scalar kernel."""
+    ``%``-format of plain floats; the potential of every row is column 0 of
+    one :meth:`NumericPoly.eval_many` call of the field's kernel,
+    bit-identical to the scalar kernel."""
     basis = field.model.basis
     j_states = project_trajectory(basis, traj)
     k = len(basis.polys)
@@ -232,7 +231,7 @@ def dump_trajectory_csv(out, field: GradientField, traj: Trajectory) -> None:
     )
     out.write(",".join(header) + "\n")
     row = "%.12g," + ",".join(["%.17g"] * (field.dim + k + 1)) + "\n"
-    phis = field._phi.eval_many(traj.states).tolist()
+    phis = field._kernel.eval_many(traj.states)[:, 0].tolist()
     for t, x, j, phi in zip(
         traj.times.tolist(), traj.states.tolist(), j_states.tolist(), phis
     ):

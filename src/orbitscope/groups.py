@@ -110,7 +110,10 @@ def close_generators(generators, max_order: int = 10000, name=None) -> FiniteGro
     for g in gens:
         if len(g) != dim or any(len(row) != dim for row in g):
             raise DimensionMismatch("generators must be square and equal size")
-        if ra.mat_det(g) == 0:
+        reducer = ra.RowReducer(dim)
+        for row in g:
+            reducer.add(row)
+        if reducer.rank < dim:
             raise NonInvertibleGenerator("generator matrix is singular")
     pts = list(ra.mat_identity(dim))
     point_index = {p: i for i, p in enumerate(pts)}

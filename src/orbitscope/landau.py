@@ -19,11 +19,13 @@ systems by elimination; numpy enters only when a found point is reported.
 The gradient phase takes a Newton step instead of the gradient step where
 the Hessian is positive definite, the step is at most 0.5 (1 + |x|) long,
 passes the Armijo test and lands no higher than the gradient step; the
-Newton polish then drives the gradient norm down.  The
-kernels name their coefficients and take the values as bound arguments,
-so every kernel compiles once per model and coefficient support
-(`LandauModel.kernel_code`): a sweep compiles again only where a
-coefficient vanishes.
+Newton polish then drives the gradient norm down.  The points found are
+reported from one more kernel, of the potential, its gradient and its
+Hessian together.  The kernels name their coefficients and take the
+values as bound arguments, so every kernel compiles once per coefficient
+support (see `polynomials._compile_kernel`): a sweep compiles again only
+where a coefficient vanishes, and a second model on the same support not
+at all.
 
 The numerical settings are module constants; only the seed and the
 gradient tolerance of `minimize` and the transition tolerance of `sweep`
@@ -89,19 +91,13 @@ class LandauModel:
 
     psi lives in J-space; its J-monomials substitute to x-degrees between
     2 and degree_x.  Parameters in `critical` may vanish along a sweep,
-    the rest are treated as uniformly nonzero.  ``kernel_code`` maps the
-    source of every float kernel compiled for the model to its code (see
-    :func:`polynomials._compile_kernel`), so that kernels whose
-    polynomials share a support, as along a sweep, compile once.
+    the rest are treated as uniformly nonzero.
     """
 
     basis: IntegrityBasis
     psi: Polynomial
     degree_x: int
     critical: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kernel_code", {})
 
     def parameters(self) -> set[str]:
         return self.psi.parameters()
@@ -276,7 +272,7 @@ def _solve(n: int, rows: str, rhs: str, pivot: bool, solved: list[str]) -> list[
     ]
 
 
-def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial], codes=None):
+def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial]):
     """A whole descent on phi, compiled as one function over plain floats.
 
     ``grads`` is the gradient of phi and ``hess`` its Hessian, row by row.
@@ -314,7 +310,6 @@ def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial], c
 
     Both phases solve by :func:`_solve`.  phi, its gradient and its Hessian
     are inlined with :func:`polynomials._kernel_body`; norms are ``hypot``.
-    ``codes`` as in :func:`polynomials._compile_kernel`.
     """
     n = phi.nvars
     xs = [f"x{i}" for i in range(n)]
@@ -403,7 +398,7 @@ def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial], c
     ]
     constants = {**c_here, **c_trial, **c_newton, **c_candidate, **c_final}
     args = [*xs, "gtol", "escape", "steps", "newton_steps"]
-    return _compile_kernel(args, lines, constants, codes)
+    return _compile_kernel(args, lines, constants)
 
 
 def minimize(
@@ -424,15 +419,11 @@ def minimize(
     rep = model.basis.rep
     phi = model.potential(assignment)
     n = rep.dim
-    codes = model.kernel_code
     grads = phi.gradient()
     hessian = [d.partial(j) for d in grads for j in range(n)]
-    f, grad = compile_polynomial(phi, codes), compile_polynomial(grads, codes)
-    second = compile_polynomial(hessian, codes)
-    descend = _descent(phi, grads, hessian, codes)
-
-    def hess(x):
-        return np.reshape(second(x), (n, n))
+    descend = _descent(phi, grads, hessian)
+    # phi, its gradient and its Hessian at a found point, in that order
+    report = compile_polynomial([phi, *grads, *hessian])
 
     count = _STARTS_PER_GENERATOR * model.basis.k
     escape_radius = _ESCAPE_FACTOR * _RADIUS
@@ -453,7 +444,7 @@ def minimize(
     if not found:
         raise NoConvergence(f"none of {count} starts reached gradient tolerance")
 
-    found.sort(key=lambda x: (f(x), tuple(x)))
+    found.sort(key=lambda x: (report(x)[0], tuple(x)))
     # x repeats a kept representative r when some image g x lies within
     # _CLUSTER_TOL (1 + |r|) of r: all images against all kept r at once
     mats = np.array(float_group(rep))
@@ -469,15 +460,16 @@ def minimize(
         if float(np.linalg.norm(x)) <= 1e-9 * (1.0 + _RADIUS):
             x = np.zeros(n)
         sym = classify_symmetry(rep, x)
-        eigs = np.linalg.eigvalsh(hess(x))
+        value, *rest = report(x)
+        eigs = np.linalg.eigvalsh(np.reshape(rest[n:], (n, n)))
         neg = int(np.sum(eigs < -_HESSIAN_ZERO_TOL))
         pos = int(np.sum(eigs > _HESSIAN_ZERO_TOL))
         zero = len(eigs) - neg - pos
         points.append(
             CriticalPoint(
                 location=tuple(float(c) for c in x),
-                value=float(f(x)),
-                gradient_norm=float(np.linalg.norm(grad(x))),
+                value=float(value),
+                gradient_norm=float(np.linalg.norm(rest[:n])),
                 hessian_inertia=(neg, zero, pos),
                 symmetry=sym,
                 orbit_size=rep.order // sym.order,

@@ -307,29 +307,19 @@ class Polynomial:
     # ------------------------------------------------------------- evaluation
 
     def evaluate(self, point):
-        """Evaluate at a point.
+        """The exact value at a point; each coordinate becomes a Fraction.
 
-        Fraction/int input stays exact; any float input switches to float
-        arithmetic.
+        Float evaluation is the job of the compiled kernels
+        (:func:`compile_polynomial`).
         """
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
-        exact = all(not isinstance(x, float) for x in point)
-        if exact:
-            total = Fraction(0)
-            for m, c in self.terms.items():
-                v = c
-                for x, e in zip(point, m):
-                    if e:
-                        v *= Fraction(x) ** e
-                total += v
-            return total
-        total = 0.0
+        total = Fraction(0)
         for m, c in self.terms.items():
-            v = float(c)
+            v = c
             for x, e in zip(point, m):
                 if e:
-                    v *= float(x) ** e
+                    v *= Fraction(x) ** e
             total += v
         return total
 
@@ -527,28 +517,35 @@ _KERNEL_GLOBALS = {
 }
 
 
-def _compile_kernel(args: list[str], lines: list[str], constants: dict, codes=None):
+# Compiled kernels kept by source text: a sweep needs four, two on each side
+# of a vanishing coefficient; the bound keeps a long-lived process from
+# holding every kernel it has ever built.
+_CODE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source: str) -> types.CodeType:
+    """The compiled code of the function ``_k`` that ``source`` defines."""
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(source, "<orbitscope kernel>", "exec"), namespace)
+    return namespace["_k"].__code__
+
+
+def _compile_kernel(args: list[str], lines: list[str], constants: dict):
     """The function ``_k(*args, *constants)`` with body ``lines``, each
     constant bound as the default of its parameter.
 
     The source, kept as the function's ``.source``, holds no constant's
-    value, so kernels of polynomials with one support share it.  ``codes``
-    maps source text to compiled code: a source found there is not
-    compiled again, and a new one is added.  Besides its arguments,
-    generated code calls only ``abs``, ``range`` and ``hypot`` and
-    ``isfinite`` of :mod:`math`.
+    value, so kernels of polynomials with one support share it, and its
+    code is compiled once for the last few sources seen (:func:`_code`),
+    whichever model or call asks.  Besides its arguments, generated code
+    calls only ``abs``, ``range`` and ``hypot`` and ``isfinite`` of
+    :mod:`math`.
     """
     source = f"def _k({', '.join([*args, *constants])}):\n" + "".join(
         f"    {line}\n" for line in lines
     )
-    code = None if codes is None else codes.get(source)
-    if code is None:
-        namespace = dict(_KERNEL_GLOBALS)
-        exec(compile(source, "<orbitscope kernel>", "exec"), namespace)
-        code = namespace["_k"].__code__
-        if codes is not None:
-            codes[source] = code
-    fn = types.FunctionType(code, _KERNEL_GLOBALS, "_k", tuple(constants.values()))
+    fn = types.FunctionType(_code(source), _KERNEL_GLOBALS, "_k", tuple(constants.values()))
     fn.source = source
     return fn
 
@@ -561,8 +558,8 @@ class NumericPoly:
     function ``_k(x0, ..., x{n-1})`` of the coordinates, the
     :func:`_kernel_body` of the polynomials with a return (kept as
     ``source``), and binds the coefficients to it (see
-    :func:`_compile_kernel`, which reuses the compiled code of a source
-    already in ``codes``).  Calls pass the coordinates as arguments;
+    :func:`_compile_kernel`, which reuses the compiled code of a recent
+    source).  Calls pass the coordinates as arguments;
     :meth:`eval_many` passes the columns of a point array, so one kernel
     serves single points and batches, and the two agree to the last bit.
     The sums run in a fixed order, so reruns are bit-identical; they are
@@ -572,14 +569,14 @@ class NumericPoly:
 
     __slots__ = ("nvars", "scalar", "source", "_fn")
 
-    def __init__(self, polys, codes=None):
+    def __init__(self, polys):
         self.scalar = isinstance(polys, Polynomial)
         polys = [polys] if self.scalar else list(polys)
         self.nvars = polys[0].nvars
         args = [f"x{i}" for i in range(self.nvars)]
         statements, outputs, constants = _kernel_body(polys, args, "")
         value = outputs[0] if self.scalar else "(" + ", ".join(outputs) + ",)"
-        self._fn = _compile_kernel(args, [*statements, f"return {value}"], constants, codes)
+        self._fn = _compile_kernel(args, [*statements, f"return {value}"], constants)
         self.source = self._fn.source
 
     def __call__(self, x):
@@ -596,12 +593,11 @@ class NumericPoly:
         return np.stack([np.broadcast_to(v, rows) for v in out], axis=-1)
 
 
-def compile_polynomial(p, codes=None) -> NumericPoly:
-    """The float kernel of a polynomial, or of a sequence of them; ``codes``
-    as in :func:`_compile_kernel`."""
-    return NumericPoly(p, codes)
+def compile_polynomial(p) -> NumericPoly:
+    """The float kernel of a polynomial, or of a sequence of them."""
+    return NumericPoly(p)
 
 
-def compile_gradient(p: Polynomial, codes=None) -> NumericPoly:
+def compile_gradient(p: Polynomial) -> NumericPoly:
     """The float kernel of the gradient map x -> (d p / d x_i)(x)."""
-    return NumericPoly(p.gradient(), codes)
+    return NumericPoly(p.gradient())

@@ -2,15 +2,15 @@
 
 Matrices are immutable tuples of tuples of Fraction, vectors are tuples of
 Fraction.  Every exact elimination in the package goes through one
-eliminator, :class:`RowReducer`: ranks, residuals modulo a span, ``rref``,
-``nullspace``, ``mat_inverse``, the J-space re-expression of invariants and
-the homological solves of the reduction layer.  It reduces each new sparse
-row against unnormalized pivot rows in insertion order; normalizing would
-not change a Fraction result, but ``Coefficient`` entries cancel only
-monomial factors, so their printed form follows the dataflow.  Two
-loops stay outside it: ``rref`` normalizes the reducer's pivot rows and
-back-eliminates them itself, and ``mat_det`` runs its own forward
-elimination, because it tracks the sign of row swaps.
+eliminator, :class:`RowReducer`: ranks (a group generator is singular
+when its rows have rank below the dimension), residuals modulo a span,
+``rref``, ``nullspace``, ``mat_inverse``, the J-space re-expression of
+invariants and the homological solves of the reduction layer.  It reduces
+each new sparse row against unnormalized pivot rows in insertion order;
+normalizing would not change a Fraction result, but ``Coefficient``
+entries cancel only monomial factors, so their printed form follows the
+dataflow.  One loop stays outside it: ``rref`` normalizes the reducer's
+pivot rows and back-eliminates them itself.
 
 Everything here is deterministic: the pivot is always the first admissible
 column, never chosen by magnitude, so repeated runs produce identical
@@ -65,28 +65,6 @@ def mat_sub_identity(a: Mat) -> Mat:
     return tuple(
         tuple(a[i][j] - (ONE if i == j else ZERO) for j in range(n)) for i in range(n)
     )
-
-
-def mat_det(a: Mat) -> Fraction:
-    """Determinant by fraction Gaussian elimination (no pivoting by size)."""
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = ONE / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
 
 
 def mat_inverse(a: Mat) -> Mat:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from orbitscope import cli, dynamics, groups, rationals as ra
+from orbitscope import cli, dynamics, groups, polynomials, rationals as ra
 from orbitscope.errors import MonotonicityViolation
 from orbitscope.polynomials import Polynomial, compile_polynomial
 
@@ -225,6 +225,26 @@ def trace_targets() -> list:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.TARGETS
+
+
+@pytest.fixture
+def fresh_kernel_cache():
+    """Empty the process-wide cache of compiled kernel code, so that a test
+    that counts ``compile`` calls sees every source it builds compiled,
+    whichever tests ran before it."""
+    polynomials._code.cache_clear()
+
+
+def compiled_sources(monkeypatch) -> list:
+    """The source of every kernel compiled from now on, in order."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(polynomials, "compile", spy, raising=False)
+    return sources
 
 
 # ------------------------------------------------------- numerical references
@@ -507,6 +527,30 @@ def fixed_subspace_of_all_members(rep, sub) -> list:
     return out
 
 
+def mat_det(a) -> Fraction:
+    """Determinant by Fraction Gaussian elimination, tracking row swaps.
+
+    The oracle for singularity: the library decides it by the rank of a
+    ``rationals.RowReducer`` and forms no determinant.
+    """
+    n = len(a)
+    rows = [list(r) for r in a]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, n):
+                rows[r][c] -= factor * rows[col][c]
+    return det
+
+
 def char_poly_by_minors(rep) -> tuple:
     """The distinct det(I - t T_g) with the number of elements that have
     each, in order of first appearance.
@@ -522,7 +566,7 @@ def char_poly_by_minors(rep) -> tuple:
         coeffs = [Fraction(1)]
         for k in range(1, n + 1):
             minors = sum(
-                ra.mat_det(tuple(tuple(t[i][j] for j in subset) for i in subset))
+                mat_det(tuple(tuple(t[i][j] for j in subset) for i in subset))
                 for subset in itertools.combinations(range(n), k)
             )
             coeffs.append((-1) ** k * minors)

@@ -30,6 +30,7 @@ from conftest import (
     S5_GENS,
     char_poly_by_minors,
     conjugate,
+    mat_det,
     metric_by_fraction_sum,
     orbit,
     permutation_matrix,
@@ -187,7 +188,7 @@ def _summed_group(name):
 def test_group_sums_on_rational_conjugates(case):
     # the integer sums against the Fraction oracles, on S^-1 G S
     name, s = case
-    assume(ra.mat_det(s) != 0)
+    assume(mat_det(s) != 0)
     rep = close_generators(conjugate(SUMMED_GROUPS[name], s))
     assert invariants._char_polys(rep) == char_poly_by_minors(rep)
     assert molien_series(rep, 8) == molien_series(_summed_group(name), 8)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from conftest import (
     cli_default_assignment,
+    compiled_sources,
     float_bits,
     reference_gradient_phase,
     reference_newton,
 )
 
-from orbitscope import cli, dynamics, landau, polynomials, reduction, strata
+from orbitscope import cli, dynamics, landau, reduction, strata
 from orbitscope.errors import (
     AmbiguousClassification,
     StabilityViolation,
@@ -488,28 +489,38 @@ def test_sweep_pitchfork(z2_line):
     assert t.before.order == 1 and t.after.order == 2
 
 
-def test_sweep_compiles_each_kernel_once_per_support(monkeypatch, capsys):
+def test_sweep_compiles_each_kernel_once_per_support(
+    monkeypatch, capsys, fresh_kernel_cache
+):
     # the kernels bind their coefficients, so the 24 minimize calls of this
-    # sweep (5 grid points, 19 bisection steps) compile f, the gradient,
-    # the Hessian and the descent once each for a1 != 0, and once more at
-    # a1 = 0, where the quadratic term drops out of the support
-    sources, calls = [], []
-
-    def spy(source, *args):
-        sources.append(source)
-        return compile(source, *args)
+    # sweep (5 grid points, 19 bisection steps) compile the descent and the
+    # report kernel once each for a1 != 0, and once more at a1 = 0, where
+    # the quadratic term drops out of the support
+    calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[1]["a1"])
         return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(polynomials, "compile", spy, raising=False)
+    sources = compiled_sources(monkeypatch)
     monkeypatch.setattr(landau, "minimize", counted)
     spec = Path(__file__).parent / "golden" / "specs" / "z2-line.json"
     assert cli.main(["landau", "--spec", str(spec), "--sweep=a1:-1:1:5"]) == 0
     capsys.readouterr()
     assert len(calls) == 24 and calls.count(0) == 1
-    assert len(sources) == len(set(sources)) == 8
+    assert len(sources) == len(set(sources)) == 4
+
+
+def test_kernel_code_outlives_the_model(z2_line, monkeypatch):
+    # compiled code is kept by source text, not by model: a second model
+    # on the same basis and coefficient support compiles nothing
+    basis = compute_mib(z2_line)
+    first = build_generic(basis)
+    lam = cli_default_assignment(first)
+    minimize(first, lam)
+    sources = compiled_sources(monkeypatch)
+    minimize(build_generic(basis), lam)
+    assert sources == []
 
 
 def test_sweep_unknown_parameter(z2_line):

@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import poly_pow
+from conftest import cli_default_assignment, compiled_sources, poly_pow
 
-from orbitscope import dynamics, landau, polynomials, rationals as ra
+from orbitscope import dynamics, landau, rationals as ra
 from orbitscope.errors import KindMismatch
+from orbitscope.invariants import compute_mib
+from orbitscope.landau import build_generic
 from orbitscope.polynomials import (
     J_KIND,
     NumericPoly,
@@ -239,15 +241,13 @@ points3 = st.lists(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(polys3, min_size=1, max_size=4), points3)
-def test_kernel_over_a_map_is_bit_identical(polys, x):
+def _assert_map_is_bit_identical(polys, x):
     # each output of a map runs the statements of that output's own kernel
     # over the same shared powers, so equality is exact, not approximate
     p = polys[0]
     grad = compile_gradient(p)(x)
-    assert isinstance(grad, tuple) and len(grad) == 3
-    for i in range(3):
+    assert isinstance(grad, tuple) and len(grad) == p.nvars
+    for i in range(p.nvars):
         assert grad[i] == compile_polynomial(p.partial(i))(x)
     values = compile_polynomial(polys)(x)
     assert values == tuple(compile_polynomial(q)(x) for q in polys)
@@ -257,6 +257,26 @@ def test_kernel_over_a_map_is_bit_identical(polys, x):
     for j, q in enumerate(polys):
         assert many[:, j].tolist() == compile_polynomial(q).eval_many(pts).tolist()
         assert many[:, j].tolist() == [compile_polynomial(q)(pt) for pt in pts]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(polys3, min_size=1, max_size=4), points3)
+def test_kernel_over_a_map_is_bit_identical(polys, x):
+    _assert_map_is_bit_identical(polys, x)
+
+
+@pytest.mark.parametrize("group", ["d4", "o_rot"])
+def test_report_kernel_over_a_map_is_bit_identical(request, group):
+    # minimize reports phi, its gradient and its Hessian from one kernel of
+    # [phi, *grads, *hess]: each reads as from a kernel of its own
+    model = build_generic(compute_mib(request.getfixturevalue(group)))
+    phi = model.potential(cli_default_assignment(model))
+    grads = phi.gradient()
+    hess = [g.partial(j) for g in grads for j in range(phi.nvars)]
+    rng = random.Random(3)
+    for _ in range(3):
+        x = [rng.uniform(-2, 2) for _ in range(phi.nvars)]
+        _assert_map_is_bit_identical([phi, *grads, *hess], x)
 
 
 def _kernel_bound(p, point):
@@ -361,19 +381,15 @@ def _kernels(polys, phi, field, energy):
     }
 
 
-def test_kernel_source_holds_only_floats_and_coordinate_names(monkeypatch):
+def test_kernel_source_holds_only_floats_and_coordinate_names(
+    monkeypatch, fresh_kernel_cache
+):
     # no coefficient reaches compile, as text or as a literal: every
     # source compiled is a function of the polynomials' supports alone,
     # and each coefficient is bound as a parameter default equal to
     # float(c), in the plain kernel and in the fused descent and
     # Runge-Kutta kernels built around it
-    compiled = []
-
-    def spy(source, *args):
-        compiled.append(source)
-        return compile(source, *args)
-
-    monkeypatch.setattr(polynomials, "compile", spy, raising=False)
+    compiled = compiled_sources(monkeypatch)
     rng = random.Random(11)
     long_poly = Polynomial(2, {m: Fraction(rng.randint(1, 9), 3)
                                for d in range(25) for m in monomials_of_degree(2, d)})
