@@ -19,13 +19,12 @@ systems by elimination; numpy enters only when a found point is reported.
 The gradient phase takes a Newton step instead of the gradient step where
 the Hessian is positive definite, the step is at most 0.5 (1 + |x|) long,
 passes the Armijo test and lands no higher than the gradient step; the
-Newton polish then drives the gradient norm down.  The points found are
-reported from one more kernel, of the potential, its gradient and its
-Hessian together.  The kernels name their coefficients and take the
-values as bound arguments, so every kernel compiles once per coefficient
-support (see `polynomials._compile_kernel`): a sweep compiles again only
-where a coefficient vanishes, and a second model on the same support not
-at all.
+Newton polish then drives the gradient norm down.  The descent returns
+the potential, its gradient and its Hessian where it stops, and those are
+reported.  That one kernel names its coefficients and takes the values as
+bound arguments, so it compiles once per coefficient support (see
+`polynomials._compile_kernel`): a sweep compiles again only where a
+coefficient vanishes, and a second model on the same support not at all.
 
 The numerical settings are module constants; only the seed and the
 gradient tolerance of `minimize` and the transition tolerance of `sweep`
@@ -45,6 +44,7 @@ are arguments:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,7 +67,6 @@ from .polynomials import (
     Polynomial,
     _compile_kernel,
     _kernel_body,
-    compile_polynomial,
     mono_degree,
     substitute,
 )
@@ -277,8 +276,10 @@ def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial]):
 
     ``grads`` is the gradient of phi and ``hess`` its Hessian, row by row.
     The function ``_k(x0, ..., x{n-1}, gtol, escape, steps, newton_steps)``
-    returns ``(status, x)``, status one of ``'ok'``, ``'escaped'`` and
-    ``'unconverged'``.
+    returns ``(status, x, values)``, status one of ``'ok'``, ``'escaped'``
+    and ``'unconverged'``.  For ``'ok'``, ``values`` is
+    ``(phi, *grads, *hess)`` at x; otherwise it is None.  With both step
+    ranges empty, the function only evaluates at its start point.
 
     - Gradient phase: one step from x per item of ``steps``, until the
       gradient norm is at most ``100 gtol``.  A non-finite gradient ends
@@ -308,8 +309,11 @@ def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial]):
       ends escaped.  Otherwise it is ok when the final gradient norm is at
       most ``gtol``.
 
-    Both phases solve by :func:`_solve`.  phi, its gradient and its Hessian
-    are inlined with :func:`polynomials._kernel_body`; norms are ``hypot``.
+    Both phases solve by :func:`_solve`.  Bodies inlined with
+    :func:`polynomials._kernel_body` evaluate phi, its gradient and its
+    Hessian at x (both phases and the final test), phi at the gradient
+    step's trial point and the gradient at the Newton step's; norms are
+    ``hypot``.
     """
     n = phi.nvars
     xs = [f"x{i}" for i in range(n)]
@@ -320,10 +324,8 @@ def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial]):
     here, outs, c_here = _kernel_body([*grads, phi, *hess], xs, "g_")
     grad, f, hhere = outs[:n], outs[n], outs[n + 1 :]
     trial, (ft,), c_trial = _kernel_body([phi], ts, "t_")
-    newton, outs, c_newton = _kernel_body([*grads, *hess], xs, "n_")
-    ngrad, nhess = outs[:n], outs[n:]
     candidate, ugrad, c_candidate = _kernel_body(grads, us, "u_")
-    final, fgrad, c_final = _kernel_body(grads, xs, "f_")
+    evaluate = [*here, *(f"{g} = {e}" for g, e in zip(gs, grad))]
     point = "(" + ", ".join(xs) + ",)"
     gvec = f"[{', '.join(gs)}]"
 
@@ -347,12 +349,11 @@ def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial]):
     lines = [
         "tol = 100.0 * gtol",
         "for i in steps:",
-        *(f"    {s}" for s in here),
-        *(f"    {g} = {e}" for g, e in zip(gs, grad)),
+        *(f"    {s}" for s in evaluate),
         f"    fx = {f}",
         f"    gn = hypot({', '.join(gs)})",
         "    if not isfinite(gn):",
-        f"        return 'unconverged', {point}",
+        f"        return 'unconverged', {point}, None",
         "    if gn <= tol:",
         "        break",
         "    step = 1.0 / (1.0 + gn)",
@@ -366,15 +367,14 @@ def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial]):
         *(f"    {s}" for s in _solve(n, matrix(hhere), gvec, False, newton_step)),
         *(f"    {x} = {t}" for x, t in zip(xs, ts)),
         f"    if hypot({', '.join(xs)}) > escape:",
-        f"        return 'escaped', {point}",
+        f"        return 'escaped', {point}, None",
         "tol = 0.001 * gtol",
         "for i in newton_steps:",
-        *(f"    {s}" for s in newton),
-        *(f"    {g} = {e}" for g, e in zip(gs, ngrad)),
+        *(f"    {s}" for s in evaluate),
         f"    gn = hypot({', '.join(gs)})",
         "    if gn <= tol:",
         "        break",
-        *(f"    {s}" for s in _solve(n, matrix(nhess), gvec, True, [])),
+        *(f"    {s}" for s in _solve(n, matrix(hhere), gvec, True, [])),
         f"    {', '.join(ds)}, = d",
         f"    if not ({' and '.join(f'isfinite({d})' for d in ds)}):",
         f"        {', '.join(ds)}, = {', '.join(gs)},",
@@ -389,14 +389,14 @@ def _descent(phi: Polynomial, grads: list[Polynomial], hess: list[Polynomial]):
         "        break",
         *(f"    {x} = {u}" for x, u in zip(xs, us)),
         f"    if hypot({', '.join(xs)}) > escape:",
-        f"        return 'escaped', {point}",
-        *final,
-        f"gn = hypot({', '.join(fgrad)})",
+        f"        return 'escaped', {point}, None",
+        *evaluate,
+        f"gn = hypot({', '.join(gs)})",
         "if isfinite(gn) and gn <= gtol:",
-        f"    return 'ok', {point}",
-        f"return 'unconverged', {point}",
+        f"    return 'ok', {point}, ({', '.join([f, *gs, *hhere])},)",
+        f"return 'unconverged', {point}, None",
     ]
-    constants = {**c_here, **c_trial, **c_newton, **c_candidate, **c_final}
+    constants = {**c_here, **c_trial, **c_candidate}
     args = [*xs, "gtol", "escape", "steps", "newton_steps"]
     return _compile_kernel(args, lines, constants)
 
@@ -422,15 +422,13 @@ def minimize(
     grads = phi.gradient()
     hessian = [d.partial(j) for d in grads for j in range(n)]
     descend = _descent(phi, grads, hessian)
-    # phi, its gradient and its Hessian at a found point, in that order
-    report = compile_polynomial([phi, *grads, *hessian])
 
     count = _STARTS_PER_GENERATOR * model.basis.k
     escape_radius = _ESCAPE_FACTOR * _RADIUS
 
     found = []
     for x0 in _ball_starts(n, count, _RADIUS, seed):
-        status, x = descend(
+        status, x, values = descend(
             *x0.tolist(), gtol, escape_radius,
             range(_MAX_GRADIENT_STEPS), range(_MAX_NEWTON_STEPS),
         )
@@ -440,27 +438,30 @@ def minimize(
                 f"{escape_radius:g}; the model appears unbounded below"
             )
         if status == "ok":
-            found.append(np.array(x))
+            found.append((np.array(x), values))
     if not found:
         raise NoConvergence(f"none of {count} starts reached gradient tolerance")
 
-    found.sort(key=lambda x: (report(x)[0], tuple(x)))
+    found.sort(key=lambda hit: (hit[1][0], tuple(hit[0])))
     # x repeats a kept representative r when some image g x lies within
     # _CLUSTER_TOL (1 + |r|) of r: all images against all kept r at once
     mats = np.array(float_group(rep))
-    reps, bounds = np.empty((0, n)), np.empty(0)
-    for x in found:
+    reps, bounds, kept = np.empty((0, n)), np.empty(0), []
+    for x, values in found:
         gaps = (mats @ x)[:, None, :] - reps
         if not (np.sqrt((gaps * gaps).sum(axis=2)) <= bounds).any():
             reps = np.vstack([reps, x])
             bounds = np.append(bounds, _CLUSTER_TOL * (1.0 + np.linalg.norm(x)))
+            kept.append(values)
 
     points = []
-    for x in reps:
+    for x, values in zip(reps, kept):
         if float(np.linalg.norm(x)) <= 1e-9 * (1.0 + _RADIUS):
+            # no steps: the kernel only evaluates at the origin
             x = np.zeros(n)
+            _, _, values = descend(*x.tolist(), gtol, escape_radius, range(0), range(0))
         sym = classify_symmetry(rep, x)
-        value, *rest = report(x)
+        value, *rest = values
         eigs = np.linalg.eigvalsh(np.reshape(rest[n:], (n, n)))
         neg = int(np.sum(eigs < -_HESSIAN_ZERO_TOL))
         pos = int(np.sum(eigs > _HESSIAN_ZERO_TOL))
@@ -517,10 +518,14 @@ def sweep(
     """Phase diagram along one parameter; transitions refined by bisection.
 
     assignment fixes the other parameters, and seed is passed to every
-    minimize call; bisection stops once a transition is bracketed within
-    transition_tol.  Per-grid-point failures are recorded on the
-    corresponding PhasePoint and do not abort the sweep.
+    minimize call.  The grid may run in either direction; bisection stops
+    once a transition is bracketed within transition_tol, which must be
+    finite and positive, or once the bracket's ends are adjacent floats.
+    Per-grid-point failures are recorded on the corresponding PhasePoint
+    and do not abort the sweep.
     """
+    if not 0.0 < transition_tol < math.inf:
+        raise ValueError(f"transition_tol must be finite and positive, got {transition_tol}")
     if parameter not in model.parameters():
         raise UnknownParameter(f"model has no parameter named {parameter!r}")
 
@@ -549,8 +554,10 @@ def sweep(
         if left.symmetry.label == right.symmetry.label:
             continue
         lo, hi = left.parameter_value, right.parameter_value
-        while hi - lo > transition_tol:
+        while abs(hi - lo) > transition_tol:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
             try:
                 sym_mid = global_minimum(mid).symmetry
             except OrbitscopeError:
@@ -562,7 +569,7 @@ def sweep(
         transitions.append(
             Transition(
                 parameter_value=0.5 * (lo + hi),
-                width=hi - lo,
+                width=abs(hi - lo),
                 before=left.symmetry,
                 after=right.symmetry,
             )

@@ -517,7 +517,7 @@ _KERNEL_GLOBALS = {
 }
 
 
-# Compiled kernels kept by source text: a sweep needs four, two on each side
+# Compiled kernels kept by source text: a sweep needs two, one on each side
 # of a vanishing coefficient; the bound keeps a long-lived process from
 # holding every kernel it has ever built.
 _CODE_CACHE_SIZE = 16

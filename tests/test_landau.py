@@ -5,6 +5,9 @@ import gc
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -338,9 +341,10 @@ def test_gradient_phase_is_the_reference_loop(request, group, a1):
     for x0 in starts:
         want = reference_gradient_phase(
             x0, f, grad, hess, 100.0 * gtol, escape, landau._MAX_GRADIENT_STEPS)
-        status, x = descend(
+        status, x, values = descend(
             *x0.tolist(), gtol, escape, range(landau._MAX_GRADIENT_STEPS), range(0))
         assert float_bits(x) == float_bits(want[1])
+        assert (values is None) == (status != "ok")
         if want[0] is None:
             assert status == ("ok" if math.hypot(*grad(x)) <= gtol else "unconverged")
         else:
@@ -402,14 +406,16 @@ def test_newton_step_bound_keeps_a_descent_in_its_basin():
     grads = phi.gradient()
     descend = landau._descent(phi, grads, [grads[0].partial(0)])
     for x0 in (0.27, 0.28):
-        status, (x,) = descend(x0, 1e-10, 20.0, range(landau._MAX_GRADIENT_STEPS),
-                               range(landau._MAX_NEWTON_STEPS))
+        status, (x,), _ = descend(x0, 1e-10, 20.0, range(landau._MAX_GRADIENT_STEPS),
+                                  range(landau._MAX_NEWTON_STEPS))
         assert status == "ok" and abs(x) < 1e-12
 
 
 def _gradient_steps(monkeypatch, argv, capsys) -> list[int]:
     """Run the CLI and count, per descent, the items its gradient phase
-    takes from ``steps``: one per step, and one more when it converges."""
+    takes from ``steps``: one per step, and one more when it converges.
+    A call with no steps, which only evaluates at the origin, is no
+    descent."""
     counts = []
     compile_descent = landau._descent
 
@@ -418,6 +424,8 @@ def _gradient_steps(monkeypatch, argv, capsys) -> list[int]:
 
         def run(*args):
             *head, steps, newton_steps = args
+            if not steps:
+                return descend(*args)
             taken = [0]
 
             def counted():
@@ -452,6 +460,33 @@ def test_gradient_phase_stops_well_before_its_cap(monkeypatch, capsys):
         capsys)
     assert len(counts) == 24 * 16
     assert sum(counts) / len(counts) < 20
+
+
+@pytest.mark.parametrize("group", ["z2_line", "z2xz2", "d4", "d4_sheared", "o_rot", "b3"])
+def test_reported_values_are_the_descents_own(request, group):
+    # each critical point reports phi, the gradient norm and the Hessian
+    # inertia from the values its descent returned, or from the no-step
+    # evaluation at the origin: to the bit what one kernel of phi, its
+    # gradient and its Hessian gives at the reported location
+    rep = request.getfixturevalue(group)
+    model = build_generic(compute_mib(rep))
+    lam = cli_default_assignment(model)
+    phi = model.potential(lam)
+    n = rep.dim
+    grads = phi.gradient()
+    oracle = compile_polynomial([phi, *grads, *(g.partial(j) for g in grads for j in range(n))])
+    origins = 0
+    for seed in range(4):
+        for p in minimize(model, lam, seed):
+            value, *rest = oracle(p.location)
+            eigs = np.linalg.eigvalsh(np.reshape(rest[n:], (n, n)))
+            neg = int(np.sum(eigs < -landau._HESSIAN_ZERO_TOL))
+            pos = int(np.sum(eigs > landau._HESSIAN_ZERO_TOL))
+            assert p.value.hex() == value.hex()
+            assert p.gradient_norm.hex() == float(np.linalg.norm(rest[:n])).hex()
+            assert p.hessian_inertia == (neg, n - neg - pos, pos)
+            origins += not any(p.location)
+    assert origins == 4  # a1 < 0 makes the origin a critical point
 
 
 def test_d4_sheared_default_report_keeps_its_orbits(capsys):
@@ -489,13 +524,67 @@ def test_sweep_pitchfork(z2_line):
     assert t.before.order == 1 and t.after.order == 2
 
 
+def test_descending_sweep_refines_its_transition(z2_line):
+    # the grid may run downwards: the bisection brackets on |hi - lo| and
+    # the width is never negative
+    model = build_generic(compute_mib(z2_line))
+    diagram = sweep(model, "a1", [1.0, 0.5, 0.0, -0.5, -1.0], assignment={"a2": 1})
+    (t,) = diagram.transitions
+    assert abs(t.parameter_value) <= 1e-6 and 0.0 <= t.width <= 1e-6
+    assert t.before.order == 2 and t.after.order == 1
+
+
+def _run_bounded(args: list[str]) -> subprocess.CompletedProcess:
+    """Run python with ``args`` on this package, killed after 60 s, so that
+    a bisection that never ends fails the test instead of hanging it."""
+    src = str(Path(landau.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "inf"])
+def test_sweep_rejects_a_transition_tolerance_not_finite_and_positive(tol):
+    # at 0 the bisection could never end; at nan it would silently not run
+    spec = Path(__file__).parent / "golden" / "specs" / "z2-line.json"
+    run = _run_bounded(["-m", "orbitscope", "landau", "--spec", str(spec),
+                        "--sweep=a1:-1:1:5", f"--tol={tol}"])
+    assert run.returncode == 1
+    assert json.loads(run.stderr)["error"]["code"] == "builtins.ValueError"
+
+
+BISECT_TO_ADJACENT_FLOATS = """
+from orbitscope.groups import close_generators
+from orbitscope.invariants import compute_mib
+from orbitscope.landau import build_generic, sweep
+basis = compute_mib(close_generators([[[-1]]]))
+model = build_generic(basis, degree_x=6)
+diagram = sweep(model, "a1", [0.0, 0.5], {"a2": -1, "a3": 1}, transition_tol=1e-20)
+(t,) = diagram.transitions
+print(t.parameter_value.hex(), t.width.hex())
+"""
+
+
+def test_bisection_stops_at_adjacent_floats():
+    # a1 J - J^2 + J^3 with J = x^2 jumps from its broken minimum at
+    # J = 1/2 to the origin at a1 = 1/4, where floats lie 2^-54 apart, far
+    # wider than the tolerance: the bisection ends once the midpoint is
+    # an end of the bracket
+    run = _run_bounded(["-c", BISECT_TO_ADJACENT_FLOATS])
+    assert run.returncode == 0, run.stderr
+    at, width = (float.fromhex(v) for v in run.stdout.split())
+    assert abs(at - 0.25) <= 1e-9
+    assert 0.0 < width <= 2.0 * math.ulp(0.25)
+
+
 def test_sweep_compiles_each_kernel_once_per_support(
     monkeypatch, capsys, fresh_kernel_cache
 ):
-    # the kernels bind their coefficients, so the 24 minimize calls of this
-    # sweep (5 grid points, 19 bisection steps) compile the descent and the
-    # report kernel once each for a1 != 0, and once more at a1 = 0, where
-    # the quadratic term drops out of the support
+    # the descent kernel binds its coefficients, so the 24 minimize calls of
+    # this sweep (5 grid points, 19 bisection steps) compile it once for
+    # a1 != 0, and once more at a1 = 0, where the quadratic term drops out
+    # of the support
     calls = []
 
     def counted(*args, **kwargs):
@@ -508,7 +597,7 @@ def test_sweep_compiles_each_kernel_once_per_support(
     assert cli.main(["landau", "--spec", str(spec), "--sweep=a1:-1:1:5"]) == 0
     capsys.readouterr()
     assert len(calls) == 24 and calls.count(0) == 1
-    assert len(sources) == len(set(sources)) == 4
+    assert len(sources) == len(set(sources)) == 2
 
 
 def test_kernel_code_outlives_the_model(z2_line, monkeypatch):
