@@ -39,7 +39,13 @@ answers.  ``invariants-b3`` (``--degree-cap=8``) and
 3x3 conjugate of s4-std, its spec taken from ``perfbench/specs.py``) are
 the benchmark's two largest ``invariants`` jobs; they were recorded before
 the Molien series and the invariant metric came to be summed in integers,
-so they hold that change to the old Molien coefficients and P-matrix.  The ``.txt``
+so they hold that change to the old Molien coefficients and P-matrix.
+``strata-b4-rot``, ``strata-s5-std`` and ``strata-b3-c`` (the benchmark's
+seed-201 conjugate of b3, its spec taken from ``perfbench/specs.py``) pin
+the type census of the three largest groups whose subgroups the tests
+enumerate; they were recorded before ``groups.all_subgroups`` came to
+extend one subgroup per conjugacy class, so they hold that change to the
+old lattice.  The ``.txt``
 and ``.csv`` files were recorded before the text and CSV output of every
 command came to be read from its JSON report; they pin the header lines and
 every line the two formats print.  They run from ``golden/`` with a relative
@@ -70,6 +76,9 @@ CASES = [
     ("strata-o-rot", ["strata", "--spec", "o-rot"]),
     ("strata-a4-rot", ["strata", "--spec", "a4-rot"]),
     ("strata-d4-sheared", ["strata", "--spec", "d4-sheared"]),
+    ("strata-b4-rot", ["strata", "--spec", "b4-rot"]),
+    ("strata-s5-std", ["strata", "--spec", "s5-std"]),
+    ("strata-b3-c", ["strata", "--spec", "b3-c"]),
     ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
     ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
     ("reduce-s3-perm-ell3", ["reduce", "--spec", "s3-perm", "--ell=3"]),
