@@ -11,8 +11,11 @@ Those images are the matrix's columns, so a product is ``dim`` tuple
 reads and one dict lookup, and no exact matrix product is formed.
 Everything downstream (orbits, isotropy, fixed spaces, subgroup
 enumeration) works on element indices, so exactness is never at risk.
-``all_subgroups`` finds the subgroup lattice by cyclic extension: each
-subgroup found is extended by every cyclic subgroup outside it.
+``all_subgroups`` finds the subgroup lattice by cyclic extension up to
+conjugacy: one subgroup per conjugacy class is extended by every cyclic
+subgroup outside it, and each new subgroup brings its whole class at once.
+The search stays complete because conjugation carries a join to a join:
+x<H, g>x^-1 = <xHx^-1, xgx^-1>.
 """
 
 from __future__ import annotations
@@ -267,25 +270,35 @@ def _join(cayley, inside: set[int], gens: tuple[int, ...]) -> set[int]:
 
 
 def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
-    """Every subgroup, by cyclic extension (Neubüser, 1960).
+    """Every subgroup, by cyclic extension up to conjugacy (Neubüser, 1960).
 
-    Starting from the trivial group, each newly found subgroup H is
-    extended by every cyclic subgroup <g> not inside H: <H, g> is closed
-    from H under right multiplication by H's stored generators and g.
-    Every subgroup <g1, ..., gk> is reached along the chain of its
-    partial joins, so the search is complete.  Returns subgroups sorted by
-    (order, members) for determinism.  The cap bounds the number of
-    closure computations attempted.
+    Starting from the trivial group, one representative H of each
+    conjugacy class is extended by every cyclic subgroup <g> not inside
+    H: <H, g> is closed from H under right multiplication by H's stored
+    generators and g.  When a join K is new, all its conjugates xKx^-1
+    (``conjugate_subgroup``) join the found set at once, and only K is
+    queued, with its generators.
+
+    The search is complete.  Every subgroup <g1, ..., gk> is the end of
+    the chain of its partial joins, each the join of the one before with a
+    cyclic subgroup.  Suppose the class of H is found, and K = <H, g>.
+    Its queued representative is H' = xHx^-1 for some x, and H' is
+    extended by the cyclic subgroup <xgx^-1>, which lies outside H' when g
+    lies outside H.  That join is <xHx^-1, xgx^-1> = xKx^-1, and its class
+    is K's, so K is found.  By induction along the chain every subgroup
+    is found.
+
+    Returns subgroups sorted by (order, members) for determinism.  The cap
+    bounds the number of closure computations attempted.
     """
     cyclic: dict[tuple[int, ...], int] = {}
     for g in range(1, rep.order):
         cyclic.setdefault(_cyclic_subgroup(rep, g), g)
     cayley = rep.cayley
-    found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
-    queue = [(0,)]
+    found: set[tuple[int, ...]] = {(0,)}
+    queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
     work = 0
-    for members in queue:
-        gens = found[members]
+    for members, gens in queue:
         inside = set(members)
         for g in cyclic.values():
             if g in inside:
@@ -296,8 +309,11 @@ def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
             ext_gens = gens + (g,)
             key = tuple(sorted(_join(cayley, inside, ext_gens)))
             if key not in found:
-                found[key] = ext_gens
-                queue.append(key)
+                sub = Subgroup(key)
+                found.update(
+                    conjugate_subgroup(rep, sub, x).members for x in range(rep.order)
+                )
+                queue.append((key, ext_gens))
     return [Subgroup(m) for m in sorted(found, key=lambda m: (len(m), m))]
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 from orbitscope import cli, dynamics, groups, polynomials, rationals as ra
-from orbitscope.errors import MonotonicityViolation
+from orbitscope.errors import MonotonicityViolation, SubgroupCapExceeded
 from orbitscope.polynomials import Polynomial, compile_polynomial
 
 
@@ -211,6 +211,21 @@ S5_GENS = (
 def s5_std():
     """The standard representation of S5 on R^4, order 120."""
     return groups.close_generators(S5_GENS, name="s5-std")
+
+
+# all signed permutations of R^4: a transposition, a 4-cycle and one sign flip
+B4_GENS = (
+    permutation_matrix((1, 0, 2, 3)),
+    permutation_matrix((1, 2, 3, 0)),
+    _diag(-1, 1, 1, 1),
+)
+
+
+@pytest.fixture(scope="session")
+def b4():
+    """The hyperoctahedral group B4 on R^4, order 384: the signed
+    permutations."""
+    return groups.close_generators(B4_GENS, name="b4")
 
 
 # ------------------------------------------------------------ benchmark pins
@@ -505,6 +520,37 @@ def realized_by_stabilizer(rep, sub, fix) -> bool:
         if all(ra.mat_vec(t, b) == b for b in fix)
     )
     return stabilizer == sub.members
+
+
+def subgroups_by_cyclic_extension(rep, cap=100000) -> list:
+    """Every subgroup's members, by plain cyclic extension (Neubüser, 1960).
+
+    The oracle for ``groups.all_subgroups``, which extends one subgroup
+    per conjugacy class: here every subgroup found is extended by every
+    cyclic subgroup outside it, so no conjugation is used.  Sorted by
+    (order, members); raises SubgroupCapExceeded past ``cap`` closures.
+    """
+    cyclic: dict = {}
+    for g in range(1, rep.order):
+        cyclic.setdefault(groups._cyclic_subgroup(rep, g), g)
+    found = {(0,): ()}
+    queue = [(0,)]
+    work = 0
+    for members in queue:
+        gens = found[members]
+        inside = set(members)
+        for g in cyclic.values():
+            if g in inside:
+                continue
+            work += 1
+            if work > cap:
+                raise SubgroupCapExceeded(f"exceeded {cap} closure computations")
+            ext_gens = gens + (g,)
+            key = tuple(sorted(groups._join(rep.cayley, inside, ext_gens)))
+            if key not in found:
+                found[key] = ext_gens
+                queue.append(key)
+    return sorted(found, key=lambda m: (len(m), m))
 
 
 def fixed_subspace_of_all_members(rep, sub) -> list:

@@ -18,6 +18,12 @@ Z2_LINE = [[["-1"]]]
 Z2_PLANE = [[["-1", "0"], ["0", "-1"]]]
 D4 = [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "-1"]]]
 SHEAR = [[["1", "1"], ["0", "1"]]]
+# the signed permutations of R^4: a transposition, a 4-cycle, a sign flip
+B4 = [
+    [["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"]],
+    [["-1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+]
 
 
 def write_spec(tmp_path, name, gens, **extra):
@@ -44,6 +50,17 @@ def test_group_report(tmp_path, capsys):
     assert "order 8" in out
     assert "cayley table closed: yes" in out
     assert "subgroups: 10 in 8 conjugacy classes" in out
+
+
+def test_b4_group_and_strata(tmp_path, capsys):
+    # B4 (order 384) once stopped its subgroup search at the closure cap
+    spec = write_spec(tmp_path, "b4", B4)
+    rc, out, err = run(capsys, ["group", "--spec", spec])
+    assert rc == 0 and err == ""
+    assert "order 384" in out
+    assert "subgroups: 1659 in 193 conjugacy classes" in out
+    rc, _, err = run(capsys, ["strata", "--spec", spec])
+    assert rc == 0 and err == ""
 
 
 def test_group_non_closing(tmp_path, capsys):

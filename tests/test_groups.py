@@ -22,6 +22,7 @@ from conftest import (
     mat_det,
     orbit,
     rational_conjugators,
+    subgroups_by_cyclic_extension,
 )
 from orbitscope import groups, rationals as ra
 from orbitscope.cli import load_group_spec
@@ -165,6 +166,26 @@ def test_subgroup_cap(b3):
         groups.all_subgroups(b3, cap=10)
 
 
+# closures all_subgroups makes on s5-std; plain cyclic extension makes 9561
+S5_CLOSURES = 1079
+
+
+def test_subgroup_cap_boundary(s5_std):
+    assert S5_CLOSURES <= 9561 // 5
+    assert len(groups.all_subgroups(s5_std, cap=S5_CLOSURES)) == 156
+    with pytest.raises(SubgroupCapExceeded, match=f"exceeded {S5_CLOSURES - 1} closure"):
+        groups.all_subgroups(s5_std, cap=S5_CLOSURES - 1)
+
+
+@pytest.mark.parametrize("name", ["s4_perm", "b3", "b3_conj", "o_rot_conj", "s5_std", "b4_rot"])
+def test_subgroups_match_cyclic_extension(request, name):
+    # one class representative extended, its conjugates taken at once,
+    # gives the same lattice as extending every subgroup
+    rep = request.getfixturevalue(name)
+    enumerated = [s.members for s in groups.all_subgroups(rep)]
+    assert enumerated == subgroups_by_cyclic_extension(rep)
+
+
 def test_subgroup_counts_against_oracle(d4, d4_sheared, s3_perm, z2_plane, z2xz2, z4):
     for rep, expected in ((d4, 10), (d4_sheared, 10), (s3_perm, 6),
                           (z2_plane, 2), (z2xz2, 5), (z4, 3)):
@@ -174,7 +195,7 @@ def test_subgroup_counts_against_oracle(d4, d4_sheared, s3_perm, z2_plane, z2xz2
 
 
 @pytest.mark.parametrize("name, subgroups, classes", [
-    ("s4_perm", 30, 11), ("b3", 98, 33), ("s5_std", 156, 19),
+    ("s4_perm", 30, 11), ("b3", 98, 33), ("s5_std", 156, 19), ("b4", 1659, 193),
 ])
 def test_subgroup_census(request, name, subgroups, classes):
     rep = request.getfixturevalue(name)
@@ -295,7 +316,9 @@ def test_fixed_subspace_on_rational_conjugates(case):
     gens, s = case
     assume(mat_det(s) != 0)
     rep = groups.close_generators(conjugate(gens, s))
-    for sub in groups.all_subgroups(rep):
+    subs = groups.all_subgroups(rep)
+    assert [sub.members for sub in subs] == subgroups_by_cyclic_extension(rep)
+    for sub in subs:
         assert groups.fixed_subspace(rep, sub) == fixed_subspace_of_all_members(rep, sub)
 
 
