@@ -13,9 +13,14 @@ the power products of the basis so far are spanned first, then the
 reduced echelon basis of W_d modulo that span is appended, which
 guarantees minimality.  Products of the generators and the images
 x^m(T_s x) come from ``polynomials.power_products`` tables, each built
-once.  The growth stops at the first degree where the basis is certified
-complete (:func:`is_coregular`), or at the degree bound of a homogeneous
-system of parameters among its generators, or else at the degree cap.
+once.  The kernel of W_d is found in integers: with L_s the lcm of the
+denominators of T_s, the table of x -> L_s T_s x has int coefficients, and
+its rows x^m(L_s T_s x) - L_s^d x^m are the rational rows times L_s^d, so
+they have the same null space, which ``rationals.rref`` computes
+fraction-free.  The growth stops at the first degree where the basis is
+certified complete (:func:`is_coregular`), or at the degree bound of a
+homogeneous system of parameters among its generators, or else at the
+degree cap.
 
 All greedy choices scan candidates in the canonical monomial order, so the
 output is deterministic down to the coefficient level.
@@ -24,6 +29,7 @@ output is deterministic down to the coefficient level.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,20 +61,25 @@ def monomial_index(nvars: int, degree: int) -> tuple[list[Monomial], dict[Monomi
 
 
 def jmonomials_of_xdegree(degrees, xdegree: int) -> list[Monomial]:
-    """Exponent tuples e with sum(e_i * degrees[i]) == xdegree, canonical order."""
+    """Exponent tuples e with sum(e_i * degrees[i]) == xdegree, canonical order.
+
+    The prefixes wait on an explicit stack: a recursive closure would refer
+    to itself and leave each call's result in a reference cycle."""
     k = len(degrees)
+    if not k:
+        return [()] if xdegree == 0 else []
     out: list[Monomial] = []
-
-    def rec(prefix, remaining, i):
-        if i == k:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        d = degrees[i]
-        for e in range(remaining // d, -1, -1):
-            rec(prefix + [e], remaining - e * d, i + 1)
-
-    rec([], xdegree, 0)
+    stack = [((), xdegree)]
+    while stack:
+        prefix, remaining = stack.pop()
+        d = degrees[len(prefix)]
+        if len(prefix) == k - 1:
+            if remaining % d == 0:
+                out.append(prefix + (remaining // d,))
+            continue
+        stack.extend(
+            (prefix + (e,), remaining - e * d) for e in range(remaining // d + 1)
+        )
     return sorted(out, key=mono_key, reverse=True)
 
 
@@ -169,20 +180,45 @@ def molien_series(rep: FiniteGroupRep, degree_cap: int) -> MolienSeries:
 
 
 def _generator_images(rep: FiniteGroupRep) -> list:
-    """One :func:`power_products` table of x^m(T_s x) per spec generator s."""
-    return [power_products(linear_forms(rep.elements[s])) for s in rep.generators]
+    """Per spec generator s, the pair (L_s, image): L_s is the lcm of the
+    denominators of T_s, and ``image`` is one :func:`power_products` table
+    of x^m(L_s T_s x), built from the forms of :func:`linear_forms` scaled
+    by L_s, so every coefficient in it is an int."""
+    out = []
+    for s in rep.generators:
+        forms = linear_forms(rep.elements[s])
+        scale = math.lcm(*(c.denominator for f in forms for c in f.terms.values()))
+        forms = [
+            Polynomial._new(
+                rep.dim, {m: int(c * scale) for m, c in f.terms.items()}, f.kind
+            )
+            for f in forms
+        ]
+        out.append((scale, power_products(forms)))
+    return out
 
 
 def _invariant_space(rep: FiniteGroupRep, tables, monos, index) -> list[ra.Vec]:
     """W_d = ∩_s ker(T_s - I) over the generators s, as the canonical null
-    space of the stacked rows of x^m(T_s x) - x^m, one column per monomial
-    x^m of ``monos`` (all of one degree, positions in ``index``), read from
-    the :func:`_generator_images` ``tables``."""
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for s, image in zip(rep.generators, tables):
+    space of the stacked integer rows of x^m(L_s T_s x) - L_s^d x^m, one
+    column per monomial x^m of ``monos`` (all of degree d, positions in
+    ``index``), read from the :func:`_generator_images` ``tables``.
+
+    x^m(L_s T_s x) = L_s^d x^m(T_s x), so each row is L_s^d times the row
+    of x^m(T_s x) - x^m: the null space is that of the rational rows, and
+    ``rationals.rref`` eliminates them in integers."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for s, (scale, image) in zip(rep.generators, tables):
+        lead = scale ** sum(monos[0])
         for col, m in enumerate(monos):
-            for mm, c in (image(m) - Polynomial.monomial(m, 1)).terms.items():
-                rows.setdefault((s, index[mm]), {})[col] = c
+            terms = image(m).terms
+            for mm, c in terms.items():
+                if mm == m:
+                    c -= lead
+                if c:
+                    rows.setdefault((s, index[mm]), {})[col] = c
+            if m not in terms:
+                rows.setdefault((s, col), {})[col] = -lead
     return ra.nullspace(rows.values(), len(monos))
 
 

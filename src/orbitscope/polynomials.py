@@ -73,20 +73,23 @@ def mono_text(m: Monomial, kind: str = X_KIND, pretty: bool = False) -> str:
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
-    """All exponent tuples of the given total degree, canonical order."""
-    out: list[Monomial] = []
+    """All exponent tuples of the given total degree, canonical order.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
+    Built from the last variable forward: ``tails[r]`` holds the exponents
+    of the last j variables that sum to r, each list in canonical order.
+    No recursive closure: one would refer to itself and leave each call's
+    result in a reference cycle."""
     if nvars == 0:
         return [()] if degree == 0 else []
-    rec((), degree, nvars)
-    return out
+    tails = [[(r,)] for r in range(degree + 1)]
+    for _ in range(nvars - 2):
+        tails = [_prepend(tails, r) for r in range(degree + 1)]
+    return _prepend(tails, degree) if nvars > 1 else tails[degree]
+
+
+def _prepend(tails: list, r: int) -> list[Monomial]:
+    """The tuples (e,) + t with t in tails[r - e], e from r down to 0."""
+    return [(e,) + t for e in range(r, -1, -1) for t in tails[r - e]]
 
 
 def _exact(c):
@@ -375,6 +378,8 @@ def power_products(maps, truncate_at: int | None = None):
     times that variable's map, truncated at ``truncate_at`` when given; no
     degree is negative, so that loses no term at or below the cap.  Keys
     drop trailing zero exponents: maps appended later keep every image valid.
+    The empty product is the int 1, so maps with int coefficients give
+    images with int coefficients.
     ``image`` is a partial of a module function, not a recursive closure,
     which would refer to itself: each table would then be a reference
     cycle, freed only when the cyclic garbage collector happens to run.
@@ -390,7 +395,8 @@ def _power_image(table: dict, maps, truncate_at, m: Monomial) -> Polynomial:
             lower = _power_image(table, maps, truncate_at, key[:-1] + (key[-1] - 1,))
             got = lower * maps[len(key) - 1]
         else:
-            got = Polynomial.constant(maps[0].nvars, 1, maps[0].kind)
+            nvars = maps[0].nvars
+            got = Polynomial._new(nvars, {(0,) * nvars: 1}, maps[0].kind)
         if truncate_at is not None:
             got = got.truncate(truncate_at)
         table[key] = got

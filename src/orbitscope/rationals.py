@@ -1,16 +1,24 @@
 """Exact linear algebra over the rationals.
 
 Matrices are immutable tuples of tuples of Fraction, vectors are tuples of
-Fraction.  Every exact elimination in the package goes through one
-eliminator, :class:`RowReducer`: ranks (a group generator is singular
-when its rows have rank below the dimension), residuals modulo a span,
-``rref``, ``nullspace``, ``mat_inverse``, the J-space re-expression of
-invariants and the homological solves of the reduction layer.  It reduces
-each new sparse row against unnormalized pivot rows in insertion order;
-normalizing would not change a Fraction result, but ``Coefficient``
-entries cancel only monomial factors, so their printed form follows the
-dataflow.  One loop stays outside it: ``rref`` normalizes the reducer's
-pivot rows and back-eliminates them itself.
+Fraction.  Two exact eliminators serve the package.
+
+:class:`RowReducer` is the incremental one: ranks (a group generator is
+singular when its rows have rank below the dimension), residuals modulo a
+span, the J-space re-expression of invariants and the homological solves
+of the reduction layer.  It reduces each new sparse row against
+unnormalized pivot rows in insertion order; normalizing would not change
+a Fraction result, but ``Coefficient`` entries cancel only monomial
+factors, so their printed form follows the dataflow.
+
+:func:`rref`, which also serves ``nullspace`` and ``mat_inverse``, needs
+no such dataflow: its rows are rational, and a row space has exactly one
+reduced echelon form, so any exact route gives the same answer.  It
+eliminates fraction-free in Python ints (Bareiss, Math. Comp. 22 (1968)):
+each row is scaled to integers, a pivot that divides an entry clears it
+by the integer quotient, and otherwise the two rows are cross-multiplied
+and the result divided by its content.  Only the output entries are
+Fractions, one per entry.
 
 Everything here is deterministic: the pivot is always the first admissible
 column, never chosen by magnitude, so repeated runs produce identical
@@ -19,6 +27,7 @@ output bit for bit.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Vec = tuple[Fraction, ...]
@@ -79,30 +88,89 @@ def mat_inverse(a: Mat) -> Mat:
 def rref(rows_in, ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot_columns).
 
-    Rows may be dense or sparse; ``ncols`` is the width of the dense output
-    and defaults to the length of the first row.  Zero rows are dropped.
+    Rows may be dense or sparse, over Fraction or int; ``ncols`` is the
+    width of the dense output and defaults to the length of the first row.
+    Zero rows are dropped, and no row is read once the rank is ``ncols``.
     Pivot columns come out strictly increasing, the first nonzero column of
     each surviving row.
+
+    The elimination is fraction-free, after Bareiss (Math. Comp. 22 (1968)):
+    each row is scaled to integers, and each output entry is one Fraction
+    of two of its entries.  A row space has exactly one RREF, so the result
+    is the one any exact elimination gives.
     """
-    rows = list(rows_in)
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    reducer = RowReducer()
-    for row in rows:
-        reducer.add(row)
-    pivots = sorted(reducer.pivot_rows)
-    red: dict[int, dict] = {}
-    for col in reversed(pivots):
-        row = reducer.pivot_rows[col]
-        inv = ONE / row[col]
-        row = {v: x * inv for v, x in row.items()}
-        for later, lrow in red.items():
-            c = row.get(later)
-            if c:
-                for v, x in lrow.items():
-                    row[v] = row.get(v, ZERO) - c * x
-        red[col] = row
-    return [[red[p].get(j, ZERO) for j in range(ncols)] for p in pivots], pivots
+        rows_in = list(rows_in)
+        ncols = len(rows_in[0]) if rows_in else 0
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in rows_in:
+        row = _integer_row(row)
+        for col, prow in pivot_rows.items():
+            if col in row:
+                row = _eliminate(row, prow, col)
+        if row:
+            pivot_rows[min(row)] = row
+            if len(pivot_rows) == ncols:
+                break
+    pivots = sorted(pivot_rows)
+    for i, col in reversed(list(enumerate(pivots))):
+        row = pivot_rows[col]
+        for later in pivots[i + 1:]:
+            if later in row:
+                row = _eliminate(row, pivot_rows[later], later)
+        pivot_rows[col] = row
+    red = []
+    for col in pivots:
+        row = pivot_rows[col]
+        lead = row[col]
+        dense = [ZERO] * ncols
+        for v, x in row.items():
+            dense[v] = Fraction(x, lead)
+        red.append(dense)
+    return red, pivots
+
+
+def _integer_row(row) -> dict[int, int]:
+    """A row as ``{column: int}``, zeros left out: the row times the lcm of
+    its denominators, over the gcd of the results."""
+    row = sparse(row)
+    scale = math.lcm(*(x.denominator for x in row.values()))
+    ints = {v: x.numerator * (scale // x.denominator) for v, x in row.items()}
+    return _primitive(ints)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row over the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {v: x // g for v, x in row.items()} if g > 1 else row
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """``row`` with its entry at ``col`` cleared by the pivot row ``prow``.
+
+    When the pivot divides the entry, the integer quotient of ``prow`` is
+    subtracted in place.  Otherwise both rows are cross-multiplied by the
+    cofactors of their gcd, and the result is divided by its content."""
+    a, p = row[col], prow[col]
+    q, r = divmod(a, p)
+    if not r:
+        for v, x in prow.items():
+            y = row.get(v, 0) - q * x
+            if y:
+                row[v] = y
+            else:
+                del row[v]
+        return row
+    g = math.gcd(a, p)
+    a, p = a // g, p // g
+    out = {v: p * x for v, x in row.items()}
+    for v, x in prow.items():
+        y = out.get(v, 0) - a * x
+        if y:
+            out[v] = y
+        else:
+            del out[v]
+    return _primitive(out)
 
 
 def nullspace(rows_in, ncols: int) -> list[Vec]:

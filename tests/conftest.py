@@ -573,6 +573,36 @@ def fixed_subspace_of_all_members(rep, sub) -> list:
     return out
 
 
+def rref_by_row_reducer(rows_in, ncols=None):
+    """Reduced row echelon form through ``rationals.RowReducer``.
+
+    The oracle for ``rationals.rref``, which eliminates fraction-free in
+    integers: here every row goes through the Fraction eliminator, and its
+    pivot rows are normalized and back-eliminated in Fraction.  Int entries
+    become Fractions first, since ``RowReducer`` would divide two ints to a
+    float.  Returns (dense rows, pivot columns).
+    """
+    rows_in = list(rows_in)
+    if ncols is None:
+        ncols = len(rows_in[0]) if rows_in else 0
+    reducer = ra.RowReducer()
+    for row in rows_in:
+        reducer.add({c: Fraction(x) for c, x in ra.sparse(row).items()})
+    pivots = sorted(reducer.pivot_rows)
+    red: dict[int, dict] = {}
+    for col in reversed(pivots):
+        row = reducer.pivot_rows[col]
+        inv = ra.ONE / row[col]
+        row = {v: x * inv for v, x in row.items()}
+        for later, lrow in red.items():
+            c = row.get(later)
+            if c:
+                for v, x in lrow.items():
+                    row[v] = row.get(v, ra.ZERO) - c * x
+        red[col] = row
+    return [[red[p].get(j, ra.ZERO) for j in range(ncols)] for p in pivots], pivots
+
+
 def mat_det(a) -> Fraction:
     """Determinant by Fraction Gaussian elimination, tracking row swaps.
 

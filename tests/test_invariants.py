@@ -7,6 +7,7 @@ Frozen values below were produced by that oracle and cross-checked by hand.
 """
 
 import functools
+import gc
 import itertools
 import math
 import random
@@ -281,6 +282,33 @@ def test_p_matrix_acts_with_no_element(monkeypatch, b3):
     monkeypatch.setattr(invariants, "act", counted)
     p_matrix(b3, basis)
     assert acted == []
+
+
+def test_generator_tables_stay_integer(d4_sheared):
+    # T_s is scaled by the lcm of its denominators, and every image in its
+    # table keeps int coefficients, the empty product included
+    tables = invariants._generator_images(d4_sheared)
+    assert [scale for scale, _ in tables] == [2, 1]
+    for _, image in tables:
+        for d in range(7):
+            for m in monomials_of_degree(2, d):
+                terms = image(m).terms
+                assert terms and all(type(c) is int for c in terms.values())
+
+
+def test_invariant_rings_leave_no_reference_cycles(o_rot):
+    # the enumerators and tables are freed when their last user goes, not
+    # whenever the cyclic garbage collector next runs
+    gc.collect()
+    gc.disable()
+    try:
+        basis = compute_mib(o_rot)
+        find_relations(basis)
+        p_matrix(o_rot, basis)
+        del basis
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_invariant_space_d4_degree2(d4):

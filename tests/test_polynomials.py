@@ -213,6 +213,16 @@ def test_power_products_table_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_monomials_of_degree_leave_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(monomials_of_degree(3, 9)) == 55
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_text_format_explicit():
     p = Polynomial(2, {(2, 1): Fraction(3, 2), (0, 0): -1})
     assert p.to_text() == "3/2 * x1^2 x2^1 + -1"

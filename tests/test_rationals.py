@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from conftest import mat_det
+from hypothesis import example, given, settings, strategies as st
+from conftest import mat_det, rref_by_row_reducer
 
 from orbitscope import rationals as ra
 
@@ -101,10 +101,10 @@ def test_row_reducer_rank():
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
-def matrices(rows=st.integers(1, 5), cols=st.integers(1, 5)):
+def matrices(rows=st.integers(1, 5), cols=st.integers(1, 5), entries=fractions):
     return st.tuples(rows, cols).flatmap(
         lambda nm: st.lists(
-            st.lists(fractions, min_size=nm[1], max_size=nm[1]),
+            st.lists(entries, min_size=nm[1], max_size=nm[1]),
             min_size=nm[0], max_size=nm[0],
         )
     )
@@ -143,3 +143,74 @@ def test_row_reducer_respects_admissible(rows):
         assert pivot == (passing[0] if passing else None)
     for col, prow in rr.pivot_rows.items():
         assert integral(prow[col])
+
+
+# entries with large coprime denominators: products of them never cancel
+big_fractions = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6),
+    st.sampled_from([10007, 65537, 2**31 - 1, 2**61 - 1]),
+)
+entry_kinds = {
+    "int": st.integers(-10**4, 10**4),
+    "small": st.one_of(st.integers(-6, 6), fractions),
+    "big": st.one_of(st.just(0), fractions, big_fractions),
+}
+
+
+@st.composite
+def oracle_cases(draw):
+    """Rows (dense or dict) with zero and repeated rows, and an ``ncols``
+    at least the width of the data."""
+    entries = entry_kinds[draw(st.sampled_from(sorted(entry_kinds)))]
+    m = draw(st.integers(0, 6))
+    rows = draw(matrices(st.integers(0, 7), st.just(m), entries))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * m)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows = [ra.sparse(row) for row in rows]
+    return rows, m + draw(st.integers(0, 2))
+
+
+def nullspace_from(red, pivots, ncols):
+    """The free-column null space basis read off a reduced echelon form."""
+    return [
+        tuple(
+            ra.ONE if c == fc else -red[pivots.index(c)][fc] if c in pivots else ra.ZERO
+            for c in range(ncols)
+        )
+        for fc in range(ncols)
+        if fc not in pivots
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+@example(([], 0))
+@example(([], 3))
+def test_rref_and_nullspace_match_the_row_reducer(case):
+    rows, ncols = case
+    want = rref_by_row_reducer(rows, ncols)
+    got = ra.rref(iter(rows), ncols)
+    assert got == want
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+    assert ra.nullspace(rows, ncols) == nullspace_from(*want, ncols)
+    if not rows or not isinstance(rows[0], dict):
+        assert ra.rref(rows) == rref_by_row_reducer(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: matrices(st.just(n), st.just(n), entry_kinds["big"])
+))
+def test_mat_inverse_matches_the_row_reducer(a):
+    a = ra.mat(a)
+    n = len(a)
+    red, pivots = rref_by_row_reducer(r + e for r, e in zip(a, ra.mat_identity(n)))
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError):
+            ra.mat_inverse(a)
+    else:
+        assert ra.mat_inverse(a) == tuple(tuple(row[n:]) for row in red)
