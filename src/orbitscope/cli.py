@@ -29,6 +29,7 @@ error declares, ``builtins`` for OSError and ValueError).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -619,7 +620,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first :func:`main` call of a
+    process and reused by every later one.  Parsing leaves it unchanged:
+    the ``append`` action of ``--param`` copies its default list."""
     parser = argparse.ArgumentParser(
         prog="orbitscope",
         description="Invariant-theoretic analysis of finite-group Landau potentials",

@@ -13,11 +13,16 @@ the power products of the basis so far are spanned first, then the
 reduced echelon basis of W_d modulo that span is appended, which
 guarantees minimality.  Products of the generators and the images
 x^m(T_s x) come from ``polynomials.power_products`` tables, each built
-once.  The kernel of W_d is found in integers: with L_s the lcm of the
-denominators of T_s, the table of x -> L_s T_s x has int coefficients, and
-its rows x^m(L_s T_s x) - L_s^d x^m are the rational rows times L_s^d, so
-they have the same null space, which ``rationals.rref`` computes
-fraction-free.  The growth stops at the first degree where the basis is
+once, and both tables hold only ints.  The kernel of W_d is found in
+integers: with L_s the lcm of the denominators of T_s, the table of
+x -> L_s T_s x has int coefficients, and its rows x^m(L_s T_s x) - L_s^d x^m
+are the rational rows times L_s^d, so they have the same null space, which
+``rationals.rref`` computes fraction-free.  Likewise each basis generator
+J_i is tabled as N_i = L_i J_i, L_i the lcm of its denominators, so the
+products N^e are integer polynomials: the span of the degree-d products,
+the relations, the P-matrix and the Jacobian certificate are all formed
+from them, and a Fraction appears only where a value leaves the table.
+The growth stops at the first degree where the basis is
 certified complete (:func:`is_coregular`), or at the degree bound of a
 homogeneous system of parameters among its generators, or else at the
 degree cap.
@@ -38,11 +43,13 @@ from .errors import CapTooLow, NotExpressible, NotInvariant
 from .groups import FiniteGroupRep, InvariantMetric, invariant_metric
 from .polynomials import (
     J_KIND,
+    X_KIND,
     Monomial,
     Polynomial,
     act,
     linear_forms,
     mono_key,
+    mono_mul,
     monomials_of_degree,
     power_products,
 )
@@ -50,7 +57,7 @@ from .polynomials import (
 # ---------------------------------------------------------------- utilities
 
 
-def coefficient_row(p: Polynomial, index: dict[Monomial, int]) -> dict[int, Fraction]:
+def coefficient_row(p: Polynomial, index: dict[Monomial, int]) -> dict:
     """The sparse coefficient row of ``p`` over the monomial positions ``index``."""
     return {index[m]: c for m, c in p.terms.items()}
 
@@ -179,6 +186,20 @@ def molien_series(rep: FiniteGroupRep, degree_cap: int) -> MolienSeries:
 # -------------------------------------------------- graded invariant spaces
 
 
+def _integer_multiple(polys) -> tuple[int, list[Polynomial]]:
+    """(L, [L p for p in polys]): L is the lcm of the denominators of every
+    coefficient of ``polys``, so each L p has int coefficients."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return scale, [
+        Polynomial._new(
+            p.nvars,
+            {m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()},
+            p.kind,
+        )
+        for p in polys
+    ]
+
+
 def _generator_images(rep: FiniteGroupRep) -> list:
     """Per spec generator s, the pair (L_s, image): L_s is the lcm of the
     denominators of T_s, and ``image`` is one :func:`power_products` table
@@ -186,14 +207,7 @@ def _generator_images(rep: FiniteGroupRep) -> list:
     by L_s, so every coefficient in it is an int."""
     out = []
     for s in rep.generators:
-        forms = linear_forms(rep.elements[s])
-        scale = math.lcm(*(c.denominator for f in forms for c in f.terms.values()))
-        forms = [
-            Polynomial._new(
-                rep.dim, {m: int(c * scale) for m, c in f.terms.items()}, f.kind
-            )
-            for f in forms
-        ]
+        scale, forms = _integer_multiple(linear_forms(rep.elements[s]))
         out.append((scale, power_products(forms)))
     return out
 
@@ -238,9 +252,16 @@ def invariant_space_basis(rep: FiniteGroupRep, degree: int) -> list[Polynomial]:
 @dataclass
 class IntegrityBasis:
     """Minimal generating set of the invariant ring; :func:`find_relations`
-    computes the relations among its generators.  ``image(e)``, the x-space
-    image of the J-monomial e, comes from one :func:`power_products` table,
-    which stays valid as :func:`compute_mib` adds blocks.
+    computes the relations among its generators.
+
+    ``polys`` holds the generators J_i monic, as reports and the other
+    layers read them.  Each is also kept as N_i = L_i J_i
+    (``numerators[i]``), with L_i (``scales[i]``) the lcm of the
+    denominators of J_i, so N_i has int coefficients.  ``image(e)``, the
+    x-space image of N^e = prod_i L_i^{e_i} J^e, comes from one
+    :func:`power_products` table over the N_i, so every product in it is an
+    integer polynomial; the table stays valid as :func:`compute_mib` adds
+    blocks.
     """
 
     rep: FiniteGroupRep
@@ -248,15 +269,23 @@ class IntegrityBasis:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        self._maps = list(self.polys)
-        self.image = power_products(self._maps)
+        self.scales: list[int] = []
+        self.numerators: list[Polynomial] = []
+        self.image = power_products(self.numerators)
         self._images: dict = {}
+        self._add_numerators(self.polys)
+
+    def _add_numerators(self, polys) -> None:
+        for p in polys:
+            scale, (numerator,) = _integer_multiple([p])
+            self.scales.append(scale)
+            self.numerators.append(numerator)
 
     def add_block(self, block: list[Polynomial], degree: int) -> None:
         """Append generators of one degree, in listing order."""
         self.polys += tuple(block)
         self.degrees += (degree,) * len(block)
-        self._maps += block
+        self._add_numerators(block)
         self._images.clear()
 
     @property
@@ -271,13 +300,17 @@ class IntegrityBasis:
         """The J-monomials of x-degree ``xdegree`` in canonical order, and
         their x-space images as sparse rows {x-monomial: {J-monomial index:
         coefficient}}, x-monomials in canonical order.  Built once per degree.
+
+        The image of J^e is read from the integer table as N^e and divided
+        by prod_i L_i^{e_i}: one Fraction per entry.
         """
         if xdegree not in self._images:
             jmonos = jmonomials_of_xdegree(self.degrees, xdegree)
             rows: dict[Monomial, dict[int, Fraction]] = {}
             for col, expo in enumerate(jmonos):
+                scale = math.prod(s**e for s, e in zip(self.scales, expo))
                 for m, c in self.image(expo).terms.items():
-                    rows.setdefault(m, {})[col] = c
+                    rows.setdefault(m, {})[col] = Fraction(c, scale)
             ordered = {m: rows[m] for m in sorted(rows, key=mono_key, reverse=True)}
             self._images[xdegree] = (jmonos, ordered)
         return self._images[xdegree]
@@ -334,10 +367,7 @@ def _hsop_bound(thetas) -> int | None:
     span = ra.RowReducer(len(monos))
     for theta, d in zip(thetas, degrees):
         for m in monomials_of_degree(n, top - d):
-            span.add({
-                index[tuple(a + b for a, b in zip(m, mm))]: c
-                for mm, c in theta.terms.items()
-            })
+            span.add({index[mono_mul(m, mm)]: c for mm, c in theta.terms.items()})
             if span.rank == len(monos):
                 return max(max(degrees), top - 1)
     return None
@@ -362,7 +392,7 @@ def _certified_stop(basis: IntegrityBasis, series: MolienSeries, top: int) -> in
     secondary_top = sum(d - 1 for d in degrees)
     if max(degrees[-1], secondary_top) >= top:
         return top
-    bound = _hsop_bound(basis.polys[:n])
+    bound = _hsop_bound(basis.numerators[:n])
     if bound is None:
         return top
     numerator = _molien_numerator(series.coefficients, degrees)
@@ -388,7 +418,9 @@ def compute_mib(rep: FiniteGroupRep, degree_cap: int | None = None) -> Integrity
       when it leaves no generator.
 
     One basis grows block by block, and the degree-d power
-    products are read from its table.  At each degree the new generators
+    products are read from its integer table: each row is a nonzero
+    multiple of the product of the monic generators, so it spans the same
+    space with the same pivot columns.  At each degree the new generators
     are the reduced-echelon basis of the quotient (invariant space modulo
     products of lower generators), which pins the choice completely: the
     Z2 footnote basis comes out as (x^2, y^2, xy), the symmetric groups
@@ -483,16 +515,17 @@ def find_relations(
 
 def _jacobian_determinant(polys) -> Polynomial:
     """det(d J_i / d x_j) of n polynomials in n variables, exactly, by the
-    Leibniz expansion over the polynomial entries."""
+    Leibniz expansion over the polynomial entries.  No constant enters the
+    products, so integer polynomials give an integer determinant."""
     n = len(polys)
     jac = [p.gradient() for p in polys]
     det = Polynomial.zero(n)
     for perm in itertools.permutations(range(n)):
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        term = Polynomial.constant(n, (-1) ** inversions)
-        for i, j in enumerate(perm):
-            term = term * jac[i][j]
-        det = det + term
+        term = jac[0][perm[0]]
+        for i in range(1, n):
+            term = term * jac[i][perm[i]]
+        det = det - term if inversions % 2 else det + term
     return det
 
 
@@ -502,8 +535,9 @@ def is_coregular(basis: IntegrityBasis) -> bool:
     Invariant Theory* 2.2-2.4, Derksen-Kemper ch. 3).  Three checks:
 
     1. k = n generators;
-    2. their Jacobian determinant is a nonzero polynomial, so they are
-       algebraically independent and R[J] has Hilbert series 1/F(t),
+    2. their Jacobian determinant is a nonzero polynomial (taken of the
+       integer multiples N_i, which scales it by a nonzero constant), so
+       they are algebraically independent and R[J] has Hilbert series 1/F(t),
        F(t) = prod_i (1 - t^{d_i});
     3. F(t) * Molien(t) == 1, so R[J], a subring of the invariant ring,
        has its dimension at every degree and is all of it.
@@ -517,7 +551,7 @@ def is_coregular(basis: IntegrityBasis) -> bool:
     series does, hence R = 0 and the identity holds exactly.
     """
     rep = basis.rep
-    if basis.k != rep.dim or _jacobian_determinant(basis.polys).is_zero():
+    if basis.k != rep.dim or _jacobian_determinant(basis.numerators).is_zero():
         return False
     top = sum(len(q) - 1 for q, _ in _char_polys(rep)) + sum(basis.degrees)
     series = molien_series(rep, top).coefficients
@@ -594,22 +628,35 @@ class PMatrix:
 def p_matrix(rep: FiniteGroupRep, basis: IntegrityBasis) -> PMatrix:
     """Entry (i, h) is homogeneous of x-degree d_i + d_h - 2 and is
     re-expressed at that degree alone; the consistent solve certifies it
-    lies in the algebra, so no invariance test is repeated."""
+    lies in the algebra, so no invariance test is repeated.
+
+    The products run in integers, over the gradients of the integer
+    multiples N_i = L_i J_i (:class:`IntegrityBasis`) weighted by
+    D eta^-1, D the lcm of the denominators of eta^-1; each entry's sum is
+    divided once by D L_i L_h."""
     metric = invariant_metric(rep)
-    grads = [p.gradient() for p in basis.polys]
+    den = math.lcm(*(w.denominator for row in metric.eta_inv for w in row))
+    weights = [
+        [(b, w.numerator * (den // w.denominator)) for b, w in enumerate(row) if w]
+        for row in metric.eta_inv
+    ]
+    grads = [p.gradient() for p in basis.numerators]
     k = basis.k
     n = rep.dim
     entries: list[list[Polynomial]] = [[None] * k for _ in range(k)]
     for i in range(k):
         for h in range(i, k):
-            acc = Polynomial.zero(n)
+            acc: dict[Monomial, int] = {}
             for a in range(n):
-                for b in range(n):
-                    w = metric.eta_inv[a][b]
-                    if w != 0:
-                        acc = acc + (grads[i][a] * grads[h][b]).scale(w)
+                for b, w in weights[a]:
+                    for m, c in (grads[i][a] * grads[h][b]).terms.items():
+                        acc[m] = acc.get(m, 0) + w * c
+            divisor = den * basis.scales[i] * basis.scales[h]
+            gram = Polynomial._new(
+                n, {m: Fraction(c, divisor) for m, c in acc.items()}, X_KIND
+            )
             degree = basis.degrees[i] + basis.degrees[h] - 2
-            expr = Polynomial(k, express_homogeneous(basis, acc, degree), J_KIND)
+            expr = Polynomial(k, express_homogeneous(basis, gram, degree), J_KIND)
             entries[i][h] = expr
             entries[h][i] = expr
     return PMatrix(basis, tuple(tuple(row) for row in entries), metric)

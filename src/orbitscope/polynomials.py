@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import types
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ def mono_degree(m: Monomial, weights=None) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_key(m: Monomial):

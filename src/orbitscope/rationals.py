@@ -9,7 +9,9 @@ span, the J-space re-expression of invariants and the homological solves
 of the reduction layer.  It reduces each new sparse row against
 unnormalized pivot rows in insertion order; normalizing would not change
 a Fraction result, but ``Coefficient`` entries cancel only monomial
-factors, so their printed form follows the dataflow.
+factors, so their printed form follows the dataflow.  It takes int rows
+too, such as the products of the integer basis table: two ints divide to
+a Fraction, never to a float.
 
 :func:`rref`, which also serves ``nullspace`` and ``mat_inverse``, needs
 no such dataflow: its rows are rational, and a row space has exactly one
@@ -196,6 +198,11 @@ RHS = -1
 """Column key of a row's right-hand side: reduced along with the row, never a pivot."""
 
 
+def _divide(a, b):
+    """a / b, exactly: two ints divide to a Fraction, not to a float."""
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+
 def sparse(row) -> dict:
     """A row as ``{column: entry}`` with the zeros left out; takes a dense
     sequence or a dict."""
@@ -206,8 +213,9 @@ def sparse(row) -> dict:
 class RowReducer:
     """The exact eliminator: an incremental echelon basis of sparse rows.
 
-    Entries are Fraction or ``Coefficient``.  ``residual`` reduces a row
-    against the pivot rows in insertion order, ``factor = entry / pivot``;
+    Entries are int, Fraction or ``Coefficient``.  ``residual`` reduces a
+    row against the pivot rows in insertion order, ``factor = entry /
+    pivot``, where two ints divide to a Fraction (:func:`_divide`);
     ``push`` keeps a residual as a new pivot row, pivoting on its first
     column whose entry passes ``admissible`` (default: nonzero).  Pivot rows
     stay unnormalized: ``Coefficient`` cancels only monomial factors, so its
@@ -233,7 +241,7 @@ class RowReducer:
             c = row.get(col)
             if not c:
                 continue
-            factor = c / prow[col]
+            factor = _divide(c, prow[col])
             for v, x in prow.items():
                 if v == col:
                     del row[col]
@@ -278,7 +286,7 @@ class RowReducer:
                     term = c * values[v]
                     acc = -term if acc is None else acc - term
             if acc:
-                values[col] = acc / row[col]
+                values[col] = _divide(acc, row[col])
             else:
                 values.pop(col, None)
         return values

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from orbitscope import cli, dynamics, groups, polynomials, rationals as ra
+from orbitscope import cli, dynamics, groups, invariants, polynomials, rationals as ra
 from orbitscope.errors import MonotonicityViolation, SubgroupCapExceeded
-from orbitscope.polynomials import Polynomial, compile_polynomial
+from orbitscope.polynomials import J_KIND, Polynomial, compile_polynomial, mono_key
 
 
 def _frac_rows(rows):
@@ -579,8 +579,8 @@ def rref_by_row_reducer(rows_in, ncols=None):
     The oracle for ``rationals.rref``, which eliminates fraction-free in
     integers: here every row goes through the Fraction eliminator, and its
     pivot rows are normalized and back-eliminated in Fraction.  Int entries
-    become Fractions first, since ``RowReducer`` would divide two ints to a
-    float.  Returns (dense rows, pivot columns).
+    become Fractions first, so that no step of the oracle runs in ints.
+    Returns (dense rows, pivot columns).
     """
     rows_in = list(rows_in)
     if ncols is None:
@@ -666,6 +666,58 @@ def metric_by_fraction_sum(rep):
         )
         for a in range(n)
     )
+
+
+class FractionTableBasis(invariants.IntegrityBasis):
+    """An integrity basis whose J-monomial images are read from one
+    power-product table over the monic Fraction generators, for
+    ``find_relations`` and ``express_homogeneous`` to run on.
+
+    The oracle for ``IntegrityBasis.jmonomial_images``, which reads the
+    products N^e of the integer multiples N_i = L_i J_i and divides each
+    entry by prod_i L_i^{e_i}.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.fraction_image = polynomials.power_products(list(self.polys))
+
+    def jmonomial_images(self, xdegree: int):
+        if xdegree not in self._images:
+            jmonos = invariants.jmonomials_of_xdegree(self.degrees, xdegree)
+            rows: dict = {}
+            for col, expo in enumerate(jmonos):
+                for m, c in self.fraction_image(expo).terms.items():
+                    rows.setdefault(m, {})[col] = c
+            ordered = {m: rows[m] for m in sorted(rows, key=mono_key, reverse=True)}
+            self._images[xdegree] = (jmonos, ordered)
+        return self._images[xdegree]
+
+
+def p_matrix_by_fractions(rep, oracle: FractionTableBasis) -> tuple:
+    """The P-matrix entries from the Fraction gradients of the monic
+    generators, each product scaled by its eta^-1 weight, re-expressed over
+    the ``oracle``'s table.
+
+    The oracle for ``invariants.p_matrix``, which multiplies the integer
+    gradients of the N_i and divides each sum once.
+    """
+    eta_inv = groups.invariant_metric(rep).eta_inv
+    grads = [p.gradient() for p in oracle.polys]
+    n, k = rep.dim, oracle.k
+    entries = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for h in range(i, k):
+            acc = Polynomial.zero(n)
+            for a in range(n):
+                for b in range(n):
+                    if eta_inv[a][b]:
+                        acc = acc + (grads[i][a] * grads[h][b]).scale(eta_inv[a][b])
+            degree = oracle.degrees[i] + oracle.degrees[h] - 2
+            entries[i][h] = entries[h][i] = Polynomial(
+                k, invariants.express_homogeneous(oracle, acc, degree), J_KIND
+            )
+    return tuple(tuple(row) for row in entries)
 
 
 def rational_conjugators(n):

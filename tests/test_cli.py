@@ -4,12 +4,16 @@ import importlib
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from orbitscope import errors
+import orbitscope
+from orbitscope import cli, errors
 from orbitscope.cli import _structured_error, main
 from orbitscope.groups import close_generators
 from orbitscope.invariants import molien_series
@@ -446,6 +450,42 @@ def test_byte_identical_reruns(tmp_path, capsys):
     rc2, out2, _ = run(capsys, argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process, and a call leaves nothing in it
+    # for the next: no --param appended to the shared default list
+    d4 = write_spec(tmp_path, "d4", D4)
+    z2 = write_spec(tmp_path, "z2line", Z2_LINE)
+    calls = [
+        ["landau", "--spec", d4, "--param", "a2=1", "--format", "json"],
+        ["landau", "--spec", d4, "--format", "json"],
+        ["flow", "--spec", z2, "--x0", "0.1", "--t-end", "0.05", "--format", "csv"],
+        ["invariants", "--spec", z2, "--format", "json"],
+    ]
+    cli.build_parser.cache_clear()
+    in_turn = [run(capsys, argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert in_turn == fresh
+    assert in_turn[0] != in_turn[1]
+    assert all(rc == 0 for rc, _, _ in in_turn)
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(orbitscope.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import orbitscope.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
 
 
 def test_out_directory(tmp_path, capsys):

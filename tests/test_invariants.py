@@ -29,11 +29,13 @@ from conftest import (
     S3_PERM_GENS,
     S4_PERM_GENS,
     S5_GENS,
+    FractionTableBasis,
     char_poly_by_minors,
     conjugate,
     mat_det,
     metric_by_fraction_sum,
     orbit,
+    p_matrix_by_fractions,
     permutation_matrix,
     poly_pow,
     rational_conjugators,
@@ -294,6 +296,49 @@ def test_generator_tables_stay_integer(d4_sheared):
             for m in monomials_of_degree(2, d):
                 terms = image(m).terms
                 assert terms and all(type(c) is int for c in terms.values())
+
+
+@pytest.mark.parametrize("name, scales", [
+    ("d4_sheared", [1, 1]),
+    ("o_rot_conj", [5, 80, 4, 24]),
+])
+def test_basis_tables_stay_integer(name, scales, request):
+    # each generator is tabled as N_i = L_i J_i, and every image of the
+    # basis table keeps int coefficients, the empty product included
+    basis = compute_mib(request.getfixturevalue(name))
+    assert basis.scales == scales
+    assert basis.numerators == [
+        p.scale(scale) for p, scale in zip(basis.polys, basis.scales)
+    ]
+    for xdeg in range(2 * basis.max_degree + 1):
+        for expo in jmonomials_of_xdegree(basis.degrees, xdeg):
+            terms = basis.image(expo).terms
+            assert terms and all(type(c) is int for c in terms.values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["d4", "s3-perm", "o-rot", "b3"]).flatmap(
+    lambda name: st.tuples(
+        st.just(name), rational_conjugators(len(SUMMED_GROUPS[name][0]))
+    )
+))
+def test_integer_basis_tables_match_the_fraction_oracle(case):
+    # images, relations and P-matrix from the integer table against the
+    # same computed over the monic Fraction generators, on S^-1 G S
+    name, s = case
+    assume(mat_det(s) != 0)
+    rep = close_generators(conjugate(SUMMED_GROUPS[name], s))
+    basis = compute_mib(rep)
+    oracle = FractionTableBasis(rep, basis.polys, basis.degrees)
+    for xdeg in range(2 * basis.max_degree + 1):
+        jmonos, rows = basis.jmonomial_images(xdeg)
+        want_jmonos, want_rows = oracle.jmonomial_images(xdeg)
+        assert jmonos == want_jmonos
+        assert [(m, list(r.items())) for m, r in rows.items()] == [
+            (m, list(r.items())) for m, r in want_rows.items()
+        ]
+    assert find_relations(basis) == find_relations(oracle)
+    assert p_matrix(rep, basis).entries == p_matrix_by_fractions(rep, oracle)
 
 
 def test_invariant_rings_leave_no_reference_cycles(o_rot):

@@ -98,6 +98,18 @@ def test_row_reducer_rank():
     assert rr.rank == 2
 
 
+def test_row_reducer_divides_ints_exactly():
+    # two int entries divide to a Fraction, not to the float -0.5 or 0.5
+    rr = ra.RowReducer()
+    rr.add([2, 1])
+    got = rr.residual([3, 1])
+    assert got == {1: Fraction(-1, 2)} and type(got[1]) is Fraction
+    rr = ra.RowReducer()
+    rr.add({0: 2, ra.RHS: 1})
+    got = rr.solve()
+    assert got == {0: Fraction(1, 2)} and type(got[0]) is Fraction
+
+
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
@@ -214,3 +226,33 @@ def test_mat_inverse_matches_the_row_reducer(a):
             ra.mat_inverse(a)
     else:
         assert ra.mat_inverse(a) == tuple(tuple(row[n:]) for row in red)
+
+
+def no_floats(values) -> bool:
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    matrices(st.integers(1, 6), st.integers(2, 6), st.integers(-6, 6)),
+    st.lists(st.integers(-6, 6), min_size=6, max_size=6),
+)
+def test_row_reducer_on_ints_matches_fractions(rows, probe):
+    # the last entry of each row is its right-hand side
+    def system(row):
+        return {**ra.sparse(row[:-1]), ra.RHS: row[-1]}
+
+    ints, fracs = ra.RowReducer(), ra.RowReducer()
+    for row in rows:
+        grew = ints.add(system(row))
+        assert grew == fracs.add(system([Fraction(x) for x in row]))
+    assert ints.pivot_rows == fracs.pivot_rows
+    assert list(ints.pivot_rows) == list(fracs.pivot_rows)
+    assert all(no_floats(prow.values()) for prow in ints.pivot_rows.values())
+    assert ints.consistent == fracs.consistent
+    got = ints.solve()
+    assert got == fracs.solve() and no_floats(got.values())
+    probe = probe[: len(rows[0]) - 1]
+    got = ints.residual(probe)
+    assert got == fracs.residual([Fraction(x) for x in probe])
+    assert no_floats(got.values())
