@@ -15,7 +15,8 @@ Group input is a small JSON file::
 
 Matrix entries are integers or strings accepted by Fraction ("1/2").
 An optional "max_order" (an integer >= 1) bounds the closure (default
-10000); an optional "name" (a string) labels the reports.
+10000); an optional "name" (a string; null or "" means the file's stem)
+labels the reports.
 
 Every report embeds the tool version, the sha256 of the spec file, the
 seed, tolerances and caps, so a rerun with the same configuration is
@@ -151,15 +152,15 @@ def load_group_spec(path: str) -> tuple[FiniteGroupRep, str]:
         raise SpecParseError(f"spec file {path} lists no generators")
     if len({len(g) for g in gens}) != 1:
         raise SpecParseError(f"generators in {path} act on different dimensions")
-    name = doc.get("name") or Path(path).stem
-    if not isinstance(name, str):
+    name = doc.get("name")
+    if not isinstance(name, (str, type(None))):
         raise SpecParseError(f"'name' in {path} must be a string, got {name!r}")
     max_order = doc.get("max_order", 10000)
     if type(max_order) is not int or max_order < 1:
         raise SpecParseError(
             f"'max_order' in {path} must be an integer >= 1, got {max_order!r}"
         )
-    rep = close_generators(gens, max_order=max_order, name=name)
+    rep = close_generators(gens, max_order=max_order, name=name or Path(path).stem)
     return rep, digest
 
 

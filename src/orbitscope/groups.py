@@ -13,8 +13,9 @@ Everything downstream (orbits, isotropy, fixed spaces, subgroup
 enumeration) works on element indices, so exactness is never at risk.
 ``all_subgroups`` finds the subgroup lattice by cyclic extension up to
 conjugacy: one subgroup per conjugacy class is extended by every cyclic
-subgroup outside it, and each new subgroup brings its whole class at once.
-The search stays complete because conjugation carries a join to a join:
+subgroup outside it, and each new subgroup brings its whole class at once,
+so the classes are returned as they are found.  The search stays complete
+because conjugation carries a join to a join:
 x<H, g>x^-1 = <xHx^-1, xgx^-1>.
 """
 
@@ -269,7 +270,7 @@ def _join(cayley, inside: set[int], gens: tuple[int, ...]) -> set[int]:
     return closed
 
 
-def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
+def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[tuple[Subgroup, ...]]:
     """Every subgroup, by cyclic extension up to conjugacy (Neubüser, 1960).
 
     Starting from the trivial group, one representative H of each
@@ -288,14 +289,17 @@ def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
     is K's, so K is found.  By induction along the chain every subgroup
     is found.
 
-    Returns subgroups sorted by (order, members) for determinism.  The cap
-    bounds the number of closure computations attempted.
+    Returns the conjugacy classes, each a tuple of its subgroups sorted by
+    members, and the classes sorted by (order, first members), for
+    determinism.  The cap bounds the number of closure computations
+    attempted.
     """
     cyclic: dict[tuple[int, ...], int] = {}
     for g in range(1, rep.order):
         cyclic.setdefault(_cyclic_subgroup(rep, g), g)
     cayley = rep.cayley
     found: set[tuple[int, ...]] = {(0,)}
+    classes = [[(0,)]]
     queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
     work = 0
     for members, gens in queue:
@@ -310,11 +314,12 @@ def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[Subgroup]:
             key = tuple(sorted(_join(cayley, inside, ext_gens)))
             if key not in found:
                 sub = Subgroup(key)
-                found.update(
-                    conjugate_subgroup(rep, sub, x).members for x in range(rep.order)
-                )
+                conj = {conjugate_subgroup(rep, sub, x).members for x in range(rep.order)}
+                found.update(conj)
+                classes.append(sorted(conj))
                 queue.append((key, ext_gens))
-    return [Subgroup(m) for m in sorted(found, key=lambda m: (len(m), m))]
+    classes.sort(key=lambda c: (len(c[0]), c[0]))
+    return [tuple(map(Subgroup, c)) for c in classes]
 
 
 def fixed_subspace(rep: FiniteGroupRep, sub: Subgroup) -> list[ra.Vec]:
@@ -344,16 +349,9 @@ def fixed_subspace(rep: FiniteGroupRep, sub: Subgroup) -> list[ra.Vec]:
             )
             for i in range(rep.dim)
         ]
-    basis = ra.nullspace(constraints, rep.dim)
     out = []
-    for v in basis:
-        denom_lcm = math.lcm(*(q.denominator for q in v))
-        scaled = [q * denom_lcm for q in v]
-        num_gcd = math.gcd(*(q.numerator for q in scaled))
-        if num_gcd > 1:
-            scaled = [q / num_gcd for q in scaled]
-        lead = next((q for q in scaled if q != 0), Fraction(1))
-        if lead < 0:
-            scaled = [-q for q in scaled]
-        out.append(tuple(scaled))
+    for v in ra.nullspace(constraints, rep.dim):
+        row = ra._integer_row(v)
+        sign = -1 if row[min(row)] < 0 else 1
+        out.append(tuple(Fraction(sign * row.get(j, 0)) for j in range(rep.dim)))
     return out

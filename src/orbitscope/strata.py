@@ -14,13 +14,14 @@ types with one-dimensional fixed space; those rays are returned as the
 principal critical orbit families.
 
 A type is realized, the isotropy of some point, exactly when no larger
-subgroup has a fixed space of the same dimension; `symmetry_types` reads
-that off the subgroup lattice and the fixed-space dimensions, by set
+subgroup has a fixed space of the same dimension; `isotropy_lattice`
+reads that off the lattice order and the fixed-space dimensions, by set
 containment alone.
 
-The types and their lattice are computed once per group:
-`symmetry_types` and `isotropy_lattice` keep them in ``rep.memo``, and
-every function here that needs them reads them there.
+The types and their lattice are built in one pass over the conjugacy
+classes `all_subgroups` returns, once per group: `isotropy_lattice` keeps
+them in ``rep.memo["isotropy_lattice"]``, and every function here that
+needs them reads them there.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 
 from . import rationals as ra
 from .errors import NoUniqueMinimum
-from .groups import (
-    FiniteGroupRep,
-    Subgroup,
-    all_subgroups,
-    conjugate_subgroup,
-    fixed_subspace,
-)
+from .groups import FiniteGroupRep, Subgroup, all_subgroups, fixed_subspace
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,7 @@ class SymmetryType:
     fix is the exact basis of Fix(representative) that `fixed_subspace`
     returns.  realized says that some point has isotropy exactly the
     representative: no larger subgroup has a fixed space of the same
-    dimension (the argument is in `symmetry_types`).
+    dimension (the argument is in `isotropy_lattice`).
     """
 
     label: str
@@ -94,7 +89,14 @@ class RayFamily:
 
 
 def symmetry_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
-    """Conjugacy classes of all subgroups, with fixed spaces and realized flags.
+    """Conjugacy classes of all subgroups, with fixed spaces and realized
+    flags: the types of `isotropy_lattice`."""
+    return isotropy_lattice(rep).types
+
+
+def isotropy_lattice(rep: FiniteGroupRep) -> IsotropyLattice:
+    """The types, their order and the principal type, from one pass over
+    the conjugacy classes of `all_subgroups`.
 
     H is realized, the isotropy of some point, exactly when no subgroup
     K ⊋ H has dim Fix(K) = dim Fix(H).  Let P be the pointwise stabilizer
@@ -108,69 +110,45 @@ def symmetry_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
     Fix(K) = Fix(H) and H ⊊ K ⊆ P.  For Fix(H) = 0 this reads: H is
     realized (by the origin) exactly when H = G.
 
-    Conjugate subgroups have fixed spaces of equal dimension, so every
-    subgroup takes the ``fix_dim`` of its class.  A representative is
-    then decided by set containment in the subgroups of the classes with
-    its ``fix_dim``, and no matrix is applied to a vector.
+    Conjugate subgroups have fixed spaces of equal dimension, and
+    H ⊊ xKx⁻¹ exactly when x⁻¹Hx ⊊ K.  So such a K exists exactly when
+    [H] < [K] for a class [K] with the fix dimension of [H], and a class
+    is realized exactly when it lies below no class of its own fix
+    dimension.  The order itself is set containment of a conjugate in a
+    representative, and no matrix is applied to a vector.
 
-    Deterministic: subgroups are enumerated in sorted order and classes are
-    labeled T0, T1, ... with orders ascending.  Computed once per group and
-    kept in ``rep.memo["symmetry_types"]``.
+    Deterministic: the classes come in the order `all_subgroups` returns
+    them and are labeled T0, T1, ... with orders ascending.  Computed once
+    per group and kept in ``rep.memo["isotropy_lattice"]``.
     """
-    cached = rep.memo.get("symmetry_types")
-    if cached is not None:
-        return cached
-    assigned: set[tuple[int, ...]] = set()
-    classes: list[tuple[list[tuple[int, ...]], list[ra.Vec]]] = []
-    for sub in all_subgroups(rep):
-        if sub.members in assigned:
-            continue
-        conj_members = sorted(
-            {conjugate_subgroup(rep, sub, g).members for g in range(rep.order)}
-        )
-        assigned.update(conj_members)
-        classes.append((conj_members, fixed_subspace(rep, Subgroup(conj_members[0]))))
-    by_fix_dim: dict[int, list[frozenset[int]]] = {}
-    for conj_members, fix in classes:
-        by_fix_dim.setdefault(len(fix), []).extend(map(frozenset, conj_members))
-    types = []
-    for conj_members, fix in classes:
-        members = frozenset(conj_members[0])
-        types.append(
-            SymmetryType(
-                label=f"T{len(types)}",
-                representative=Subgroup(conj_members[0]),
-                conjugates=tuple(Subgroup(m) for m in conj_members),
-                fix=tuple(fix),
-                realized=not any(members < k for k in by_fix_dim[len(fix)]),
-            )
-        )
-    cached = rep.memo["symmetry_types"] = tuple(types)
-    return cached
-
-
-def _class_strictly_below(t_low: SymmetryType, t_high: SymmetryType) -> bool:
-    high = set(t_high.representative.members)
-    for c in t_low.conjugates:
-        mem = set(c.members)
-        if mem < high:
-            return True
-    return False
-
-
-def isotropy_lattice(rep: FiniteGroupRep) -> IsotropyLattice:
-    """The types, their order and the principal type; kept in ``rep.memo``."""
     cached = rep.memo.get("isotropy_lattice")
     if cached is not None:
         return cached
-    types = symmetry_types(rep)
-    pairs = set()
-    for i, ti in enumerate(types):
-        for j, tj in enumerate(types):
-            if i != j and _class_strictly_below(ti, tj):
-                pairs.add((i, j))
+    classes = all_subgroups(rep)
+    sets = [[frozenset(s.members) for s in cls] for cls in classes]
+    # a strict subgroup has smaller order, so its class comes first
+    pairs = frozenset(
+        (i, j)
+        for j, high in enumerate(sets)
+        for i in range(j)
+        if any(low < high[0] for low in sets[i])
+    )
+    fixes = [tuple(fixed_subspace(rep, cls[0])) for cls in classes]
+    types = tuple(
+        SymmetryType(
+            label=f"T{i}",
+            representative=cls[0],
+            conjugates=cls,
+            fix=fix,
+            realized=not any(
+                (i, j) in pairs and len(fixes[j]) == len(fix)
+                for j in range(i + 1, len(classes))
+            ),
+        )
+        for i, (cls, fix) in enumerate(zip(classes, fixes))
+    )
     principal = _principal_index(types, pairs)
-    cached = rep.memo["isotropy_lattice"] = IsotropyLattice(types, frozenset(pairs), principal)
+    cached = rep.memo["isotropy_lattice"] = IsotropyLattice(types, pairs, principal)
     return cached
 
 

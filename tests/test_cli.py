@@ -200,6 +200,19 @@ def test_spec_bad_max_order(tmp_path, capsys):
     assert error_code(err) == "cli.SpecParseError"
 
 
+@pytest.mark.parametrize("name", [0, False, [], 1, None, "", "z2"])
+def test_spec_name_is_a_string_or_null(tmp_path, capsys, name):
+    # null and "" label the reports with the file's stem; any other
+    # non-string name is an error, falsy or not
+    p = tmp_path / "stem.json"
+    p.write_text(json.dumps({"name": name, "generators": Z2_LINE}))
+    rc, out, err = run(capsys, ["group", "--spec", str(p)])
+    if name is None or isinstance(name, str):
+        assert rc == 0 and f"\ngroup {name or 'stem'}: order 2," in out
+    else:
+        assert rc == 1 and error_code(err) == "cli.SpecParseError"
+
+
 def test_malformed_spec(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -52,6 +52,13 @@ def brute_force_subgroups(rep):
     return sorted(found, key=lambda m: (len(m), m))
 
 
+def sorted_subgroups(rep, **kwargs):
+    """The classes of ``groups.all_subgroups`` flattened, each subgroup's
+    members, sorted by (order, members) as the oracles list them."""
+    classes = groups.all_subgroups(rep, **kwargs)
+    return sorted((s.members for c in classes for s in c), key=lambda m: (len(m), m))
+
+
 def matmul_closure(gens):
     """Oracle: the element list of a breadth first closure by exact
     matrix products m*g, in order of discovery."""
@@ -172,7 +179,7 @@ S5_CLOSURES = 1079
 
 def test_subgroup_cap_boundary(s5_std):
     assert S5_CLOSURES <= 9561 // 5
-    assert len(groups.all_subgroups(s5_std, cap=S5_CLOSURES)) == 156
+    assert len(sorted_subgroups(s5_std, cap=S5_CLOSURES)) == 156
     with pytest.raises(SubgroupCapExceeded, match=f"exceeded {S5_CLOSURES - 1} closure"):
         groups.all_subgroups(s5_std, cap=S5_CLOSURES - 1)
 
@@ -182,14 +189,13 @@ def test_subgroups_match_cyclic_extension(request, name):
     # one class representative extended, its conjugates taken at once,
     # gives the same lattice as extending every subgroup
     rep = request.getfixturevalue(name)
-    enumerated = [s.members for s in groups.all_subgroups(rep)]
-    assert enumerated == subgroups_by_cyclic_extension(rep)
+    assert sorted_subgroups(rep) == subgroups_by_cyclic_extension(rep)
 
 
 def test_subgroup_counts_against_oracle(d4, d4_sheared, s3_perm, z2_plane, z2xz2, z4):
     for rep, expected in ((d4, 10), (d4_sheared, 10), (s3_perm, 6),
                           (z2_plane, 2), (z2xz2, 5), (z4, 3)):
-        enumerated = [s.members for s in groups.all_subgroups(rep)]
+        enumerated = sorted_subgroups(rep)
         assert enumerated == brute_force_subgroups(rep)
         assert len(enumerated) == expected
 
@@ -199,19 +205,26 @@ def test_subgroup_counts_against_oracle(d4, d4_sheared, s3_perm, z2_plane, z2xz2
 ])
 def test_subgroup_census(request, name, subgroups, classes):
     rep = request.getfixturevalue(name)
-    subs = groups.all_subgroups(rep)
-    assert len(subs) == subgroups
+    found = groups.all_subgroups(rep)
+    subs = [s for c in found for s in c]
+    assert len(subs) == subgroups and len(found) == classes
+    # the classes are disjoint, closed under conjugation, and listed by
+    # (order, first members), each sorted by members
+    assert len({s.members for s in subs}) == subgroups
+    for c in found:
+        assert list(c) == sorted(c, key=lambda s: s.members)
+        assert {groups.conjugate_subgroup(rep, c[0], x) for x in range(rep.order)} == set(c)
+    assert found == sorted(found, key=lambda c: (c[0].order, c[0].members))
     for sub in subs:
         groups.check_subgroup(rep, sub)
     types = symmetry_types(rep)
-    assert len(types) == classes
-    assert sum(len(t.conjugates) for t in types) == subgroups
+    assert [t.conjugates for t in types] == found
 
 
 def test_lagrange(d4, s3_perm, s4_perm):
     for rep in (d4, s3_perm, s4_perm):
-        for sub in groups.all_subgroups(rep):
-            assert rep.order % sub.order == 0
+        for c in groups.all_subgroups(rep):
+            assert all(rep.order % sub.order == 0 for sub in c)
 
 
 def test_orbit_square_vertices(d4):
@@ -280,7 +293,7 @@ def test_check_subgroup_rejects(d4):
 
 
 def test_fixed_subspace(d4):
-    subs = {s.members: s for s in groups.all_subgroups(d4)}
+    subs = {s.members: s for c in groups.all_subgroups(d4) for s in c}
     mirror = groups.isotropy_subgroup(d4, (1, 0))
     basis = groups.fixed_subspace(d4, mirror)
     assert basis == [(Fraction(1), Fraction(0))]
@@ -304,8 +317,9 @@ def test_fixed_subspace_matches_all_members(request, name):
     # the rows of a generating set span the rows of all |H| members, so
     # the canonical basis is the same, vector for vector
     rep = request.getfixturevalue(name)
-    for sub in groups.all_subgroups(rep):
-        assert groups.fixed_subspace(rep, sub) == fixed_subspace_of_all_members(rep, sub)
+    for c in groups.all_subgroups(rep):
+        for sub in c:
+            assert groups.fixed_subspace(rep, sub) == fixed_subspace_of_all_members(rep, sub)
 
 
 @settings(max_examples=30, deadline=None)
@@ -316,9 +330,10 @@ def test_fixed_subspace_on_rational_conjugates(case):
     gens, s = case
     assume(mat_det(s) != 0)
     rep = groups.close_generators(conjugate(gens, s))
-    subs = groups.all_subgroups(rep)
-    assert [sub.members for sub in subs] == subgroups_by_cyclic_extension(rep)
-    for sub in subs:
+    subs = sorted_subgroups(rep)
+    assert subs == subgroups_by_cyclic_extension(rep)
+    for members in subs:
+        sub = groups.Subgroup(members)
         assert groups.fixed_subspace(rep, sub) == fixed_subspace_of_all_members(rep, sub)
 
 

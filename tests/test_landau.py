@@ -269,7 +269,7 @@ def test_symmetry_types_cache_does_not_keep_groups_alive():
     # so a group nobody holds is collected along with them
     rep = close_generators([((F(-1),),)], name="z2-scratch")
     assert classify_symmetry(rep, (0.5,)).order == 1
-    assert "symmetry_types" in rep.memo
+    assert "isotropy_lattice" in rep.memo
     ref = weakref.ref(rep)
     del rep
     gc.collect()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FLIP_Y, ROT90, orbit, realized_by_stabilizer
+from conftest import B3_GENS, FLIP_Y, ROT90, orbit, realized_by_stabilizer
 
 from orbitscope import groups, rationals as ra, strata
 from orbitscope.groups import (
@@ -117,6 +117,25 @@ def test_isotropy_lattice_built_once():
     # kept in rep.memo, so cmd_strata and principal_stratum share one lattice
     rep = close_generators([ROT90, FLIP_Y], name="d4-lattice")
     assert isotropy_lattice(rep) is isotropy_lattice(rep)
+
+
+@pytest.mark.parametrize("gens", [(ROT90, FLIP_Y), B3_GENS], ids=["d4", "b3"])
+def test_isotropy_lattice_conjugates_each_class_once(monkeypatch, gens):
+    # all_subgroups conjugates each new class's first subgroup by every
+    # element; the lattice reads the classes it returns and conjugates
+    # nothing again
+    calls = []
+    conjugate = groups.conjugate_subgroup
+
+    def counted(*args):
+        calls.append(args)
+        return conjugate(*args)
+
+    monkeypatch.setattr(groups, "conjugate_subgroup", counted)
+    monkeypatch.setattr(strata, "conjugate_subgroup", counted, raising=False)
+    rep = close_generators(gens)
+    lattice = isotropy_lattice(rep)
+    assert len(calls) == (len(lattice.types) - 1) * rep.order
 
 
 def test_symmetry_types_enumerated_once(monkeypatch):
