@@ -121,7 +121,7 @@ def test_isotropy_lattice_built_once():
 
 @pytest.mark.parametrize("gens", [(ROT90, FLIP_Y), B3_GENS], ids=["d4", "b3"])
 def test_isotropy_lattice_conjugates_each_class_once(monkeypatch, gens):
-    # all_subgroups conjugates each new class's first subgroup by every
+    # all_subgroups conjugates each new class's first-found subgroup by every
     # element; the lattice reads the classes it returns and conjugates
     # nothing again
     calls = []
