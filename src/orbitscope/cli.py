@@ -44,7 +44,7 @@ from pathlib import Path
 from . import __version__
 from .dynamics import dump_trajectory_csv, gradient_field, integrate
 from .errors import OrbitscopeError, SpecParseError, UnknownParameter
-from .groups import FiniteGroupRep, close_generators
+from .groups import FiniteGroupRep, all_subgroups, close_generators
 from .invariants import (
     IntegrityBasis,
     compute_mib,
@@ -211,17 +211,18 @@ Report = tuple[dict, list[str], Iterable[list[str]]]
 
 
 def cmd_group(cfg: RunConfig, rep: FiniteGroupRep) -> Report:
-    types = symmetry_types(rep)
+    classes = all_subgroups(rep)
     report = {
         "name": rep.name,
         "order": rep.order,
         "dim": rep.dim,
-        # close_generators builds the Cayley table by looking every product
-        # up in its element index, so a closed rep has a closed table
+        # close_generators looks the generators' rows of the Cayley table
+        # up in its element index and composes every other row from them,
+        # so a closed rep has a closed table
         "cayley_closed": True,
         # every subgroup lies in exactly one conjugacy class
-        "subgroup_count": sum(len(t.conjugates) for t in types),
-        "symmetry_type_count": len(types),
+        "subgroup_count": sum(map(len, classes)),
+        "symmetry_type_count": len(classes),
     }
     text = [
         f"group {report['name']}: order {report['order']}, acting on R^{report['dim']}",

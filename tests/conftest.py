@@ -15,7 +15,13 @@ import pytest
 from hypothesis import strategies as st
 
 from orbitscope import cli, dynamics, groups, invariants, polynomials, rationals as ra
-from orbitscope.errors import MonotonicityViolation, SubgroupCapExceeded
+from orbitscope.errors import (
+    DimensionMismatch,
+    MonotonicityViolation,
+    NonInvertibleGenerator,
+    OrderCapExceeded,
+    SubgroupCapExceeded,
+)
 from orbitscope.polynomials import J_KIND, Polynomial, compile_polynomial, mono_key
 
 
@@ -226,6 +232,31 @@ def b4():
     """The hyperoctahedral group B4 on R^4, order 384: the signed
     permutations."""
     return groups.close_generators(B4_GENS, name="b4")
+
+
+def reflection(v):
+    """The reflection of R^n in the hyperplane orthogonal to v."""
+    v = [Fraction(x) for x in v]
+    vv = sum(x * x for x in v)
+    return tuple(
+        tuple(int(i == j) - 2 * v[i] * v[j] / vv for j in range(len(v)))
+        for i in range(len(v))
+    )
+
+
+# the simple reflections of F4: in e2 - e3, e3 - e4, e4 and (e1 - e2 - e3 - e4)/2
+F4_GENS = (
+    reflection((0, 1, -1, 0)),
+    reflection((0, 0, 1, -1)),
+    reflection((0, 0, 0, 1)),
+    reflection((Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))),
+)
+
+
+@pytest.fixture(scope="session")
+def f4():
+    """The Weyl group W(F4) on R^4, order 1152."""
+    return groups.close_generators(F4_GENS, name="f4")
 
 
 # ------------------------------------------------------------ benchmark pins
@@ -522,13 +553,109 @@ def realized_by_stabilizer(rep, sub, fix) -> bool:
     return stabilizer == sub.members
 
 
+def close_generators_by_fractions(generators, max_order: int = 10000, name=None):
+    """Close a generating set into a FiniteGroupRep with Fraction points.
+
+    The oracle for ``groups.close_generators``, which keys the points as
+    integer vectors over a denominator and builds the Cayley table by
+    rows: here every point image is a ``rationals.mat_vec`` in Fractions,
+    and every Cayley entry is looked up by its base images.
+    """
+    gens = [ra.mat(g) for g in generators]
+    if not gens:
+        raise NonInvertibleGenerator("need at least one generator")
+    dim = len(gens[0])
+    for g in gens:
+        if len(g) != dim or any(len(row) != dim for row in g):
+            raise DimensionMismatch("generators must be square and equal size")
+        reducer = ra.RowReducer(dim)
+        for row in g:
+            reducer.add(row)
+        if reducer.rank < dim:
+            raise NonInvertibleGenerator("generator matrix is singular")
+    pts = list(ra.mat_identity(dim))
+    point_index = {p: i for i, p in enumerate(pts)}
+    images: list = [[] for _ in gens]
+    for p in pts:
+        for g, image in zip(gens, images):
+            q = ra.mat_vec(g, p)
+            if q not in point_index:
+                point_index[q] = len(pts)
+                pts.append(q)
+                if len(pts) > dim * max_order:
+                    raise OrderCapExceeded(
+                        f"closure exceeded {max_order} elements: the basis "
+                        f"orbits passed {dim * max_order} points"
+                    )
+            image.append(point_index[q])
+    gen_perms = [tuple(image) for image in images]
+    identity = tuple(range(len(pts)))
+    perms = [identity]
+    index = {identity[:dim]: 0}
+    frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for g in gen_perms:
+                key = tuple(m[g[j]] for j in range(dim))
+                if key not in index:
+                    index[key] = len(perms)
+                    prod = tuple(m[k] for k in g)
+                    perms.append(prod)
+                    new_frontier.append(prod)
+                    if len(perms) > max_order:
+                        raise OrderCapExceeded(f"closure exceeded {max_order} elements")
+        frontier = new_frontier
+    cayley = [
+        [index[tuple(a[b[j]] for j in range(dim))] for b in perms] for a in perms
+    ]
+    inverse = [row.index(0) for row in cayley]
+    elements = [tuple(zip(*(pts[p[j]] for j in range(dim)))) for p in perms]
+    gen_index = dict.fromkeys(index[g[:dim]] for g in gen_perms)
+    gen_index.pop(0, None)
+    return groups.FiniteGroupRep(dim, elements, cayley, inverse, gen_index, name=name)
+
+
+def join_by_generators(cayley, inside: set, gens: tuple) -> set:
+    """<H, g> as a set, for a subgroup H (``inside``) generated by all but
+    the last of ``gens`` and g the last: H's members closed under right
+    multiplication by every generator, one element at a time.
+
+    The oracle for ``groups._join``, which closes the join by right cosets
+    of H.  A finite group's inverses are positive powers, so the products
+    of generators are the whole join.
+    """
+    g = gens[-1]
+    closed = set(inside)
+    frontier = []
+    for h in inside:
+        k = cayley[h][g]
+        if k not in closed:
+            closed.add(k)
+            frontier.append(k)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            row = cayley[m]
+            for s in gens:
+                k = row[s]
+                if k not in closed:
+                    closed.add(k)
+                    nxt.append(k)
+        frontier = nxt
+    return closed
+
+
 def subgroups_by_cyclic_extension(rep, cap=100000) -> list:
     """Every subgroup's members, by plain cyclic extension (Neubüser, 1960).
 
     The oracle for ``groups.all_subgroups``, which extends one subgroup
-    per conjugacy class: here every subgroup found is extended by every
-    cyclic subgroup outside it, so no conjugation is used.  Sorted by
-    (order, members); raises SubgroupCapExceeded past ``cap`` closures.
+    per conjugacy class by one cyclic subgroup per orbit of its normalizer
+    and closes each join by cosets: here every subgroup found is extended
+    by every cyclic subgroup outside it, and each join is closed one
+    element at a time (``join_by_generators``), so no conjugation is used.
+    Sorted by (order, members); raises SubgroupCapExceeded past ``cap``
+    closures.
     """
     cyclic: dict = {}
     for g in range(1, rep.order):
@@ -546,7 +673,7 @@ def subgroups_by_cyclic_extension(rep, cap=100000) -> list:
             if work > cap:
                 raise SubgroupCapExceeded(f"exceeded {cap} closure computations")
             ext_gens = gens + (g,)
-            key = tuple(sorted(groups._join(rep.cayley, inside, ext_gens)))
+            key = tuple(sorted(join_by_generators(rep.cayley, inside, ext_gens)))
             if key not in found:
                 found[key] = ext_gens
                 queue.append(key)

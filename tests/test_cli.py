@@ -29,6 +29,16 @@ B4 = [
     [["-1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
 ]
 
+# the Weyl group W(F4): the reflections in e2 - e3, e3 - e4, e4 and
+# (e1 - e2 - e3 - e4)/2
+F4 = [
+    [["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"]],
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "1", "0"]],
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "-1"]],
+    [["1/2", "1/2", "1/2", "1/2"], ["1/2", "1/2", "-1/2", "-1/2"],
+     ["1/2", "-1/2", "1/2", "-1/2"], ["1/2", "-1/2", "-1/2", "1/2"]],
+]
+
 
 def write_spec(tmp_path, name, gens, **extra):
     doc = {"name": name, "generators": gens, **extra}
@@ -58,12 +68,24 @@ def test_group_report(tmp_path, capsys):
 
 def test_b4_group_and_strata(tmp_path, capsys):
     # extending every subgroup of B4 (order 384) takes 344949 closures,
-    # past the default cap; one subgroup per class takes 39036
+    # past the default cap; one subgroup per class, extended by one cyclic
+    # subgroup per orbit of its normalizer, takes 7720
     spec = write_spec(tmp_path, "b4", B4)
     rc, out, err = run(capsys, ["group", "--spec", spec])
     assert rc == 0 and err == ""
     assert "order 384" in out
     assert "subgroups: 1659 in 193 conjugacy classes" in out
+    rc, _, err = run(capsys, ["strata", "--spec", spec])
+    assert rc == 0 and err == ""
+
+
+def test_f4_group_and_strata(tmp_path, capsys):
+    # W(F4) (order 1152) passes the default cap of 100000 joins with 16895
+    spec = write_spec(tmp_path, "f4", F4)
+    rc, out, err = run(capsys, ["group", "--spec", spec])
+    assert rc == 0 and err == ""
+    assert "order 1152" in out
+    assert "subgroups: 5191 in 246 conjugacy classes" in out
     rc, _, err = run(capsys, ["strata", "--spec", spec])
     assert rc == 0 and err == ""
 

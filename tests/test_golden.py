@@ -45,7 +45,12 @@ seed-201 conjugate of b3, its spec taken from ``perfbench/specs.py``) pin
 the type census of the three largest groups whose subgroups the tests
 enumerate; they were recorded before ``groups.all_subgroups`` came to
 extend one subgroup per conjugacy class, so they hold that change to the
-old lattice.  The ``.txt``
+old lattice.  ``strata-b4`` (``.json``) and ``group-b4`` (``.txt``,
+``.csv``) pin B4, the signed permutations of R^4 (order 384, 1659
+subgroups in 193 classes); they were recorded before the subgroup search
+came to extend each class by one cyclic subgroup per orbit of its
+normalizer and to close joins by cosets, and before the closure came to
+run in integers, so they hold those changes to the old lattice.  The ``.txt``
 and ``.csv`` files were recorded before the text and CSV output of every
 command came to be read from its JSON report; they pin the header lines and
 every line the two formats print.  They run from ``golden/`` with a relative
@@ -79,6 +84,7 @@ CASES = [
     ("strata-b4-rot", ["strata", "--spec", "b4-rot"]),
     ("strata-s5-std", ["strata", "--spec", "s5-std"]),
     ("strata-b3-c", ["strata", "--spec", "b3-c"]),
+    ("strata-b4", ["strata", "--spec", "b4"]),
     ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
     ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
     ("reduce-s3-perm-ell3", ["reduce", "--spec", "s3-perm", "--ell=3"]),
@@ -90,6 +96,7 @@ CASES = [
 PRINTED = [
     ("group-d4", ["group", "--spec", "d4"]),
     ("group-s4-std", ["group", "--spec", "s4-std"]),
+    ("group-b4", ["group", "--spec", "b4"]),
     ("invariants-d4", ["invariants", "--spec", "d4"]),
     ("strata-d4", ["strata", "--spec", "d4"]),
     ("landau-d4", ["landau", "--spec", "d4"]),

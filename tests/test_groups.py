@@ -14,9 +14,11 @@ from conftest import (
     B3_GENS,
     D4_SHEARED_GENS,
     FLIP_Y,
+    O_ROT_GENS,
     ROT90,
     S3_PERM_GENS,
     S4_PERM_GENS,
+    close_generators_by_fractions,
     conjugate,
     fixed_subspace_of_all_members,
     mat_det,
@@ -154,6 +156,25 @@ def test_closure_against_matmul_oracle(gens):
         assert ra.mat_mul(rep.elements[i], rep.elements[rep.inverse[i]]) == identity
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(ROT90, FLIP_Y), S4_PERM_GENS, O_ROT_GENS, B3_GENS]).flatmap(
+    lambda gens: st.tuples(st.just(gens), rational_conjugators(len(gens[0])))
+))
+def test_closure_matches_fraction_oracle(case):
+    # integer points and a Cayley table built by rows give the Fraction
+    # closure's group exactly, down to the entry types
+    gens, s = case
+    assume(mat_det(s) != 0)
+    conj = conjugate(gens, s)
+    rep = groups.close_generators(conj)
+    oracle = close_generators_by_fractions(conj)
+    assert rep.elements == oracle.elements
+    assert all(type(q) is Fraction for t in rep.elements for row in t for q in row)
+    assert rep.cayley == oracle.cayley
+    assert rep.inverse == oracle.inverse
+    assert rep.generators == oracle.generators
+
+
 def test_order_cap():
     # the shear moves (0, 1) along the infinite orbit (k, 1), which the
     # point-set guard stops at dim * max_order points
@@ -173,8 +194,11 @@ def test_subgroup_cap(b3):
         groups.all_subgroups(b3, cap=10)
 
 
-# closures all_subgroups makes on s5-std; plain cyclic extension makes 9561
-S5_CLOSURES = 1079
+# joins all_subgroups makes on s5-std; plain cyclic extension makes 9561,
+# and extending each class representative by every cyclic subgroup 1079
+S5_CLOSURES = 205
+# the same on b4, where extending by every cyclic subgroup makes 39036
+B4_CLOSURES = 7720
 
 
 def test_subgroup_cap_boundary(s5_std):
@@ -184,10 +208,18 @@ def test_subgroup_cap_boundary(s5_std):
         groups.all_subgroups(s5_std, cap=S5_CLOSURES - 1)
 
 
+def test_subgroup_cap_boundary_b4(b4):
+    # one cyclic subgroup per normalizer orbit: a lost pruning fails here
+    assert len(sorted_subgroups(b4, cap=B4_CLOSURES)) == 1659
+    with pytest.raises(SubgroupCapExceeded, match=f"exceeded {B4_CLOSURES - 1} closure"):
+        groups.all_subgroups(b4, cap=B4_CLOSURES - 1)
+
+
 @pytest.mark.parametrize("name", ["s4_perm", "b3", "b3_conj", "o_rot_conj", "s5_std", "b4_rot"])
 def test_subgroups_match_cyclic_extension(request, name):
-    # one class representative extended, its conjugates taken at once,
-    # gives the same lattice as extending every subgroup
+    # one class representative extended by one cyclic subgroup per orbit of
+    # its normalizer, joins closed by cosets and its conjugates taken at
+    # once, gives the same lattice as extending every subgroup
     rep = request.getfixturevalue(name)
     assert sorted_subgroups(rep) == subgroups_by_cyclic_extension(rep)
 
@@ -202,6 +234,7 @@ def test_subgroup_counts_against_oracle(d4, d4_sheared, s3_perm, z2_plane, z2xz2
 
 @pytest.mark.parametrize("name, subgroups, classes", [
     ("s4_perm", 30, 11), ("b3", 98, 33), ("s5_std", 156, 19), ("b4", 1659, 193),
+    ("f4", 5191, 246),
 ])
 def test_subgroup_census(request, name, subgroups, classes):
     rep = request.getfixturevalue(name)
