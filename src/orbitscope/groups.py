@@ -19,7 +19,9 @@ risk.  ``all_subgroups`` finds the subgroup lattice by cyclic extension
 up to conjugacy: one subgroup per conjugacy class is extended by one
 cyclic subgroup of each orbit of its normalizer on the cyclic subgroups
 outside it, and each new subgroup brings its whole class at once, so the
-classes are returned as they are found.  The search stays complete
+classes are returned as they are found.  A class is the orbit of its new
+subgroup under conjugation by the generators, and the normalizer is closed
+from the Schreier generators of that orbit.  The search stays complete
 because conjugation carries a join to a join:
 x<H, g>x^-1 = <xHx^-1, xgx^-1>, and for x in the normalizer N_G(H) that
 is <H, xgx^-1>, so every cyclic subgroup of one orbit gives a join in the
@@ -313,6 +315,49 @@ def _join(rep: FiniteGroupRep, inside: set[int], gens: tuple[int, ...]) -> set[i
     return closed
 
 
+def _class_and_normalizer(
+    rep: FiniteGroupRep, members: tuple[int, ...], gens: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The conjugacy class of K = <gens> (``members``, sorted) and its
+    normalizer N_G(K), each sorted.
+
+    The class is the orbit of K under conjugation by ``rep.generators``,
+    found breadth first, and each conjugate c keeps a transversal element
+    t_c with t_c K t_c^-1 = c.  Every edge c -> d = s c s^-1 that does not
+    add d to the orbit gives a Schreier generator t_d^-1 s t_c, which maps
+    K to K, and by Schreier's lemma these generate N_G(K) (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, §4.1).  They
+    are closed by cosets from K (``_join``), one at a time, so each join
+    extends a subgroup generated by all its generators but the last, and
+    the closure stops once |N| = |G|/|class|, the order that
+    orbit–stabilizer gives.  That is |class|·|generators| conjugations,
+    not |G|.
+    """
+    cayley, inverse = rep.cayley, rep.inverse
+    transversal = {members: 0}
+    orbit = [members]
+    schreier = []
+    for c in orbit:
+        t, sub = transversal[c], Subgroup(c)
+        for s in rep.generators:
+            d = conjugate_subgroup(rep, sub, s).members
+            st = cayley[s][t]
+            if d in transversal:
+                schreier.append(cayley[inverse[transversal[d]]][st])
+            else:
+                transversal[d] = st
+                orbit.append(d)
+    order = rep.order // len(orbit)
+    normalizer = set(members)
+    for x in schreier:
+        if len(normalizer) == order:
+            break
+        if x not in normalizer:
+            gens += (x,)
+            normalizer = _join(rep, normalizer, gens)
+    return sorted(orbit), sorted(normalizer)
+
+
 def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[tuple[Subgroup, ...]]:
     """Every subgroup, by cyclic extension up to conjugacy (Neubüser, 1960).
 
@@ -320,10 +365,12 @@ def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[tuple[Subgroup
     conjugacy class is extended by one cyclic subgroup <g> of each orbit
     of its normalizer N_G(H) on the cyclic subgroups not inside H.  The
     join <H, g> is closed from H by right cosets (``_join``), over H's
-    stored generators and g.  When a join K is new, all its conjugates
-    xKx^-1 (``conjugate_subgroup``) join the found set at once, and K is
-    queued with its generators and its normalizer, the x with xKx^-1 = K,
-    read from the same conjugates.
+    stored generators and g.  When a join K is new, its whole class joins
+    the found set at once, and K is queued with its generators and its
+    normalizer (``_class_and_normalizer``): the class is the orbit of K
+    under conjugation by the generators of G, and the normalizer is closed
+    from the orbit's Schreier generators, stopping at the order |G|/|class|
+    that orbit–stabilizer gives.
 
     The search is complete.  Every subgroup <g1, ..., gk> is the end of
     the chain of its partial joins, each the join of the one before with a
@@ -363,12 +410,10 @@ def all_subgroups(rep: FiniteGroupRep, cap: int = 100000) -> list[tuple[Subgroup
             ext_gens = gens + (g,)
             key = tuple(sorted(_join(rep, inside, ext_gens)))
             if key not in found:
-                sub = Subgroup(key)
-                conj = [conjugate_subgroup(rep, sub, x).members for x in range(rep.order)]
-                distinct = set(conj)
-                found.update(distinct)
-                classes.append(sorted(distinct))
-                queue.append((key, ext_gens, [x for x, c in enumerate(conj) if c == key]))
+                conjugates, key_normalizer = _class_and_normalizer(rep, key, ext_gens)
+                found.update(conjugates)
+                classes.append(conjugates)
+                queue.append((key, ext_gens, key_normalizer))
     classes.sort(key=lambda c: (len(c[0]), c[0]))
     return [tuple(map(Subgroup, c)) for c in classes]
 

@@ -16,7 +16,11 @@ principal critical orbit families.
 A type is realized, the isotropy of some point, exactly when no larger
 subgroup has a fixed space of the same dimension; `isotropy_lattice`
 reads that off the lattice order and the fixed-space dimensions, by set
-containment alone.
+containment alone.  Those dimensions are traces: (1/|H|) sum_h T_h is the
+projector onto Fix(H), so dim Fix(H) = (1/|H|) sum_h tr T_h (Serre,
+*Linear Representations of Finite Groups*, §2.3), exactly, from
+integer traces.  A basis of a fixed space is built only for the rays that
+`principal_critical_orbits` returns.
 
 The types and their lattice are built in one pass over the conjugacy
 classes `all_subgroups` returns, once per group: `isotropy_lattice` keeps
@@ -37,25 +41,22 @@ from .groups import FiniteGroupRep, Subgroup, all_subgroups, fixed_subspace
 class SymmetryType:
     """A conjugacy class of subgroups with its fixed-space data.
 
-    fix is the exact basis of Fix(representative) that `fixed_subspace`
-    returns.  realized says that some point has isotropy exactly the
-    representative: no larger subgroup has a fixed space of the same
-    dimension (the argument is in `isotropy_lattice`).
+    fix_dim is dim Fix(representative), the mean trace of its members
+    (see `isotropy_lattice`); no basis is kept.  realized says that some
+    point has isotropy exactly the representative: no larger subgroup has
+    a fixed space of the same dimension (the argument is in
+    `isotropy_lattice`).
     """
 
     label: str
     representative: Subgroup
     conjugates: tuple[Subgroup, ...]
-    fix: tuple[ra.Vec, ...]
+    fix_dim: int
     realized: bool
 
     @property
     def order(self) -> int:
         return self.representative.order
-
-    @property
-    def fix_dim(self) -> int:
-        return len(self.fix)
 
     def contains_subgroup(self, sub: Subgroup) -> bool:
         return any(c.members == sub.members for c in self.conjugates)
@@ -89,8 +90,8 @@ class RayFamily:
 
 
 def symmetry_types(rep: FiniteGroupRep) -> tuple[SymmetryType, ...]:
-    """Conjugacy classes of all subgroups, with fixed spaces and realized
-    flags: the types of `isotropy_lattice`."""
+    """Conjugacy classes of all subgroups, with fix dimensions and
+    realized flags: the types of `isotropy_lattice`."""
     return isotropy_lattice(rep).types
 
 
@@ -117,6 +118,12 @@ def isotropy_lattice(rep: FiniteGroupRep) -> IsotropyLattice:
     dimension.  The order itself is set containment of a conjugate in a
     representative, and no matrix is applied to a vector.
 
+    dim Fix(H) is the trace of the projector (1/|H|) sum_h T_h onto
+    Fix(H), so it is the sum of the members' traces over |H|, read from
+    per-element traces kept in ``rep.memo["traces"]``.  A rational matrix
+    of finite order has an integer trace (its eigenvalues are roots of
+    unity, so the trace is an algebraic integer), and the sum is exact.
+
     Deterministic: the classes come in the order `all_subgroups` returns
     them and are labeled T0, T1, ... with orders ascending.  Computed once
     per group and kept in ``rep.memo["isotropy_lattice"]``.
@@ -133,23 +140,34 @@ def isotropy_lattice(rep: FiniteGroupRep) -> IsotropyLattice:
         for i in range(j)
         if any(low < high[0] for low in sets[i])
     )
-    fixes = [tuple(fixed_subspace(rep, cls[0])) for cls in classes]
+    traces = _traces(rep)
+    dims = [sum(traces[h] for h in cls[0].members) // cls[0].order for cls in classes]
     types = tuple(
         SymmetryType(
             label=f"T{i}",
             representative=cls[0],
             conjugates=cls,
-            fix=fix,
+            fix_dim=dim,
             realized=not any(
-                (i, j) in pairs and len(fixes[j]) == len(fix)
+                (i, j) in pairs and dims[j] == dim
                 for j in range(i + 1, len(classes))
             ),
         )
-        for i, (cls, fix) in enumerate(zip(classes, fixes))
+        for i, (cls, dim) in enumerate(zip(classes, dims))
     )
     principal = _principal_index(types, pairs)
     cached = rep.memo["isotropy_lattice"] = IsotropyLattice(types, pairs, principal)
     return cached
+
+
+def _traces(rep: FiniteGroupRep) -> tuple[int, ...]:
+    """tr T_g for every element, as ints, once per group in its memo."""
+    traces = rep.memo.get("traces")
+    if traces is None:
+        traces = rep.memo["traces"] = tuple(
+            int(sum(t[i][i] for i in range(rep.dim))) for t in rep.elements
+        )
+    return traces
 
 
 def _principal_index(types, pairs) -> int | None:
@@ -171,12 +189,16 @@ def principal_stratum(rep: FiniteGroupRep) -> SymmetryType:
 
 
 def principal_critical_orbits(rep: FiniteGroupRep) -> tuple[RayFamily, ...]:
-    """Ray families critical for every invariant potential on the sphere."""
+    """Ray families critical for every invariant potential on the sphere.
+
+    Each ray's direction is the basis vector `fixed_subspace` returns for
+    its type's representative.
+    """
     rays = []
     for t in symmetry_types(rep):
         if not t.realized or t.fix_dim != 1:
             continue
-        direction = t.fix[0]
+        (direction,) = fixed_subspace(rep, t.representative)
         norm = float(sum(c * c for c in direction)) ** 0.5
         unit = tuple(float(c) / norm for c in direction)
         rays.append(RayFamily(symmetry=t, direction=direction, unit=unit))

@@ -680,6 +680,20 @@ def subgroups_by_cyclic_extension(rep, cap=100000) -> list:
     return sorted(found, key=lambda m: (len(m), m))
 
 
+def class_and_normalizer_by_every_element(rep, sub) -> tuple:
+    """The conjugacy class of H (``sub``) and its normalizer N_G(H), by
+    conjugating H by every element.
+
+    The oracle for ``groups._class_and_normalizer``, which walks the orbit
+    of H under the generators and closes the normalizer from the orbit's
+    Schreier generators: here xHx^-1 is formed for all |G| elements x, the
+    class is the distinct conjugates and the normalizer the x with
+    xHx^-1 = H.  Returns (sorted member lists, sorted normalizer).
+    """
+    conj = [groups.conjugate_subgroup(rep, sub, x).members for x in range(rep.order)]
+    return sorted(set(conj)), [x for x, c in enumerate(conj) if c == sub.members]
+
+
 def fixed_subspace_of_all_members(rep, sub) -> list:
     """Fix(H) from the stacked (T_h - I) rows of every member of H.
 

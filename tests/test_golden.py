@@ -50,7 +50,14 @@ old lattice.  ``strata-b4`` (``.json``) and ``group-b4`` (``.txt``,
 subgroups in 193 classes); they were recorded before the subgroup search
 came to extend each class by one cyclic subgroup per orbit of its
 normalizer and to close joins by cosets, and before the closure came to
-run in integers, so they hold those changes to the old lattice.  The ``.txt``
+run in integers, so they hold those changes to the old lattice.
+``strata-f4`` (``.json``) and ``group-f4`` (``.txt``, ``.csv``) pin W(F4),
+the Weyl group of F4 on R^4 (order 1152, 5191 subgroups in 246 classes),
+its spec built from the simple reflections of ``tests/conftest.py``; they
+were recorded before each class came to be walked as an orbit under the
+generators with its normalizer closed from Schreier generators, and before
+fix dimensions came to be read off traces, so they hold those changes to
+the old classes, fix dims and rays.  The ``.txt``
 and ``.csv`` files were recorded before the text and CSV output of every
 command came to be read from its JSON report; they pin the header lines and
 every line the two formats print.  They run from ``golden/`` with a relative
@@ -85,6 +92,7 @@ CASES = [
     ("strata-s5-std", ["strata", "--spec", "s5-std"]),
     ("strata-b3-c", ["strata", "--spec", "b3-c"]),
     ("strata-b4", ["strata", "--spec", "b4"]),
+    ("strata-f4", ["strata", "--spec", "f4"]),
     ("reduce-d4-ell6", ["reduce", "--spec", "d4", "--ell=6"]),
     ("reduce-z2xz2-ell4", ["reduce", "--spec", "z2xz2", "--ell=4"]),
     ("reduce-s3-perm-ell3", ["reduce", "--spec", "s3-perm", "--ell=3"]),
@@ -97,6 +105,7 @@ PRINTED = [
     ("group-d4", ["group", "--spec", "d4"]),
     ("group-s4-std", ["group", "--spec", "s4-std"]),
     ("group-b4", ["group", "--spec", "b4"]),
+    ("group-f4", ["group", "--spec", "f4"]),
     ("invariants-d4", ["invariants", "--spec", "d4"]),
     ("strata-d4", ["strata", "--spec", "d4"]),
     ("landau-d4", ["landau", "--spec", "d4"]),

@@ -18,6 +18,7 @@ from conftest import (
     ROT90,
     S3_PERM_GENS,
     S4_PERM_GENS,
+    class_and_normalizer_by_every_element,
     close_generators_by_fractions,
     conjugate,
     fixed_subspace_of_all_members,
@@ -237,8 +238,10 @@ def test_subgroup_counts_against_oracle(d4, d4_sheared, s3_perm, z2_plane, z2xz2
     ("f4", 5191, 246),
 ])
 def test_subgroup_census(request, name, subgroups, classes):
+    # the classes of the lattice, which every later test of the same
+    # fixture reads from its memo, so the search runs once
     rep = request.getfixturevalue(name)
-    found = groups.all_subgroups(rep)
+    found = [t.conjugates for t in symmetry_types(rep)]
     subs = [s for c in found for s in c]
     assert len(subs) == subgroups and len(found) == classes
     # the classes are disjoint, closed under conjugation, and listed by
@@ -246,12 +249,31 @@ def test_subgroup_census(request, name, subgroups, classes):
     assert len({s.members for s in subs}) == subgroups
     for c in found:
         assert list(c) == sorted(c, key=lambda s: s.members)
-        assert {groups.conjugate_subgroup(rep, c[0], x) for x in range(rep.order)} == set(c)
+        if rep.order <= 384:
+            # each class is all conjugates of its first member
+            assert {groups.conjugate_subgroup(rep, c[0], x) for x in range(rep.order)} == set(c)
+        else:
+            # closure under a generating set implies closure under G
+            assert {groups.conjugate_subgroup(rep, s, x) for s in c for x in rep.generators} <= set(c)
     assert found == sorted(found, key=lambda c: (c[0].order, c[0].members))
     for sub in subs:
         groups.check_subgroup(rep, sub)
-    types = symmetry_types(rep)
-    assert [t.conjugates for t in types] == found
+
+
+@pytest.mark.parametrize("name", [
+    "z2_line", "z2xz2", "d4", "d4_sheared", "s3_perm", "s4_perm", "b3", "s5_std", "b4",
+])
+def test_classes_and_normalizers_match_every_element(request, name):
+    # the orbit under the generators and the normalizer closed from its
+    # Schreier generators, against conjugation by all |G| elements; any
+    # generating set of the subgroup will do, so its non-identity members
+    rep = request.getfixturevalue(name)
+    for c in groups.all_subgroups(rep):
+        members, normalizer = class_and_normalizer_by_every_element(rep, c[0])
+        assert [s.members for s in c] == members
+        if c[0].order > 1:
+            got = groups._class_and_normalizer(rep, c[0].members, c[0].members[1:])
+            assert got == (members, normalizer)
 
 
 def test_lagrange(d4, s3_perm, s4_perm):

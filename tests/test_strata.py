@@ -101,10 +101,13 @@ def test_types_s3(s3_perm):
 ])
 def test_realized_matches_pointwise_stabilizer(request, name):
     # the flag read off the subgroup lattice against the pointwise
-    # stabilizer of each representative's fixed space, by matrices
+    # stabilizer of each representative's fixed space, by matrices; and
+    # the fix dimension, a mean trace, against that space's exact basis
     rep = request.getfixturevalue(name)
     for t in symmetry_types(rep):
-        assert t.realized == realized_by_stabilizer(rep, t.representative, t.fix), t.label
+        fix = fixed_subspace(rep, t.representative)
+        assert t.fix_dim == len(fix), t.label
+        assert t.realized == realized_by_stabilizer(rep, t.representative, fix), t.label
 
 
 def test_types_deterministic():
@@ -121,9 +124,9 @@ def test_isotropy_lattice_built_once():
 
 @pytest.mark.parametrize("gens", [(ROT90, FLIP_Y), B3_GENS], ids=["d4", "b3"])
 def test_isotropy_lattice_conjugates_each_class_once(monkeypatch, gens):
-    # all_subgroups conjugates each new class's first-found subgroup by every
-    # element; the lattice reads the classes it returns and conjugates
-    # nothing again
+    # all_subgroups conjugates each member of a new class once by each
+    # generator, walking the class as an orbit; the lattice reads the
+    # classes it returns and conjugates nothing again
     calls = []
     conjugate = groups.conjugate_subgroup
 
@@ -135,7 +138,8 @@ def test_isotropy_lattice_conjugates_each_class_once(monkeypatch, gens):
     monkeypatch.setattr(strata, "conjugate_subgroup", counted, raising=False)
     rep = close_generators(gens)
     lattice = isotropy_lattice(rep)
-    assert len(calls) == (len(lattice.types) - 1) * rep.order
+    conjugates = sum(len(t.conjugates) for t in lattice.types if t.order > 1)
+    assert len(calls) == conjugates * len(rep.generators)
 
 
 def test_symmetry_types_enumerated_once(monkeypatch):
