@@ -1,26 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Matrices are immutable tuples of tuples of Fraction, vectors are tuples of
-Fraction.  Two exact eliminators serve the package.
-
-:class:`RowReducer` is the incremental one: ranks (a group generator is
-singular when its rows have rank below the dimension), residuals modulo a
-span, the J-space re-expression of invariants and the homological solves
-of the reduction layer.  It reduces each new sparse row against
-unnormalized pivot rows in insertion order; normalizing would not change
-a Fraction result, but ``Coefficient`` entries cancel only monomial
-factors, so their printed form follows the dataflow.  It takes int rows
-too, such as the products of the integer basis table: two ints divide to
-a Fraction, never to a float.
-
-:func:`rref`, which also serves ``nullspace`` and ``mat_inverse``, needs
-no such dataflow: its rows are rational, and a row space has exactly one
-reduced echelon form, so any exact route gives the same answer.  It
-eliminates fraction-free in Python ints (Bareiss, Math. Comp. 22 (1968)):
-each row is scaled to integers, a pivot that divides an entry clears it
-by the integer quotient, and otherwise the two rows are cross-multiplied
-and the result divided by its content.  Only the output entries are
-Fractions, one per entry.
+Fraction.  One exact eliminator serves the package, :class:`RowReducer`,
+fraction-free in Python ints (Bareiss, Math. Comp. 22 (1968)): ranks (a
+group generator is singular when its rows have rank below the dimension),
+residuals modulo a span, the J-space re-expression of invariants, and
+:func:`rref`, which serves ``nullspace`` and ``mat_inverse``.  The
+homological solves of ``reduction``, whose rows have ``Coefficient``
+entries, divide instead, in a subclass there.
 
 Everything here is deterministic: the pivot is always the first admissible
 column, never chosen by magnitude, so repeated runs produce identical
@@ -96,24 +83,20 @@ def rref(rows_in, ncols: int | None = None) -> tuple[list[list[Fraction]], list[
     Pivot columns come out strictly increasing, the first nonzero column of
     each surviving row.
 
-    The elimination is fraction-free, after Bareiss (Math. Comp. 22 (1968)):
-    each row is scaled to integers, and each output entry is one Fraction
-    of two of its entries.  A row space has exactly one RREF, so the result
+    The rows go through a :class:`RowReducer`, and its integer pivot rows
+    are back-substituted in integers; each output entry is one Fraction of
+    two of their entries.  A row space has exactly one RREF, so the result
     is the one any exact elimination gives.
     """
     if ncols is None:
         rows_in = list(rows_in)
         ncols = len(rows_in[0]) if rows_in else 0
-    pivot_rows: dict[int, dict[int, int]] = {}
+    reducer = RowReducer(ncols)
     for row in rows_in:
-        row = _integer_row(row)
-        for col, prow in pivot_rows.items():
-            if col in row:
-                row = _eliminate(row, prow, col)
-        if row:
-            pivot_rows[min(row)] = row
-            if len(pivot_rows) == ncols:
-                break
+        reducer.add(row)
+        if reducer.rank == ncols:
+            break
+    pivot_rows = reducer.pivot_rows
     pivots = sorted(pivot_rows)
     for i, col in reversed(list(enumerate(pivots))):
         row = pivot_rows[col]
@@ -132,22 +115,31 @@ def rref(rows_in, ncols: int | None = None) -> tuple[list[list[Fraction]], list[
     return red, pivots
 
 
-def _integer_row(row) -> dict[int, int]:
+def _integer_row(row) -> dict:
     """A row as ``{column: int}``, zeros left out: the row times the lcm of
-    its denominators, over the gcd of the results."""
+    its denominators, over the gcd of the results; a right-hand side too."""
     row = sparse(row)
+    rhs = row.pop(RHS, None)
     scale = math.lcm(*(x.denominator for x in row.values()))
     ints = {v: x.numerator * (scale // x.denominator) for v, x in row.items()}
+    if rhs is not None:
+        ints[RHS] = rhs * Fraction(scale)
     return _primitive(ints)
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """An integer row over the gcd of its entries."""
+def _primitive(row: dict) -> dict:
+    """An integer row over the gcd of its entries; a right-hand side is
+    divided by the same gcd and never enters it."""
+    rhs = row.pop(RHS, None)
     g = math.gcd(*row.values())
-    return {v: x // g for v, x in row.items()} if g > 1 else row
+    if g > 1:
+        row = {v: x // g for v, x in row.items()}
+    if rhs is not None:
+        row[RHS] = rhs / g if g > 1 else rhs
+    return row
 
 
-def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+def _eliminate(row: dict, prow: dict, col: int) -> dict:
     """``row`` with its entry at ``col`` cleared by the pivot row ``prow``.
 
     When the pivot divides the entry, the integer quotient of ``prow`` is
@@ -198,11 +190,6 @@ RHS = -1
 """Column key of a row's right-hand side: reduced along with the row, never a pivot."""
 
 
-def _divide(a, b):
-    """a / b, exactly: two ints divide to a Fraction, not to a float."""
-    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
-
-
 def sparse(row) -> dict:
     """A row as ``{column: entry}`` with the zeros left out; takes a dense
     sequence or a dict."""
@@ -213,19 +200,19 @@ def sparse(row) -> dict:
 class RowReducer:
     """The exact eliminator: an incremental echelon basis of sparse rows.
 
-    Entries are int, Fraction or ``Coefficient``.  ``residual`` reduces a
-    row against the pivot rows in insertion order, ``factor = entry /
-    pivot``, where two ints divide to a Fraction (:func:`_divide`);
-    ``push`` keeps a residual as a new pivot row, pivoting on its first
-    column whose entry passes ``admissible`` (default: nonzero).  Pivot rows
-    stay unnormalized: ``Coefficient`` cancels only monomial factors, so its
-    printed form follows the dataflow.  An entry under the ``RHS`` key is
-    carried along and never pivoted on; ``solve`` back-substitutes.
+    Entries are int or Fraction; a right-hand side under the ``RHS`` key may
+    also be a ``Coefficient``.  ``residual`` makes a row a primitive integer
+    row and clears it against the pivot rows in insertion order, giving a
+    nonzero rational multiple of the residual modulo the span; the
+    right-hand side is scaled along and never pivoted on.  ``push`` keeps a
+    residual as a pivot row, on its first ``admissible`` column (here any
+    nonzero entry); ``solve`` back-substitutes, dividing once per unknown.
     """
 
-    def __init__(self, ncols: int | None = None, admissible=bool):
+    admissible = staticmethod(bool)
+
+    def __init__(self, ncols: int | None = None):
         self.ncols = ncols
-        self.admissible = admissible
         self.pivot_rows: dict[int, dict] = {}
         self.consistent = True
 
@@ -234,31 +221,24 @@ class RowReducer:
         return len(self.pivot_rows)
 
     def residual(self, row) -> dict:
-        if not isinstance(row, dict) and self.ncols is not None and len(row) != self.ncols:
+        n = self.ncols  # a dense row must have n entries, a sparse one columns below n
+        if n is not None and (
+            len(row) != n if not isinstance(row, dict)
+            else row and (min(row) < RHS or max(row) >= n)
+        ):
             raise ValueError("row width does not match the reducer")
-        row = sparse(row)
+        row = _integer_row(row)
         for col, prow in self.pivot_rows.items():
-            c = row.get(col)
-            if not c:
-                continue
-            factor = _divide(c, prow[col])
-            for v, x in prow.items():
-                if v == col:
-                    del row[col]
-                elif v in row:
-                    row[v] = row[v] - factor * x
-                else:
-                    row[v] = -(factor * x)
-        return sparse(row)
+            if col in row:
+                row = _eliminate(row, prow, col)
+        return row
 
     def push(self, residual: dict) -> int | None:
         """Keep an already reduced row; returns its pivot column, or None
         when no column is admissible.  A residual left with only a
         right-hand side marks the system inconsistent."""
-        pivot = next(
-            (c for c in sorted(residual) if c != RHS and self.admissible(residual[c])),
-            None,
-        )
+        admissible = (c for c in sorted(residual) if c != RHS and self.admissible(residual[c]))
+        pivot = next(admissible, None)
         if pivot is None:
             if RHS in residual and len(residual) == 1:
                 self.consistent = False
@@ -280,13 +260,12 @@ class RowReducer:
         values = {v: x for v, x in (known or {}).items() if x}
         for col in reversed(self.pivot_rows):
             row = self.pivot_rows[col]
-            acc = row.get(RHS)
+            acc = row.get(RHS, ZERO)
             for v, c in row.items():
                 if v in values and v != col:
-                    term = c * values[v]
-                    acc = -term if acc is None else acc - term
+                    acc = acc - c * values[v]
             if acc:
-                values[col] = _divide(acc, row[col])
+                values[col] = acc / row[col]
             else:
                 values.pop(col, None)
         return values

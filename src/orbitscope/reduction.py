@@ -50,9 +50,30 @@ from .polynomials import (
 )
 
 
-def _uniform(critical):
-    """Admissible-pivot predicate: invertible for every value in the sweep."""
-    return lambda c: Coefficient.coerce(c).uniform_nonzero(critical)
+class ParameterReducer(ra.RowReducer):
+    """The ``rationals.RowReducer`` of the homological solves, whose rows
+    have ``Coefficient`` entries and so no integer form: ``residual``
+    divides, ``factor = entry / pivot`` against the unnormalized pivot rows
+    in insertion order, and the printed form follows this dataflow.  A pivot
+    must be admissible: invertible for every value in the sweep."""
+
+    def __init__(self, critical):
+        super().__init__()
+        self.critical = critical
+
+    def admissible(self, c) -> bool:
+        return Coefficient.coerce(c).uniform_nonzero(self.critical)
+
+    def residual(self, row) -> dict:
+        row = ra.sparse(row)
+        for col, prow in self.pivot_rows.items():
+            c = row.pop(col, None)
+            if c:
+                factor = c / prow[col]
+                for v, x in prow.items():
+                    if v != col:
+                        row[v] = row[v] - factor * x if v in row else -(factor * x)
+        return ra.sparse(row)
 
 
 def _jmono_text(m) -> str:
@@ -148,7 +169,7 @@ def removable_terms(model: LandauModel, degree: int, pmatrix: PMatrix) -> Remova
             if not image.is_zero():
                 columns.append((g, m, image))
 
-    reducer = ra.RowReducer(admissible=_uniform(model.critical))
+    reducer = ParameterReducer(model.critical)
     removable = []    # (mono, pivot column)
     constraints = []
     non_removable = []
@@ -255,7 +276,7 @@ def reduce(
             images.append(homological_image(current, h, pmatrix))
 
         # one row per term to remove: sum_j image_j[mono] * h_j == -term
-        reducer = ra.RowReducer(admissible=_uniform(critical))
+        reducer = ParameterReducer(critical)
         determined: dict = {}
         parts = current.homogeneous_parts(weights)
         for d in range(g, truncation_degree + 1):

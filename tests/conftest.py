@@ -568,7 +568,7 @@ def close_generators_by_fractions(generators, max_order: int = 10000, name=None)
     for g in gens:
         if len(g) != dim or any(len(row) != dim for row in g):
             raise DimensionMismatch("generators must be square and equal size")
-        reducer = ra.RowReducer(dim)
+        reducer = RowReducerByDivision()
         for row in g:
             reducer.add(row)
         if reducer.rank < dim:
@@ -714,11 +714,75 @@ def fixed_subspace_of_all_members(rep, sub) -> list:
     return out
 
 
+class RowReducerByDivision:
+    """An incremental echelon basis of sparse rows that divides.
+
+    The oracle for ``rationals.RowReducer``, which clears each row fraction
+    free in integers: here a row is reduced against the unnormalized pivot
+    rows in insertion order, ``factor = entry / pivot``, two ints dividing
+    to a Fraction.  A right-hand side under ``RHS`` (Fraction or
+    ``Coefficient``) is reduced along with its row and never pivoted on;
+    ``solve`` back-substitutes, latest pivot row first.
+    """
+
+    def __init__(self):
+        self.pivot_rows: dict[int, dict] = {}
+        self.consistent = True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def residual(self, row) -> dict:
+        row = ra.sparse(row)
+        for col, prow in self.pivot_rows.items():
+            c = row.get(col)
+            if not c:
+                continue
+            factor = _divide(c, prow[col])
+            for v, x in prow.items():
+                if v == col:
+                    del row[col]
+                elif v in row:
+                    row[v] = row[v] - factor * x
+                else:
+                    row[v] = -(factor * x)
+        return ra.sparse(row)
+
+    def add(self, row) -> bool:
+        residual = self.residual(row)
+        pivot = min((c for c in residual if c != ra.RHS), default=None)
+        if pivot is None:
+            if residual:
+                self.consistent = False
+            return False
+        self.pivot_rows[pivot] = residual
+        return True
+
+    def solve(self) -> dict:
+        values = {}
+        for col in reversed(self.pivot_rows):
+            row = self.pivot_rows[col]
+            acc = row.get(ra.RHS)
+            for v, c in row.items():
+                if v in values and v != col:
+                    term = c * values[v]
+                    acc = -term if acc is None else acc - term
+            if acc:
+                values[col] = _divide(acc, row[col])
+        return values
+
+
+def _divide(a, b):
+    """a / b, exactly: two ints divide to a Fraction, not to a float."""
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+
 def rref_by_row_reducer(rows_in, ncols=None):
-    """Reduced row echelon form through ``rationals.RowReducer``.
+    """Reduced row echelon form through :class:`RowReducerByDivision`.
 
     The oracle for ``rationals.rref``, which eliminates fraction-free in
-    integers: here every row goes through the Fraction eliminator, and its
+    integers: here every row goes through the dividing eliminator, and its
     pivot rows are normalized and back-eliminated in Fraction.  Int entries
     become Fractions first, so that no step of the oracle runs in ints.
     Returns (dense rows, pivot columns).
@@ -726,7 +790,7 @@ def rref_by_row_reducer(rows_in, ncols=None):
     rows_in = list(rows_in)
     if ncols is None:
         ncols = len(rows_in[0]) if rows_in else 0
-    reducer = ra.RowReducer()
+    reducer = RowReducerByDivision()
     for row in rows_in:
         reducer.add({c: Fraction(x) for c, x in ra.sparse(row).items()})
     pivots = sorted(reducer.pivot_rows)

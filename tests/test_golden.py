@@ -2,9 +2,15 @@
 full text and CSV output of others, byte for byte.
 
 The ``invariants`` and ``reduce`` files under ``golden/`` were recorded before
-every exact solve moved onto the one eliminator, ``rationals.RowReducer``.
-Parameter-valued coefficients print in a form that follows the elimination
-dataflow, so these files pin it down.  ``reduce-d4-ell6`` was re-recorded
+every exact solve over int and Fraction rows moved onto one fraction-free
+integer eliminator, ``rationals.RowReducer``, which ``rref`` also runs on.
+Only the homological solves of ``reduce``, whose rows have parameter-valued
+entries, still divide, in ``reduction.ParameterReducer``; such coefficients
+print in a form that follows the elimination dataflow, so these files pin
+it down.  ``invariants-b4-rot`` (the rotation subgroup of B4, order 192)
+was recorded before that move: it pins the relations and P-matrix of the
+group whose hsop span test is the largest of the golden cases (1140
+monomials of degree 17; o-rot's has 66, a4-rot's 36).  ``reduce-d4-ell6`` was re-recorded
 when each generator came to act as its time-one flow, applied in J-space as
 a Lie series: a flow is not y + h, so the degree-6 generator differs, and
 the survivors print the same values in a shorter form.  ``reduce-s3-perm-ell3``
@@ -84,6 +90,7 @@ CASES = [
     ("invariants-z3-perm", ["invariants", "--spec", "z3-perm"]),
     ("invariants-b3", ["invariants", "--spec", "b3", "--degree-cap=8"]),
     ("invariants-s4-std-sheared", ["invariants", "--spec", "s4-std-sheared", "--degree-cap=6"]),
+    ("invariants-b4-rot", ["invariants", "--spec", "b4-rot"]),
     ("strata-s4-std", ["strata", "--spec", "s4-std"]),
     ("strata-o-rot", ["strata", "--spec", "o-rot"]),
     ("strata-a4-rot", ["strata", "--spec", "a4-rot"]),

@@ -26,6 +26,7 @@ from conftest import (
     O_ROT_GENS,
     REFLECT_LINE,
     ROT90,
+    RowReducerByDivision,
     S3_PERM_GENS,
     S4_PERM_GENS,
     S5_GENS,
@@ -461,10 +462,11 @@ def test_mib_minimality(z2_plane, z4, d4):
 
 
 def product_span_rank(rep, basis, d):
-    """Oracle: exact rank of the degree-d power products of the basis."""
+    """Oracle: exact rank of the degree-d power products of the basis, by
+    the dividing eliminator."""
     monos = monomials_of_degree(rep.dim, d)
     index = {m: i for i, m in enumerate(monos)}
-    span = ra.RowReducer(len(monos))
+    span = RowReducerByDivision()
     for expo in jmonomials_of_xdegree(basis.degrees, d):
         prod = Polynomial.constant(rep.dim, 1)
         for i, e in enumerate(expo):

@@ -1,13 +1,15 @@
 """Exact linear algebra checks: small frozen cases plus random properties."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from conftest import mat_det, rref_by_row_reducer
+from conftest import RowReducerByDivision, mat_det, rref_by_row_reducer
 
 from orbitscope import rationals as ra
+from orbitscope.params import Coefficient
 
 
 def rand_matrix(rng, n, m):
@@ -99,15 +101,31 @@ def test_row_reducer_rank():
 
 
 def test_row_reducer_divides_ints_exactly():
-    # two int entries divide to a Fraction, not to the float -0.5 or 0.5
+    # residual and pivot rows are primitive integer rows; only a right-hand
+    # side and solve's values are Fractions, never the float 0.5
     rr = ra.RowReducer()
     rr.add([2, 1])
     got = rr.residual([3, 1])
-    assert got == {1: Fraction(-1, 2)} and type(got[1]) is Fraction
+    assert got == {1: -1} and type(got[1]) is int
+    got = rr.residual([Fraction(3, 2), Fraction(1, 4)])
+    assert got == {1: -2} and type(got[1]) is int
     rr = ra.RowReducer()
     rr.add({0: 2, ra.RHS: 1})
+    assert rr.pivot_rows == {0: {0: 1, ra.RHS: Fraction(1, 2)}}
+    assert type(rr.pivot_rows[0][0]) is int
     got = rr.solve()
     assert got == {0: Fraction(1, 2)} and type(got[0]) is Fraction
+
+
+def test_row_width_must_match_ncols():
+    with pytest.raises(ValueError):
+        ra.rref([[1, 2, 3], [4, 5]])
+    with pytest.raises(ValueError):
+        ra.rref([[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError):
+        ra.nullspace([{0: 1, 5: 2}], 3)
+    with pytest.raises(ValueError):
+        ra.RowReducer(3).add({0: 1, 7: 2})
 
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -141,22 +159,6 @@ def test_rref_property(rows):
     assert ra.rref(red) == (red, pivots)
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices(cols=st.integers(1, 6)))
-def test_row_reducer_respects_admissible(rows):
-    def integral(c):
-        return c.denominator == 1
-
-    rr = ra.RowReducer(admissible=integral)
-    for row in rows:
-        residual = rr.residual(row)
-        pivot = rr.push(residual)
-        passing = [c for c in sorted(residual) if integral(residual[c])]
-        assert pivot == (passing[0] if passing else None)
-    for col, prow in rr.pivot_rows.items():
-        assert integral(prow[col])
-
-
 # entries with large coprime denominators: products of them never cancel
 big_fractions = st.builds(
     Fraction,
@@ -173,7 +175,8 @@ entry_kinds = {
 @st.composite
 def oracle_cases(draw):
     """Rows (dense or dict) with zero and repeated rows, and an ``ncols``
-    at least the width of the data."""
+    at least the width of the data: dense rows are padded with zeros to
+    ``ncols``, dict rows leave the trailing columns out."""
     entries = entry_kinds[draw(st.sampled_from(sorted(entry_kinds)))]
     m = draw(st.integers(0, 6))
     rows = draw(matrices(st.integers(0, 7), st.just(m), entries))
@@ -181,9 +184,12 @@ def oracle_cases(draw):
         rows.insert(draw(st.integers(0, len(rows))), [0] * m)
     if rows and draw(st.booleans()):
         rows.append(list(draw(st.sampled_from(rows))))
+    pad = draw(st.integers(0, 2))
     if draw(st.booleans()):
         rows = [ra.sparse(row) for row in rows]
-    return rows, m + draw(st.integers(0, 2))
+    else:
+        rows = [row + [0] * pad for row in rows]
+    return rows, m + pad
 
 
 def nullspace_from(red, pivots, ncols):
@@ -256,3 +262,78 @@ def test_row_reducer_on_ints_matches_fractions(rows, probe):
     got = ints.residual(probe)
     assert got == fracs.residual([Fraction(x) for x in probe])
     assert no_floats(got.values())
+
+
+A, B = Coefficient.parameter("a"), Coefficient.parameter("b")
+
+
+@st.composite
+def laurent_coefficients(draw):
+    """A ``Coefficient`` in a, b over a power of a.  With a monomial
+    denominator its printed form is canonical, so it cannot depend on the
+    order in which an eliminator combined the right-hand sides."""
+    terms = draw(st.lists(st.tuples(fractions, st.integers(0, 2), st.integers(0, 2)),
+                          min_size=1, max_size=3))
+    num = sum((c * math.prod([A] * i + [B] * j, start=ra.ONE) for c, i, j in terms), ra.ZERO)
+    return num / math.prod([A] * draw(st.integers(0, 2)), start=ra.ONE)
+
+
+rhs_kinds = {
+    "fraction": st.one_of(st.integers(-6, 6), fractions, big_fractions),
+    "coefficient": laurent_coefficients(),
+}
+
+
+@st.composite
+def systems(draw):
+    """``oracle_cases`` rows, each given a right-hand side of one kind, or
+    none."""
+    rows, ncols = draw(oracle_cases())
+    kind = draw(st.sampled_from([None, *sorted(rhs_kinds)]))
+    if kind is None:
+        return rows, ncols
+    return [{**ra.sparse(row), ra.RHS: draw(rhs_kinds[kind])} for row in rows], ncols
+
+
+def rational_ratio(x, y):
+    """x / y when it is a rational number, else None."""
+    if not isinstance(x, Coefficient) and not isinstance(y, Coefficient):
+        return Fraction(x) / y
+    q = Coefficient.coerce(x) / y
+    m = next(iter(q.den.terms))
+    c = q.num.terms.get(m, 0) / q.den.terms[m]
+    return c if q == c else None
+
+
+def is_rational_multiple(got: dict, want: dict) -> bool:
+    """got == lam * want, entry by entry, for one nonzero rational lam."""
+    if got.keys() != want.keys():
+        return False
+    if not got:
+        return True
+    col = max(got)
+    lam = rational_ratio(got[col], want[col])
+    return bool(lam) and all(got[v] == lam * want[v] for v in got)
+
+
+def no_float_entries(values) -> bool:
+    return all(type(x) is not float for x in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example(([{0: 2, 1: 4, ra.RHS: 1}, {0: 3, 1: 6, ra.RHS: A}], 2))
+def test_row_reducer_matches_the_dividing_oracle(case):
+    rows, ncols = case
+    got, want = ra.RowReducer(ncols), RowReducerByDivision()
+    for row in rows:
+        residual = got.residual(row)
+        assert is_rational_multiple(residual, want.residual(row))
+        assert no_float_entries(residual.values())
+        assert got.add(row) == want.add(row)
+        assert list(got.pivot_rows) == list(want.pivot_rows)
+        assert got.rank == want.rank and got.consistent == want.consistent
+    assert all(no_float_entries(prow.values()) for prow in got.pivot_rows.values())
+    values, expected = got.solve(), want.solve()
+    assert values == expected and no_float_entries(values.values())
+    assert {v: str(x) for v, x in values.items()} == {v: str(x) for v, x in expected.items()}

@@ -18,6 +18,7 @@ from orbitscope.landau import build_generic, make_model, minimize
 from orbitscope.params import Coefficient, substitute_param
 from orbitscope.polynomials import J_KIND, Polynomial, act, mono_degree, substitute
 from orbitscope.reduction import (
+    ParameterReducer,
     PoincareGenerator,
     ReductionReport,
     delta_J,
@@ -227,6 +228,29 @@ def test_removable_z2xz2_rank_oracle(z2xz2_setup):
     unit = tuple(F(1) if mu == (0, 3) else F(0) for mu in monos6)
     _, pivots_with = ra.rref(list(rows) + [unit])
     assert len(pivots_with) == 4
+
+
+# entries c + e * eps: uniformly invertible as eps -> 0 exactly when c != 0
+sweep_entries = st.builds(
+    lambda c, e: c + e * cf("eps"),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda m: st.lists(st.lists(sweep_entries, min_size=m, max_size=m), min_size=1, max_size=5)
+))
+def test_row_reducer_respects_admissible(rows):
+    rr = ParameterReducer({"eps"})
+    for row in rows:
+        residual = rr.residual(row)
+        pivot = rr.push(residual)
+        passing = [c for c in sorted(residual) if residual[c].uniform_nonzero({"eps"})]
+        assert pivot == (passing[0] if passing else None)
+    for col, prow in rr.pivot_rows.items():
+        assert prow[col].uniform_nonzero({"eps"})
 
 
 # ---------------------------------------------------------------- reduce
